@@ -45,6 +45,7 @@ from .solver import (
     GapSurface,
     SolveTrace,
     critical_temperature,
+    newton_seed,
     picard_solve,
     solve_surface,
 )

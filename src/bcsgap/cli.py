@@ -222,7 +222,7 @@ def _write_surface(out: Path, surface) -> None:
     write_csv(out / "surface.csv", ["T", "x", "u"], rows)
     atomic_write_text(out / "tc.txt", f"t_c = {fmt(surface.t_c)}\n")
     trace_rows = (
-        (T, tr.iterations, tr.asymptotic_ratio())
+        (T, tr.iterations, tr.rate)
         for T, tr in zip(surface.t_nodes[:-1], surface.traces)
     )
     write_csv(out / "trace.csv", ["T", "iterations", "final_ratio"], trace_rows)

@@ -1,8 +1,14 @@
 """Fixed-point iteration to the gap-equation solution and assembly of the
 gap surface on [tau, T_c] x [epsilon, hbar_omega_d], including T_c itself.
 
-Each temperature is solved independently (the solves share nothing mutable
-and may run concurrently).  Iteration starts from the upper envelope and
+A surface node is solved in two stages.  ``newton_seed`` runs Newton on
+F(u) = u - A u from the previous, cooler node's row (from the upper
+envelope at the first node), solving each linear system by matrix-free
+GMRES; it converges in a handful of steps where the Picard iteration
+contracts at a rate approaching one.  ``picard_solve``, the paper's
+iteration, then starts from that seed, and its stop certifies the row.
+
+``picard_solve`` starts from the upper envelope unless given a start, and
 stops through an a-posteriori bound: if the iteration contracts at rate
 rho, then ||u_n - u*|| <= rho/(1-rho) * ||u_n - u_{n-1}||.  Near T_c the
 true rate approaches one like 1 - O(T_c - T), so neither a fixed constant
@@ -18,7 +24,8 @@ matrix-vector products per check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +50,7 @@ __all__ = [
     "SolveTrace",
     "GapSurface",
     "picard_solve",
+    "newton_seed",
     "critical_temperature",
     "solve_surface",
 ]
@@ -62,11 +70,20 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Successive sup-norm differences of one fixed-point solve."""
+    """Successive sup-norm differences of one fixed-point solve.
+
+    ``iterations`` counts Picard operator applications.  ``rate`` is the
+    Collatz-Wielandt bound q >= rho(A'(u)) checked at the accepted stop
+    (for the zero field at or above the transition, the zero-field Perron
+    root).  ``newton_steps`` counts the operator applications of the Newton
+    seed that ``solve_surface`` ran before the Picard iteration.
+    """
 
     iterates: np.ndarray
     final_residual: float
     iterations: int
+    rate: float
+    newton_steps: int = 0
 
     def asymptotic_ratio(self, window: int = 10) -> float:
         """Largest ratio of successive differences over the final window."""
@@ -129,21 +146,19 @@ def picard_solve(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if spectral_radius(T, potential, grid).radius <= 1.0 + _ZERO_PHASE_SLACK:
+    radius = spectral_radius(T, potential, grid).radius
+    if radius <= 1.0 + _ZERO_PHASE_SLACK:
         zero = np.zeros(grid.size)
         return (
             GapField(temperature=T, values=zero),
-            SolveTrace(iterates=np.array([]), final_residual=0.0, iterations=0),
+            SolveTrace(
+                iterates=np.array([]), final_residual=0.0, iterations=0, rate=radius
+            ),
         )
 
     weighted = weighted_potential_matrix(potential, grid)
     xi = grid.nodes
-    if initial is not None:
-        u = np.asarray(initial, dtype=float).copy()
-        if u.shape != grid.nodes.shape:
-            raise ValueError("initial field does not match the grid")
-    else:
-        u = np.full(grid.size, solve_delta(params.u_upper, T, params))
+    u = _start(T, params, grid, initial)
     diffs: list[float] = []
     rho = alpha
     floor = alpha
@@ -173,7 +188,10 @@ def picard_solve(
             return (
                 GapField(temperature=T, values=u),
                 SolveTrace(
-                    iterates=np.array(diffs), final_residual=residual, iterations=n
+                    iterates=np.array(diffs),
+                    final_residual=residual,
+                    iterations=n,
+                    rate=q,
                 ),
             )
     raise ConvergenceError(
@@ -198,17 +216,120 @@ def _error_bound(
     noise in the step, which would otherwise inflate q by about half of
     1 - rho near T_c (Gaussian bump on the default grid: 2e-4 against
     1 - rho = 5e-4).  The bound is infinite when q >= 1, and zero after a
-    zero step, which leaves u a fixed point in floating point.
+    zero step, which leaves u a fixed point in floating point; q is then
+    taken with x = J 1, which is positive too.
     """
     size = np.abs(step)
-    if not np.any(size):
-        return 0.0, 0.0
     jac = jacobian_diagonal(xi, u, T)
-    x = weighted @ (jac * size)
+    x = weighted @ (jac * (size if np.any(size) else 1.0))
     q = float(np.max((weighted @ (jac * x)) / x))
+    if not np.any(size):
+        return q, 0.0
     if q >= 1.0:
         return q, np.inf
     return q, q / (1.0 - q) * float(np.max(x)) * float(np.max(size / x))
+
+
+def _start(
+    T: float, params: PhysicalParams, grid: EnergyGrid, initial: np.ndarray | None
+) -> np.ndarray:
+    """A copy of ``initial``, or the upper envelope at T when it is None."""
+    if initial is None:
+        return np.full(grid.size, solve_delta(params.u_upper, T, params))
+    u = np.asarray(initial, dtype=float).copy()
+    if u.shape != grid.nodes.shape:
+        raise ValueError("initial field does not match the grid")
+    return u
+
+
+def newton_seed(
+    T: float,
+    potential: PotentialSpec,
+    params: PhysicalParams,
+    grid: EnergyGrid,
+    max_iter: int = 100,
+    initial: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
+    """Newton iterate for F(u) = u - A u, to start ``picard_solve`` from.
+
+    Each step applies the operator once and solves (I - A'(u)) delta =
+    A u - u by GMRES, which needs only the products A'(u) v = W (d * v) with
+    d = ``jacobian_diagonal``; no matrix besides W is formed.  Starts from
+    ``initial``, or from the upper envelope when it is None.  Stops once the
+    residual ||A u - u|| fails to halve, which happens at its rounding floor
+    (or if Newton stops converging fast), or after ``max_iter`` operator
+    applications.  Returns the iterate with the smallest residual and the
+    number of operator applications made.
+
+    The result comes with no bound: ``picard_solve`` started from it is what
+    proves ||u - u*|| <= tol.
+    """
+    weighted = weighted_potential_matrix(potential, grid)
+    xi = grid.nodes
+    u = _start(T, params, grid, initial)
+    best, best_residual = u, np.inf
+    previous = np.inf
+    for n in range(1, max_iter + 1):
+        step = apply_values(weighted, xi, u, T) - u
+        residual = float(np.max(np.abs(step)))
+        if residual < best_residual:
+            best, best_residual = u, residual
+        # also true for a non-finite residual
+        if not residual < 0.5 * previous or residual == 0.0:
+            return best, n
+        previous = residual
+        jac = jacobian_diagonal(xi, u, T)
+        u = u + _gmres(lambda v: v - weighted @ (jac * v), step)
+    return best, max_iter
+
+
+def _gmres(
+    matvec, b: np.ndarray, rtol: float = 1e-10, max_dim: int = 40
+) -> np.ndarray:
+    """Solve matvec(x) = b by GMRES from x = 0, without restarts.
+
+    Givens rotations keep the Hessenberg least-squares problem upper
+    triangular as it grows, so its residual norm |g[j+1]| is known at every
+    step and the solution is one back substitution at the end.  Stops when
+    that residual is at most rtol * ||b||, at an invariant Krylov space, or
+    after ``max_dim`` steps.
+    """
+    beta = math.sqrt(float(b @ b))
+    if beta == 0.0:
+        return np.zeros_like(b)
+    m = min(max_dim, b.size)
+    basis = np.empty((m + 1, b.size))
+    h = np.zeros((m + 1, m))
+    cs = np.zeros(m)
+    sn = np.zeros(m)
+    g = np.zeros(m + 1)
+    g[0] = beta
+    basis[0] = b / beta
+    k = m
+    for j in range(m):
+        w = matvec(basis[j])
+        for i in range(j + 1):  # modified Gram-Schmidt
+            h[i, j] = w @ basis[i]
+            w -= h[i, j] * basis[i]
+        h_next = math.sqrt(float(w @ w))
+        for i in range(j):
+            h[i, j], h[i + 1, j] = (
+                cs[i] * h[i, j] + sn[i] * h[i + 1, j],
+                cs[i] * h[i + 1, j] - sn[i] * h[i, j],
+            )
+        r = math.hypot(h[j, j], h_next)
+        cs[j], sn[j] = h[j, j] / r, h_next / r
+        h[j, j] = r
+        g[j + 1] = -sn[j] * g[j]
+        g[j] *= cs[j]
+        if abs(g[j + 1]) <= rtol * beta or h_next == 0.0:
+            k = j + 1
+            break
+        basis[j + 1] = w / h_next
+    y = np.zeros(k)
+    for i in range(k - 1, -1, -1):
+        y[i] = (g[i] - h[i, i + 1:k] @ y[i + 1:k]) / h[i, i]
+    return y @ basis[:k]
 
 
 def critical_temperature(
@@ -269,9 +390,15 @@ def solve_surface(
     Temperature nodes approach T_c geometrically (spacing proportional to
     T_c - T over ``span_decades`` decades) so that downstream extrapolation
     can resolve the sqrt(T_c - T) shrinkage of the gap; the exact zero row
-    at T_c is appended.  When no contraction certificate is available the
-    surface is marked uncertified and carries the empirical rate bound
-    min(max observed ratio + 0.1, 0.95) instead.
+    at T_c is appended.  Each node is seeded by ``newton_seed`` from the
+    previous node's row and certified by ``picard_solve`` from that seed;
+    if the seed is not finite and positive, ``picard_solve`` starts from
+    the upper envelope instead.  ``max_iter`` bounds the operator
+    applications of both stages together, per node.
+
+    When no contraction certificate is available the surface is marked
+    uncertified and carries min(max rate + 0.1, 0.95) instead, with rate the
+    Collatz-Wielandt bound of each node's ``SolveTrace``.
     """
     if t_resolution < 2:
         raise ValueError("need at least 2 temperature nodes")
@@ -293,21 +420,27 @@ def solve_surface(
 
     rows: list[np.ndarray] = []
     traces: list[SolveTrace] = []
-    observed = 0.0
     for T in t_nodes:
+        T = float(T)
+        start = rows[-1] if rows else None
+        seed, steps = newton_seed(
+            T, potential, params, grid, max_iter=max_iter, initial=start
+        )
+        if not (np.all(np.isfinite(seed)) and np.all(seed > 0.0)):
+            seed = None
         u, trace = picard_solve(
-            float(T), potential, params, grid, alpha=alpha0, tol=tol,
-            max_iter=max_iter,
+            T, potential, params, grid, alpha=alpha0, tol=tol,
+            max_iter=max_iter - steps, initial=seed,
         )
         rows.append(u.values)
-        traces.append(trace)
-        if trace.iterates.size >= 2:
-            observed = max(observed, trace.asymptotic_ratio())
+        traces.append(replace(trace, newton_steps=steps))
 
     values = np.vstack(rows + [np.zeros(grid.size)])
     t_all = np.append(t_nodes, t_c)
     alpha_out = (
-        certificate.alpha if certified else min(observed + 0.1, 0.95)
+        certificate.alpha
+        if certified
+        else min(max(tr.rate for tr in traces) + 0.1, 0.95)
     )
     surface = GapSurface(
         t_nodes=t_all,

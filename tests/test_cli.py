@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bcsgap import cli, solver
 from bcsgap.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CERTIFICATE,
@@ -182,6 +183,33 @@ def test_exit_code_non_convergence(tmp_path):
         tmp_path, f"solver.max_iter = 5\noutput.dir = {tmp_path / 'out'}\n"
     )
     assert main(["solve", str(cfg_path)]) == EXIT_NO_CONVERGENCE
+
+
+def test_solve_certifies_every_node_through_picard(tmp_path, monkeypatch):
+    # the iterations column of trace.csv counts picard_solve's operator
+    # applications, one picard_solve call per node, as a counting wrapper
+    # around picard_solve sees them
+    counted: list[int] = []
+    surfaces = []
+    real_picard, real_surface = solver.picard_solve, cli.solve_surface
+
+    def counting_picard(*args, **kwargs):
+        out = real_picard(*args, **kwargs)
+        counted.append(out[1].iterations)
+        return out
+
+    def keeping_surface(*args, **kwargs):
+        surfaces.append(real_surface(*args, **kwargs))
+        return surfaces[-1]
+
+    monkeypatch.setattr(solver, "picard_solve", counting_picard)
+    monkeypatch.setattr(cli, "solve_surface", keeping_surface)
+    out = tmp_path / "out"
+    assert main(["solve", str(_write_config(tmp_path, f"output.dir = {out}\n"))]) == EXIT_OK
+    written = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)[:, 1]
+    (surface,) = surfaces
+    assert len(counted) == len(surface.traces) == written.size == 10
+    assert sum(counted) == sum(tr.iterations for tr in surface.traces) == written.sum()
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bcsgap import solver
 from bcsgap.certificate import CertificateFailure
 from bcsgap.gap_operator import apply_values, weighted_potential_matrix
 from bcsgap.simple_gap import solve_delta, tau_root
@@ -204,6 +205,65 @@ def test_surface_trace_ratios_below_one(const_surface):
     for trace in surface.traces:
         if trace.iterates.size >= 11:
             assert trace.asymptotic_ratio() < 1.0
+
+
+def test_surface_node_rates_in_unit_interval(const_surface, gauss_surface):
+    # every node's stop was accepted on a rate bound that proves contraction
+    surface, _ = const_surface
+    for s in (surface, gauss_surface):
+        assert all(0.0 < tr.rate < 1.0 for tr in s.traces)
+
+
+def test_default_nodes_seeded_to_rounding(const_surface):
+    # the Newton seed reaches the fixed point to rounding, so picard_solve
+    # certifies each default node at once instead of iterating at a rate
+    # approaching one
+    surface, _ = const_surface
+    assert all(tr.newton_steps >= 1 for tr in surface.traces)
+    assert all(tr.iterations <= 2 for tr in surface.traces)
+
+
+def test_gauss_surface_rows_within_tol_of_picard_reference(
+    gauss_potential, params, grid, gauss_surface
+):
+    # the bump's Jacobian is not rank one, so the Newton seed's GMRES solves
+    # take several iterations; the certified rows must still be within tol
+    # (the solve_surface default) of a plain Picard solve to 1e-13
+    n = len(gauss_surface.traces)
+    for i in (0, n // 2, n - 1):
+        t = float(gauss_surface.t_nodes[i])
+        reference, _ = picard_solve(t, gauss_potential, params, grid, tol=1e-13)
+        error = float(np.max(np.abs(gauss_surface.values[i] - reference.values)))
+        assert error <= 1e-11 + ROUNDING_ALLOWANCE, f"node {i}: error {error:.4e}"
+
+
+def test_surface_budget_counts_newton_steps(const_potential, params, grid, const_surface):
+    surface, _ = const_surface
+    steps = surface.traces[0].newton_steps
+    assert steps >= 1
+    with pytest.raises(ConvergenceError):
+        solve_surface(
+            const_potential, params, grid, max_iter=steps - 1,
+            run_certificate_search=False,
+        )
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0])
+def test_surface_ignores_unusable_seed(bad, monkeypatch, const_potential, params, grid):
+    # a seed that is not finite and positive is dropped, and picard_solve
+    # starts from the upper envelope; the seed's steps are still recorded
+    monkeypatch.setattr(
+        solver, "newton_seed", lambda *args, **kwargs: (np.full(grid.size, bad), 3)
+    )
+    surface = solve_surface(
+        const_potential, params, grid, t_resolution=2, span_decades=0.3,
+        tol=1e-11, run_certificate_search=False,
+    )
+    for i, t in enumerate(surface.t_nodes[:-1]):
+        c = nystrom_constant_gap(0.3, float(t), grid)
+        assert np.max(np.abs(surface.values[i] - c)) <= 1e-11 + ROUNDING_ALLOWANCE
+        assert surface.traces[i].newton_steps == 3
+        assert surface.traces[i].iterations > 1
 
 
 def test_solve_surface_validates_t_min(const_potential, params, grid, const_surface):
