@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gap_operator import radius_crossing_temperature
+from .gap_operator import spectral_tc
 from .model import EnergyGrid, PhysicalParams, PotentialSpec, potential_matrix
 from .quadrature import gap_kernel
 from .simple_gap import solve_delta, tau_root
@@ -158,7 +158,7 @@ def compute_alpha(
     is a valid, reported outcome.
     """
     if t_c is None:
-        t_c = _spectral_tc(potential, params, grid)
+        t_c = spectral_tc(potential, params, grid)
     if not tau < t_c:
         raise ValueError(f"need tau < T_c, got tau={tau!r} >= T_c={t_c!r}")
 
@@ -197,14 +197,6 @@ def compute_alpha(
     return best
 
 
-def _spectral_tc(
-    potential: PotentialSpec, params: PhysicalParams, grid: EnergyGrid
-) -> float:
-    tau1 = tau_root(params.u_lower, params)
-    tau2 = tau_root(params.u_upper, params)
-    return radius_crossing_temperature(potential, grid, tau1, tau2)
-
-
 def search_certificate(
     potential: PotentialSpec,
     params: PhysicalParams,
@@ -227,9 +219,7 @@ def search_certificate(
     """
     tau1 = tau_root(params.u_lower, params)
     if t_c is None:
-        t_c = radius_crossing_temperature(
-            potential, grid, tau1, tau_root(params.u_upper, params)
-        )
+        t_c = spectral_tc(potential, params, grid)
 
     # geometric approach of tau toward T_c: alpha is non-increasing in tau
     # (smaller rectangle, smaller envelope prefactor), so the largest scan

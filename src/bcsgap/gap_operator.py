@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import EnergyGrid, PhysicalParams, PotentialSpec, potential_matrix
 from .quadrature import gap_kernel, sech
-from .simple_gap import solve_delta
+from .simple_gap import solve_delta, tau_root
 
 __all__ = [
     "GapField",
@@ -30,6 +30,7 @@ __all__ = [
     "kernel_matrix",
     "spectral_radius",
     "radius_crossing_temperature",
+    "spectral_tc",
     "sample_envelope_field",
 ]
 
@@ -177,6 +178,19 @@ def radius_crossing_temperature(
         if hi - lo <= rtol * hi:
             break
     return 0.5 * (lo + hi)
+
+
+def spectral_tc(
+    potential: PotentialSpec, params: PhysicalParams, grid: EnergyGrid
+) -> float:
+    """Unit crossing of the zero-field Perron root, bracketed by the envelope
+    vanishing temperatures [tau(U1), tau(U2)]."""
+    return radius_crossing_temperature(
+        potential,
+        grid,
+        tau_root(params.u_lower, params),
+        tau_root(params.u_upper, params),
+    )
 
 
 def sample_envelope_field(

@@ -21,6 +21,7 @@ __all__ = [
     "integrate",
     "adaptive_integrate",
     "gap_kernel",
+    "gap_kernel_and_slope",
     "tanh_half_identity",
     "sech",
     "gap_curvature",
@@ -112,6 +113,27 @@ def gap_kernel(xi, s, T: float):
     z = r / (2.0 * T)
     t = np.where(z > TANH_SATURATION, 1.0, np.tanh(z))
     return t / r
+
+
+def gap_kernel_and_slope(xi, s, T: float):
+    """The gap kernel k and its derivative dk/ds, in one pass.
+
+    dk/ds = ((1 - t^2)/(2T) - k) / (2 r^2) with r^2 = xi^2 + s and
+    t = tanh(r/(2T)), which equals gap_curvature(r/(2T)) / (16 T^3); at
+    ``T = 0`` it is -k/(2 r^2).  ``k`` is computed exactly as ``gap_kernel``
+    computes it.  The slope cancels at small r/(2T) and is meant to steer a
+    root search, not to certify one.
+    """
+    xi = np.asarray(xi, dtype=float)
+    r2 = xi * xi + s
+    r = np.sqrt(r2)
+    if T == 0.0:
+        k = 1.0 / r
+        return k, -k / (2.0 * r2)
+    z = r / (2.0 * T)
+    t = np.where(z > TANH_SATURATION, 1.0, np.tanh(z))
+    k = t / r
+    return k, ((1.0 - t * t) / (2.0 * T) - k) / (2.0 * r2)
 
 
 def sech(z):

@@ -7,6 +7,15 @@ full solution pointwise, making them the independent oracle against which
 the field solver is checked.  All integrals here use their own adaptive
 quadrature rather than the shared collocation grid, which keeps this
 module an independent computation route.
+
+A gap value is the float that plain bisection on the computed residual
+f(delta) = U * integral(gap_kernel(xi, delta^2, T)) - 1 returns, but f is
+evaluated only where its computed sign is in doubt.  Newton's method in
+s = delta^2 locates the root; a bound on the rounding error of a floating
+point sum of n positive terms (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., sections 3.1 and 4.2) then proves the computed sign
+of f at every gap outside a small window around it; and the bisection is
+replayed, evaluating f only at midpoints inside the window.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from .quadrature import (
     adaptive_integrate,
     gap_curvature,
     gap_kernel,
+    gap_kernel_and_slope,
     gauss_legendre_panels,
 )
 
@@ -128,6 +138,17 @@ def tau_root(U: float, params: PhysicalParams) -> float:
     return 0.5 * (lo + hi)
 
 
+# |fl(f) - f| <= (n + _TERM_ROUNDINGS) eps S on an n-node rule, with S an
+# upper bound on U * sum_j w_j k_j: n rounding units cover the sum in any
+# order (gamma_n), the rest each term's own roundings (square, sqrt, tanh,
+# divide, weight) with room to spare.
+_TERM_ROUNDINGS = 16
+# x4 widenings of one side of the window before that side proves nothing
+_WINDOW_WIDENINGS = 8
+# cap on Newton passes; a root typically takes 3 or 4
+_NEWTON_PASSES = 64
+
+
 @lru_cache(maxsize=262144)
 def solve_delta(U: float, T: float, params: PhysicalParams) -> float:
     """Gap value for constant coupling U at temperature T.
@@ -136,6 +157,22 @@ def solve_delta(U: float, T: float, params: PhysicalParams) -> float:
     exactly 0 for T >= tau_U (zero extension beyond the transition).  The
     right side is strictly decreasing in the gap, so the bracket
     (0, delta0] cannot fail.  Cached like tau_root.
+
+    The result is the float that bisecting the computed
+    f(delta) = U * integral(gap_kernel(xi, delta^2, T)) - 1 gives, bit for
+    bit, but f is evaluated only where its computed sign is in doubt:
+
+    1. locate: a bracketed Newton search in s = delta^2 finds the root;
+    2. prove a window: with E a bound on |fl(f) - f|, a computed
+       f(lo_w) > 2E means the exact f exceeds E at lo_w and, as f
+       decreases, at every smaller gap, so the computed f is positive
+       there; a computed f(hi_w) < -2E proves the mirror image;
+    3. replay: the bisection runs as ever, from the same bracket to the
+       same stop, and a midpoint outside [lo_w, hi_w] takes its proven
+       side without an evaluation.
+
+    A side whose check keeps failing proves nothing, and the replay
+    evaluates every midpoint on that side, as plain bisection does.
     """
     if T < 0:
         raise ValueError("temperature must be nonnegative")
@@ -147,18 +184,106 @@ def solve_delta(U: float, T: float, params: PhysicalParams) -> float:
     def f(delta: float) -> float:
         return U * _coupling_integral(delta * delta, T, params) - 1.0
 
+    lo_w, hi_w = _proven_window(f, U, T, tau, d0, params)
+
+    def positive(delta: float) -> bool:
+        if delta < lo_w:
+            return True
+        if delta > hi_w:
+            return False
+        return f(delta) > 0.0
+
     lo, hi = 0.0, d0 * (1.0 + 1e-12)
-    if T > 0.0 and f(hi) > 0.0:  # T just below tau with root at ~d0: widen once
+    if T > 0.0 and positive(hi):  # T just below tau with root at ~d0: widen once
         hi = d0 * 1.5
     for _ in range(120):
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
+        if positive(mid):
             lo = mid
         else:
             hi = mid
         if hi - lo <= max(1e-15 * d0, 1e-18):
             break
     return 0.5 * (lo + hi)
+
+
+def _proven_window(
+    f, U: float, T: float, tau: float, d0: float, params: PhysicalParams
+) -> tuple[float, float]:
+    """Gap values (lo_w, hi_w) outside which the computed sign of f is proven.
+
+    E = (n + 16) eps S bounds |fl(f) - f| at every gap, with
+    S = U * sum_j w_j min(1/xi_j, 1/(2T)), which bounds U * sum_j w_j k_j
+    for every s >= 0 because k decreases in s and tanh(z) <= min(1, z).
+    Each side starts 3E/|df/ds| from the located root in s.  A computed
+    f(lo_w) > 2E means the exact f exceeds E at lo_w and at every smaller
+    gap (f decreases in s, and fl(delta^2) is monotone in delta), so the
+    computed f is positive there; the right side mirrors it.
+    """
+    nodes, weights = _reference_rule(params)
+    cap = np.minimum(1.0 / nodes, 0.5 / T) if T > 0.0 else 1.0 / nodes
+    eps = np.finfo(float).eps
+    bound = (nodes.size + _TERM_ROUNDINGS) * eps * U * float(np.dot(weights, cap))
+    root, slope = _newton_root(U, T, tau, d0, params, bound)
+    width = 3.0 * bound / abs(slope)
+    lo_w = _proven_edge(f, root, width, -1.0, 0.0, bound)
+    hi_w = _proven_edge(f, root, width, 1.0, (1.5 * d0) ** 2, bound)
+    return lo_w, hi_w
+
+
+def _proven_edge(
+    f, root: float, width: float, side: float, limit: float, bound: float
+) -> float:
+    """Gap past which f's computed sign is proven, left (-1) or right (+1) of root.
+
+    The check at s = root + side * width must read side * f < -2 * bound;
+    the width grows x4 until it does.  Past ``limit`` in s (0, or the
+    widest bisection bracket) no midpoint can fall, so there is nothing to
+    prove and the side returns side * inf, as it does after the last
+    widening.
+    """
+    for _ in range(_WINDOW_WIDENINGS):
+        edge = root + side * width
+        if side * edge >= side * limit:
+            break
+        delta = math.sqrt(edge)
+        if side * f(delta) < -2.0 * bound:
+            return delta
+        width *= 4.0
+    return side * math.inf
+
+
+def _newton_root(
+    U: float, T: float, tau: float, d0: float, params: PhysicalParams, bound: float
+) -> tuple[float, float]:
+    """Locate the root in s = delta^2 by Newton steps kept inside a bracket.
+
+    Starts from delta0 * tanh(1.74 sqrt(tau/T - 1)); each computed sign of
+    f narrows the bracket [0, (1.5 delta0)^2], and a step that would leave
+    it takes the bracket's midpoint.  Returns the first s with
+    |f| <= bound / 8, and df/ds there.  It only steers: the window checks
+    carry the proof.
+    """
+    nodes, weights = _reference_rule(params)
+    lo, hi = 0.0, (1.5 * d0) ** 2
+    start = d0 if T == 0.0 else d0 * math.tanh(1.74 * math.sqrt(tau / T - 1.0))
+    s = start * start
+    for _ in range(_NEWTON_PASSES):
+        k, dk = gap_kernel_and_slope(nodes, s, T)
+        fs = U * float(np.dot(weights, k)) - 1.0
+        dfs = U * float(np.dot(weights, dk))
+        if abs(fs) <= 0.125 * bound:
+            break
+        if fs > 0.0:
+            lo = s
+        else:
+            hi = s
+        step = s - fs / dfs
+        s_next = step if lo < step < hi else 0.5 * (lo + hi)
+        if s_next == s:
+            break
+        s = s_next
+    return s, dfs
 
 
 def implicit_slope_v(U: float, params: PhysicalParams) -> float:

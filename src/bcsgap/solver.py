@@ -38,8 +38,8 @@ from .gap_operator import (
     GapField,
     apply_values,
     jacobian_diagonal,
-    radius_crossing_temperature,
     spectral_radius,
+    spectral_tc,
     weighted_potential_matrix,
 )
 from .model import EnergyGrid, PhysicalParams, PotentialSpec
@@ -349,9 +349,7 @@ def critical_temperature(
     delta/4), and just above T_c the linearised radius must fall below one.
     Disagreement raises rather than silently preferring one criterion.
     """
-    tau1 = tau_root(params.u_lower, params)
-    tau2 = tau_root(params.u_upper, params)
-    t_c = radius_crossing_temperature(potential, grid, tau1, tau2)
+    t_c = spectral_tc(potential, params, grid)
 
     if cross_check:
         delta = 1e-2 * t_c

@@ -6,7 +6,12 @@ from __future__ import annotations
 import numpy as np
 
 from bcsgap.quadrature import gap_kernel
-from bcsgap.simple_gap import solve_delta, tau_root
+from bcsgap.simple_gap import (
+    _coupling_integral,
+    delta0_closed_form,
+    solve_delta,
+    tau_root,
+)
 
 
 def zeta3_series(n_terms: int = 2_000_000) -> float:
@@ -62,3 +67,31 @@ def nystrom_constant_gap(U: float, T: float, grid) -> float:
             lo = mid
         else:
             hi = mid
+
+
+def bisect_delta(U: float, T: float, params) -> float:
+    """Constant-coupling gap by plain bisection on the computed
+    f(delta) = U * integral(gap_kernel(xi, delta^2, T)) - 1, evaluating f at
+    every midpoint.  ``solve_delta`` must return this float bit for bit."""
+    if T < 0:
+        raise ValueError("temperature must be nonnegative")
+    tau = tau_root(U, params)
+    if T >= tau:
+        return 0.0
+    d0 = delta0_closed_form(U, params)
+
+    def f(delta: float) -> float:
+        return U * _coupling_integral(delta * delta, T, params) - 1.0
+
+    lo, hi = 0.0, d0 * (1.0 + 1e-12)
+    if T > 0.0 and f(hi) > 0.0:  # T just below tau with root at ~d0: widen once
+        hi = d0 * 1.5
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= max(1e-15 * d0, 1e-18):
+            break
+    return 0.5 * (lo + hi)

@@ -9,6 +9,7 @@ from bcsgap.quadrature import (
     adaptive_integrate,
     gap_curvature,
     gap_kernel,
+    gap_kernel_and_slope,
     gauss_legendre_panels,
     integrate,
     sech,
@@ -85,6 +86,29 @@ def test_gap_kernel_strictly_decreasing_in_t(xi, s, t1, dt):
     assert k_cold >= k_warm
     if gap_kernel(xi, s, t1) < 0.999 / math.sqrt(xi * xi + s):  # not saturated
         assert k_cold > k_warm
+
+
+def test_gap_kernel_and_slope_matches_curvature_identity():
+    # dk/ds = gap_curvature(r/2T) / (16 T^3); r/2T >= 0.06 here, where the
+    # one-pass formula loses at most ~1e-13 to cancellation
+    xi = np.geomspace(0.005, 1.0, 50)
+    for T in (0.01, 0.04):
+        for s in (0.0, 1e-4, 4e-3):
+            k, dk = gap_kernel_and_slope(xi, s, T)
+            assert np.array_equal(k, gap_kernel(xi, s, T))
+            eta = np.sqrt(xi * xi + s) / (2.0 * T)
+            expected = gap_curvature(eta) / (16.0 * T**3)
+            assert np.all(dk < 0.0)
+            np.testing.assert_allclose(dk, expected, rtol=1e-9, atol=0.0)
+
+
+def test_gap_kernel_and_slope_zero_temperature_branch():
+    xi = np.geomspace(0.005, 1.0, 20)
+    for s in (0.0, 1e-3):
+        k, dk = gap_kernel_and_slope(xi, s, 0.0)
+        r = np.sqrt(xi * xi + s)
+        assert np.array_equal(k, gap_kernel(xi, s, 0.0))
+        np.testing.assert_allclose(dk, -0.5 / r**3, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0, 50.0])

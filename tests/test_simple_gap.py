@@ -15,7 +15,8 @@ from bcsgap.simple_gap import (
     tau_root,
 )
 
-from oracles import fd_slope_oracle, zeta3_series
+import bcsgap.simple_gap as simple_gap
+from oracles import bisect_delta, fd_slope_oracle, zeta3_series
 
 # frozen from 40-digit evaluation of the defining equations at
 # hbar_omega_d = 1, epsilon = 0.005
@@ -78,6 +79,74 @@ def test_solve_delta_zero_extension_and_boundary(params):
     assert solve_delta(0.3, tau, params) == 0.0
     assert solve_delta(0.3, tau * 1.5, params) == 0.0
     assert solve_delta(0.3, tau * 0.999, params) > 0.0
+
+
+def _edge_temperatures(tau):
+    near = [tau * (1.0 - 10.0**-k) for k in (3, 6, 9, 12, 14, 15, 16)]
+    return [0.0, 1e-300, 1e-12, 1e-6 * tau, 0.5 * tau, *near, math.nextafter(tau, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "epsilon, band, couplings",
+    [
+        (0.005, (0.291, 0.309), (0.291, 0.3, 0.309, 0.5)),
+        (1e-6, (0.291, 0.309), (0.291, 0.3, 0.309, 0.5)),
+        (0.05, (0.485, 0.515), (0.5,)),
+    ],
+)
+def test_solve_delta_equals_plain_bisection_bit_for_bit(epsilon, band, couplings):
+    # the near-tau temperatures are where the root sinks into the rounding
+    # noise of f and the sign-proving window has nothing to prove on one side
+    p = make_params(1.0, epsilon, 1.0, *band)
+    for u in couplings:
+        for t in _edge_temperatures(tau_root(u, p)):
+            assert solve_delta(u, t, p) == bisect_delta(u, t, p), (u, t)
+
+
+@pytest.mark.parametrize("shift", [0.5, 1.0 + 1e-9, 2.0])
+def test_solve_delta_window_checks_catch_a_misplaced_root(params, monkeypatch, shift):
+    # the window checks, not the Newton stage, carry the proof: with the
+    # located root moved off the true one, the checks fail and the window
+    # widens or gives up, and the result is still the bisection float
+    newton_root = simple_gap._newton_root
+
+    def misplaced(*args):
+        s, slope = newton_root(*args)
+        return s * shift, slope
+
+    monkeypatch.setattr(simple_gap, "_newton_root", misplaced)
+    tau = tau_root(0.3, params)
+    for t in (0.0, 0.5 * tau, tau * (1.0 - 1e-6)):
+        assert solve_delta.__wrapped__(0.3, t, params) == bisect_delta(0.3, t, params)
+
+
+def test_default_envelopes_equal_plain_bisection_bit_for_bit(params):
+    for u in (params.u_lower, params.u_upper):
+        curve = envelope_curve(u, params)
+        expected = [bisect_delta(u, float(t), params) for t in curve.t_nodes]
+        assert curve.delta_values.tolist() == expected
+
+
+def test_default_envelopes_evaluate_f_at_most_24_times_per_root(params, monkeypatch):
+    # plain bisection evaluates f about 51 times per root; a silent fall-back
+    # to it would exceed the budget
+    taus = [tau_root(u, params) for u in (params.u_lower, params.u_upper)]
+    calls = 0
+    coupling_integral = simple_gap._coupling_integral
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return coupling_integral(*args)
+
+    monkeypatch.setattr(simple_gap, "_coupling_integral", counting)
+    solve_delta.cache_clear()
+    roots = 0
+    for u, tau in zip((params.u_lower, params.u_upper), taus):
+        curve = envelope_curve(u, params)
+        roots += int(np.count_nonzero(curve.t_nodes < tau))
+    assert roots == 256
+    assert calls / roots <= 24.0
 
 
 def test_solve_delta_strictly_decreasing(params):
