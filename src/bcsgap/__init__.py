@@ -27,8 +27,10 @@ from .simple_gap import (
 )
 from .gap_operator import (
     GapField,
+    GapOperator,
     KernelMatrix,
     apply_A,
+    as_operator,
     kernel_matrix,
     sample_envelope_field,
     spectral_radius,

@@ -10,7 +10,9 @@ The bound at temperatures T in [tau, T_c] and energies x is
 whose maximum over the rectangle is a Lipschitz constant for the operator
 between any two fields inside the envelope.  A certificate exists when that
 maximum is below one; the search reports failure (with diagnostics) when it
-is not, which the solver handles by falling back to an empirical rate.
+is not.  The solver then marks the surface uncertified and reports
+min(max rate + 0.1, 0.95) instead, with rate the largest Collatz-Wielandt
+bound q >= rho(A'(u)) checked at the stop of a node's solve.
 """
 
 from __future__ import annotations

@@ -20,6 +20,10 @@ constant, therefore only screens when a stop is worth checking.  The stop
 itself uses the Collatz-Wielandt bound q >= rho(A'(u)) of the linearised
 operator at the current iterate (see ``_error_bound``), which costs two
 matrix-vector products per check.
+
+Every function here takes either a potential or a ``GapOperator`` already
+built on the grid (see ``gap_operator.as_operator``); ``solve_surface``
+builds the operator once and hands it to T_c location and to every node.
 """
 
 from __future__ import annotations
@@ -36,11 +40,11 @@ from .certificate import (
 )
 from .gap_operator import (
     GapField,
-    apply_values,
+    GapOperator,
+    as_operator,
     jacobian_diagonal,
     spectral_radius,
     spectral_tc,
-    weighted_potential_matrix,
 )
 from .model import EnergyGrid, PhysicalParams, PotentialSpec
 from .simple_gap import solve_delta, tau_root
@@ -117,7 +121,7 @@ class GapSurface:
 
 def picard_solve(
     T: float,
-    potential: PotentialSpec,
+    potential: PotentialSpec | GapOperator,
     params: PhysicalParams,
     grid: EnergyGrid,
     alpha: float = 0.5,
@@ -146,7 +150,8 @@ def picard_solve(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    radius = spectral_radius(T, potential, grid).radius
+    op = as_operator(potential, grid)
+    radius = spectral_radius(T, op, grid).radius
     if radius <= 1.0 + _ZERO_PHASE_SLACK:
         zero = np.zeros(grid.size)
         return (
@@ -156,15 +161,13 @@ def picard_solve(
             ),
         )
 
-    weighted = weighted_potential_matrix(potential, grid)
-    xi = grid.nodes
     u = _start(T, params, grid, initial)
     diffs: list[float] = []
     rho = alpha
     floor = alpha
     prev_diff = None
     for n in range(1, max_iter + 1):
-        au = apply_values(weighted, xi, u, T)
+        au = op.apply(u, T)
         step = au - u
         diff = float(np.max(np.abs(step)))
         diffs.append(diff)
@@ -175,16 +178,14 @@ def picard_solve(
             rho = max(floor, rho * 0.9, min(diff / prev_diff, 1.0 - 1e-15))
         prev_diff = diff
         if diff <= tol * (1.0 - rho) / rho:
-            q, bound = _error_bound(weighted, xi, u, T, step)
+            q, bound = _error_bound(op, u, T, step)
             if bound > tol:
                 # q >= 1 means no contraction is proven here yet; keep the
                 # floor and check again at the next screened step
                 if q < 1.0:
                     floor = max(floor, q)
                 continue
-            residual = float(
-                np.max(np.abs(apply_values(weighted, xi, u, T) - u))
-            )
+            residual = float(np.max(np.abs(op.apply(u, T) - u)))
             return (
                 GapField(temperature=T, values=u),
                 SolveTrace(
@@ -202,7 +203,7 @@ def picard_solve(
 
 
 def _error_bound(
-    weighted: np.ndarray, xi: np.ndarray, u: np.ndarray, T: float, step: np.ndarray
+    op: GapOperator, u: np.ndarray, T: float, step: np.ndarray
 ) -> tuple[float, float]:
     """Rate bound q and the error bound on u that it gives, after a step.
 
@@ -220,9 +221,9 @@ def _error_bound(
     taken with x = J 1, which is positive too.
     """
     size = np.abs(step)
-    jac = jacobian_diagonal(xi, u, T)
-    x = weighted @ (jac * (size if np.any(size) else 1.0))
-    q = float(np.max((weighted @ (jac * x)) / x))
+    jac = jacobian_diagonal(op.grid.nodes, u, T)
+    x = op.jacobian_action(jac, size if np.any(size) else 1.0)
+    q = float(np.max(op.jacobian_action(jac, x) / x))
     if not np.any(size):
         return q, 0.0
     if q >= 1.0:
@@ -244,7 +245,7 @@ def _start(
 
 def newton_seed(
     T: float,
-    potential: PotentialSpec,
+    potential: PotentialSpec | GapOperator,
     params: PhysicalParams,
     grid: EnergyGrid,
     max_iter: int = 100,
@@ -264,13 +265,12 @@ def newton_seed(
     The result comes with no bound: ``picard_solve`` started from it is what
     proves ||u - u*|| <= tol.
     """
-    weighted = weighted_potential_matrix(potential, grid)
-    xi = grid.nodes
+    op = as_operator(potential, grid)
     u = _start(T, params, grid, initial)
     best, best_residual = u, np.inf
     previous = np.inf
     for n in range(1, max_iter + 1):
-        step = apply_values(weighted, xi, u, T) - u
+        step = op.apply(u, T) - u
         residual = float(np.max(np.abs(step)))
         if residual < best_residual:
             best, best_residual = u, residual
@@ -278,8 +278,8 @@ def newton_seed(
         if not residual < 0.5 * previous or residual == 0.0:
             return best, n
         previous = residual
-        jac = jacobian_diagonal(xi, u, T)
-        u = u + _gmres(lambda v: v - weighted @ (jac * v), step)
+        jac = jacobian_diagonal(grid.nodes, u, T)
+        u = u + _gmres(lambda v: v - op.jacobian_action(jac, v), step)
     return best, max_iter
 
 
@@ -333,7 +333,7 @@ def _gmres(
 
 
 def critical_temperature(
-    potential: PotentialSpec,
+    potential: PotentialSpec | GapOperator,
     params: PhysicalParams,
     grid: EnergyGrid,
     *,
@@ -349,12 +349,13 @@ def critical_temperature(
     delta/4), and just above T_c the linearised radius must fall below one.
     Disagreement raises rather than silently preferring one criterion.
     """
-    t_c = spectral_tc(potential, params, grid)
+    op = as_operator(potential, grid)
+    t_c = spectral_tc(op, params, grid)
 
     if cross_check:
         delta = 1e-2 * t_c
-        u1, _ = picard_solve(t_c - delta, potential, params, grid, tol=tol)
-        u2, _ = picard_solve(t_c - delta / 4.0, potential, params, grid, tol=tol)
+        u1, _ = picard_solve(t_c - delta, op, params, grid, tol=tol)
+        u2, _ = picard_solve(t_c - delta / 4.0, op, params, grid, tol=tol)
         ratio = u1.sup_norm / max(u2.sup_norm, 1e-300)
         if not 1.5 <= ratio <= 2.5:
             raise RuntimeError(
@@ -362,7 +363,7 @@ def critical_temperature(
                 f"{ratio!r} at offsets {delta!r}, {delta/4!r} is far from the "
                 "square-root scaling value 2"
             )
-        above = spectral_radius(t_c + delta, potential, grid).radius
+        above = spectral_radius(t_c + delta, op, grid).radius
         if not above < 1.0:
             raise RuntimeError(
                 f"linearised radius {above!r} at T_c + {delta!r} is not below one"
@@ -371,7 +372,7 @@ def critical_temperature(
 
 
 def solve_surface(
-    potential: PotentialSpec,
+    potential: PotentialSpec | GapOperator,
     params: PhysicalParams,
     grid: EnergyGrid,
     t_resolution: int = 24,
@@ -388,11 +389,13 @@ def solve_surface(
     Temperature nodes approach T_c geometrically (spacing proportional to
     T_c - T over ``span_decades`` decades) so that downstream extrapolation
     can resolve the sqrt(T_c - T) shrinkage of the gap; the exact zero row
-    at T_c is appended.  Each node is seeded by ``newton_seed`` from the
-    previous node's row and certified by ``picard_solve`` from that seed;
-    if the seed is not finite and positive, ``picard_solve`` starts from
-    the upper envelope instead.  ``max_iter`` bounds the operator
-    applications of both stages together, per node.
+    at T_c is appended.  The gap operator, and with it the weighted
+    potential matrix, is built once and shared by every stage.  Each node
+    is seeded by ``newton_seed`` from the previous node's row and certified
+    by ``picard_solve`` from that seed; if the seed is not finite and
+    positive, ``picard_solve`` starts from the upper envelope instead.
+    ``max_iter`` bounds the operator applications of both stages together,
+    per node.
 
     When no contraction certificate is available the surface is marked
     uncertified and carries min(max rate + 0.1, 0.95) instead, with rate the
@@ -400,10 +403,11 @@ def solve_surface(
     """
     if t_resolution < 2:
         raise ValueError("need at least 2 temperature nodes")
-    t_c = critical_temperature(potential, params, grid, cross_check=False)
+    op = as_operator(potential, grid)
+    t_c = critical_temperature(op, params, grid, cross_check=False)
 
     if certificate is None and run_certificate_search:
-        certificate = search_certificate(potential, params, grid, t_c=t_c)
+        certificate = search_certificate(op.potential, params, grid, t_c=t_c)
     certified = isinstance(certificate, ContractionCertificate)
     alpha0 = certificate.alpha if certified else 0.5
 
@@ -421,13 +425,11 @@ def solve_surface(
     for T in t_nodes:
         T = float(T)
         start = rows[-1] if rows else None
-        seed, steps = newton_seed(
-            T, potential, params, grid, max_iter=max_iter, initial=start
-        )
+        seed, steps = newton_seed(T, op, params, grid, max_iter=max_iter, initial=start)
         if not (np.all(np.isfinite(seed)) and np.all(seed > 0.0)):
             seed = None
         u, trace = picard_solve(
-            T, potential, params, grid, alpha=alpha0, tol=tol,
+            T, op, params, grid, alpha=alpha0, tol=tol,
             max_iter=max_iter - steps, initial=seed,
         )
         rows.append(u.values)

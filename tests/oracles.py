@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from bcsgap.gap_operator import kernel_matrix
 from bcsgap.quadrature import gap_kernel
 from bcsgap.simple_gap import (
     _coupling_integral,
@@ -95,3 +96,69 @@ def bisect_delta(U: float, T: float, params) -> float:
         if hi - lo <= max(1e-15 * d0, 1e-18):
             break
     return 0.5 * (lo + hi)
+
+
+def bisect_tc(potential, grid, lo: float, hi: float, rtol: float = 1e-13) -> float:
+    """Unit crossing of the zero-field Perron root by plain bisection, each
+    radius by power iteration on the explicit kernel matrix from the
+    constant-one field.  ``spectral_tc`` must land within a few rtol of it."""
+
+    def radius(T: float) -> float:
+        m = kernel_matrix(T, potential, grid).entries
+        x = np.ones(grid.size)
+        lam = 0.0
+        for _ in range(50_000):
+            y = m @ x
+            lam_new = float(x @ y) / float(x @ x)
+            x = y / np.max(np.abs(y))
+            if abs(lam_new - lam) <= 1e-13:
+                return lam_new
+            lam = lam_new
+        raise RuntimeError("power iteration did not converge")
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if radius(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rtol * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def derivative_nonuniform(ts, ys) -> np.ndarray:
+    """First derivative at every node by 3-point Lagrange stencils."""
+    ts = np.asarray(ts, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    n = ts.size
+    out = np.empty_like(ys)
+    for i in range(n):
+        j = min(max(i - 1, 0), n - 3)
+        t0, t1, t2 = ts[j], ts[j + 1], ts[j + 2]
+        y0, y1, y2 = ys[j], ys[j + 1], ys[j + 2]
+        t = ts[i]
+        out[i] = (
+            y0 * (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
+            + y1 * (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
+            + y2 * (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1))
+        )
+    return out
+
+
+def second_derivative_nonuniform(ts, ys) -> np.ndarray:
+    """Second derivative at every node by 3-point Lagrange stencils."""
+    ts = np.asarray(ts, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    n = ts.size
+    out = np.empty_like(ys)
+    for i in range(n):
+        j = min(max(i - 1, 0), n - 3)
+        t0, t1, t2 = ts[j], ts[j + 1], ts[j + 2]
+        y0, y1, y2 = ys[j], ys[j + 1], ys[j + 2]
+        out[i] = 2.0 * (
+            y0 / ((t0 - t1) * (t0 - t2))
+            + y1 / ((t1 - t0) * (t1 - t2))
+            + y2 / ((t2 - t0) * (t2 - t1))
+        )
+    return out

@@ -1,17 +1,27 @@
 import numpy as np
 import pytest
 
+from bcsgap import gap_operator
 from bcsgap.gap_operator import (
     GapField,
     apply_A,
+    as_operator,
     kernel_matrix,
     radius_crossing_temperature,
     sample_envelope_field,
     spectral_radius,
+    spectral_tc,
 )
-from bcsgap.model import ConstantPotential
+from bcsgap.model import (
+    ConstantPotential,
+    GaussianBumpPotential,
+    TablePotential,
+    build_grid,
+    validate_potential,
+)
 from bcsgap.quadrature import gap_kernel
 from bcsgap.simple_gap import solve_delta, tau_root
+from oracles import bisect_tc
 
 
 def test_apply_preserves_zero(const_potential, params, grid):
@@ -149,3 +159,93 @@ def test_sampled_envelope_fields_are_admissible(params, grid):
         u = sample_envelope_field(t, params, grid, rng).values
         assert np.all(u >= d1 - 1e-15)
         assert np.all(u <= d2 + 1e-15)
+
+
+def _skew_table(params) -> TablePotential:
+    # U(x, xi) != U(xi, x): a coupling that grows with x and falls with xi
+    nodes = np.linspace(params.epsilon_cutoff, params.hbar_omega_d, 21)
+    values = 0.3 + 0.008 * np.tanh(3.0 * (nodes[:, None] - 1.5 * nodes[None, :] + 0.3))
+    table = TablePotential(nodes, nodes, values)
+    validate_potential(table, params)
+    return table
+
+
+def _tc_cases(params, grid):
+    # (potential, grid): the constant and Gaussian-bump fixtures, the
+    # 640-node bump grid of the benchmark, and a non-symmetric table
+    return {
+        "constant": (ConstantPotential(u0=0.3), grid),
+        "bump": (GaussianBumpPotential(base=0.30, amplitude=0.005, width=0.2), grid),
+        "bump-640": (
+            GaussianBumpPotential(base=0.3, amplitude=-0.004409, width=0.1134),
+            build_grid(params, panels=64, order=10),
+        ),
+        "skew-table": (_skew_table(params), grid),
+    }
+
+
+# Perron solves per T_c: two for the bracket check, then a left and a right
+# one per Newton step.  Measured: 11 solves on every case above, with 26 to
+# 62 power iterations in all.
+MAX_PERRON_SOLVES = 13
+MAX_POWER_ITERATIONS = 70
+
+
+@pytest.mark.parametrize("case", ["constant", "bump", "bump-640", "skew-table"])
+def test_newton_tc_matches_bisection(case, params, grid, monkeypatch):
+    potential, case_grid = _tc_cases(params, grid)[case]
+    tau1, tau2 = tau_root(params.u_lower, params), tau_root(params.u_upper, params)
+    reference = bisect_tc(potential, case_grid, tau1, tau2)
+    solves = []
+    real = gap_operator.spectral_radius
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        solves.append(out.iterations)
+        return out
+
+    # every Perron solve goes through spectral_radius, where the benchmark's
+    # tracer counts calls and power iterations
+    monkeypatch.setattr(gap_operator, "spectral_radius", counting)
+    t_c = spectral_tc(potential, params, case_grid)
+    assert abs(t_c - reference) <= 2e-13 * reference
+    assert tau1 < t_c < tau2
+    assert len(solves) <= MAX_PERRON_SOLVES
+    assert sum(solves) <= MAX_POWER_ITERATIONS
+
+
+def test_left_perron_vector_of_nonsymmetric_table(params, grid):
+    table = _skew_table(params)
+    op = as_operator(table, grid)
+    t = 0.0372
+    m = kernel_matrix(t, op, grid).entries
+    right = op.perron(t)
+    left = op.perron(t, left=True)
+    phi, psi = right.eigenvector, left.eigenvector
+    assert left.radius == pytest.approx(right.radius, rel=1e-12)
+    assert np.max(np.abs(psi @ m - right.radius * psi)) <= 1e-12 * np.max(psi)
+    assert np.max(np.abs(m @ phi - right.radius * phi)) <= 1e-12 * np.max(phi)
+    # the two vectors differ, so a right vector would not do as psi
+    assert np.max(np.abs(psi / np.max(psi) - phi / np.max(phi))) > 1e-3
+
+    # the slope rho'(T) from <psi, W (dk0/dT * phi)> / <psi, phi> is the
+    # derivative of the Perron root
+    rho, slope = op.radius_and_slope(t, phi, psi)
+    assert rho == pytest.approx(right.radius, rel=1e-14)
+    h = 1e-6 * t
+    fd = (op.perron(t + h).radius - op.perron(t - h).radius) / (2.0 * h)
+    assert slope == pytest.approx(fd, rel=1e-7)
+    _, wrong = op.radius_and_slope(t, phi, phi)
+    assert abs(wrong - fd) > 1e-4 * abs(fd)
+
+
+def test_operator_input_is_used_as_built(const_potential, params, grid):
+    op = as_operator(const_potential, grid)
+    assert as_operator(op, grid) is op
+    t = 0.035
+    assert spectral_radius(t, op, grid).radius == spectral_radius(
+        t, const_potential, grid
+    ).radius
+    other = build_grid(params, panels=8, order=10)
+    with pytest.raises(ValueError, match="different grid"):
+        as_operator(op, other)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bcsgap import solver
+from bcsgap import gap_operator, solver
 from bcsgap.certificate import CertificateFailure
 from bcsgap.gap_operator import apply_values, weighted_potential_matrix
 from bcsgap.simple_gap import solve_delta, tau_root
@@ -273,3 +273,31 @@ def test_solve_surface_validates_t_min(const_potential, params, grid, const_surf
             const_potential, params, grid, t_min=surface.t_c * 1.01,
             run_certificate_search=False,
         )
+
+
+def _count_matrix_builds(monkeypatch) -> list[tuple[int, ...]]:
+    # shapes of the potential matrices the gap operator module builds
+    shapes: list[tuple[int, ...]] = []
+    real = gap_operator.potential_matrix
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(gap_operator, "potential_matrix", counting)
+    return shapes
+
+
+def test_surface_builds_weighted_matrix_once(gauss_potential, params, grid, monkeypatch):
+    shapes = _count_matrix_builds(monkeypatch)
+    solve_surface(gauss_potential, params, grid, t_resolution=4)
+    assert shapes == [(grid.size, grid.size)]
+
+
+def test_cross_checked_tc_builds_weighted_matrix_once(
+    gauss_potential, params, grid, monkeypatch
+):
+    shapes = _count_matrix_builds(monkeypatch)
+    critical_temperature(gauss_potential, params, grid, cross_check=True)
+    assert shapes == [(grid.size, grid.size)]

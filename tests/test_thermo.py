@@ -1,14 +1,19 @@
+import importlib
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from bcsgap import model
+from bcsgap.fileio import write_csv
+from bcsgap.gap_operator import as_operator
 from bcsgap.model import make_params, build_grid
 from bcsgap.simple_gap import implicit_slope_v, tau_root
 from bcsgap.solver import GapSurface, solve_surface
 from bcsgap.thermo import (
     VTable,
+    build_thermo_report,
     cutoff_divergence_scan,
     delta_cv,
     entropy_and_heat,
@@ -28,7 +33,7 @@ from bcsgap.thermo import (
     w_table_extract,
 )
 
-from oracles import zeta3_series
+from oracles import derivative_nonuniform, second_derivative_nonuniform, zeta3_series
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +133,41 @@ def test_w_consistency_with_curvature_functional(const_surface, const_report, co
         const_report.v_table, const_report.w_table, surface.t_c, const_potential, grid
     )
     assert residual <= 1e-2
+
+
+def _count_potential_matrices(monkeypatch) -> list[tuple[int, ...]]:
+    # every binding of model.potential_matrix in the package, counted
+    shapes: list[tuple[int, ...]] = []
+    real = model.potential_matrix
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    for name in ("gap_operator", "certificate", "solver", "thermo", "cli"):
+        module = importlib.import_module(f"bcsgap.{name}")
+        if getattr(module, "potential_matrix", None) is real:
+            monkeypatch.setattr(module, "potential_matrix", counting)
+    return shapes
+
+
+def test_thermo_builds_no_second_potential_matrix(
+    const_surface, const_report, const_potential, params, grid, monkeypatch
+):
+    surface, _ = const_surface
+    shapes = _count_potential_matrices(monkeypatch)
+    build_thermo_report(surface, const_potential, params, grid)
+    assert shapes == []
+    # the consistency functionals use W itself: one build from a potential,
+    # none from an operator, and the same value either way
+    op = as_operator(const_potential, grid)
+    assert shapes == [(grid.size, grid.size)]
+    v, w = const_report.v_table, const_report.w_table
+    for fn, args in ((f_consistency, (v,)), (g_consistency, (v, w))):
+        from_op = fn(*args, surface.t_c, op, grid)
+        assert fn(*args, surface.t_c, const_potential, grid) == from_op
+    assert len(shapes) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +319,28 @@ def test_entropy_and_heat_tables(const_surface, const_report):
     assert abs(entropy[-1]) <= 1e-5 * np.max(np.abs(entropy))
     # the tabulated jump agrees with the closed-form jump
     assert heat[-2] == pytest.approx(const_report.delta_cv, rel=5e-2)
+
+
+def test_entropy_and_heat_files_match_separate_stencils(const_report, tmp_path):
+    # one 3-point helper gives both derivatives with the arithmetic of the
+    # former separate first- and second-derivative stencils, byte for byte
+    t, psis = const_report.t_nodes, const_report.psi_values
+    entropy, heat = entropy_and_heat(t, psis)
+    tables = {
+        "new": (entropy, heat),
+        "ref": (
+            -derivative_nonuniform(t, psis),
+            -t * second_derivative_nonuniform(t, psis),
+        ),
+    }
+    written = {}
+    for key, (s, cv) in tables.items():
+        write_csv(tmp_path / f"entropy_{key}.csv", ["T", "s"], zip(t, s))
+        write_csv(tmp_path / f"heat_{key}.csv", ["T", "cv"], zip(t, cv))
+        written[key] = [
+            (tmp_path / f"{name}_{key}.csv").read_bytes() for name in ("entropy", "heat")
+        ]
+    assert written["new"] == written["ref"]
 
 
 def test_entropy_and_heat_zero_input():
