@@ -10,9 +10,11 @@ The bound at temperatures T in [tau, T_c] and energies x is
 whose maximum over the rectangle is a Lipschitz constant for the operator
 between any two fields inside the envelope.  A certificate exists when that
 maximum is below one; the search reports failure (with diagnostics) when it
-is not.  The solver then marks the surface uncertified and reports
-min(max rate + 0.1, 0.95) instead, with rate the largest Collatz-Wielandt
-bound q >= rho(A'(u)) checked at the stop of a node's solve.
+is not.  The surface solve does not use the outcome: each node is certified
+by its own stop.  ``thermo.build_thermo_report`` takes the outcome and
+reports its alpha, or on failure marks the report uncertified with
+min(max rate + 0.1, 0.95), rate the largest Collatz-Wielandt bound
+q >= rho(A'(u)) checked at the stop of a node's solve.
 """
 
 from __future__ import annotations
@@ -102,7 +104,6 @@ def alpha_integrand(
 
 def _lattice_max(
     tau: float,
-    t_c: float,
     potential: PotentialSpec,
     params: PhysicalParams,
     grid: EnergyGrid,
@@ -166,7 +167,7 @@ def compute_alpha(
 
     t_lat = np.linspace(tau, t_c, t_samples)
     x_lat = np.linspace(params.epsilon_cutoff, params.hbar_omega_d, x_samples)
-    best = _lattice_max(tau, t_c, potential, params, grid, t_lat, x_lat)
+    best = _lattice_max(tau, potential, params, grid, t_lat, x_lat)
 
     # local refinement around the lattice maximiser
     dt = (t_c - tau) / (t_samples - 1)
@@ -193,7 +194,7 @@ def compute_alpha(
     # conservative confirmation pass on a 4x finer lattice
     t_fine = np.linspace(tau, t_c, 4 * t_samples)
     x_fine = np.linspace(params.epsilon_cutoff, params.hbar_omega_d, 4 * x_samples)
-    confirm = _lattice_max(tau, t_c, potential, params, grid, t_fine, x_fine)
+    confirm = _lattice_max(tau, potential, params, grid, t_fine, x_fine)
     if confirm.alpha > best.alpha:
         best = confirm
     return best

@@ -244,7 +244,8 @@ def cmd_thermo(cfg: RunConfig) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    report = build_thermo_report(surface, potential, params, grid)
+    outcome = search_certificate(potential, params, grid, t_c=surface.t_c)
+    report = build_thermo_report(surface, potential, params, grid, outcome)
     out = _outdir(cfg)
     write_csv(out / "psi.csv", ["T", "psi"], zip(report.t_nodes, report.psi_values))
     write_csv(

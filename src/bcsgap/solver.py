@@ -15,11 +15,10 @@ true rate approaches one like 1 - O(T_c - T), so neither a fixed constant
 nor the observed ratio of successive differences will do as rho: the
 observed ratio approaches the local rate from below and lags it, and a
 stop taken on it alone misses tol (by 56% at 2.5e-5 below T_c on the
-default grid).  The observed ratio, floored by the supplied contraction
-constant, therefore only screens when a stop is worth checking.  The stop
-itself uses the Collatz-Wielandt bound q >= rho(A'(u)) of the linearised
-operator at the current iterate (see ``_error_bound``), which costs two
-matrix-vector products per check.
+default grid).  The observed ratio, floored at 0.5, therefore only screens
+when a stop is worth checking.  The stop itself uses the Collatz-Wielandt
+bound q >= rho(A'(u)) of the linearised operator at the current iterate
+(see ``_error_bound``), which costs two matrix-vector products per check.
 
 Every function here takes either a potential or a ``GapOperator`` already
 built on the grid (see ``gap_operator.as_operator``); ``solve_surface``
@@ -33,11 +32,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .certificate import (
-    CertificateFailure,
-    ContractionCertificate,
-    search_certificate,
-)
 from .gap_operator import (
     GapField,
     GapOperator,
@@ -62,6 +56,8 @@ __all__ = [
 # Perron roots this close to or below one admit only the zero field inside
 # the envelope, so iteration is unnecessary (and would stall sublinearly).
 _ZERO_PHASE_SLACK = 1e-9
+# starting floor of the stop screen's rate estimate (see picard_solve)
+_SCREEN_FLOOR = 0.5
 
 
 class ConvergenceError(RuntimeError):
@@ -107,8 +103,6 @@ class GapSurface:
     x_nodes: np.ndarray
     values: np.ndarray  # shape (len(t_nodes), len(x_nodes))
     t_c: float
-    certificate_alpha: float
-    certified: bool
     traces: list[SolveTrace] = field(repr=False, default_factory=list)
 
     @property
@@ -124,7 +118,6 @@ def picard_solve(
     potential: PotentialSpec | GapOperator,
     params: PhysicalParams,
     grid: EnergyGrid,
-    alpha: float = 0.5,
     tol: float = 1e-9,
     max_iter: int = 2_000_000,
     initial: np.ndarray | None = None,
@@ -134,7 +127,7 @@ def picard_solve(
 
     Stops once the Collatz-Wielandt bound of the module docstring gives
     ||u - u*|| <= tol.  It is checked whenever the sup-norm difference drops
-    below tol*(1-rho)/rho, with rho the larger of ``alpha`` and the observed
+    below tol*(1-rho)/rho, with rho the larger of 0.5 and the observed
     difference ratio; a refused stop raises that floor to the checked rate
     bound, so the next check comes once the difference has shrunk to match
     it.  The returned field has residual ||u - Au|| <= 2 tol.
@@ -148,8 +141,6 @@ def picard_solve(
     probes from the lower envelope.  Note the zero field is always a fixed
     point, so a probe start must be positive somewhere.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     op = as_operator(potential, grid)
     radius = spectral_radius(T, op, grid).radius
     if radius <= 1.0 + _ZERO_PHASE_SLACK:
@@ -163,8 +154,7 @@ def picard_solve(
 
     u = _start(T, params, grid, initial)
     diffs: list[float] = []
-    rho = alpha
-    floor = alpha
+    rho = floor = _SCREEN_FLOOR
     prev_diff = None
     for n in range(1, max_iter + 1):
         au = op.apply(u, T)
@@ -380,8 +370,6 @@ def solve_surface(
     *,
     span_decades: float = 2.2,
     t_min: float | None = None,
-    certificate: ContractionCertificate | CertificateFailure | None = None,
-    run_certificate_search: bool = True,
     max_iter: int = 2_000_000,
 ) -> GapSurface:
     """Solve the gap equation on a clustered temperature lattice up to T_c.
@@ -395,21 +383,14 @@ def solve_surface(
     by ``picard_solve`` from that seed; if the seed is not finite and
     positive, ``picard_solve`` starts from the upper envelope instead.
     ``max_iter`` bounds the operator applications of both stages together,
-    per node.
-
-    When no contraction certificate is available the surface is marked
-    uncertified and carries min(max rate + 0.1, 0.95) instead, with rate the
-    Collatz-Wielandt bound of each node's ``SolveTrace``.
+    per node.  Each node's ``SolveTrace`` records the Collatz-Wielandt rate
+    bound its stop was accepted on; the contraction constant reported with
+    the thermodynamics comes from ``thermo.build_thermo_report``.
     """
     if t_resolution < 2:
         raise ValueError("need at least 2 temperature nodes")
     op = as_operator(potential, grid)
     t_c = critical_temperature(op, params, grid, cross_check=False)
-
-    if certificate is None and run_certificate_search:
-        certificate = search_certificate(op.potential, params, grid, t_c=t_c)
-    certified = isinstance(certificate, ContractionCertificate)
-    alpha0 = certificate.alpha if certified else 0.5
 
     tau = t_min if t_min is not None else tau_root(params.u_lower, params)
     if not tau < t_c:
@@ -429,7 +410,7 @@ def solve_surface(
         if not (np.all(np.isfinite(seed)) and np.all(seed > 0.0)):
             seed = None
         u, trace = picard_solve(
-            T, op, params, grid, alpha=alpha0, tol=tol,
+            T, op, params, grid, tol=tol,
             max_iter=max_iter - steps, initial=seed,
         )
         rows.append(u.values)
@@ -437,19 +418,8 @@ def solve_surface(
 
     values = np.vstack(rows + [np.zeros(grid.size)])
     t_all = np.append(t_nodes, t_c)
-    alpha_out = (
-        certificate.alpha
-        if certified
-        else min(max(tr.rate for tr in traces) + 0.1, 0.95)
-    )
     surface = GapSurface(
-        t_nodes=t_all,
-        x_nodes=grid.nodes,
-        values=values,
-        t_c=t_c,
-        certificate_alpha=alpha_out,
-        certified=certified,
-        traces=traces,
+        t_nodes=t_all, x_nodes=grid.nodes, values=values, t_c=t_c, traces=traces
     )
     _validate_surface(surface, params, tol)
     return surface

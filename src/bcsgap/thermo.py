@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificate import CertificateFailure, ContractionCertificate
 from .gap_operator import GapField, GapOperator, as_operator
 from .model import EnergyGrid, PhysicalParams, PotentialSpec
 from .quadrature import (
@@ -623,12 +624,19 @@ def build_thermo_report(
     potential: PotentialSpec,
     params: PhysicalParams,
     grid: EnergyGrid,
+    certificate: ContractionCertificate | CertificateFailure,
 ) -> ThermoReport:
     """Full thermodynamic analysis of a solved surface.
 
     Cross-checks the two forms of Psi''(T_c) (see ``psi_second_at_tc``),
     which must agree to 1e-8 relative.  The jump delta_cv equals -T_c times
     form A by construction, since both are the same integral.
+
+    ``certificate`` is the outcome of ``certificate.search_certificate``,
+    and this is where the reported contraction constant is decided: the
+    certificate's alpha when the search succeeded, otherwise
+    min(max rate + 0.1, 0.95) with ``certified`` False, where rate is the
+    Collatz-Wielandt bound of each node's ``SolveTrace``.
     """
     psis = psi_table(surface, params, grid)
     v = v_table_extract(surface)
@@ -641,6 +649,12 @@ def build_thermo_report(
         )
     entropy, heat = entropy_and_heat(surface.t_nodes, psis)
     verdict = second_order_verdict(surface, v, params, grid, psi_values=psis)
+    certified = isinstance(certificate, ContractionCertificate)
+    alpha = (
+        certificate.alpha
+        if certified
+        else min(max(tr.rate for tr in surface.traces) + 0.1, 0.95)
+    )
     return ThermoReport(
         t_nodes=surface.t_nodes,
         psi_values=psis,
@@ -653,6 +667,6 @@ def build_thermo_report(
         psi_second_tc_form_b=form_b,
         verdict=verdict,
         t_c=surface.t_c,
-        alpha=surface.certificate_alpha,
-        certified=surface.certified,
+        alpha=alpha,
+        certified=certified,
     )

@@ -34,18 +34,28 @@ def gauss_potential():
 
 
 @pytest.fixture(scope="session")
-def const_surface(const_potential, params, grid):
-    """Default-config surface; elapsed wall time kept for the runtime gate."""
+def _const_solve(const_potential, params, grid):
+    """Default-config surface and certificate search, as ``bcsgap thermo``
+    runs them; their joint wall time is kept for the runtime gate."""
     t0 = time.perf_counter()
     surface = solve_surface(const_potential, params, grid)
+    outcome = search_certificate(const_potential, params, grid, t_c=surface.t_c)
     elapsed = time.perf_counter() - t0
+    return surface, outcome, elapsed
+
+
+@pytest.fixture(scope="session")
+def const_surface(_const_solve):
+    surface, _, elapsed = _const_solve
     return surface, elapsed
 
 
 @pytest.fixture(scope="session")
-def const_report(const_surface, const_potential, params, grid):
+def const_report(const_surface, const_potential, params, grid, default_search_outcome):
     surface, _ = const_surface
-    return build_thermo_report(surface, const_potential, params, grid)
+    return build_thermo_report(
+        surface, const_potential, params, grid, default_search_outcome
+    )
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +64,5 @@ def gauss_surface(gauss_potential, params, grid):
 
 
 @pytest.fixture(scope="session")
-def default_search_outcome(const_potential, params, grid, const_surface):
-    surface, _ = const_surface
-    return search_certificate(const_potential, params, grid, t_c=surface.t_c)
+def default_search_outcome(_const_solve):
+    return _const_solve[1]

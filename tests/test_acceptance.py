@@ -47,16 +47,17 @@ def test_criterion_01_oracle_equivalence(const_surface, params):
 
 
 def test_criterion_02_certificate_branch(
-    const_surface, const_potential, params, grid, default_search_outcome
+    const_surface, const_report, const_potential, params, grid, default_search_outcome
 ):
     surface, _ = const_surface
     outcome = default_search_outcome
     # the search reports failure on this configuration; the failure report
-    # must exist and the solver must still have converged, flagged uncertified
+    # must exist and the solver must still have converged, with the
+    # thermodynamic report flagged uncertified
     assert isinstance(outcome, CertificateFailure)
     report = format_certificate_report(outcome)
     assert "status = failed" in report and "best_alpha" in report
-    assert surface.certified is False and surface.certificate_alpha <= 0.95
+    assert const_report.certified is False and const_report.alpha <= 0.95
     # the Lipschitz bound computed by the same machinery dominates the
     # empirical two-field ratios and every node's rate bound
     tau1 = tau_root(params.u_lower, params)
@@ -86,7 +87,7 @@ def test_criterion_02_certificate_branch(
     assert rate_worst <= bound
     print(
         f"PASS criterion 2: certificate failure branch (best alpha "
-        f"{outcome.best_alpha:.3f} >= 1), fallback surface uncertified; empirical "
+        f"{outcome.best_alpha:.3f} >= 1), fallback report uncertified; empirical "
         f"ratio {worst:.3f} and node rate bound {rate_worst:.5f} <= bound {bound:.3f}"
     )
 
@@ -196,7 +197,7 @@ def test_criterion_07_limit_tables(const_surface, const_report, const_potential,
     )
 
 
-def test_criterion_08_perturbation_bound(const_surface, params, grid):
+def test_criterion_08_perturbation_bound(const_surface, const_report, params, grid):
     surface, _ = const_surface
     rng = np.random.default_rng(SEED)
     violations = 0
@@ -208,7 +209,7 @@ def test_criterion_08_perturbation_bound(const_surface, params, grid):
         perturbed = np.minimum(base + rng.uniform(0.0, 1e-4, base.size), d2)
         lhs, rhs = psi_perturbation_bound(
             perturbed, base, t, params, grid,
-            tau=surface.tau, t_c=surface.t_c, alpha=surface.certificate_alpha,
+            tau=surface.tau, t_c=surface.t_c, alpha=const_report.alpha,
         )
         if lhs > rhs:
             violations += 1

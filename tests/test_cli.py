@@ -1,10 +1,13 @@
+import importlib
 import math
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bcsgap import cli, solver
+import bcsgap
+from bcsgap import certificate, cli, solver
 from bcsgap.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CERTIFICATE,
@@ -210,6 +213,41 @@ def test_solve_certifies_every_node_through_picard(tmp_path, monkeypatch):
     (surface,) = surfaces
     assert len(counted) == len(surface.traces) == written.size == 10
     assert sum(counted) == sum(tr.iterations for tr in surface.traces) == written.sum()
+
+
+def _count_searches(monkeypatch) -> list[dict]:
+    # every package binding of search_certificate, counted with its keywords
+    calls: list[dict] = []
+    real = certificate.search_certificate
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    modules = [bcsgap] + [
+        importlib.import_module(f"bcsgap.{info.name}")
+        for info in pkgutil.iter_modules(bcsgap.__path__)
+    ]
+    for module in modules:
+        if getattr(module, "search_certificate", None) is real:
+            monkeypatch.setattr(module, "search_certificate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command, searches", [("solve", 0), ("thermo", 1)])
+def test_only_thermo_runs_the_certificate_search(
+    command, searches, tmp_path, monkeypatch
+):
+    # the surface solve certifies its rows without the search; thermo runs
+    # it once, on the T_c of the solved surface, for the reported alpha
+    calls = _count_searches(monkeypatch)
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, f"output.dir = {out}\n")
+    assert main([command, str(cfg_path)]) == EXIT_OK
+    assert len(calls) == searches
+    if searches:
+        summary = (out / "thermo_summary.txt").read_text()
+        assert f"t_c = {cli.fmt(calls[0]['t_c'])}\n" in summary
 
 
 def test_rerun_is_byte_identical(tmp_path):

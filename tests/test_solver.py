@@ -106,8 +106,6 @@ def test_picard_start_near_fixed_point_close_to_tc(
 
 
 def test_picard_validates_arguments(const_potential, params, grid):
-    with pytest.raises(ValueError, match="alpha"):
-        picard_solve(0.03, const_potential, params, grid, alpha=1.5)
     with pytest.raises(ValueError, match="initial"):
         picard_solve(0.03, const_potential, params, grid, initial=np.ones(3))
 
@@ -193,11 +191,14 @@ def test_surface_clustering_spans_two_decades(const_surface):
     assert len(surface.t_nodes) >= 25  # 24 solved nodes plus the T_c row
 
 
-def test_surface_uncertified_metadata(const_surface, default_search_outcome):
+def test_surface_uncertified_metadata(const_surface, const_report, default_search_outcome):
+    # the search fails on the default config, so the report carries the
+    # fallback from the nodes' Collatz-Wielandt rate bounds
     surface, _ = const_surface
     assert isinstance(default_search_outcome, CertificateFailure)
-    assert surface.certified is False
-    assert 0.0 < surface.certificate_alpha <= 0.95
+    assert const_report.certified is False
+    assert const_report.alpha == min(max(tr.rate for tr in surface.traces) + 0.1, 0.95)
+    assert 0.0 < const_report.alpha <= 0.95
 
 
 def test_surface_trace_ratios_below_one(const_surface):
@@ -242,10 +243,7 @@ def test_surface_budget_counts_newton_steps(const_potential, params, grid, const
     steps = surface.traces[0].newton_steps
     assert steps >= 1
     with pytest.raises(ConvergenceError):
-        solve_surface(
-            const_potential, params, grid, max_iter=steps - 1,
-            run_certificate_search=False,
-        )
+        solve_surface(const_potential, params, grid, max_iter=steps - 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, 0.0])
@@ -257,7 +255,7 @@ def test_surface_ignores_unusable_seed(bad, monkeypatch, const_potential, params
     )
     surface = solve_surface(
         const_potential, params, grid, t_resolution=2, span_decades=0.3,
-        tol=1e-11, run_certificate_search=False,
+        tol=1e-11,
     )
     for i, t in enumerate(surface.t_nodes[:-1]):
         c = nystrom_constant_gap(0.3, float(t), grid)
@@ -269,10 +267,7 @@ def test_surface_ignores_unusable_seed(bad, monkeypatch, const_potential, params
 def test_solve_surface_validates_t_min(const_potential, params, grid, const_surface):
     surface, _ = const_surface
     with pytest.raises(ValueError, match="below T_c"):
-        solve_surface(
-            const_potential, params, grid, t_min=surface.t_c * 1.01,
-            run_certificate_search=False,
-        )
+        solve_surface(const_potential, params, grid, t_min=surface.t_c * 1.01)
 
 
 def _count_matrix_builds(monkeypatch) -> list[tuple[int, ...]]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bcsgap import model
+from bcsgap.certificate import ContractionCertificate
 from bcsgap.fileio import write_csv
 from bcsgap.gap_operator import as_operator
 from bcsgap.model import make_params, build_grid
@@ -106,7 +107,7 @@ def test_v_second_estimator_agrees(const_surface, const_report, params):
 def test_v_requires_resolution(const_potential, params, grid):
     shallow = solve_surface(
         const_potential, params, grid, t_resolution=8, span_decades=1.0,
-        tol=1e-9, run_certificate_search=False,
+        tol=1e-9,
     )
     with pytest.raises(ValueError, match="resolution"):
         v_table_extract(shallow)
@@ -153,11 +154,14 @@ def _count_potential_matrices(monkeypatch) -> list[tuple[int, ...]]:
 
 
 def test_thermo_builds_no_second_potential_matrix(
-    const_surface, const_report, const_potential, params, grid, monkeypatch
+    const_surface, const_report, const_potential, params, grid,
+    default_search_outcome, monkeypatch,
 ):
     surface, _ = const_surface
     shapes = _count_potential_matrices(monkeypatch)
-    build_thermo_report(surface, const_potential, params, grid)
+    build_thermo_report(
+        surface, const_potential, params, grid, default_search_outcome
+    )
     assert shapes == []
     # the consistency functionals use W itself: one build from a potential,
     # none from an operator, and the same value either way
@@ -298,11 +302,23 @@ def test_verdict_degenerate_zero_surface(const_surface, params, grid):
         x_nodes=surface.x_nodes,
         values=np.zeros_like(surface.values),
         t_c=surface.t_c,
-        certificate_alpha=0.5,
-        certified=False,
     )
     verdict = second_order_verdict(zero, np.zeros(grid.size), params, grid)
     assert verdict.c is False  # no transition without a positive slope limit
+
+
+def test_report_carries_certificate_alpha(const_surface, const_potential, params, grid):
+    surface, _ = const_surface
+    certificate = ContractionCertificate(
+        tau=surface.tau,
+        epsilon=params.epsilon_cutoff,
+        alpha=0.9,
+        max_location=(surface.tau, params.epsilon_cutoff),
+        delta2_at_tau=0.5 * params.epsilon_cutoff,
+    )
+    report = build_thermo_report(surface, const_potential, params, grid, certificate)
+    assert report.certified is True
+    assert report.alpha == 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +375,17 @@ def test_entropy_and_heat_needs_five_nodes():
 # perturbation bound
 
 
-def test_perturbation_bound_trivial_case(const_surface, params, grid):
+def test_perturbation_bound_trivial_case(const_surface, const_report, params, grid):
     surface, _ = const_surface
     row = surface.row(10)
     lhs, rhs = psi_perturbation_bound(
         row, row, float(surface.t_nodes[10]), params, grid,
-        tau=surface.tau, t_c=surface.t_c, alpha=surface.certificate_alpha,
+        tau=surface.tau, t_c=surface.t_c, alpha=const_report.alpha,
     )
     assert lhs == 0.0 and rhs == 0.0
 
 
-def test_perturbation_bound_random_sweep(const_surface, params, grid):
+def test_perturbation_bound_random_sweep(const_surface, const_report, params, grid):
     surface, _ = const_surface
     rng = np.random.default_rng(42)
     slack = []
@@ -384,7 +400,7 @@ def test_perturbation_bound_random_sweep(const_surface, params, grid):
         perturbed = np.minimum(base + bump, d2)  # clipped to the envelope
         lhs, rhs = psi_perturbation_bound(
             perturbed, base, t, params, grid,
-            tau=surface.tau, t_c=surface.t_c, alpha=surface.certificate_alpha,
+            tau=surface.tau, t_c=surface.t_c, alpha=const_report.alpha,
         )
         assert lhs <= rhs
         if lhs > 0:
