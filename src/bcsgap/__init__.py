@@ -23,6 +23,7 @@ from .simple_gap import (
     envelope_curve,
     implicit_slope_v,
     solve_delta,
+    solve_delta_many,
     tau_root,
 )
 from .gap_operator import (

@@ -26,7 +26,7 @@ import numpy as np
 from .gap_operator import spectral_tc
 from .model import EnergyGrid, PhysicalParams, PotentialSpec, potential_matrix
 from .quadrature import gap_kernel
-from .simple_gap import solve_delta, tau_root
+from .simple_gap import solve_delta, solve_delta_many, tau_root
 
 __all__ = [
     "ContractionCertificate",
@@ -114,8 +114,8 @@ def _lattice_max(
     d2tau = solve_delta(params.u_upper, tau, params)
     prefactor = d2tau**2 / (2.0 * params.epsilon_cutoff**2)
     best = AlphaResult(-np.inf, t_values[0], x_values[0])
-    for T in t_values:
-        d2 = solve_delta(params.u_upper, float(T), params)
+    d2_values = solve_delta_many(params.u_upper, t_values, params)
+    for T, d2 in zip(t_values, d2_values.tolist()):
         kd = grid.weights * gap_kernel(grid.nodes, d2 * d2, float(T))
         k0 = grid.weights * gap_kernel(grid.nodes, 0.0, float(T))
         total = urows @ kd + prefactor * (urows @ k0)

@@ -41,7 +41,7 @@ from .model import (
 from .quadrature import gap_curvature
 from .simple_gap import envelope_curve
 from .solver import ConvergenceError, solve_surface
-from .thermo import build_thermo_report, g_integral_to_infinity
+from .thermo import build_thermo_report, g_integral_to_infinity, require_resolution
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "build_inputs", "main"]
 
@@ -199,15 +199,24 @@ def cmd_certify(cfg: RunConfig) -> int:
     return EXIT_OK if isinstance(outcome, ContractionCertificate) else EXIT_CERTIFICATE
 
 
+def _lattice(cfg: RunConfig) -> tuple[int, float]:
+    """(t_resolution, span_decades) of the surface's temperature lattice."""
+    return (
+        int(cfg.get("solver.t_resolution", 24)),
+        float(cfg.get("solver.span_decades", 2.2)),
+    )
+
+
 def _solve(cfg: RunConfig):
     params, potential, grid, _ = build_inputs(cfg)
+    t_resolution, span_decades = _lattice(cfg)
     surface = solve_surface(
         potential,
         params,
         grid,
-        t_resolution=int(cfg.get("solver.t_resolution", 24)),
+        t_resolution=t_resolution,
         tol=float(cfg.get("solver.tol", 1e-11)),
-        span_decades=float(cfg.get("solver.span_decades", 2.2)),
+        span_decades=span_decades,
         max_iter=int(cfg.get("solver.max_iter", 2_000_000)),
     )
     return params, potential, grid, surface
@@ -239,6 +248,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_thermo(cfg: RunConfig) -> int:
+    require_resolution(*_lattice(cfg))
     try:
         params, potential, grid, surface = _solve(cfg)
     except ConvergenceError as exc:

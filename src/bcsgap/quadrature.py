@@ -21,7 +21,7 @@ __all__ = [
     "integrate",
     "adaptive_integrate",
     "gap_kernel",
-    "gap_kernel_and_slope",
+    "gap_kernel_rows",
     "tanh_half_identity",
     "sech",
     "gap_curvature",
@@ -30,6 +30,9 @@ __all__ = [
 # tanh(z) rounds to 1.0 in double precision well before 40; returning 1
 # exactly avoids 1-ulp noise accumulating in long quadrature sums.
 TANH_SATURATION = 40.0
+# floor of gap_kernel_rows' divisor 2T: every r/_COLD_DIVISOR with r above
+# 1e-298 exceeds TANH_SATURATION, so a T = 0 row saturates to t = 1
+_COLD_DIVISOR = 1e-300
 
 
 def gauss_legendre_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,25 +118,41 @@ def gap_kernel(xi, s, T: float):
     return t / r
 
 
-def gap_kernel_and_slope(xi, s, T: float):
-    """The gap kernel k and its derivative dk/ds, in one pass.
+def gap_kernel_rows(xi2, s, T, *, slopes: bool = False):
+    """Gap kernel rows k[i] = gap_kernel(xi, s[i], T[i]), and dk/ds if ``slopes``.
+
+    ``xi2`` holds xi * xi for the nodes, and ``s`` and ``T`` one squared
+    gap and one temperature per row.  Every element equals what
+    ``gap_kernel`` computes, by the same operations in the same order, done
+    in place on (rows x nodes) buffers.  Each row divides r by
+    max(2T, _COLD_DIVISOR) instead of 2T: a row whose r/(2T) exceeds the
+    saturation point saturates either way, so a ``T = 0`` row gets t = 1
+    and k = 1/r, ``gap_kernel``'s ``T = 0`` branch.
 
     dk/ds = ((1 - t^2)/(2T) - k) / (2 r^2) with r^2 = xi^2 + s and
     t = tanh(r/(2T)), which equals gap_curvature(r/(2T)) / (16 T^3); at
-    ``T = 0`` it is -k/(2 r^2).  ``k`` is computed exactly as ``gap_kernel``
-    computes it.  The slope cancels at small r/(2T) and is meant to steer a
-    root search, not to certify one.
+    ``T = 0`` it is -k/(2 r^2).  The slope cancels at small r/(2T) and is
+    meant to steer a root search, not to certify one.  Without ``slopes``
+    the second result is None.
     """
-    xi = np.asarray(xi, dtype=float)
-    r2 = xi * xi + s
-    r = np.sqrt(r2)
-    if T == 0.0:
-        k = 1.0 / r
-        return k, -k / (2.0 * r2)
-    z = r / (2.0 * T)
-    t = np.where(z > TANH_SATURATION, 1.0, np.tanh(z))
-    k = t / r
-    return k, ((1.0 - t * t) / (2.0 * T) - k) / (2.0 * r2)
+    s = np.asarray(s, dtype=float)[:, None]
+    twice_t = np.maximum(2.0 * np.asarray(T, dtype=float), _COLD_DIVISOR)[:, None]
+    r2 = xi2 + s
+    r = np.sqrt(r2, out=None if slopes else r2)
+    t = np.divide(r, twice_t)
+    saturated = t > TANH_SATURATION
+    np.tanh(t, out=t)
+    np.copyto(t, 1.0, where=saturated)
+    k = np.divide(t, r, out=r)
+    if not slopes:
+        return k, None
+    dk = np.multiply(t, t, out=t)
+    np.subtract(1.0, dk, out=dk)
+    dk /= twice_t
+    dk -= k
+    r2 *= 2.0
+    dk /= r2
+    return k, dk
 
 
 def sech(z):

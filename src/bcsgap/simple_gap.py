@@ -15,7 +15,10 @@ s = delta^2 locates the root; a bound on the rounding error of a floating
 point sum of n positive terms (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., sections 3.1 and 4.2) then proves the computed sign
 of f at every gap outside a small window around it; and the bisection is
-replayed, evaluating f only at midpoints inside the window.
+replayed, evaluating f only at midpoints inside the window.  The roots of
+one coupling are solved a block of temperatures at a time: every root of
+the block runs the three stages, and each round evaluates f for all of
+them in one kernel call, summing each row in the bisection's own order.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .quadrature import (
     adaptive_integrate,
     gap_curvature,
     gap_kernel,
-    gap_kernel_and_slope,
+    gap_kernel_rows,
     gauss_legendre_panels,
 )
 
@@ -40,6 +43,7 @@ __all__ = [
     "delta0_closed_form",
     "tau_root",
     "solve_delta",
+    "solve_delta_many",
     "implicit_slope_v",
     "EnvelopeCurve",
     "envelope_curve",
@@ -147,6 +151,17 @@ _TERM_ROUNDINGS = 16
 _WINDOW_WIDENINGS = 8
 # cap on Newton passes; a root typically takes 3 or 4
 _NEWTON_PASSES = 64
+# temperatures solved together; the kernel buffers of a block are
+# (_BLOCK x n) doubles, so the block size, not the number of temperatures,
+# sets the memory of a solve
+_BLOCK = 16
+
+
+@lru_cache(maxsize=32)
+def _block_rule(params: PhysicalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xi^2, weights, 1/xi) of the reference rule, built once per rule."""
+    nodes, weights = _reference_rule(params)
+    return nodes * nodes, weights, 1.0 / nodes
 
 
 @lru_cache(maxsize=262144)
@@ -158,9 +173,17 @@ def solve_delta(U: float, T: float, params: PhysicalParams) -> float:
     right side is strictly decreasing in the gap, so the bracket
     (0, delta0] cannot fail.  Cached like tau_root.
 
-    The result is the float that bisecting the computed
-    f(delta) = U * integral(gap_kernel(xi, delta^2, T)) - 1 gives, bit for
-    bit, but f is evaluated only where its computed sign is in doubt:
+    A block of one for ``solve_delta_many``, which describes the result.
+    """
+    return float(solve_delta_many(U, [T], params)[0])
+
+
+def solve_delta_many(U: float, Ts, params: PhysicalParams) -> np.ndarray:
+    """Gap values ``solve_delta(U, T, params)`` for every T in ``Ts``, bit for bit.
+
+    Each result is the float that bisecting the computed
+    f(delta) = U * integral(gap_kernel(xi, delta^2, T)) - 1 gives, but f is
+    evaluated only where its computed sign is in doubt:
 
     1. locate: a bracketed Newton search in s = delta^2 finds the root;
     2. prove a window: with E a bound on |fl(f) - f|, a computed
@@ -173,89 +196,110 @@ def solve_delta(U: float, T: float, params: PhysicalParams) -> float:
 
     A side whose check keeps failing proves nothing, and the replay
     evaluates every midpoint on that side, as plain bisection does.
+
+    Temperatures at or above tau_U give 0.0 without an evaluation.  The
+    others are solved in blocks of ``_BLOCK``: every root of a block runs
+    the three stages, and each round evaluates f at the pending gap of
+    every unfinished root in one ``gap_kernel_rows`` call, each row summed
+    by ``np.dot`` as the bisection sums it.
     """
-    if T < 0:
+    Ts = np.asarray(Ts, dtype=float)
+    if Ts.ndim != 1:
+        raise ValueError("temperatures must be a one-dimensional sequence")
+    if not np.all(Ts >= 0.0):
         raise ValueError("temperature must be nonnegative")
+    deltas = np.zeros(Ts.size)
     tau = tau_root(U, params)
-    if T >= tau:
-        return 0.0
-    d0 = delta0_closed_form(U, params)
+    live = np.flatnonzero(Ts < tau)
+    if live.size:
+        d0 = delta0_closed_form(U, params)
+        for first in range(0, live.size, _BLOCK):
+            rows = live[first:first + _BLOCK]
+            deltas[rows] = _solve_block(U, Ts[rows].tolist(), tau, d0, params)
+    return deltas
 
-    def f(delta: float) -> float:
-        return U * _coupling_integral(delta * delta, T, params) - 1.0
 
-    lo_w, hi_w = _proven_window(f, U, T, tau, d0, params)
+def _solve_block(
+    U: float, Ts: list[float], tau: float, d0: float, params: PhysicalParams
+) -> list[float]:
+    """Roots at temperatures 0 <= T < tau, their evaluations made together.
 
-    def positive(delta: float) -> bool:
-        if delta < lo_w:
-            return True
-        if delta > hi_w:
-            return False
-        return f(delta) > 0.0
+    Each root runs ``_root_search``, which yields the squared gap it needs
+    f at; a round evaluates every pending gap in one kernel call and sends
+    each search its (f, df/ds), with f = U * float(np.dot(weights, k)) - 1
+    exactly as the bisection computes it.  E = (n + 16) eps S with
+    S = U * sum_j w_j min(1/xi_j, 1/(2T)), which bounds U * sum_j w_j k_j
+    for every s >= 0 because k decreases in s and tanh(z) <= min(1, z).
+    """
+    xi2, weights, inv_xi = _block_rule(params)
+    scale = (xi2.size + _TERM_ROUNDINGS) * np.finfo(float).eps * U
+    searches = []
+    for T in Ts:
+        cap = np.minimum(inv_xi, 0.5 / T) if T > 0.0 else inv_xi
+        bound = scale * float(np.dot(weights, cap))
+        searches.append(_root_search(T, tau, d0, bound))
+    roots = [0.0] * len(Ts)
+    live = list(range(len(Ts)))
+    requests = [next(search) for search in searches]
+    while live:
+        wanted = [requests[i] for i in live]
+        slopes = any(want_slope for _, want_slope in wanted)
+        k, dk = gap_kernel_rows(
+            xi2, [s for s, _ in wanted], [Ts[i] for i in live], slopes=slopes
+        )
+        still = []
+        for j, i in enumerate(live):
+            f = U * float(np.dot(weights, k[j])) - 1.0
+            df = U * float(np.dot(weights, dk[j])) if slopes else None
+            try:
+                requests[i] = searches[i].send((f, df))
+            except StopIteration as done:
+                roots[i] = done.value
+            else:
+                still.append(i)
+        live = still
+        del k, dk  # free this round's buffers before the next round fills its own
+    return roots
 
+
+def _root_search(T: float, tau: float, d0: float, bound: float):
+    """One root's locate, window and replay stages, as a generator.
+
+    Each ``yield`` hands ``_solve_block`` (s, wants_slope) and receives the
+    computed (f, df/ds) at s, df/ds None unless asked for; the return value
+    is the bisection float.
+    """
+    root, slope = yield from _locate(T, tau, d0, bound)
+    width = 3.0 * bound / abs(slope)
+    lo_w = yield from _proven_edge(root, width, -1.0, 0.0, bound)
+    hi_w = yield from _proven_edge(root, width, 1.0, (1.5 * d0) ** 2, bound)
     lo, hi = 0.0, d0 * (1.0 + 1e-12)
-    if T > 0.0 and positive(hi):  # T just below tau with root at ~d0: widen once
+    # kept only because the bisection this replays has it; it was never
+    # taken in any measured case (the root falls from about d0 at T = 0
+    # toward 0 at tau)
+    if T > 0.0 and (yield from _positive(hi, lo_w, hi_w)):
         hi = d0 * 1.5
+    stop = max(1e-15 * d0, 1e-18)
     for _ in range(120):
         mid = 0.5 * (lo + hi)
-        if positive(mid):
+        if (yield from _positive(mid, lo_w, hi_w)):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= max(1e-15 * d0, 1e-18):
+        if hi - lo <= stop:
             break
     return 0.5 * (lo + hi)
 
 
-def _proven_window(
-    f, U: float, T: float, tau: float, d0: float, params: PhysicalParams
-) -> tuple[float, float]:
-    """Gap values (lo_w, hi_w) outside which the computed sign of f is proven.
-
-    E = (n + 16) eps S bounds |fl(f) - f| at every gap, with
-    S = U * sum_j w_j min(1/xi_j, 1/(2T)), which bounds U * sum_j w_j k_j
-    for every s >= 0 because k decreases in s and tanh(z) <= min(1, z).
-    Each side starts 3E/|df/ds| from the located root in s.  A computed
-    f(lo_w) > 2E means the exact f exceeds E at lo_w and at every smaller
-    gap (f decreases in s, and fl(delta^2) is monotone in delta), so the
-    computed f is positive there; the right side mirrors it.
-    """
-    nodes, weights = _reference_rule(params)
-    cap = np.minimum(1.0 / nodes, 0.5 / T) if T > 0.0 else 1.0 / nodes
-    eps = np.finfo(float).eps
-    bound = (nodes.size + _TERM_ROUNDINGS) * eps * U * float(np.dot(weights, cap))
-    root, slope = _newton_root(U, T, tau, d0, params, bound)
-    width = 3.0 * bound / abs(slope)
-    lo_w = _proven_edge(f, root, width, -1.0, 0.0, bound)
-    hi_w = _proven_edge(f, root, width, 1.0, (1.5 * d0) ** 2, bound)
-    return lo_w, hi_w
+def _positive(delta: float, lo_w: float, hi_w: float):
+    """Computed sign of f at ``delta``: proven outside [lo_w, hi_w], else evaluated."""
+    if lo_w <= delta <= hi_w:
+        f, _ = yield delta * delta, False
+        return f > 0.0
+    return delta < lo_w
 
 
-def _proven_edge(
-    f, root: float, width: float, side: float, limit: float, bound: float
-) -> float:
-    """Gap past which f's computed sign is proven, left (-1) or right (+1) of root.
-
-    The check at s = root + side * width must read side * f < -2 * bound;
-    the width grows x4 until it does.  Past ``limit`` in s (0, or the
-    widest bisection bracket) no midpoint can fall, so there is nothing to
-    prove and the side returns side * inf, as it does after the last
-    widening.
-    """
-    for _ in range(_WINDOW_WIDENINGS):
-        edge = root + side * width
-        if side * edge >= side * limit:
-            break
-        delta = math.sqrt(edge)
-        if side * f(delta) < -2.0 * bound:
-            return delta
-        width *= 4.0
-    return side * math.inf
-
-
-def _newton_root(
-    U: float, T: float, tau: float, d0: float, params: PhysicalParams, bound: float
-) -> tuple[float, float]:
+def _locate(T: float, tau: float, d0: float, bound: float):
     """Locate the root in s = delta^2 by Newton steps kept inside a bracket.
 
     Starts from delta0 * tanh(1.74 sqrt(tau/T - 1)); each computed sign of
@@ -264,14 +308,11 @@ def _newton_root(
     |f| <= bound / 8, and df/ds there.  It only steers: the window checks
     carry the proof.
     """
-    nodes, weights = _reference_rule(params)
     lo, hi = 0.0, (1.5 * d0) ** 2
     start = d0 if T == 0.0 else d0 * math.tanh(1.74 * math.sqrt(tau / T - 1.0))
     s = start * start
     for _ in range(_NEWTON_PASSES):
-        k, dk = gap_kernel_and_slope(nodes, s, T)
-        fs = U * float(np.dot(weights, k)) - 1.0
-        dfs = U * float(np.dot(weights, dk))
+        fs, dfs = yield s, True
         if abs(fs) <= 0.125 * bound:
             break
         if fs > 0.0:
@@ -284,6 +325,30 @@ def _newton_root(
             break
         s = s_next
     return s, dfs
+
+
+def _proven_edge(root: float, width: float, side: float, limit: float, bound: float):
+    """Gap past which f's computed sign is proven, left (-1) or right (+1) of root.
+
+    Each side starts 3E/|df/ds| from the located root in s.  The check at
+    s = root + side * width must read side * f < -2E; the width grows x4
+    until it does.  A computed f(lo_w) > 2E means the exact f exceeds E at
+    lo_w and at every smaller gap (f decreases in s, and fl(delta^2) is
+    monotone in delta), so the computed f is positive there; the right side
+    mirrors it.  Past ``limit`` in s (0, or the widest bisection bracket) no
+    midpoint can fall, so there is nothing to prove and the side returns
+    side * inf, as it does after the last widening.
+    """
+    for _ in range(_WINDOW_WIDENINGS):
+        edge = root + side * width
+        if side * edge >= side * limit:
+            break
+        delta = math.sqrt(edge)
+        f, _ = yield delta * delta, False
+        if side * f < -2.0 * bound:
+            return delta
+        width *= 4.0
+    return side * math.inf
 
 
 def implicit_slope_v(U: float, params: PhysicalParams) -> float:
@@ -329,7 +394,9 @@ class EnvelopeCurve:
 def envelope_curve(U: float, params: PhysicalParams, n_nodes: int = 129) -> EnvelopeCurve:
     """Sample the constant-coupling gap curve on [0, tau].
 
-    Nodes cluster toward tau where the curve has a square-root drop.
+    Nodes cluster toward tau where the curve has a square-root drop.  All
+    nodes are solved together by ``solve_delta_many``, a block at a time;
+    each value equals ``solve_delta`` at that node, whose cache is not used.
     """
     if n_nodes < 3:
         raise ValueError("need at least 3 temperature nodes")
@@ -337,7 +404,7 @@ def envelope_curve(U: float, params: PhysicalParams, n_nodes: int = 129) -> Enve
     # quadratic clustering toward tau resolves Delta ~ sqrt(tau - T)
     frac = 1.0 - (1.0 - np.linspace(0.0, 1.0, n_nodes)) ** 2
     t_nodes = tau * frac
-    deltas = np.array([solve_delta(U, float(t), params) for t in t_nodes])
+    deltas = solve_delta_many(U, t_nodes, params)
     return EnvelopeCurve(
         coupling=U,
         tau=tau,

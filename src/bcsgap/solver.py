@@ -51,6 +51,7 @@ __all__ = [
     "newton_seed",
     "critical_temperature",
     "solve_surface",
+    "lattice_offsets",
 ]
 
 # Perron roots this close to or below one admit only the zero field inside
@@ -387,8 +388,7 @@ def solve_surface(
     bound its stop was accepted on; the contraction constant reported with
     the thermodynamics comes from ``thermo.build_thermo_report``.
     """
-    if t_resolution < 2:
-        raise ValueError("need at least 2 temperature nodes")
+    unit_offsets = lattice_offsets(t_resolution, span_decades)
     op = as_operator(potential, grid)
     t_c = critical_temperature(op, params, grid, cross_check=False)
 
@@ -396,10 +396,7 @@ def solve_surface(
     if not tau < t_c:
         raise ValueError(f"lower temperature {tau!r} must be below T_c = {t_c!r}")
 
-    d0 = t_c - tau
-    ratio = 10.0 ** (-span_decades / (t_resolution - 1))
-    offsets = d0 * ratio ** np.arange(t_resolution)
-    t_nodes = t_c - offsets  # increasing toward T_c
+    t_nodes = t_c - (t_c - tau) * unit_offsets  # increasing toward T_c
 
     rows: list[np.ndarray] = []
     traces: list[SolveTrace] = []
@@ -423,6 +420,15 @@ def solve_surface(
     )
     _validate_surface(surface, params, tol)
     return surface
+
+
+def lattice_offsets(t_resolution: int, span_decades: float) -> np.ndarray:
+    """Offsets T_c - T of ``solve_surface``'s nodes over T_c - tau: from 1
+    down by ``span_decades`` decades in ``t_resolution`` geometric steps."""
+    if t_resolution < 2:
+        raise ValueError("need at least 2 temperature nodes")
+    ratio = 10.0 ** (-span_decades / (t_resolution - 1))
+    return ratio ** np.arange(t_resolution)
 
 
 def _validate_surface(surface: GapSurface, params: PhysicalParams, tol: float) -> None:

@@ -33,7 +33,7 @@ from .quadrature import (
     sech,
 )
 from .simple_gap import solve_delta
-from .solver import GapSurface
+from .solver import GapSurface, lattice_offsets
 
 __all__ = [
     "VTable",
@@ -57,6 +57,7 @@ __all__ = [
     "psi_perturbation_bound",
     "cutoff_divergence_scan",
     "build_thermo_report",
+    "require_resolution",
 ]
 
 
@@ -198,8 +199,23 @@ class WTable:
             raise ValueError("limit curvature must be finite")
 
 
+# the deepest near-T_c extraction build_thermo_report makes (w_table_extract)
+_REPORT_DEPTH = 8
+
+
+def require_resolution(t_resolution: int, span_decades: float) -> None:
+    """Refuse, before any solve, a lattice that ``build_thermo_report`` would
+    refuse after it: the check ``_require_resolved`` makes on a solved
+    surface, at the depth of the report's deepest extraction, applied to
+    ``solve_surface``'s offsets T_c - T at unit scale."""
+    _require_offsets(lattice_offsets(t_resolution, span_decades), _REPORT_DEPTH)
+
+
 def _require_resolved(surface: GapSurface, depth: int) -> np.ndarray:
-    offsets = surface.t_c - surface.t_nodes[:-1]
+    return _require_offsets(surface.t_c - surface.t_nodes[:-1], depth)
+
+
+def _require_offsets(offsets: np.ndarray, depth: int) -> np.ndarray:
     if offsets.size < max(depth, 6):
         raise ValueError("insufficient near-T_c resolution: need at least 6 nodes")
     if offsets.max() / offsets.min() < 99.0:
@@ -235,7 +251,7 @@ def v_slope_estimate(surface: GapSurface, depth: int = 6) -> tuple[np.ndarray, n
     return extrapolate_to_zero(mid_offsets, slopes)
 
 
-def w_table_extract(surface: GapSurface, depth: int = 8) -> WTable:
+def w_table_extract(surface: GapSurface, depth: int = _REPORT_DEPTH) -> WTable:
     """Limit curvature of the squared gap from one-sided second differences.
 
     The exact zero row at T_c anchors the stencils.  The alternative

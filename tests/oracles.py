@@ -85,7 +85,7 @@ def bisect_delta(U: float, T: float, params) -> float:
         return U * _coupling_integral(delta * delta, T, params) - 1.0
 
     lo, hi = 0.0, d0 * (1.0 + 1e-12)
-    if T > 0.0 and f(hi) > 0.0:  # T just below tau with root at ~d0: widen once
+    if T > 0.0 and f(hi) > 0.0:  # widen once; never taken in any measured case
         hi = d0 * 1.5
     for _ in range(120):
         mid = 0.5 * (lo + hi)

@@ -215,6 +215,34 @@ def test_solve_certifies_every_node_through_picard(tmp_path, monkeypatch):
     assert sum(counted) == sum(tr.iterations for tr in surface.traces) == written.sum()
 
 
+@pytest.mark.parametrize(
+    "setting, value",
+    [("solver.span_decades", "1.0"), ("solver.t_resolution", "5")],
+)
+def test_thermo_refuses_a_coarse_lattice_before_solving(
+    setting, value, tmp_path, monkeypatch, capsys
+):
+    # the report's near-T_c check is known from the config: no surface is
+    # solved (and no certificate searched) for a lattice it would refuse
+    solves: list[tuple] = []
+    real_surface = cli.solve_surface
+
+    def counting_surface(*args, **kwargs):
+        solves.append(args)
+        return real_surface(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_surface", counting_surface)
+    lines = [
+        f"{setting} = {value}" if line.startswith(setting) else line
+        for line in BASE_CONFIG.splitlines()
+    ]
+    cfg_path = tmp_path / "coarse.cfg"
+    cfg_path.write_text("\n".join(lines) + f"\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["thermo", str(cfg_path)]) == EXIT_BAD_CONFIG
+    assert solves == []
+    assert "insufficient near-T_c resolution" in capsys.readouterr().err
+
+
 def _count_searches(monkeypatch) -> list[dict]:
     # every package binding of search_certificate, counted with its keywords
     calls: list[dict] = []

@@ -9,7 +9,7 @@ from bcsgap.quadrature import (
     adaptive_integrate,
     gap_curvature,
     gap_kernel,
-    gap_kernel_and_slope,
+    gap_kernel_rows,
     gauss_legendre_panels,
     integrate,
     sech,
@@ -88,27 +88,46 @@ def test_gap_kernel_strictly_decreasing_in_t(xi, s, t1, dt):
         assert k_cold > k_warm
 
 
-def test_gap_kernel_and_slope_matches_curvature_identity():
+def test_gap_kernel_rows_slope_matches_curvature_identity():
     # dk/ds = gap_curvature(r/2T) / (16 T^3); r/2T >= 0.06 here, where the
     # one-pass formula loses at most ~1e-13 to cancellation
     xi = np.geomspace(0.005, 1.0, 50)
-    for T in (0.01, 0.04):
-        for s in (0.0, 1e-4, 4e-3):
-            k, dk = gap_kernel_and_slope(xi, s, T)
-            assert np.array_equal(k, gap_kernel(xi, s, T))
-            eta = np.sqrt(xi * xi + s) / (2.0 * T)
-            expected = gap_curvature(eta) / (16.0 * T**3)
-            assert np.all(dk < 0.0)
-            np.testing.assert_allclose(dk, expected, rtol=1e-9, atol=0.0)
+    cases = [(s, T) for T in (0.01, 0.04) for s in (0.0, 1e-4, 4e-3)]
+    k, dk = gap_kernel_rows(xi * xi, *zip(*cases), slopes=True)
+    for (s, T), k_row, dk_row in zip(cases, k, dk):
+        assert np.array_equal(k_row, gap_kernel(xi, s, T))
+        eta = np.sqrt(xi * xi + s) / (2.0 * T)
+        expected = gap_curvature(eta) / (16.0 * T**3)
+        assert np.all(dk_row < 0.0)
+        np.testing.assert_allclose(dk_row, expected, rtol=1e-9, atol=0.0)
 
 
-def test_gap_kernel_and_slope_zero_temperature_branch():
+def test_gap_kernel_rows_zero_temperature_branch():
     xi = np.geomspace(0.005, 1.0, 20)
-    for s in (0.0, 1e-3):
-        k, dk = gap_kernel_and_slope(xi, s, 0.0)
+    cases = [(0.0, 0.0), (1e-3, 0.0), (1e-3, 0.02)]  # a warm row beside the cold ones
+    k, dk = gap_kernel_rows(xi * xi, *zip(*cases), slopes=True)
+    for (s, T), k_row, dk_row in zip(cases[:2], k, dk):
         r = np.sqrt(xi * xi + s)
-        assert np.array_equal(k, gap_kernel(xi, s, 0.0))
-        np.testing.assert_allclose(dk, -0.5 / r**3, rtol=1e-14, atol=0.0)
+        assert np.array_equal(k_row, gap_kernel(xi, s, T))
+        np.testing.assert_allclose(dk_row, -0.5 / r**3, rtol=1e-14, atol=0.0)
+    assert np.array_equal(k[2], gap_kernel(xi, 1e-3, 0.02))
+
+
+def test_gap_kernel_rows_equal_gap_kernel_element_for_element():
+    # the block solve's replay relies on each row being gap_kernel's array,
+    # whatever the other rows of the block hold and with or without slopes
+    rng = np.random.default_rng(7)
+    xi = np.geomspace(0.005, 1.0, 97)
+    for _ in range(40):
+        m = int(rng.integers(1, 18))
+        s = rng.uniform(0.0, 0.1, m) ** rng.uniform(1.0, 4.0, m)
+        T = rng.uniform(0.0, 0.05, m) ** rng.uniform(1.0, 3.0, m)
+        T[rng.random(m) < 0.2] = 0.0  # cold rows
+        T[rng.random(m) < 0.2] *= 1e-3  # saturated rows
+        for slopes in (False, True):
+            k, _ = gap_kernel_rows(xi * xi, s, T, slopes=slopes)
+            for i in range(m):
+                assert np.array_equal(k[i], gap_kernel(xi, s[i], T[i])), (s[i], T[i])
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0, 50.0])

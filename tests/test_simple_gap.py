@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from bcsgap.simple_gap import (
     gap_equation_residual,
     implicit_slope_v,
     solve_delta,
+    solve_delta_many,
     tau_root,
 )
 
+import bcsgap.certificate as certificate
 import bcsgap.simple_gap as simple_gap
+from bcsgap.gap_operator import spectral_tc
 from oracles import bisect_delta, fd_slope_oracle, zeta3_series
 
 # frozen from 40-digit evaluation of the defining equations at
@@ -103,18 +107,105 @@ def test_solve_delta_equals_plain_bisection_bit_for_bit(epsilon, band, couplings
             assert solve_delta(u, t, p) == bisect_delta(u, t, p), (u, t)
 
 
+@pytest.mark.parametrize(
+    "epsilon, band, couplings",
+    [
+        (0.005, (0.291, 0.309), (0.291, 0.3, 0.309, 0.5)),
+        (1e-6, (0.291, 0.309), (0.291, 0.3, 0.309, 0.5)),
+        (0.05, (0.485, 0.515), (0.5,)),
+    ],
+)
+def test_solve_delta_many_equals_plain_bisection_bit_for_bit(epsilon, band, couplings):
+    # lengths around the block size: a lone row, a short, full and one-over
+    # block, and several blocks with a short tail; each vector mixes the
+    # edge temperatures, temperatures at or above tau and random ones
+    p = make_params(1.0, epsilon, 1.0, *band)
+    block = simple_gap._BLOCK
+    rng = np.random.default_rng(8)
+    for u in couplings:
+        tau = tau_root(u, p)
+        pool = [*_edge_temperatures(tau), tau, 1.5 * tau]
+        pool += rng.uniform(0.0, tau, 3 * block + 5).tolist()
+        expected = {t: bisect_delta(u, t, p) for t in pool}
+        for n in (1, block - 1, block, block + 1, 3 * block + 5):
+            ts = [pool[i] for i in rng.permutation(len(pool))[:n]]
+            got = solve_delta_many(u, ts, p)
+            assert got.tolist() == [expected[t] for t in ts], (u, n)
+
+
+def test_solve_delta_many_memory_is_one_block(params):
+    # the kernel buffers are sized by the block, not by the temperatures
+    block = simple_gap._BLOCK
+    ts = np.random.default_rng(5).uniform(0.0, tau_root(0.3, params), 1024)
+    solve_delta_many(0.3, ts[:block], params)  # rule caches built outside the count
+    tracemalloc.start()
+    try:
+        solve_delta_many(0.3, ts[:block], params)
+        one_block = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        solve_delta_many(0.3, ts, params)
+        all_blocks = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all_blocks <= 1.5 * one_block
+
+
+def test_envelopes_and_lattices_solve_in_blocks(
+    params, grid, const_potential, monkeypatch
+):
+    # each envelope curve and each certificate lattice makes ceil(n/B) block
+    # solves for its n temperatures below tau and no per-T scalar solve; a
+    # revert to a per-T loop would show up as scalar calls or blocks of one
+    block = simple_gap._BLOCK
+    blocks: list[int] = []
+    scalar: list[float] = []
+    real_block, real_scalar = simple_gap._solve_block, simple_gap.solve_delta
+
+    def counting_block(U, Ts, *args):
+        blocks.append(len(Ts))
+        return real_block(U, Ts, *args)
+
+    def counting_scalar(U, T, p):
+        scalar.append(T)
+        return real_scalar(U, T, p)
+
+    monkeypatch.setattr(simple_gap, "_solve_block", counting_block)
+    for module in (simple_gap, certificate):
+        monkeypatch.setattr(module, "solve_delta", counting_scalar)
+
+    for u in (params.u_lower, params.u_upper):
+        blocks.clear()
+        curve = envelope_curve(u, params)
+        below = int(np.count_nonzero(curve.t_nodes < curve.tau))
+        assert len(blocks) == math.ceil(below / block) and sum(blocks) == below
+        assert scalar == []
+
+    # compute_alpha's lattices on [tau1, T_c]; the one scalar solve is the
+    # prefactor's Delta2(tau), cached here so that it makes no block
+    tau, t_c = tau_root(params.u_lower, params), spectral_tc(const_potential, params, grid)
+    real_scalar(params.u_upper, tau, params)
+    x_values = np.linspace(params.epsilon_cutoff, params.hbar_omega_d, 4)
+    for n in (64, 256):
+        blocks.clear()
+        scalar.clear()
+        t_values = np.linspace(tau, t_c, n)
+        certificate._lattice_max(tau, const_potential, params, grid, t_values, x_values)
+        assert len(blocks) == math.ceil(n / block) and sum(blocks) == n
+        assert scalar == [tau]
+
+
 @pytest.mark.parametrize("shift", [0.5, 1.0 + 1e-9, 2.0])
 def test_solve_delta_window_checks_catch_a_misplaced_root(params, monkeypatch, shift):
-    # the window checks, not the Newton stage, carry the proof: with the
+    # the window checks, not the locate stage, carry the proof: with the
     # located root moved off the true one, the checks fail and the window
     # widens or gives up, and the result is still the bisection float
-    newton_root = simple_gap._newton_root
+    locate = simple_gap._locate
 
     def misplaced(*args):
-        s, slope = newton_root(*args)
+        s, slope = yield from locate(*args)
         return s * shift, slope
 
-    monkeypatch.setattr(simple_gap, "_newton_root", misplaced)
+    monkeypatch.setattr(simple_gap, "_locate", misplaced)
     tau = tau_root(0.3, params)
     for t in (0.0, 0.5 * tau, tau * (1.0 - 1e-6)):
         assert solve_delta.__wrapped__(0.3, t, params) == bisect_delta(0.3, t, params)
@@ -129,24 +220,24 @@ def test_default_envelopes_equal_plain_bisection_bit_for_bit(params):
 
 def test_default_envelopes_evaluate_f_at_most_24_times_per_root(params, monkeypatch):
     # plain bisection evaluates f about 51 times per root; a silent fall-back
-    # to it would exceed the budget
+    # to it would exceed the budget.  Every evaluated kernel row counts,
+    # the locate stage's included (about 20 rows per root in all)
     taus = [tau_root(u, params) for u in (params.u_lower, params.u_upper)]
-    calls = 0
-    coupling_integral = simple_gap._coupling_integral
+    rows = 0
+    kernel_rows = simple_gap.gap_kernel_rows
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return coupling_integral(*args)
+    def counting(xi2, s, T, **kwargs):
+        nonlocal rows
+        rows += len(s)
+        return kernel_rows(xi2, s, T, **kwargs)
 
-    monkeypatch.setattr(simple_gap, "_coupling_integral", counting)
-    solve_delta.cache_clear()
+    monkeypatch.setattr(simple_gap, "gap_kernel_rows", counting)
     roots = 0
     for u, tau in zip((params.u_lower, params.u_upper), taus):
         curve = envelope_curve(u, params)
         roots += int(np.count_nonzero(curve.t_nodes < tau))
     assert roots == 256
-    assert calls / roots <= 24.0
+    assert rows / roots <= 21.0
 
 
 def test_solve_delta_strictly_decreasing(params):
