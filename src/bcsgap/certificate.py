@@ -10,20 +10,23 @@ The bound at temperatures T in [tau, T_c] and energies x is
 whose maximum over the rectangle is a Lipschitz constant for the operator
 between any two fields inside the envelope.  A certificate exists when that
 maximum is below one; the search reports failure (with diagnostics) when it
-is not.  The surface solve does not use the outcome: each node is certified
-by its own stop.  ``thermo.build_thermo_report`` takes the outcome and
-reports its alpha, or on failure marks the report uncertified with
-min(max rate + 0.1, 0.95), rate the largest Collatz-Wielandt bound
-q >= rho(A'(u)) checked at the stop of a node's solve.
+is not.  Both entry points take T_c from the caller (``bcsgap certify``
+locates it with ``gap_operator.spectral_tc``, ``bcsgap thermo`` passes the
+solved surface's), so nothing here locates it again.  The surface solve
+does not use the outcome: each node is certified by its own stop.
+``thermo.build_thermo_report`` takes the outcome and reports its alpha, or
+on failure marks the report uncertified with min(max rate + 0.1, 0.95),
+rate the largest Collatz-Wielandt bound q >= rho(A'(u)) checked at the stop
+of a node's solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gap_operator import spectral_tc
 from .model import EnergyGrid, PhysicalParams, PotentialSpec, potential_matrix
 from .quadrature import gap_kernel
 from .simple_gap import solve_delta, solve_delta_many, tau_root
@@ -38,7 +41,10 @@ __all__ = [
     "format_certificate_report",
 ]
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# a Python float, so the golden-section points and AlphaResult hold floats
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# tau scan points of search_certificate, halving the distance to T_c
+_N_TAU = 24
 
 
 @dataclass(frozen=True)
@@ -151,17 +157,15 @@ def compute_alpha(
     t_samples: int = 64,
     x_samples: int = 64,
     *,
-    t_c: float | None = None,
+    t_c: float,
 ) -> AlphaResult:
     """Maximum of the contraction bound over [tau, T_c] x [eps, hbar_omega_d].
 
-    Coarse lattice scan, golden-section refinement around the maximiser
-    (one pass per coordinate), then a 4x finer confirmation lattice; the
-    reported value is the maximum over everything evaluated.  A value >= 1
-    is a valid, reported outcome.
+    Coarse ``t_samples`` x ``x_samples`` lattice scan, golden-section
+    refinement around the maximiser (one pass per coordinate), then a 4x
+    finer confirmation lattice; the reported value is the maximum over
+    everything evaluated.  A value >= 1 is a valid, reported outcome.
     """
-    if t_c is None:
-        t_c = spectral_tc(potential, params, grid)
     if not tau < t_c:
         raise ValueError(f"need tau < T_c, got tau={tau!r} >= T_c={t_c!r}")
 
@@ -205,43 +209,35 @@ def search_certificate(
     params: PhysicalParams,
     grid: EnergyGrid,
     *,
-    t_c: float | None = None,
-    n_tau: int = 24,
-    t_samples: int = 64,
-    x_samples: int = 64,
+    t_c: float,
     coupling_margin: float | None = None,
 ) -> ContractionCertificate | CertificateFailure:
     """Scan tau over a geometric grid in (tau1, T_c) for a certified bound.
 
-    Returns the smallest tau achieving alpha < 1 (widest certified
-    interval).  On failure returns the best bound found together with the
-    Delta2(T_c)/epsilon ratio, which is the structural obstruction: the
-    bound evaluated at T_c already exceeds one whenever the envelope top
-    has not dropped below the cutoff scale, and the scan cannot push tau
-    past T_c to help it.
+    The 24 scan points approach T_c by halving, and each runs
+    ``compute_alpha`` on its 64 x 64 lattices.  Returns the smallest tau
+    achieving alpha < 1 (widest certified interval).  On failure returns
+    the best bound found together with the Delta2(T_c)/epsilon ratio, which
+    is the structural obstruction: the bound evaluated at T_c already
+    exceeds one whenever the envelope top has not dropped below the cutoff
+    scale, and the scan cannot push tau past T_c to help it.
     """
     tau1 = tau_root(params.u_lower, params)
-    if t_c is None:
-        t_c = spectral_tc(potential, params, grid)
 
     # geometric approach of tau toward T_c: alpha is non-increasing in tau
     # (smaller rectangle, smaller envelope prefactor), so the largest scan
     # point is the most favourable.  Evaluate it first: if even that fails,
     # no tau can succeed and the scan is skipped.
-    fractions = (t_c - tau1) * 0.5 ** np.arange(n_tau)
+    fractions = (t_c - tau1) * 0.5 ** np.arange(_N_TAU)
     taus = t_c - fractions
 
-    best = compute_alpha(
-        float(taus[-1]), potential, params, grid, t_samples, x_samples, t_c=t_c
-    )
+    best = compute_alpha(float(taus[-1]), potential, params, grid, t_c=t_c)
     best_tau = float(taus[-1])
     certified: tuple[float, AlphaResult] | None = None
     if best.alpha < 1.0:
         certified = (best_tau, best)
         for tau in taus[:-1]:  # smallest upward: widest certified interval wins
-            result = compute_alpha(
-                float(tau), potential, params, grid, t_samples, x_samples, t_c=t_c
-            )
+            result = compute_alpha(float(tau), potential, params, grid, t_c=t_c)
             if result.alpha < 1.0:
                 certified = (float(tau), result)
                 break

@@ -24,6 +24,7 @@ import numpy as np
 
 from .certificate import ContractionCertificate, format_certificate_report, search_certificate
 from .fileio import atomic_write_text, fmt, write_csv
+from .gap_operator import spectral_tc
 from .model import (
     ConstantPotential,
     EnergyGrid,
@@ -194,7 +195,10 @@ def cmd_simple(cfg: RunConfig) -> int:
 def cmd_certify(cfg: RunConfig) -> int:
     params, potential, grid, margin = build_inputs(cfg)
     out = _outdir(cfg)
-    outcome = search_certificate(potential, params, grid, coupling_margin=margin)
+    t_c = spectral_tc(potential, params, grid)
+    outcome = search_certificate(
+        potential, params, grid, t_c=t_c, coupling_margin=margin
+    )
     atomic_write_text(out / "certificate.txt", format_certificate_report(outcome))
     return EXIT_OK if isinstance(outcome, ContractionCertificate) else EXIT_CERTIFICATE
 

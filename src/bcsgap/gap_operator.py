@@ -57,6 +57,15 @@ __all__ = [
     "sample_envelope_field",
 ]
 
+# power iteration stop: successive Rayleigh quotients within _PERRON_TOL,
+# or failure after _PERRON_MAX_ITER products
+_PERRON_TOL = 1e-13
+_PERRON_MAX_ITER = 50_000
+# radius_crossing_temperature stops on a step or bracket this small, relative
+_CROSSING_RTOL = 1e-13
+# sine modes in a sample_envelope_field profile
+_ENVELOPE_MODES = 4
+
 
 @dataclass(frozen=True)
 class GapField:
@@ -122,23 +131,23 @@ def jacobian_diagonal(xi: np.ndarray, values: np.ndarray, T: float) -> np.ndarra
     return (xi * xi * gap_kernel(xi, s, T) + s * sech_z * sech_z / (2.0 * T)) / r2
 
 
-def _power_iteration(matvec, x: np.ndarray, tol: float, max_iter: int) -> PerronRoot:
+def _power_iteration(matvec, x: np.ndarray) -> PerronRoot:
     """Dominant eigenpair of a positive linear map from a positive start.
 
     The dominant eigenvector of a positive kernel is positive, so no
     deflation is needed.  Converged when successive Rayleigh quotients
-    differ by at most ``tol``.
+    differ by at most 1e-13.
     """
     lam = 0.0
-    for n in range(1, max_iter + 1):
+    for n in range(1, _PERRON_MAX_ITER + 1):
         y = matvec(x)
         lam_new = float(x @ y) / float(x @ x)
         x = y / np.max(np.abs(y))
-        if abs(lam_new - lam) <= tol:
+        if abs(lam_new - lam) <= _PERRON_TOL:
             return PerronRoot(radius=lam_new, eigenvector=x, iterations=n)
         lam = lam_new
     raise RuntimeError(
-        f"power iteration did not converge in {max_iter} iterations "
+        f"power iteration did not converge in {_PERRON_MAX_ITER} iterations "
         f"(last Rayleigh delta {abs(lam_new - lam):.3e})"
     )
 
@@ -179,8 +188,6 @@ class GapOperator:
         start: np.ndarray | None = None,
         *,
         left: bool = False,
-        tol: float = 1e-13,
-        max_iter: int = 50_000,
     ) -> PerronRoot:
         """Perron root of the zero-field kernel M = W diag(k0(T)) with its
         right vector (M phi = rho phi) or, with ``left``, its left vector
@@ -190,8 +197,8 @@ class GapOperator:
         w = self.weighted
         x = np.ones(self.grid.size) if start is None else start
         if left:
-            return _power_iteration(lambda v: k0 * (v @ w), x, tol, max_iter)
-        return _power_iteration(lambda v: w @ (k0 * v), x, tol, max_iter)
+            return _power_iteration(lambda v: k0 * (v @ w), x)
+        return _power_iteration(lambda v: w @ (k0 * v), x)
 
     def radius_and_slope(
         self, T: float, right: np.ndarray, left: np.ndarray
@@ -256,8 +263,6 @@ def spectral_radius(
     *,
     start: np.ndarray | None = None,
     left: bool = False,
-    tol: float = 1e-13,
-    max_iter: int = 50_000,
 ) -> PerronRoot:
     """Perron root of the zero-field kernel by power iteration.
 
@@ -265,11 +270,9 @@ def spectral_radius(
     ``GapOperator.perron``).  Seeded with ``start``, or with the
     constant-one field: the dominant eigenvector of a positive kernel is
     positive, so no deflation is needed.  Converged when successive
-    Rayleigh quotients differ by at most ``tol``.
+    Rayleigh quotients differ by at most 1e-13.
     """
-    return as_operator(potential, grid).perron(
-        T, start, left=left, tol=tol, max_iter=max_iter
-    )
+    return as_operator(potential, grid).perron(T, start, left=left)
 
 
 def radius_crossing_temperature(
@@ -277,8 +280,6 @@ def radius_crossing_temperature(
     grid: EnergyGrid,
     lo: float,
     hi: float,
-    *,
-    rtol: float = 1e-13,
 ) -> float:
     """Unit crossing of the zero-field Perron root, by safeguarded Newton.
 
@@ -287,8 +288,8 @@ def radius_crossing_temperature(
     Newton starts from ``hi`` with the slope of the module docstring; each
     computed sign of rho - 1 narrows the bracket, a step that would leave
     it takes the midpoint, and the Perron vectors of one step start the
-    power iterations of the next.  Stops once a step is at most rtol * T,
-    or the bracket at most rtol * hi.
+    power iterations of the next.  Stops once a step is at most 1e-13 T,
+    or the bracket at most 1e-13 hi.
     """
     op = as_operator(potential, grid)
     f_lo = spectral_radius(lo, op, grid).radius
@@ -309,11 +310,11 @@ def radius_crossing_temperature(
         else:
             hi = T
         new = T - (rho - 1.0) / slope
-        if abs(new - T) <= rtol * T:
+        if abs(new - T) <= _CROSSING_RTOL * T:
             return new
         if not lo < new < hi:
             new = 0.5 * (lo + hi)
-            if hi - lo <= rtol * hi:
+            if hi - lo <= _CROSSING_RTOL * hi:
                 return new
         T = new
         right = spectral_radius(T, op, grid, start=right.eigenvector)
@@ -339,23 +340,23 @@ def sample_envelope_field(
     params: PhysicalParams,
     grid: EnergyGrid,
     rng: np.random.Generator,
-    n_modes: int = 4,
 ) -> GapField:
     """Random smooth field between the envelope curves at temperature T.
 
     u(x) = Delta1(T) + theta(x) * (Delta2(T) - Delta1(T)) with theta a
-    smooth random profile in [0, 1].  A temperature-independent theta keeps
-    families of such fields monotone in T because both envelopes decrease.
+    smooth random profile in [0, 1], a sum of 4 sine modes.  A
+    temperature-independent theta keeps families of such fields monotone in
+    T because both envelopes decrease.
     """
     d1 = solve_delta(params.u_lower, T, params)
     d2 = solve_delta(params.u_upper, T, params)
     xhat = (grid.nodes - params.epsilon_cutoff) / (
         params.hbar_omega_d - params.epsilon_cutoff
     )
-    amps = rng.uniform(-1.0, 1.0, n_modes)
-    phases = rng.uniform(0.0, 2.0 * np.pi, n_modes)
+    amps = rng.uniform(-1.0, 1.0, _ENVELOPE_MODES)
+    phases = rng.uniform(0.0, 2.0 * np.pi, _ENVELOPE_MODES)
     raw = np.zeros_like(xhat)
-    for k in range(n_modes):
+    for k in range(_ENVELOPE_MODES):
         raw += amps[k] * np.sin((k + 1) * np.pi * xhat + phases[k])
     lo, hi = raw.min(), raw.max()
     theta = 0.5 if hi == lo else (raw - lo) / (hi - lo)

@@ -34,6 +34,9 @@ __all__ = [
     "build_grid",
 ]
 
+# points per axis of validate_potential's check lattice
+_VALIDATION_LATTICE = 64
+
 
 class ParamsError(ValueError):
     """Raised when physical parameters violate a standing assumption."""
@@ -192,12 +195,10 @@ def eval_potential(spec: PotentialSpec, x: float, xi: float, params: PhysicalPar
     return float(potential_matrix(spec, x, xi)[0, 0])
 
 
-def validate_potential(
-    spec: PotentialSpec, params: PhysicalParams, lattice: int = 64
-) -> None:
+def validate_potential(spec: PotentialSpec, params: PhysicalParams) -> None:
     """Check the kernel lies strictly inside (U1, U2) on a dense lattice.
 
-    The lattice density (64 x 64 by default) is a pragmatic stand-in for the
+    The lattice density (64 x 64) is a pragmatic stand-in for the
     continuous strict-bounds requirement.
     """
     lo, hi = params.epsilon_cutoff, params.hbar_omega_d
@@ -212,7 +213,7 @@ def validate_potential(
                 )
         if spec.values.shape != (spec.x_nodes.size, spec.xi_nodes.size):
             raise PotentialError("table value matrix shape does not match nodes")
-    pts = np.linspace(lo, hi, lattice)
+    pts = np.linspace(lo, hi, _VALIDATION_LATTICE)
     vals = potential_matrix(spec, pts, pts)
     vmin, vmax = float(vals.min()), float(vals.max())
     if not (params.u_lower < vmin and vmax < params.u_upper):

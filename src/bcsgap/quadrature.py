@@ -33,6 +33,13 @@ TANH_SATURATION = 40.0
 # floor of gap_kernel_rows' divisor 2T: every r/_COLD_DIVISOR with r above
 # 1e-298 exceeds TANH_SATURATION, so a T = 0 row saturates to t = 1
 _COLD_DIVISOR = 1e-300
+# adaptive_integrate: Gauss-Legendre order, starting panel count, stop
+# |I_2n - I_n| <= max(abs, rel * |I_2n|), and panel doublings before failure
+_ADAPTIVE_ORDER = 10
+_ADAPTIVE_PANELS = 8
+_ADAPTIVE_ABS_TOL = 1e-12
+_ADAPTIVE_REL_TOL = 1e-10
+_ADAPTIVE_DOUBLINGS = 12
 
 
 def gauss_legendre_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -66,38 +73,34 @@ def adaptive_integrate(
     a: float,
     b: float,
     *,
-    order: int = 10,
-    initial_panels: int = 8,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-    max_doublings: int = 12,
     log_spacing: bool = True,
 ) -> float:
     """Integrate fn over [a, b], doubling panel count until stable.
 
-    Convergence criterion: |I_2n - I_n| <= max(abs_tol, rel_tol * |I_2n|).
+    Order-10 Gauss-Legendre panels, 8 to start.  Convergence criterion:
+    |I_2n - I_n| <= max(1e-12, 1e-10 * |I_2n|), within 12 doublings.
     Log-spaced panels suit the 1/xi-type integrands that concentrate near
     the left endpoint.
     """
     if not (b > a):
         raise ValueError("integration interval must satisfy b > a")
-    panels = initial_panels
+    panels = _ADAPTIVE_PANELS
     previous = None
-    for _ in range(max_doublings + 1):
+    for _ in range(_ADAPTIVE_DOUBLINGS + 1):
         if log_spacing and a > 0:
             edges = np.geomspace(a, b, panels + 1)
         else:
             edges = np.linspace(a, b, panels + 1)
-        nodes, weights = gauss_legendre_panels(edges, order)
+        nodes, weights = gauss_legendre_panels(edges, _ADAPTIVE_ORDER)
         current = float(np.dot(weights, fn(nodes)))
         if previous is not None and abs(current - previous) <= max(
-            abs_tol, rel_tol * abs(current)
+            _ADAPTIVE_ABS_TOL, _ADAPTIVE_REL_TOL * abs(current)
         ):
             return current
         previous = current
         panels *= 2
     raise RuntimeError(
-        f"quadrature did not stabilise after {max_doublings} doublings "
+        f"quadrature did not stabilise after {_ADAPTIVE_DOUBLINGS} doublings "
         f"(last delta {abs(current - previous):.3e})"
     )
 

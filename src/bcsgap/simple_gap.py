@@ -151,6 +151,8 @@ _TERM_ROUNDINGS = 16
 _WINDOW_WIDENINGS = 8
 # cap on Newton passes; a root typically takes 3 or 4
 _NEWTON_PASSES = 64
+# nodes of an envelope_curve on [0, tau]
+_ENVELOPE_NODES = 129
 # temperatures solved together; the kernel buffers of a block are
 # (_BLOCK x n) doubles, so the block size, not the number of temperatures,
 # sets the memory of a solve
@@ -391,18 +393,16 @@ class EnvelopeCurve:
         return float(np.interp(T, self.t_nodes, self.delta_values))
 
 
-def envelope_curve(U: float, params: PhysicalParams, n_nodes: int = 129) -> EnvelopeCurve:
-    """Sample the constant-coupling gap curve on [0, tau].
+def envelope_curve(U: float, params: PhysicalParams) -> EnvelopeCurve:
+    """Sample the constant-coupling gap curve at 129 nodes on [0, tau].
 
     Nodes cluster toward tau where the curve has a square-root drop.  All
     nodes are solved together by ``solve_delta_many``, a block at a time;
     each value equals ``solve_delta`` at that node, whose cache is not used.
     """
-    if n_nodes < 3:
-        raise ValueError("need at least 3 temperature nodes")
     tau = tau_root(U, params)
     # quadratic clustering toward tau resolves Delta ~ sqrt(tau - T)
-    frac = 1.0 - (1.0 - np.linspace(0.0, 1.0, n_nodes)) ** 2
+    frac = 1.0 - (1.0 - np.linspace(0.0, 1.0, _ENVELOPE_NODES)) ** 2
     t_nodes = tau * frac
     deltas = solve_delta_many(U, t_nodes, params)
     return EnvelopeCurve(

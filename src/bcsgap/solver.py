@@ -41,7 +41,7 @@ from .gap_operator import (
     spectral_tc,
 )
 from .model import EnergyGrid, PhysicalParams, PotentialSpec
-from .simple_gap import solve_delta, tau_root
+from .simple_gap import solve_delta, solve_delta_many, tau_root
 
 __all__ = [
     "ConvergenceError",
@@ -59,6 +59,13 @@ __all__ = [
 _ZERO_PHASE_SLACK = 1e-9
 # starting floor of the stop screen's rate estimate (see picard_solve)
 _SCREEN_FLOOR = 0.5
+# successive differences SolveTrace.asymptotic_ratio looks back over
+_RATIO_WINDOW = 10
+# GMRES stop: relative residual, and Krylov dimension (no restarts)
+_GMRES_RTOL = 1e-10
+_GMRES_MAX_DIM = 40
+# tolerance of critical_temperature's two cross-check solves
+_CROSS_CHECK_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -86,12 +93,12 @@ class SolveTrace:
     rate: float
     newton_steps: int = 0
 
-    def asymptotic_ratio(self, window: int = 10) -> float:
-        """Largest ratio of successive differences over the final window."""
+    def asymptotic_ratio(self) -> float:
+        """Largest ratio of successive differences over the last 10 steps."""
         d = self.iterates
         if d.size < 2:
             return 0.0
-        tail = d[-(window + 1):]
+        tail = d[-(_RATIO_WINDOW + 1):]
         ratios = tail[1:] / np.maximum(tail[:-1], 1e-300)
         return float(np.max(ratios))
 
@@ -274,21 +281,19 @@ def newton_seed(
     return best, max_iter
 
 
-def _gmres(
-    matvec, b: np.ndarray, rtol: float = 1e-10, max_dim: int = 40
-) -> np.ndarray:
+def _gmres(matvec, b: np.ndarray) -> np.ndarray:
     """Solve matvec(x) = b by GMRES from x = 0, without restarts.
 
     Givens rotations keep the Hessenberg least-squares problem upper
     triangular as it grows, so its residual norm |g[j+1]| is known at every
     step and the solution is one back substitution at the end.  Stops when
-    that residual is at most rtol * ||b||, at an invariant Krylov space, or
-    after ``max_dim`` steps.
+    that residual is at most 1e-10 * ||b||, at an invariant Krylov space, or
+    after 40 steps.
     """
     beta = math.sqrt(float(b @ b))
     if beta == 0.0:
         return np.zeros_like(b)
-    m = min(max_dim, b.size)
+    m = min(_GMRES_MAX_DIM, b.size)
     basis = np.empty((m + 1, b.size))
     h = np.zeros((m + 1, m))
     cs = np.zeros(m)
@@ -313,7 +318,7 @@ def _gmres(
         h[j, j] = r
         g[j + 1] = -sn[j] * g[j]
         g[j] *= cs[j]
-        if abs(g[j + 1]) <= rtol * beta or h_next == 0.0:
+        if abs(g[j + 1]) <= _GMRES_RTOL * beta or h_next == 0.0:
             k = j + 1
             break
         basis[j + 1] = w / h_next
@@ -327,38 +332,37 @@ def critical_temperature(
     potential: PotentialSpec | GapOperator,
     params: PhysicalParams,
     grid: EnergyGrid,
-    *,
-    cross_check: bool = True,
-    tol: float = 1e-9,
 ) -> float:
-    """Transition temperature: unit crossing of the zero-field Perron root.
+    """Transition temperature ``spectral_tc``, cross-checked by the solution.
 
-    Bracketed by the envelope vanishing temperatures [tau1, tau2]; bracket
-    validity is asserted.  With ``cross_check`` the locator is validated
-    against the solution itself: just below T_c the solved field must shrink
-    like sqrt(T_c - T) (sup-norm ratio ~2 between offsets delta and
-    delta/4), and just above T_c the linearised radius must fall below one.
-    Disagreement raises rather than silently preferring one criterion.
+    ``spectral_tc`` locates the unit crossing of the zero-field Perron root
+    inside the bracket of envelope vanishing temperatures [tau1, tau2] and
+    asserts the bracket's validity.  The locator is then validated against
+    the solution itself: just below T_c the solved field (tol 1e-9) must
+    shrink like sqrt(T_c - T) (sup-norm ratio ~2 between offsets
+    delta = 1e-2 T_c and delta/4), and just above T_c the linearised radius
+    must fall below one.  Disagreement raises rather than silently
+    preferring one criterion.  ``solve_surface`` and the CLI call
+    ``spectral_tc`` directly and do not run this check.
     """
     op = as_operator(potential, grid)
     t_c = spectral_tc(op, params, grid)
 
-    if cross_check:
-        delta = 1e-2 * t_c
-        u1, _ = picard_solve(t_c - delta, op, params, grid, tol=tol)
-        u2, _ = picard_solve(t_c - delta / 4.0, op, params, grid, tol=tol)
-        ratio = u1.sup_norm / max(u2.sup_norm, 1e-300)
-        if not 1.5 <= ratio <= 2.5:
-            raise RuntimeError(
-                f"spectral locator and solution norm disagree: sup-norm ratio "
-                f"{ratio!r} at offsets {delta!r}, {delta/4!r} is far from the "
-                "square-root scaling value 2"
-            )
-        above = spectral_radius(t_c + delta, op, grid).radius
-        if not above < 1.0:
-            raise RuntimeError(
-                f"linearised radius {above!r} at T_c + {delta!r} is not below one"
-            )
+    delta = 1e-2 * t_c
+    u1, _ = picard_solve(t_c - delta, op, params, grid, tol=_CROSS_CHECK_TOL)
+    u2, _ = picard_solve(t_c - delta / 4.0, op, params, grid, tol=_CROSS_CHECK_TOL)
+    ratio = u1.sup_norm / max(u2.sup_norm, 1e-300)
+    if not 1.5 <= ratio <= 2.5:
+        raise RuntimeError(
+            f"spectral locator and solution norm disagree: sup-norm ratio "
+            f"{ratio!r} at offsets {delta!r}, {delta/4!r} is far from the "
+            "square-root scaling value 2"
+        )
+    above = spectral_radius(t_c + delta, op, grid).radius
+    if not above < 1.0:
+        raise RuntimeError(
+            f"linearised radius {above!r} at T_c + {delta!r} is not below one"
+        )
     return t_c
 
 
@@ -370,19 +374,20 @@ def solve_surface(
     tol: float = 1e-11,
     *,
     span_decades: float = 2.2,
-    t_min: float | None = None,
     max_iter: int = 2_000_000,
 ) -> GapSurface:
-    """Solve the gap equation on a clustered temperature lattice up to T_c.
+    """Solve the gap equation on a clustered temperature lattice [tau1, T_c].
 
-    Temperature nodes approach T_c geometrically (spacing proportional to
-    T_c - T over ``span_decades`` decades) so that downstream extrapolation
-    can resolve the sqrt(T_c - T) shrinkage of the gap; the exact zero row
-    at T_c is appended.  The gap operator, and with it the weighted
-    potential matrix, is built once and shared by every stage.  Each node
-    is seeded by ``newton_seed`` from the previous node's row and certified
-    by ``picard_solve`` from that seed; if the seed is not finite and
-    positive, ``picard_solve`` starts from the upper envelope instead.
+    T_c is ``spectral_tc``'s, without ``critical_temperature``'s solution
+    cross-check, and tau1 = ``tau_root(params.u_lower)``.  Temperature
+    nodes approach T_c geometrically (spacing proportional to T_c - T over
+    ``span_decades`` decades) so that downstream extrapolation can resolve
+    the sqrt(T_c - T) shrinkage of the gap; the exact zero row at T_c is
+    appended.  The gap operator, and with it the weighted potential matrix,
+    is built once and shared by every stage.  Each node is seeded by
+    ``newton_seed`` from the previous node's row and certified by
+    ``picard_solve`` from that seed; if the seed is not finite and positive,
+    ``picard_solve`` starts from the upper envelope instead.
     ``max_iter`` bounds the operator applications of both stages together,
     per node.  Each node's ``SolveTrace`` records the Collatz-Wielandt rate
     bound its stop was accepted on; the contraction constant reported with
@@ -390,9 +395,11 @@ def solve_surface(
     """
     unit_offsets = lattice_offsets(t_resolution, span_decades)
     op = as_operator(potential, grid)
-    t_c = critical_temperature(op, params, grid, cross_check=False)
+    t_c = spectral_tc(op, params, grid)
 
-    tau = t_min if t_min is not None else tau_root(params.u_lower, params)
+    # spectral_tc admits a bracket edge within 1e-12 of radius one, so a
+    # potential at its lower band edge can put T_c at or below tau1
+    tau = tau_root(params.u_lower, params)
     if not tau < t_c:
         raise ValueError(f"lower temperature {tau!r} must be below T_c = {t_c!r}")
 
@@ -432,27 +439,30 @@ def lattice_offsets(t_resolution: int, span_decades: float) -> np.ndarray:
 
 
 def _validate_surface(surface: GapSurface, params: PhysicalParams, tol: float) -> None:
-    """Abort with the offending (T, x) pair on any invariant violation."""
+    """Abort with the offending (T, x) pair on any invariant violation.
+
+    The rows below T_c must fall with T and lie between the envelopes
+    Delta1(T) and Delta2(T); the zero row at T_c is appended, not solved.
+    """
     vals = surface.values
-    if np.any(vals[-1] != 0.0):
-        raise RuntimeError("terminal row at T_c is not identically zero")
     # monotone non-increasing in T for each x, up to twice the solve tolerance
     rising = vals[1:] > vals[:-1] + 2.0 * tol
     if np.any(rising):
         i, j = np.argwhere(rising)[0]
         raise RuntimeError(
-            f"monotonicity violated at T={surface.t_nodes[i + 1]!r}, "
-            f"x={surface.x_nodes[j]!r}"
+            f"monotonicity violated at T={float(surface.t_nodes[i + 1])!r}, "
+            f"x={float(surface.x_nodes[j])!r}"
         )
     envelope_tol = 1e-9 + 2.0 * tol
-    for i, T in enumerate(surface.t_nodes[:-1]):
-        d1 = solve_delta(params.u_lower, float(T), params)
-        d2 = solve_delta(params.u_upper, float(T), params)
-        row = vals[i]
-        bad = (row < d1 - envelope_tol) | (row > d2 + envelope_tol)
-        if np.any(bad):
-            j = int(np.argwhere(bad)[0][0])
-            raise RuntimeError(
-                f"envelope violated at T={T!r}, x={surface.x_nodes[j]!r}: "
-                f"u={row[j]!r} outside [{d1!r}, {d2!r}]"
-            )
+    t_solved = surface.t_nodes[:-1]
+    d1 = solve_delta_many(params.u_lower, t_solved, params)
+    d2 = solve_delta_many(params.u_upper, t_solved, params)
+    rows = vals[:-1]
+    bad = (rows < d1[:, None] - envelope_tol) | (rows > d2[:, None] + envelope_tol)
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        raise RuntimeError(
+            f"envelope violated at T={float(t_solved[i])!r}, "
+            f"x={float(surface.x_nodes[j])!r}: u={float(rows[i, j])!r} outside "
+            f"[{float(d1[i])!r}, {float(d2[i])!r}]"
+        )

@@ -199,8 +199,10 @@ class WTable:
             raise ValueError("limit curvature must be finite")
 
 
-# the deepest near-T_c extraction build_thermo_report makes (w_table_extract)
-_REPORT_DEPTH = 8
+# near-T_c nodes extrapolated by v_table_extract and v_slope_estimate, and
+# by w_table_extract, the deepest extraction build_thermo_report makes
+_V_DEPTH = 6
+_W_DEPTH = 8
 
 
 def require_resolution(t_resolution: int, span_decades: float) -> None:
@@ -208,7 +210,7 @@ def require_resolution(t_resolution: int, span_decades: float) -> None:
     refuse after it: the check ``_require_resolved`` makes on a solved
     surface, at the depth of the report's deepest extraction, applied to
     ``solve_surface``'s offsets T_c - T at unit scale."""
-    _require_offsets(lattice_offsets(t_resolution, span_decades), _REPORT_DEPTH)
+    _require_offsets(lattice_offsets(t_resolution, span_decades), _W_DEPTH)
 
 
 def _require_resolved(surface: GapSurface, depth: int) -> np.ndarray:
@@ -216,8 +218,11 @@ def _require_resolved(surface: GapSurface, depth: int) -> np.ndarray:
 
 
 def _require_offsets(offsets: np.ndarray, depth: int) -> np.ndarray:
-    if offsets.size < max(depth, 6):
-        raise ValueError("insufficient near-T_c resolution: need at least 6 nodes")
+    if offsets.size < depth:
+        raise ValueError(
+            f"insufficient near-T_c resolution: need at least {depth} nodes "
+            f"below T_c, got {offsets.size}"
+        )
     if offsets.max() / offsets.min() < 99.0:
         raise ValueError(
             "insufficient near-T_c resolution: offsets must span two decades, "
@@ -226,8 +231,10 @@ def _require_offsets(offsets: np.ndarray, depth: int) -> np.ndarray:
     return offsets
 
 
-def v_table_extract(surface: GapSurface, depth: int = 6) -> VTable:
-    """Per-node extrapolation of u(T, x)^2 / (T_c - T) as T rises to T_c."""
+def v_table_extract(surface: GapSurface) -> VTable:
+    """Per-node extrapolation of u(T, x)^2 / (T_c - T) as T rises to T_c,
+    from the 6 nodes nearest T_c."""
+    depth = _V_DEPTH
     offsets = _require_resolved(surface, depth)
     s = surface.values[:-1] ** 2
     d = offsets[-depth:]
@@ -236,13 +243,15 @@ def v_table_extract(surface: GapSurface, depth: int = 6) -> VTable:
     return VTable(values=limit, extrapolation_error=err)
 
 
-def v_slope_estimate(surface: GapSurface, depth: int = 6) -> tuple[np.ndarray, np.ndarray]:
+def v_slope_estimate(surface: GapSurface) -> tuple[np.ndarray, np.ndarray]:
     """Independent slope estimator -d(u^2)/dT from differences of the
     squared gap between consecutive solved nodes, extrapolated to T_c.
 
-    Cross-checks the ratio estimator in v_table_extract; the two agree at
-    the transition because u^2 vanishes there linearly.
+    Cross-checks the ratio estimator in v_table_extract, over the same 6
+    nodes nearest T_c; the two agree at the transition because u^2
+    vanishes there linearly.
     """
+    depth = _V_DEPTH
     offsets = _require_resolved(surface, depth + 1)
     s = surface.values[:-1] ** 2
     t = surface.t_nodes[:-1]
@@ -251,8 +260,9 @@ def v_slope_estimate(surface: GapSurface, depth: int = 6) -> tuple[np.ndarray, n
     return extrapolate_to_zero(mid_offsets, slopes)
 
 
-def w_table_extract(surface: GapSurface, depth: int = _REPORT_DEPTH) -> WTable:
-    """Limit curvature of the squared gap from one-sided second differences.
+def w_table_extract(surface: GapSurface) -> WTable:
+    """Limit curvature of the squared gap from one-sided second differences
+    at the 8 nodes nearest T_c.
 
     The exact zero row at T_c anchors the stencils.  The alternative
     estimator -2 [s + (T_c - T) ds/dT] / (T_c - T)^2 is evaluated as well;
@@ -260,6 +270,7 @@ def w_table_extract(surface: GapSurface, depth: int = _REPORT_DEPTH) -> WTable:
     failure, because second differences of a square-root-type limit are
     noisy.
     """
+    depth = _W_DEPTH
     _require_resolved(surface, depth)
     t = surface.t_nodes  # includes T_c, where s = 0 exactly
     s = surface.values**2
@@ -356,16 +367,20 @@ def g_eval(eta):
     return gap_curvature(eta)
 
 
-def g_integral_to_infinity(cut: float = 2000.0) -> tuple[float, float]:
+# upper end of g_integral_to_infinity's quadrature
+_G_CUT = 2000.0
+
+
+def g_integral_to_infinity() -> tuple[float, float]:
     """Integral of the curvature kernel over [0, inf).
 
-    Integrates [0, cut] by adaptive quadrature and bounds the discarded
-    tail by |integral_cut^inf| <= 1/(2 cut^2) (from |g| <= tanh(eta)/eta^3).
-    Returns (estimate, tail_bound).
+    Integrates [0, cut] (cut = 2000) by adaptive quadrature and bounds the
+    discarded tail by |integral_cut^inf| <= 1/(2 cut^2) (from
+    |g| <= tanh(eta)/eta^3).  Returns (estimate, tail_bound).
     """
     inner = adaptive_integrate(gap_curvature, 0.0, 10.0, log_spacing=False)
-    outer = adaptive_integrate(gap_curvature, 10.0, cut, log_spacing=True)
-    return inner + outer, 1.0 / (2.0 * cut * cut)
+    outer = adaptive_integrate(gap_curvature, 10.0, _G_CUT, log_spacing=True)
+    return inner + outer, 1.0 / (2.0 * _G_CUT * _G_CUT)
 
 
 def _eta_quadrature(t_c: float, grid: EnergyGrid) -> tuple[np.ndarray, np.ndarray]:

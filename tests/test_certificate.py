@@ -10,7 +10,7 @@ from bcsgap.certificate import (
     format_certificate_report,
     search_certificate,
 )
-from bcsgap.gap_operator import apply_A, sample_envelope_field
+from bcsgap.gap_operator import apply_A, sample_envelope_field, spectral_tc
 from bcsgap.model import ConstantPotential, make_params, potential_matrix
 from bcsgap.quadrature import gap_kernel
 from bcsgap.simple_gap import solve_delta, tau_root
@@ -108,13 +108,24 @@ def test_search_fails_on_default_config_with_diagnostics(default_search_outcome,
     assert "obstruction_delta2_over_epsilon" in report
 
 
+def test_certificate_report_values_are_plain_numbers(default_search_outcome):
+    # every value but the status is written as a number float() reads back,
+    # the golden-section maximiser included
+    lines = format_certificate_report(default_search_outcome).splitlines()
+    values = dict(line.split(" = ") for line in lines)
+    assert values.pop("status") == "failed"
+    assert {"max_T", "max_x"} <= values.keys()
+    for text in values.values():
+        float(text)  # raises ValueError on e.g. "np.float64(0.02)"
+
+
 def test_search_fails_even_for_near_top_coupling(grid):
     # coupling within 1e-6 of the envelope top: the envelope at T_c drops
     # well below the cutoff, yet the bound still lands just above one --
     # the cutoff term's growth always outpaces the envelope-term gap
     params = make_params(1.0, 0.005, 1.0, 0.291, 0.309)
     pot = ConstantPotential(0.309 - 1e-6)
-    outcome = search_certificate(pot, params, grid)
+    outcome = search_certificate(pot, params, grid, t_c=spectral_tc(pot, params, grid))
     assert isinstance(outcome, CertificateFailure)
     assert outcome.obstruction_ratio < 1.0  # envelope did drop below the cutoff
     assert 1.0 < outcome.best_alpha < 1.01  # but the bound stays above one

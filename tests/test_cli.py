@@ -217,7 +217,11 @@ def test_solve_certifies_every_node_through_picard(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "setting, value",
-    [("solver.span_decades", "1.0"), ("solver.t_resolution", "5")],
+    [
+        ("solver.span_decades", "1.0"),
+        ("solver.t_resolution", "5"),
+        ("solver.t_resolution", "7"),
+    ],
 )
 def test_thermo_refuses_a_coarse_lattice_before_solving(
     setting, value, tmp_path, monkeypatch, capsys
@@ -240,7 +244,11 @@ def test_thermo_refuses_a_coarse_lattice_before_solving(
     cfg_path.write_text("\n".join(lines) + f"\noutput.dir = {tmp_path / 'out'}\n")
     assert main(["thermo", str(cfg_path)]) == EXIT_BAD_CONFIG
     assert solves == []
-    assert "insufficient near-T_c resolution" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "insufficient near-T_c resolution" in err
+    if setting == "solver.t_resolution":
+        # the deepest extraction, w_table_extract's, needs 8 nodes
+        assert f"need at least 8 nodes below T_c, got {value}" in err
 
 
 def _count_searches(monkeypatch) -> list[dict]:

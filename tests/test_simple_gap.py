@@ -211,6 +211,25 @@ def test_solve_delta_window_checks_catch_a_misplaced_root(params, monkeypatch, s
         assert solve_delta.__wrapped__(0.3, t, params) == bisect_delta(0.3, t, params)
 
 
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_window_edge_needs_a_margin_of_twice_the_rounding_bound(side):
+    # a computed f of the proven sign proves nothing until |f| > 2E: only
+    # then does the exact f, within E of it, exceed E in size, the margin
+    # every computed f past the edge needs to keep that sign.  Below it the
+    # edge must widen (x4 in s), at or above it return delta at the edge.
+    root, width, bound = 1e-4, 1e-8, 1e-13
+    limit = 0.0 if side < 0.0 else 1.0
+    search = simple_gap._proven_edge(root, width, side, limit, bound)
+    s, wants_slope = next(search)
+    assert s == pytest.approx(root + side * width, rel=1e-12) and not wants_slope
+    for size, widened in ((0.5, 4.0), (2.0, 16.0)):
+        s, _ = search.send((-side * size * bound, None))
+        assert s == pytest.approx(root + side * widened * width, rel=1e-12)
+    with pytest.raises(StopIteration) as done:
+        search.send((-side * 2.5 * bound, None))
+    assert done.value.value * done.value.value == s
+
+
 def test_default_envelopes_equal_plain_bisection_bit_for_bit(params):
     for u in (params.u_lower, params.u_upper):
         curve = envelope_curve(u, params)
@@ -315,7 +334,7 @@ def test_weak_coupling_slope_constant():
 
 
 def test_envelope_curve_shape(params):
-    curve = envelope_curve(0.3, params, n_nodes=65)
+    curve = envelope_curve(0.3, params)
     # the curve is exponentially flat at the cold end (drop ~ e^{-delta0/T},
     # below resolution for T < ~0.06 tau), so strictness is only observable
     # away from T = 0
@@ -328,11 +347,11 @@ def test_envelope_curve_shape(params):
 
 
 def test_envelope_curve_csv_export(tmp_path, params):
-    curve = envelope_curve(0.3, params, n_nodes=17)
+    curve = envelope_curve(0.3, params)
     path = tmp_path / "envelope.csv"
     write_csv(path, ["T", "delta"], zip(curve.t_nodes, curve.delta_values))
     lines = path.read_text().splitlines()
     assert lines[0] == "T,delta"
-    assert len(lines) == 18
+    assert len(lines) == 130
     first = [float(c) for c in lines[1].split(",")]
     assert first == [0.0, pytest.approx(curve.delta0, rel=1e-15)]

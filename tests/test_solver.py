@@ -1,10 +1,13 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bcsgap import gap_operator, solver
 from bcsgap.certificate import CertificateFailure
-from bcsgap.gap_operator import apply_values, weighted_potential_matrix
-from bcsgap.simple_gap import solve_delta, tau_root
+from bcsgap.gap_operator import apply_values, spectral_tc, weighted_potential_matrix
+from bcsgap.simple_gap import solve_delta, solve_delta_many, tau_root
 from bcsgap.solver import ConvergenceError, critical_temperature, picard_solve, solve_surface
 from oracles import nystrom_constant_gap
 
@@ -122,7 +125,7 @@ def test_critical_temperature_constant_oracle(const_potential, params, grid):
 
 
 def test_critical_temperature_brackets_gaussian(gauss_potential, params, grid):
-    t_c = critical_temperature(gauss_potential, params, grid, cross_check=False)
+    t_c = spectral_tc(gauss_potential, params, grid)
     assert tau_root(params.u_lower, params) <= t_c <= tau_root(params.u_upper, params)
 
 
@@ -131,8 +134,8 @@ def test_critical_temperature_monotone_in_potential(params, grid):
 
     small = GaussianBumpPotential(base=0.30, amplitude=0.003, width=0.2)
     large = GaussianBumpPotential(base=0.30, amplitude=0.008, width=0.2)
-    tc_small = critical_temperature(small, params, grid, cross_check=False)
-    tc_large = critical_temperature(large, params, grid, cross_check=False)
+    tc_small = spectral_tc(small, params, grid)
+    tc_large = spectral_tc(large, params, grid)
     assert tc_large > tc_small
 
 
@@ -264,10 +267,35 @@ def test_surface_ignores_unusable_seed(bad, monkeypatch, const_potential, params
         assert surface.traces[i].iterations > 1
 
 
-def test_solve_surface_validates_t_min(const_potential, params, grid, const_surface):
-    surface, _ = const_surface
+def test_solve_surface_refuses_tc_not_above_tau(
+    const_potential, params, grid, monkeypatch
+):
+    # spectral_tc accepts radius(tau1) >= 1 - 1e-12, so for a potential at
+    # its lower band edge it can return a T_c at or below tau1
+    tau1 = tau_root(params.u_lower, params)
+    monkeypatch.setattr(solver, "spectral_tc", lambda *args: tau1)
     with pytest.raises(ValueError, match="below T_c"):
-        solve_surface(const_potential, params, grid, t_min=surface.t_c * 1.01)
+        solve_surface(const_potential, params, grid)
+
+
+def test_surface_validation_names_a_value_above_the_upper_envelope(
+    const_surface, params
+):
+    # column j of rows 0..i raised to just above Delta2(T_i): rows 0..i stay
+    # non-increasing in T and rows below i inside their own, larger Delta2,
+    # so only (T_i, x_j) breaks an invariant, and the error must name it
+    surface, _ = const_surface
+    i, j = 12, 37
+    t_i, x_j = float(surface.t_nodes[i]), float(surface.x_nodes[j])
+    d2 = solve_delta_many(params.u_upper, surface.t_nodes[:-1], params)
+    u = float(d2[i]) + 1e-8
+    values = surface.values.copy()
+    values[: i + 1, j] = np.maximum(values[: i + 1, j], u)
+    pushed = replace(surface, values=values)
+    message = f"envelope violated at T={t_i!r}, x={x_j!r}: u={u!r} outside"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        solver._validate_surface(pushed, params, 1e-11)
+    solver._validate_surface(surface, params, 1e-11)
 
 
 def _count_matrix_builds(monkeypatch) -> list[tuple[int, ...]]:
@@ -294,5 +322,5 @@ def test_cross_checked_tc_builds_weighted_matrix_once(
     gauss_potential, params, grid, monkeypatch
 ):
     shapes = _count_matrix_builds(monkeypatch)
-    critical_temperature(gauss_potential, params, grid, cross_check=True)
+    critical_temperature(gauss_potential, params, grid)
     assert shapes == [(grid.size, grid.size)]
