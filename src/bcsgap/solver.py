@@ -441,8 +441,10 @@ def lattice_offsets(t_resolution: int, span_decades: float) -> np.ndarray:
 def _validate_surface(surface: GapSurface, params: PhysicalParams, tol: float) -> None:
     """Abort with the offending (T, x) pair on any invariant violation.
 
-    The rows below T_c must fall with T and lie between the envelopes
-    Delta1(T) and Delta2(T); the zero row at T_c is appended, not solved.
+    The rows below T_c must fall with T and stay below the upper envelope
+    Delta2(T); the zero row at T_c is appended, not solved.  The lower
+    envelope Delta1 is 0 from tau1, the first node, on, and ``GapField``
+    refuses negative values.
     """
     vals = surface.values
     # monotone non-increasing in T for each x, up to twice the solve tolerance
@@ -455,14 +457,13 @@ def _validate_surface(surface: GapSurface, params: PhysicalParams, tol: float) -
         )
     envelope_tol = 1e-9 + 2.0 * tol
     t_solved = surface.t_nodes[:-1]
-    d1 = solve_delta_many(params.u_lower, t_solved, params)
     d2 = solve_delta_many(params.u_upper, t_solved, params)
     rows = vals[:-1]
-    bad = (rows < d1[:, None] - envelope_tol) | (rows > d2[:, None] + envelope_tol)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
+    above = rows > d2[:, None] + envelope_tol
+    if np.any(above):
+        i, j = np.argwhere(above)[0]
         raise RuntimeError(
             f"envelope violated at T={float(t_solved[i])!r}, "
             f"x={float(surface.x_nodes[j])!r}: u={float(rows[i, j])!r} outside "
-            f"[{float(d1[i])!r}, {float(d2[i])!r}]"
+            f"the upper envelope Delta2={float(d2[i])!r}"
         )

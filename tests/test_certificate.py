@@ -11,7 +11,12 @@ from bcsgap.certificate import (
     search_certificate,
 )
 from bcsgap.gap_operator import apply_A, sample_envelope_field, spectral_tc
-from bcsgap.model import ConstantPotential, make_params, potential_matrix
+from bcsgap.model import (
+    ConstantPotential,
+    GaussianBumpPotential,
+    make_params,
+    potential_matrix,
+)
 from bcsgap.quadrature import gap_kernel
 from bcsgap.simple_gap import solve_delta, tau_root
 
@@ -79,10 +84,9 @@ def test_compute_alpha_reports_large_bound_on_default_config(
 def test_compute_alpha_nonincreasing_in_tau(const_potential, params, grid, const_surface):
     surface, _ = const_surface
     tau1 = tau_root(params.u_lower, params)
-    a_lo = compute_alpha(tau1, const_potential, params, grid, 16, 16, t_c=surface.t_c)
+    a_lo = compute_alpha(tau1, const_potential, params, grid, t_c=surface.t_c)
     a_hi = compute_alpha(
-        0.5 * (tau1 + surface.t_c), const_potential, params, grid, 16, 16,
-        t_c=surface.t_c,
+        0.5 * (tau1 + surface.t_c), const_potential, params, grid, t_c=surface.t_c
     )
     assert a_hi.alpha <= a_lo.alpha
 
@@ -110,7 +114,7 @@ def test_search_fails_on_default_config_with_diagnostics(default_search_outcome,
 
 def test_certificate_report_values_are_plain_numbers(default_search_outcome):
     # every value but the status is written as a number float() reads back,
-    # the golden-section maximiser included
+    # the lattice maximiser included
     lines = format_certificate_report(default_search_outcome).splitlines()
     values = dict(line.split(" = ") for line in lines)
     assert values.pop("status") == "failed"
@@ -137,7 +141,7 @@ def test_contraction_bound_dominates_empirical_ratios(
     # Lipschitz property: even a bound >= 1 must dominate observed ratios
     surface, _ = const_surface
     tau1 = tau_root(params.u_lower, params)
-    bound = compute_alpha(tau1, const_potential, params, grid, 16, 16, t_c=surface.t_c)
+    bound = compute_alpha(tau1, const_potential, params, grid, t_c=surface.t_c)
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(200):
@@ -187,9 +191,40 @@ def test_certificate_report_format_for_success_object():
 def test_alpha_result_location_fields(const_potential, params, grid, const_surface):
     surface, _ = const_surface
     tau1 = tau_root(params.u_lower, params)
-    result = compute_alpha(tau1, const_potential, params, grid, 8, 8, t_c=surface.t_c)
+    result = compute_alpha(tau1, const_potential, params, grid, t_c=surface.t_c)
     assert isinstance(result, AlphaResult)
     direct = alpha_integrand(
         result.t_at_max, result.x_at_max, tau1, const_potential, params, grid
     )
-    assert direct == pytest.approx(result.alpha, rel=1e-12)
+    assert direct == result.alpha
+
+
+def test_bound_has_one_formula_on_default_config(
+    default_search_outcome, const_potential, params, grid
+):
+    # a constant coupling's bound does not depend on x, so every lattice row
+    # ties and the first, x = eps, is reported; the one-point evaluator
+    # returns the reported value itself, not one an ulp away
+    outcome = default_search_outcome
+    t_max, x_max = outcome.max_location
+    assert x_max == params.epsilon_cutoff
+    direct = alpha_integrand(
+        t_max, x_max, outcome.best_tau, const_potential, params, grid
+    )
+    assert direct == outcome.best_alpha
+
+
+def test_lattice_bound_near_an_interior_maximiser(params, grid):
+    # a bump of positive amplitude puts the maximiser inside (eps, hbar_omega_d)
+    # in x; the 256-point lattice is nested in a 1021-point scan at the
+    # reported T, so it can only sit below that scan's maximum, and by at most
+    # the lattice's spacing error
+    bump = GaussianBumpPotential(base=0.3, amplitude=5e-3, width=0.1)
+    tau1 = tau_root(params.u_lower, params)
+    result = compute_alpha(tau1, bump, params, grid, t_c=spectral_tc(bump, params, grid))
+    assert params.epsilon_cutoff < result.x_at_max < params.hbar_omega_d
+    xs = np.linspace(params.epsilon_cutoff, params.hbar_omega_d, 1021)
+    finest = max(
+        alpha_integrand(result.t_at_max, float(x), tau1, bump, params, grid) for x in xs
+    )
+    assert (1.0 - 1e-6) * finest <= result.alpha <= (1.0 + 1e-14) * finest

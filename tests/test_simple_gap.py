@@ -180,18 +180,16 @@ def test_envelopes_and_lattices_solve_in_blocks(
         assert len(blocks) == math.ceil(below / block) and sum(blocks) == below
         assert scalar == []
 
-    # compute_alpha's lattices on [tau1, T_c]; the one scalar solve is the
-    # prefactor's Delta2(tau), cached here so that it makes no block
+    # compute_alpha's 256 x 256 lattice on [tau1, T_c]: one block solve per
+    # 16 temperatures; the one scalar solve is the prefactor's Delta2(tau),
+    # cached here so that it makes no block
     tau, t_c = tau_root(params.u_lower, params), spectral_tc(const_potential, params, grid)
     real_scalar(params.u_upper, tau, params)
-    x_values = np.linspace(params.epsilon_cutoff, params.hbar_omega_d, 4)
-    for n in (64, 256):
-        blocks.clear()
-        scalar.clear()
-        t_values = np.linspace(tau, t_c, n)
-        certificate._lattice_max(tau, const_potential, params, grid, t_values, x_values)
-        assert len(blocks) == math.ceil(n / block) and sum(blocks) == n
-        assert scalar == [tau]
+    blocks.clear()
+    scalar.clear()
+    certificate.compute_alpha(tau, const_potential, params, grid, t_c=t_c)
+    assert len(blocks) == math.ceil(256 / block) and sum(blocks) == 256
+    assert scalar == [tau]
 
 
 @pytest.mark.parametrize("shift", [0.5, 1.0 + 1e-9, 2.0])
