@@ -29,12 +29,12 @@ from .simple_gap import (
 from .gap_operator import (
     GapField,
     GapOperator,
-    KernelMatrix,
     apply_A,
     as_operator,
     kernel_matrix,
     sample_envelope_field,
     spectral_radius,
+    spectral_tc,
 )
 from .certificate import (
     CertificateFailure,
@@ -47,7 +47,6 @@ from .solver import (
     ConvergenceError,
     GapSurface,
     SolveTrace,
-    critical_temperature,
     newton_seed,
     picard_solve,
     solve_surface,

@@ -43,7 +43,6 @@ from .simple_gap import solve_delta, tau_root
 __all__ = [
     "GapField",
     "GapOperator",
-    "KernelMatrix",
     "PerronRoot",
     "as_operator",
     "weighted_potential_matrix",
@@ -78,18 +77,6 @@ class GapField:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if np.any(self.values < 0):
             raise ValueError("gap field values must be nonnegative")
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Zero-field linearisation M_ij = U(x_i, xi_j) tanh(xi_j/2T)/xi_j * w_j."""
-
-    temperature: float
-    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -249,11 +236,11 @@ def apply_A(
 
 def kernel_matrix(
     T: float, potential: PotentialSpec | GapOperator, grid: EnergyGrid
-) -> KernelMatrix:
-    """Linearisation of the operator at zero field; strictly positive entries."""
+) -> np.ndarray:
+    """Linearisation of the operator at zero field, the n x n matrix
+    M_ij = U(x_i, xi_j) tanh(xi_j/2T)/xi_j * w_j; strictly positive."""
     k0 = _zero_field_kernel(grid.nodes, T)
-    entries = as_operator(potential, grid).weighted * k0[None, :]
-    return KernelMatrix(temperature=T, entries=entries)
+    return as_operator(potential, grid).weighted * k0[None, :]
 
 
 def spectral_radius(

@@ -15,10 +15,12 @@ true rate approaches one like 1 - O(T_c - T), so neither a fixed constant
 nor the observed ratio of successive differences will do as rho: the
 observed ratio approaches the local rate from below and lags it, and a
 stop taken on it alone misses tol (by 56% at 2.5e-5 below T_c on the
-default grid).  The observed ratio, floored at 0.5, therefore only screens
-when a stop is worth checking.  The stop itself uses the Collatz-Wielandt
-bound q >= rho(A'(u)) of the linearised operator at the current iterate
-(see ``_error_bound``), which costs two matrix-vector products per check.
+default grid).  The stop therefore uses the Collatz-Wielandt bound
+q >= rho(A'(u)) of the linearised operator at the current iterate (see
+``_error_bound``), which costs two matrix-vector products per check.  A
+screen rate decides when a check is worth making: it starts at 0.5 and
+rises only to the q of a refused check, never to an observed ratio, which
+at rounding-level steps is noise near one and would suppress every check.
 
 Every function here takes either a potential or a ``GapOperator`` already
 built on the grid (see ``gap_operator.as_operator``); ``solve_surface``
@@ -49,7 +51,6 @@ __all__ = [
     "GapSurface",
     "picard_solve",
     "newton_seed",
-    "critical_temperature",
     "solve_surface",
     "lattice_offsets",
 ]
@@ -57,19 +58,18 @@ __all__ = [
 # Perron roots this close to or below one admit only the zero field inside
 # the envelope, so iteration is unnecessary (and would stall sublinearly).
 _ZERO_PHASE_SLACK = 1e-9
-# starting floor of the stop screen's rate estimate (see picard_solve)
+# starting value of the stop screen's rate (see picard_solve)
 _SCREEN_FLOOR = 0.5
 # successive differences SolveTrace.asymptotic_ratio looks back over
 _RATIO_WINDOW = 10
 # GMRES stop: relative residual, and Krylov dimension (no restarts)
 _GMRES_RTOL = 1e-10
 _GMRES_MAX_DIM = 40
-# tolerance of critical_temperature's two cross-check solves
-_CROSS_CHECK_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the observed rate for diagnosis."""
+    """Iteration budget exhausted; carries the last ratio of successive
+    differences (0.0 with fewer than two) for diagnosis."""
 
     def __init__(self, message: str, observed_ratio: float):
         super().__init__(message)
@@ -135,10 +135,10 @@ def picard_solve(
 
     Stops once the Collatz-Wielandt bound of the module docstring gives
     ||u - u*|| <= tol.  It is checked whenever the sup-norm difference drops
-    below tol*(1-rho)/rho, with rho the larger of 0.5 and the observed
-    difference ratio; a refused stop raises that floor to the checked rate
-    bound, so the next check comes once the difference has shrunk to match
-    it.  The returned field has residual ||u - Au|| <= 2 tol.
+    below tol*(1-rho)/rho, with the screen rate rho starting at 0.5; a
+    refused check with rate bound q < 1 raises rho to q, so the next check
+    comes once the difference has shrunk to match it.  The returned field
+    has residual ||u - Au|| <= 2 tol.
     ``max_iter`` counts operator applications; the checks do not count.
 
     If the zero-field Perron root at T is <= 1 (temperature at or above the
@@ -162,26 +162,20 @@ def picard_solve(
 
     u = _start(T, params, grid, initial)
     diffs: list[float] = []
-    rho = floor = _SCREEN_FLOOR
-    prev_diff = None
+    rho = _SCREEN_FLOOR
     for n in range(1, max_iter + 1):
         au = op.apply(u, T)
         step = au - u
         diff = float(np.max(np.abs(step)))
         diffs.append(diff)
         u = au
-        if prev_diff is not None and prev_diff > 0.0:
-            # decay the estimate slowly so one noisy ratio cannot hide the
-            # true asymptotic rate, then track the current observation
-            rho = max(floor, rho * 0.9, min(diff / prev_diff, 1.0 - 1e-15))
-        prev_diff = diff
         if diff <= tol * (1.0 - rho) / rho:
             q, bound = _error_bound(op, u, T, step)
             if bound > tol:
                 # q >= 1 means no contraction is proven here yet; keep the
-                # floor and check again at the next screened step
+                # screen rate and check again at the next screened step
                 if q < 1.0:
-                    floor = max(floor, q)
+                    rho = max(rho, q)
                 continue
             residual = float(np.max(np.abs(op.apply(u, T) - u)))
             return (
@@ -193,10 +187,11 @@ def picard_solve(
                     rate=q,
                 ),
             )
+    ratio = diffs[-1] / diffs[-2] if len(diffs) >= 2 and diffs[-2] > 0.0 else 0.0
     raise ConvergenceError(
         f"no convergence at T={T!r} after {max_iter} iterations "
-        f"(observed ratio {rho:.6f})",
-        observed_ratio=rho,
+        f"(observed ratio {ratio:.6f})",
+        observed_ratio=ratio,
     )
 
 
@@ -328,44 +323,6 @@ def _gmres(matvec, b: np.ndarray) -> np.ndarray:
     return y @ basis[:k]
 
 
-def critical_temperature(
-    potential: PotentialSpec | GapOperator,
-    params: PhysicalParams,
-    grid: EnergyGrid,
-) -> float:
-    """Transition temperature ``spectral_tc``, cross-checked by the solution.
-
-    ``spectral_tc`` locates the unit crossing of the zero-field Perron root
-    inside the bracket of envelope vanishing temperatures [tau1, tau2] and
-    asserts the bracket's validity.  The locator is then validated against
-    the solution itself: just below T_c the solved field (tol 1e-9) must
-    shrink like sqrt(T_c - T) (sup-norm ratio ~2 between offsets
-    delta = 1e-2 T_c and delta/4), and just above T_c the linearised radius
-    must fall below one.  Disagreement raises rather than silently
-    preferring one criterion.  ``solve_surface`` and the CLI call
-    ``spectral_tc`` directly and do not run this check.
-    """
-    op = as_operator(potential, grid)
-    t_c = spectral_tc(op, params, grid)
-
-    delta = 1e-2 * t_c
-    u1, _ = picard_solve(t_c - delta, op, params, grid, tol=_CROSS_CHECK_TOL)
-    u2, _ = picard_solve(t_c - delta / 4.0, op, params, grid, tol=_CROSS_CHECK_TOL)
-    ratio = u1.sup_norm / max(u2.sup_norm, 1e-300)
-    if not 1.5 <= ratio <= 2.5:
-        raise RuntimeError(
-            f"spectral locator and solution norm disagree: sup-norm ratio "
-            f"{ratio!r} at offsets {delta!r}, {delta/4!r} is far from the "
-            "square-root scaling value 2"
-        )
-    above = spectral_radius(t_c + delta, op, grid).radius
-    if not above < 1.0:
-        raise RuntimeError(
-            f"linearised radius {above!r} at T_c + {delta!r} is not below one"
-        )
-    return t_c
-
-
 def solve_surface(
     potential: PotentialSpec | GapOperator,
     params: PhysicalParams,
@@ -378,8 +335,7 @@ def solve_surface(
 ) -> GapSurface:
     """Solve the gap equation on a clustered temperature lattice [tau1, T_c].
 
-    T_c is ``spectral_tc``'s, without ``critical_temperature``'s solution
-    cross-check, and tau1 = ``tau_root(params.u_lower)``.  Temperature
+    T_c is ``spectral_tc``'s and tau1 = ``tau_root(params.u_lower)``.  Temperature
     nodes approach T_c geometrically (spacing proportional to T_c - T over
     ``span_decades`` decades) so that downstream extrapolation can resolve
     the sqrt(T_c - T) shrinkage of the gap; the exact zero row at T_c is

@@ -104,7 +104,7 @@ def bisect_tc(potential, grid, lo: float, hi: float, rtol: float = 1e-13) -> flo
     constant-one field.  ``spectral_tc`` must land within a few rtol of it."""
 
     def radius(T: float) -> float:
-        m = kernel_matrix(T, potential, grid).entries
+        m = kernel_matrix(T, potential, grid)
         x = np.ones(grid.size)
         lam = 0.0
         for _ in range(50_000):

@@ -97,21 +97,21 @@ def test_positivity(const_potential, params, grid):
 def test_kernel_matrix_row_sums_constant_potential(const_potential, params, grid):
     t = 0.035
     k = kernel_matrix(t, const_potential, grid)
-    rows = k.entries.sum(axis=1)
+    rows = k.sum(axis=1)
     expected = 0.3 * float(np.dot(grid.weights, gap_kernel(grid.nodes, 0.0, t)))
     assert rows == pytest.approx(np.full(grid.size, expected), rel=1e-14)
-    assert np.all(k.entries > 0.0)
+    assert np.all(k > 0.0)
 
 
 def test_kernel_matrix_unit_row_sum_at_tau(const_potential, params, grid):
     tau = tau_root(0.3, params)
-    rows = kernel_matrix(tau, const_potential, grid).entries.sum(axis=1)
+    rows = kernel_matrix(tau, const_potential, grid).sum(axis=1)
     assert rows == pytest.approx(np.ones(grid.size), abs=1e-12)
 
 
 def test_kernel_matrix_entries_decrease_with_temperature(const_potential, grid):
-    cold = kernel_matrix(0.03, const_potential, grid).entries
-    warm = kernel_matrix(0.04, const_potential, grid).entries
+    cold = kernel_matrix(0.03, const_potential, grid)
+    warm = kernel_matrix(0.04, const_potential, grid)
     assert np.all(warm < cold)
 
 
@@ -218,7 +218,7 @@ def test_left_perron_vector_of_nonsymmetric_table(params, grid):
     table = _skew_table(params)
     op = as_operator(table, grid)
     t = 0.0372
-    m = kernel_matrix(t, op, grid).entries
+    m = kernel_matrix(t, op, grid)
     right = op.perron(t)
     left = op.perron(t, left=True)
     phi, psi = right.eigenvector, left.eigenvector

@@ -6,9 +6,15 @@ import pytest
 
 from bcsgap import gap_operator, solver
 from bcsgap.certificate import CertificateFailure
-from bcsgap.gap_operator import apply_values, spectral_tc, weighted_potential_matrix
+from bcsgap.gap_operator import (
+    apply_values,
+    as_operator,
+    spectral_radius,
+    spectral_tc,
+    weighted_potential_matrix,
+)
 from bcsgap.simple_gap import solve_delta, solve_delta_many, tau_root
-from bcsgap.solver import ConvergenceError, critical_temperature, picard_solve, solve_surface
+from bcsgap.solver import ConvergenceError, picard_solve, solve_surface
 from oracles import nystrom_constant_gap
 
 # picard_solve promises ||u - u*|| <= tol against the fixed point u* of the
@@ -120,8 +126,23 @@ def test_picard_iteration_budget(const_potential, params, grid):
 
 
 def test_critical_temperature_constant_oracle(const_potential, params, grid):
-    t_c = critical_temperature(const_potential, params, grid)
+    t_c = spectral_tc(const_potential, params, grid)
     assert abs(t_c - tau_root(0.3, params)) <= 1e-9
+
+
+@pytest.mark.parametrize("fixture", ["const_potential", "gauss_potential"])
+def test_spectral_tc_matches_square_root_shrinkage(fixture, request, params, grid):
+    # just below T_c the solved field shrinks like sqrt(T_c - T), so a
+    # quarter of the offset halves its sup norm; just above T_c the
+    # linearised radius is below one
+    op = as_operator(request.getfixturevalue(fixture), grid)
+    t_c = spectral_tc(op, params, grid)
+    delta = 1e-2 * t_c
+    far, _ = picard_solve(t_c - delta, op, params, grid, tol=1e-9)
+    near, _ = picard_solve(t_c - delta / 4.0, op, params, grid, tol=1e-9)
+    ratio = float(np.max(far.values)) / float(np.max(near.values))
+    assert 1.5 <= ratio <= 2.5
+    assert spectral_radius(t_c + delta, op, grid).radius < 1.0
 
 
 def test_critical_temperature_brackets_gaussian(gauss_potential, params, grid):
@@ -204,11 +225,20 @@ def test_surface_uncertified_metadata(const_surface, const_report, default_searc
     assert 0.0 < const_report.alpha <= 0.95
 
 
-def test_surface_trace_ratios_below_one(const_surface):
-    surface, _ = const_surface
-    for trace in surface.traces:
+def test_surface_trace_ratios_below_one(
+    const_potential, gauss_potential, params, grid
+):
+    # surface nodes stop within two Picard steps, so the ratios come from
+    # cold solves from the upper envelope 1e-2 T_c below T_c (thousands of
+    # steps each)
+    checked = 0
+    for potential in (const_potential, gauss_potential):
+        t_c = spectral_tc(potential, params, grid)
+        _, trace = picard_solve(t_c - 1e-2 * t_c, potential, params, grid)
         if trace.iterates.size >= 11:
             assert trace.asymptotic_ratio() < 1.0
+            checked += 1
+    assert checked >= 1
 
 
 def test_surface_node_rates_in_unit_interval(const_surface, gauss_surface):
@@ -216,6 +246,39 @@ def test_surface_node_rates_in_unit_interval(const_surface, gauss_surface):
     surface, _ = const_surface
     for s in (surface, gauss_surface):
         assert all(0.0 < tr.rate < 1.0 for tr in s.traces)
+
+
+def test_surface_nodes_stop_within_two_picard_steps(const_surface, gauss_surface):
+    # a step at the rounding floor must not push the stop screen's rate
+    # toward one: that suppressed every check, and one bump node took 27
+    # steps before its step happened to be exactly zero
+    surface, _ = const_surface
+    for s in (surface, gauss_surface):
+        slow = [tr.iterations for tr in s.traces if tr.iterations > 2]
+        assert slow == []
+
+
+def test_cold_solve_near_tc_checks_the_stop_at_most_three_times(
+    const_potential, params, grid, monkeypatch
+):
+    # the screen rate starts at 0.5 and rises only to a refused check's rate
+    # bound, so the next check waits for a difference matched to that bound
+    # (2 checks here, the second accepted)
+    checks = []
+    real = solver._error_bound
+
+    def counting(*args):
+        out = real(*args)
+        checks.append(out)
+        return out
+
+    monkeypatch.setattr(solver, "_error_bound", counting)
+    t_c = spectral_tc(const_potential, params, grid)
+    _, trace = picard_solve(
+        t_c - 1e-3 * t_c, const_potential, params, grid, tol=1e-11
+    )
+    assert trace.iterations > 1000
+    assert 1 <= len(checks) <= 3
 
 
 def test_default_nodes_seeded_to_rounding(const_surface):
@@ -315,12 +378,4 @@ def _count_matrix_builds(monkeypatch) -> list[tuple[int, ...]]:
 def test_surface_builds_weighted_matrix_once(gauss_potential, params, grid, monkeypatch):
     shapes = _count_matrix_builds(monkeypatch)
     solve_surface(gauss_potential, params, grid, t_resolution=4)
-    assert shapes == [(grid.size, grid.size)]
-
-
-def test_cross_checked_tc_builds_weighted_matrix_once(
-    gauss_potential, params, grid, monkeypatch
-):
-    shapes = _count_matrix_builds(monkeypatch)
-    critical_temperature(gauss_potential, params, grid)
     assert shapes == [(grid.size, grid.size)]
