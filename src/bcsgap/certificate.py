@@ -8,26 +8,44 @@ The bound at temperatures T in [tau, T_c] and energies x is
                   integral U(x, xi) tanh(xi/(2T))/xi dxi
 
 whose maximum over the rectangle is a Lipschitz constant for the operator
-between any two fields inside the envelope.  ``compute_alpha`` takes its
-largest value on a 256 x 256 lattice (~6e-7 relative below the maximum on
-a bump that peaks inside in x), and ``alpha_integrand`` is that scan at
-one point.  A certificate exists when the maximum is below one; else the
-search reports failure with diagnostics.  Both entry points take T_c from
-the caller (``bcsgap certify`` locates it with ``gap_operator.spectral_tc``,
-``bcsgap thermo`` passes the solved surface's).  The surface solve does
-not use the outcome; ``thermo.build_thermo_report`` decides the alpha it
-reports from it.
+between any two fields inside the envelope.  ``compute_alpha`` encloses
+that maximum in [alpha, upper].  The gap kernel falls in the squared gap
+and in T, and Delta2 falls in T, so on a cell [T_a, T_b] x [x_a, x_b] the
+bound is at most its value with both kernels at T_a, the first at the
+lower edge of Delta2(T_b)'s proven window and the prefactor at the upper
+edge of Delta2(tau)'s: the interval idea of Moore ("Interval Analysis",
+1966) for a monotone integrand.  ``_x_bound`` bounds the largest value of
+that over the x-cell.  A branch and bound bisects the cells that may hold
+the maximum, solving envelope roots only at new cell edges.  alpha is the
+largest point value found, and ``alpha_integrand`` gives that value at
+its (T, x); upper is a bound, rounding included.  A certificate exists
+when upper is below one; else the search reports failure with
+diagnostics.  Both entry points take T_c from the caller (``bcsgap
+certify`` locates it with ``gap_operator.spectral_tc``, ``bcsgap thermo``
+passes the solved surface's).  The surface solve does not use the
+outcome; ``thermo.build_thermo_report`` decides the alpha it reports from
+it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import EnergyGrid, PhysicalParams, PotentialSpec, potential_matrix
+from .model import (
+    ConstantPotential,
+    EnergyGrid,
+    GaussianBumpPotential,
+    PhysicalParams,
+    PotentialSpec,
+    TablePotential,
+    potential_matrix,
+)
 from .quadrature import gap_kernel
-from .simple_gap import solve_delta, solve_delta_many, tau_root
+from .simple_gap import _TERM_ROUNDINGS, _solve_windows, solve_delta_many, tau_root
 
 __all__ = [
     "ContractionCertificate",
@@ -39,8 +57,13 @@ __all__ = [
     "format_certificate_report",
 ]
 
-# points per axis of compute_alpha's lattice on [tau, T_c] x [eps, hbar_omega_d]
-_N_LATTICE = 256
+# points of the x lattice on [eps, hbar_omega_d] at which compute_alpha
+# evaluates the bound at every cell-edge temperature
+_N_X = 256
+# compute_alpha stops once upper - alpha <= _GAP * upper ...
+_GAP = 1e-9
+# ... or once it has solved this many envelope roots
+_ROOT_BUDGET = 64
 # tau scan points of search_certificate, halving the distance to T_c
 _N_TAU = 24
 
@@ -52,7 +75,7 @@ class ContractionCertificate:
     tau: float
     epsilon: float
     alpha: float
-    max_location: tuple[float, float]  # (T, x) attaining the maximum
+    max_location: tuple[float, float]  # (T, x) attaining the largest point value
     delta2_at_tau: float
     coupling_margin: float | None = None
 
@@ -71,6 +94,7 @@ class CertificateFailure:
     """Best bound found when no contraction certificate exists."""
 
     best_alpha: float
+    alpha_upper: float
     best_tau: float
     epsilon: float
     delta2_at_tc: float
@@ -84,9 +108,16 @@ class CertificateFailure:
 
 @dataclass(frozen=True)
 class AlphaResult:
+    """[alpha, upper] encloses the bound's maximum over [tau, T_c] x [eps,
+    hbar_omega_d]; alpha is its value at (t_at_max, x_at_max).  The roots
+    Delta2(tau) and Delta2(T_c) are the cell edges' own."""
+
     alpha: float
+    upper: float
     t_at_max: float
     x_at_max: float
+    delta2_at_tau: float
+    delta2_at_tc: float
 
 
 def alpha_integrand(
@@ -97,39 +128,256 @@ def alpha_integrand(
     params: PhysicalParams,
     grid: EnergyGrid,
 ) -> float:
-    """Value of the contraction bound at one (T, x) pair: ``compute_alpha``'s
-    lattice scan on a lattice of that one point, so both sum alike."""
-    point = np.array([T], dtype=float), np.array([x], dtype=float)
-    return _lattice_max(tau, potential, params, grid, *point).alpha
-
-
-def _lattice_max(
-    tau: float,
-    potential: PotentialSpec,
-    params: PhysicalParams,
-    grid: EnergyGrid,
-    t_values: np.ndarray,
-    x_values: np.ndarray,
-) -> AlphaResult:
-    """Largest bound on the lattice ``t_values`` x ``x_values`` and its first
-    maximiser.  ``einsum`` sums each row in an order the other rows do not
-    change (a BLAS product's can), so a one-point lattice gives the value
-    its row has in any lattice, and equal rows tie exactly."""
-    urows = potential_matrix(potential, x_values, grid.nodes)  # (nx, nxi)
-    d2tau = solve_delta(params.u_upper, tau, params)
+    """Value of the contraction bound at one (T, x) pair, summed as
+    ``compute_alpha`` sums every point value."""
+    d2tau, d2 = solve_delta_many(params.u_upper, [tau, T], params).tolist()
     prefactor = d2tau**2 / (2.0 * params.epsilon_cutoff**2)
-    best = AlphaResult(-np.inf, t_values[0], x_values[0])
-    d2_values = solve_delta_many(params.u_upper, t_values, params)
-    for T, d2 in zip(t_values, d2_values.tolist()):
-        kd = grid.weights * gap_kernel(grid.nodes, d2 * d2, float(T))
-        k0 = grid.weights * gap_kernel(grid.nodes, 0.0, float(T))
-        total = np.einsum("ij,j->i", urows, kd) + prefactor * np.einsum(
-            "ij,j->i", urows, k0
+    urows = potential_matrix(potential, x, grid.nodes)
+    return float(_point_values(urows, *_kernel_rows(grid, T, d2), prefactor)[0])
+
+
+def _kernel_rows(
+    grid: EnergyGrid, T: float, d2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted kernel rows at T: the envelope term's at gap d2 and the
+    cutoff term's at gap 0."""
+    return (
+        grid.weights * gap_kernel(grid.nodes, d2 * d2, T),
+        grid.weights * gap_kernel(grid.nodes, 0.0, T),
+    )
+
+
+def _point_values(
+    urows: np.ndarray, kd: np.ndarray, k0: np.ndarray, prefactor: float
+) -> np.ndarray:
+    """The bound at one temperature for each x row of ``urows``.  ``einsum``
+    sums each row in an order the other rows do not change (a BLAS
+    product's can), so a row's value does not depend on the rows beside it,
+    and equal rows tie exactly."""
+    return np.einsum("ij,j->i", urows, kd) + prefactor * np.einsum("ij,j->i", urows, k0)
+
+
+def _x_bound(
+    potential: PotentialSpec,
+    xa: np.ndarray,
+    xb: np.ndarray,
+    xi: np.ndarray,
+    rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bound on the largest g_i(x) = sum_j U(x, xi_j) rows[i, j] over each
+    x-cell [xa_i, xb_i], for rows >= 0, before the final rounding factor;
+    and how much of it bisecting in x can remove, over g at the midpoint.
+
+    A constant's g is flat.  A table's is linear in x between the table's x
+    nodes, so its largest value is at an end of the cell or at a node
+    inside, and nothing is left to remove.  A Gaussian's is at most the sum
+    with each U(., xi_j) at its largest on the cell (at the x nearest xi_j
+    for a bump, at an end for a dip), and at most the centered form
+    g(x_m) + |g'(x_m)| h/2 + sup|g''| h^2/8 (Moore, 1966), with
+    |d^2U/dx^2| <= |amplitude| / width^2 and the rounding of g'(x_m), a sum
+    of both signs, added; the smaller is taken.
+    """
+    if isinstance(potential, ConstantPotential):
+        return potential.u0 * rows.sum(axis=1), np.zeros(xa.size)
+    if isinstance(potential, TablePotential):
+        best = np.maximum(
+            np.einsum("ij,ij->i", potential_matrix(potential, xa, xi), rows),
+            np.einsum("ij,ij->i", potential_matrix(potential, xb, xi), rows),
         )
-        i = int(np.argmax(total))
-        if total[i] > best.alpha:
-            best = AlphaResult(float(total[i]), float(T), float(x_values[i]))
-    return best
+        for node in potential.x_nodes:
+            inside = (xa < node) & (node < xb)
+            at_node = rows[inside] @ potential_matrix(potential, node, xi)[0]
+            best[inside] = np.maximum(best[inside], at_node)
+        return best, np.zeros(best.size)
+    if not isinstance(potential, GaussianBumpPotential):
+        raise TypeError(f"unknown potential spec {type(potential).__name__}")
+    width2 = potential.width**2
+
+    def bump(dx):  # U - base, as potential_matrix computes it
+        return potential.amplitude * np.exp(-dx * dx / (2.0 * width2))
+
+    xa, xb = xa[:, None], xb[:, None]
+    if potential.amplitude >= 0.0:
+        cap = potential.base + bump(np.clip(xi, xa, xb) - xi)
+    else:
+        cap = potential.base + np.maximum(bump(xa - xi), bump(xb - xi))
+    xm = 0.5 * (xa + xb)
+    half = np.maximum(xm - xa, xb - xm)[:, 0]
+    dx = xm - xi
+    at_mid = bump(dx)
+    g_mid = np.einsum("ij,ij->i", potential.base + at_mid, rows)
+    slope_terms = -dx / width2 * at_mid * rows
+    g_slope = np.abs(slope_terms.sum(axis=1)) + _rounding(xi.size) * np.abs(
+        slope_terms
+    ).sum(axis=1)
+    g_curvature = abs(potential.amplitude) / width2 * rows.sum(axis=1)
+    centered = g_mid + half * g_slope + 0.5 * g_curvature * half * half
+    best = np.minimum(np.einsum("ij,ij->i", cap, rows), centered)
+    return best, best - g_mid
+
+
+def _rounding(n: int) -> float:
+    """(n + _TERM_ROUNDINGS) eps: the relative rounding of an n-term sum of
+    products of nonnegative factors, as in ``simple_gap``'s window checks."""
+    return (n + _TERM_ROUNDINGS) * np.finfo(float).eps
+
+
+class _Cells(NamedTuple):
+    """Cells of ``_Enclosure``: edge indices of the T-interval, the
+    x-interval, and the cell's bound and slacks."""
+
+    a: np.ndarray
+    b: np.ndarray
+    xa: np.ndarray
+    xb: np.ndarray
+    upper: np.ndarray
+    t_slack: np.ndarray
+    x_slack: np.ndarray
+
+    def take(self, mask: np.ndarray) -> _Cells:
+        return _Cells(*(field[mask] for field in self))
+
+
+class _Enclosure:
+    """``compute_alpha``'s branch and bound.
+
+    Edges are the solved temperatures, in the order solved, each with its
+    weighted kernel rows and the squared lower edge of its root's window.
+    ``values`` holds the point value at every edge (rows) and every
+    evaluated x (columns).
+    """
+
+    def __init__(self, tau, t_c, potential, params, grid):
+        self.potential, self.params, self.grid = potential, params, grid
+        roots, lo, hi = _solve_windows(params.u_upper, [tau, t_c], params)
+        self.delta2 = roots.tolist()
+        twice_eps2 = 2.0 * params.epsilon_cutoff**2
+        self.prefactor = self.delta2[0] ** 2 / twice_eps2
+        self.prefactor_hi = float(hi[0]) ** 2 / twice_eps2
+        self.t: list[float] = []
+        self.rows: list[tuple[np.ndarray, np.ndarray]] = []
+        self.lo2: list[float] = []
+        self.t_cells: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.x = np.linspace(params.epsilon_cutoff, params.hbar_omega_d, _N_X)
+        if isinstance(potential, TablePotential):  # where a table's bound peaks
+            nodes = potential.x_nodes
+            inside = (self.x[0] < nodes) & (nodes < self.x[-1])
+            self.x = np.union1d(self.x, nodes[inside])
+        self.urows = potential_matrix(potential, self.x, grid.nodes)
+        self.values = np.empty((0, self.x.size))
+        self._add_edges([tau, t_c], roots, lo)
+
+    def _add_edges(self, ts, roots, lo) -> None:
+        """Solved temperatures become edges, evaluated at every x."""
+        new = []
+        for T, d2, lo_w in zip(ts, roots.tolist(), lo.tolist()):
+            self.t.append(T)
+            self.rows.append(_kernel_rows(self.grid, T, d2))
+            self.lo2.append(lo_w * lo_w)
+            new.append(_point_values(self.urows, *self.rows[-1], self.prefactor))
+        self.values = np.vstack([self.values, *new])
+
+    def _add_x(self, xs: np.ndarray) -> None:
+        """New x points, evaluated at every edge."""
+        urows = potential_matrix(self.potential, xs, self.grid.nodes)
+        cols = [_point_values(urows, kd, k0, self.prefactor) for kd, k0 in self.rows]
+        self.x = np.concatenate([self.x, xs])
+        self.urows = np.vstack([self.urows, urows])
+        cols = np.array(cols).reshape(len(self.t), xs.size)
+        self.values = np.hstack([self.values, cols])
+
+    def _t_cell(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted rows of the T-interval [t_a, t_b]: its bound, and the
+        point value at t_a."""
+        if (a, b) not in self.t_cells:
+            kd, k0 = self.rows[a]
+            nodes, weights = self.grid.nodes, self.grid.weights
+            kb = weights * gap_kernel(nodes, self.lo2[b], self.t[a])
+            self.t_cells[a, b] = (kb + self.prefactor_hi * k0, kd + self.prefactor * k0)
+        return self.t_cells[a, b]
+
+    def _cells(self, a, b, xa, xb) -> _Cells:
+        """Cells with their bounds, and how much of each bound the
+        T-interval and the x-interval add to the point value at t_a and at
+        the x midpoint."""
+        rows = [self._t_cell(i, j) for i, j in zip(a.tolist(), b.tolist())]
+        shape = (a.size, self.grid.size)
+        bound = np.array([row[0] for row in rows]).reshape(shape)
+        point = np.array([row[1] for row in rows]).reshape(shape)
+        mid = potential_matrix(self.potential, 0.5 * (xa + xb), self.grid.nodes)
+        upper, x_slack = _x_bound(self.potential, xa, xb, self.grid.nodes, bound)
+        return _Cells(
+            a, b, xa, xb,
+            upper=(1.0 + _rounding(self.grid.size)) * upper,
+            t_slack=np.einsum("ij,ij->i", mid, bound - point),
+            x_slack=x_slack,
+        )
+
+    def _t_midpoints(self, cells: _Cells, wanted: np.ndarray) -> np.ndarray:
+        """Solve, as one block, the midpoint roots of the T-intervals of the
+        ``wanted`` cells, highest bound first and within the root budget.
+        Returns each cell's new middle edge, or -1."""
+        chosen: list[tuple[int, int]] = []
+        for c in np.argsort(-cells.upper, kind="stable"):
+            a, b = int(cells.a[c]), int(cells.b[c])
+            mid = 0.5 * (self.t[a] + self.t[b])
+            if wanted[c] and (a, b) not in chosen and self.t[a] < mid < self.t[b]:
+                chosen.append((a, b))
+        chosen = chosen[: _ROOT_BUDGET - len(self.t)]
+        middle = {pair: len(self.t) + k for k, pair in enumerate(chosen)}
+        if chosen:
+            ts = [0.5 * (self.t[a] + self.t[b]) for a, b in chosen]
+            roots, lo, _ = _solve_windows(self.params.u_upper, ts, self.params)
+            self._add_edges(ts, roots, lo)
+        return np.array(
+            [middle.get(pair, -1) for pair in zip(cells.a.tolist(), cells.b.tolist())],
+            dtype=int,
+        )
+
+    def _refine(self) -> float:
+        """Bisect cells until the enclosure closes or no cell can be split;
+        returns the upper bound."""
+        cells = self._cells(np.array([0]), np.array([1]), self.x[:1], self.x[-1:])
+        while True:
+            alpha = self.values.max()
+            cells = cells.take(cells.upper >= alpha)
+            open_ = cells.upper - alpha > _GAP * cells.upper.max()
+            mid_t = self._t_midpoints(cells, open_ & (cells.t_slack >= cells.x_slack))
+            by_t = mid_t >= 0
+            mid_x = 0.5 * (cells.xa + cells.xb)
+            by_x = open_ & (cells.x_slack > cells.t_slack)
+            by_x &= (cells.xa < mid_x) & (mid_x < cells.xb)
+            if not (by_t.any() or by_x.any()):
+                return float(cells.upper.max())
+            if by_x.any():
+                self._add_x(np.unique(mid_x[by_x]))
+            t_cells, x_cells = cells.take(by_t), cells.take(by_x)
+            new = self._cells(
+                np.concatenate([t_cells.a, mid_t[by_t], x_cells.a, x_cells.a]),
+                np.concatenate([mid_t[by_t], t_cells.b, x_cells.b, x_cells.b]),
+                np.concatenate([t_cells.xa, t_cells.xa, x_cells.xa, mid_x[by_x]]),
+                np.concatenate([t_cells.xb, t_cells.xb, mid_x[by_x], x_cells.xb]),
+            )
+            kept = cells.take(~(by_t | by_x))
+            cells = _Cells(*(np.concatenate(pair) for pair in zip(kept, new)))
+
+    def run(self) -> AlphaResult:
+        if np.isfinite(self.prefactor_hi):
+            upper = self._refine()
+        else:  # Delta2(tau) has no proven upper edge, and so the bound none
+            upper = math.inf
+        alpha = float(self.values.max())
+        ti, xi = np.nonzero(self.values == alpha)
+        t, x = np.asarray(self.t)[ti], self.x[xi]
+        first = np.lexsort((x, t))[0]  # first maximiser in (T, x) order
+        return AlphaResult(
+            alpha=alpha,
+            upper=upper,
+            t_at_max=float(t[first]),
+            x_at_max=float(x[first]),
+            delta2_at_tau=self.delta2[0],
+            delta2_at_tc=self.delta2[1],
+        )
 
 
 def compute_alpha(
@@ -140,17 +388,31 @@ def compute_alpha(
     *,
     t_c: float,
 ) -> AlphaResult:
-    """Maximum of the contraction bound over [tau, T_c] x [eps, hbar_omega_d].
+    """Enclosure [alpha, upper] of the contraction bound's maximum over
+    [tau, T_c] x [eps, hbar_omega_d].
 
-    The largest value on an evenly spaced 256 x 256 lattice of the
-    rectangle, corners included, and the first (T, x) that attains it.
-    A value >= 1 is a valid, reported outcome.
+    Branch and bound from the one cell [tau, T_c] x [eps, hbar_omega_d].
+    On a cell [T_a, T_b] x [x_a, x_b] the bound is at most
+    (1 + (n + 16) eps_mach) times the largest over the x-cell of
+    sum_j w_j U(x, xi_j) [k(xi_j, lo(T_b)^2, T_a) + Pbar k(xi_j, 0, T_a)],
+    with lo(T_b) the lower edge of the window proven around Delta2(T_b)
+    and Pbar = hi(tau)^2 / (2 eps^2); ``_x_bound`` bounds the largest
+    value over x.  Each round drops the cells whose bound is below alpha
+    and bisects those that keep upper - alpha above 1e-9 upper: in T,
+    solving all new edge roots as one block, where the T-interval adds
+    more to the bound than the x-interval, else in x, which solves no
+    root.  It stops there, at 64 roots solved, or when no cell can be
+    split.
+
+    alpha is the largest point value at the edge temperatures, over a
+    256-point x lattice, every x-cell edge and a table's x nodes, and
+    (t_at_max, x_at_max) is its first maximiser in (T, x) order.  upper is
+    the largest bound of a cell kept; it is +inf when no upper edge of
+    Delta2(tau) is proven.  Values >= 1 are valid, reported outcomes.
     """
     if not tau < t_c:
         raise ValueError(f"need tau < T_c, got tau={tau!r} >= T_c={t_c!r}")
-    t_values = np.linspace(tau, t_c, _N_LATTICE)
-    x_values = np.linspace(params.epsilon_cutoff, params.hbar_omega_d, _N_LATTICE)
-    return _lattice_max(tau, potential, params, grid, t_values, x_values)
+    return _Enclosure(tau, t_c, potential, params, grid).run()
 
 
 def search_certificate(
@@ -164,16 +426,17 @@ def search_certificate(
     """Scan tau over a geometric grid in (tau1, T_c) for a certified bound.
 
     The 24 scan points approach T_c by halving, and each runs
-    ``compute_alpha`` on its 256 x 256 lattice.  Returns the smallest tau
-    achieving alpha < 1 (widest certified interval).  On failure returns
-    the best bound found together with the Delta2(T_c)/epsilon ratio, which
+    ``compute_alpha``.  Returns the smallest tau whose upper bound is below
+    one (widest certified interval), with that bound as its alpha.  On
+    failure returns the enclosure found together with the
+    Delta2(T_c)/epsilon ratio, which
     is the structural obstruction: the bound evaluated at T_c already
     exceeds one whenever the envelope top has not dropped below the cutoff
     scale, and the scan cannot push tau past T_c to help it.
     """
     tau1 = tau_root(params.u_lower, params)
 
-    # geometric approach of tau toward T_c: alpha is non-increasing in tau
+    # geometric approach of tau toward T_c: the bound is non-increasing in tau
     # (smaller rectangle, smaller envelope prefactor), so the largest scan
     # point is the most favourable.  Evaluate it first: if even that fails,
     # no tau can succeed and the scan is skipped.
@@ -183,11 +446,11 @@ def search_certificate(
     best = compute_alpha(float(taus[-1]), potential, params, grid, t_c=t_c)
     best_tau = float(taus[-1])
     certified: tuple[float, AlphaResult] | None = None
-    if best.alpha < 1.0:
+    if best.upper < 1.0:
         certified = (best_tau, best)
         for tau in taus[:-1]:  # smallest upward: widest certified interval wins
             result = compute_alpha(float(tau), potential, params, grid, t_c=t_c)
-            if result.alpha < 1.0:
+            if result.upper < 1.0:
                 certified = (float(tau), result)
                 break
 
@@ -196,16 +459,17 @@ def search_certificate(
         return ContractionCertificate(
             tau=tau,
             epsilon=params.epsilon_cutoff,
-            alpha=result.alpha,
+            alpha=result.upper,
             max_location=(result.t_at_max, result.x_at_max),
-            delta2_at_tau=solve_delta(params.u_upper, tau, params),
+            delta2_at_tau=result.delta2_at_tau,
             coupling_margin=coupling_margin,
         )
     return CertificateFailure(
         best_alpha=best.alpha,
+        alpha_upper=best.upper,
         best_tau=best_tau,
         epsilon=params.epsilon_cutoff,
-        delta2_at_tc=solve_delta(params.u_upper, t_c, params),
+        delta2_at_tc=best.delta2_at_tc,
         max_location=(best.t_at_max, best.x_at_max),
     )
 
@@ -228,6 +492,7 @@ def format_certificate_report(
     else:
         lines.append("status = failed")
         lines.append(f"best_alpha = {outcome.best_alpha!r}")
+        lines.append(f"alpha_upper = {outcome.alpha_upper!r}")
         lines.append(f"best_tau = {outcome.best_tau!r}")
         lines.append(f"epsilon = {outcome.epsilon!r}")
         lines.append(f"max_T = {outcome.max_location[0]!r}")

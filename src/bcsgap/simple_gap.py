@@ -205,26 +205,43 @@ def solve_delta_many(U: float, Ts, params: PhysicalParams) -> np.ndarray:
     every unfinished root in one ``gap_kernel_rows`` call, each row summed
     by ``np.dot`` as the bisection sums it.
     """
+    return _solve_windows(U, Ts, params)[0]
+
+
+def _solve_windows(
+    U: float, Ts, params: PhysicalParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(roots, lo, hi): ``solve_delta_many``'s roots and the windows they prove.
+
+    The exact root of the reference-rule equation at each T lies in
+    [lo, hi].  So does the returned float wherever the window is wider than
+    the bisection's last bracket (~1e-15 relative), which every measured
+    window is.  A side whose checks prove nothing gives the trivial
+    enclosure, 0 below or +inf above.  At T >= tau_U the gap is 0 by the
+    zero extension, and so are both edges.
+    """
     Ts = np.asarray(Ts, dtype=float)
     if Ts.ndim != 1:
         raise ValueError("temperatures must be a one-dimensional sequence")
     if not np.all(Ts >= 0.0):
         raise ValueError("temperature must be nonnegative")
-    deltas = np.zeros(Ts.size)
+    found = np.zeros((3, Ts.size))
     tau = tau_root(U, params)
     live = np.flatnonzero(Ts < tau)
     if live.size:
         d0 = delta0_closed_form(U, params)
         for first in range(0, live.size, _BLOCK):
             rows = live[first:first + _BLOCK]
-            deltas[rows] = _solve_block(U, Ts[rows].tolist(), tau, d0, params)
-    return deltas
+            block = _solve_block(U, Ts[rows].tolist(), tau, d0, params)
+            found[:, rows] = np.array(block).T
+    roots, lo, hi = found
+    return roots, lo, hi
 
 
 def _solve_block(
     U: float, Ts: list[float], tau: float, d0: float, params: PhysicalParams
-) -> list[float]:
-    """Roots at temperatures 0 <= T < tau, their evaluations made together.
+) -> list[tuple[float, float, float]]:
+    """(root, lo, hi) at temperatures 0 <= T < tau, the evaluations made together.
 
     Each root runs ``_root_search``, which yields the squared gap it needs
     f at; a round evaluates every pending gap in one kernel call and sends
@@ -240,7 +257,7 @@ def _solve_block(
         cap = np.minimum(inv_xi, 0.5 / T) if T > 0.0 else inv_xi
         bound = scale * float(np.dot(weights, cap))
         searches.append(_root_search(T, tau, d0, bound))
-    roots = [0.0] * len(Ts)
+    results = [(0.0, 0.0, 0.0)] * len(Ts)
     live = list(range(len(Ts)))
     requests = [next(search) for search in searches]
     while live:
@@ -256,20 +273,21 @@ def _solve_block(
             try:
                 requests[i] = searches[i].send((f, df))
             except StopIteration as done:
-                roots[i] = done.value
+                results[i] = done.value
             else:
                 still.append(i)
         live = still
         del k, dk  # free this round's buffers before the next round fills its own
-    return roots
+    return results
 
 
 def _root_search(T: float, tau: float, d0: float, bound: float):
     """One root's locate, window and replay stages, as a generator.
 
     Each ``yield`` hands ``_solve_block`` (s, wants_slope) and receives the
-    computed (f, df/ds) at s, df/ds None unless asked for; the return value
-    is the bisection float.
+    computed (f, df/ds) at s, df/ds None unless asked for.  Returns the
+    bisection float and the window [lo, hi] proven around the root, a side
+    that proves nothing read as 0 or +inf.
     """
     root, slope = yield from _locate(T, tau, d0, bound)
     width = 3.0 * bound / abs(slope)
@@ -290,7 +308,7 @@ def _root_search(T: float, tau: float, d0: float, bound: float):
             hi = mid
         if hi - lo <= stop:
             break
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), max(lo_w, 0.0), hi_w
 
 
 def _positive(delta: float, lo_w: float, hi_w: float):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bcsgap.certificate as certificate
 from bcsgap.certificate import (
     AlphaResult,
     CertificateFailure,
@@ -14,11 +15,13 @@ from bcsgap.gap_operator import apply_A, sample_envelope_field, spectral_tc
 from bcsgap.model import (
     ConstantPotential,
     GaussianBumpPotential,
+    TablePotential,
     make_params,
     potential_matrix,
+    validate_potential,
 )
 from bcsgap.quadrature import gap_kernel
-from bcsgap.simple_gap import solve_delta, tau_root
+from bcsgap.simple_gap import solve_delta, solve_delta_many, tau_root
 
 
 def _envelope_term(T, x, potential, params, grid):
@@ -102,13 +105,13 @@ def test_compute_alpha_rejects_degenerate_interval(const_potential, params, grid
 def test_search_fails_on_default_config_with_diagnostics(default_search_outcome, params):
     outcome = default_search_outcome
     assert isinstance(outcome, CertificateFailure)
-    assert outcome.best_alpha >= 1.0
+    assert 1.0 <= outcome.best_alpha <= outcome.alpha_upper
     # the obstruction: the upper envelope at T_c is far above the cutoff
     assert outcome.obstruction_ratio == outcome.delta2_at_tc / params.epsilon_cutoff
     assert outcome.obstruction_ratio > 1.0
     report = format_certificate_report(outcome)
     assert "status = failed" in report
-    assert "best_alpha" in report
+    assert "best_alpha" in report and "alpha_upper" in report
     assert "obstruction_delta2_over_epsilon" in report
 
 
@@ -214,17 +217,100 @@ def test_bound_has_one_formula_on_default_config(
     assert direct == outcome.best_alpha
 
 
-def test_lattice_bound_near_an_interior_maximiser(params, grid):
-    # a bump of positive amplitude puts the maximiser inside (eps, hbar_omega_d)
-    # in x; the 256-point lattice is nested in a 1021-point scan at the
-    # reported T, so it can only sit below that scan's maximum, and by at most
-    # the lattice's spacing error
-    bump = GaussianBumpPotential(base=0.3, amplitude=5e-3, width=0.1)
-    tau1 = tau_root(params.u_lower, params)
-    result = compute_alpha(tau1, bump, params, grid, t_c=spectral_tc(bump, params, grid))
-    assert params.epsilon_cutoff < result.x_at_max < params.hbar_omega_d
-    xs = np.linspace(params.epsilon_cutoff, params.hbar_omega_d, 1021)
-    finest = max(
-        alpha_integrand(result.t_at_max, float(x), tau1, bump, params, grid) for x in xs
+def _skewed_table():
+    # bilinear in x and xi, peaking at the x node 0.375, off the 256-point
+    # lattice, and leaning in xi
+    x_nodes, xi_nodes = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 5)
+    shape = 6.75 * x_nodes * (1.0 - x_nodes) ** 2
+    return TablePotential(
+        x_nodes, xi_nodes, 0.298 + 0.008 * np.outer(shape, 1.0 + 0.1 * xi_nodes)
     )
-    assert (1.0 - 1e-6) * finest <= result.alpha <= (1.0 + 1e-14) * finest
+
+
+def _fine_scan(potential, tau, t_c, params, grid, n=1021):
+    # largest bound on an n x n lattice of [tau, T_c] x [eps, hbar_omega_d],
+    # summed by a BLAS product: its own rounding, not compute_alpha's
+    ts = np.linspace(tau, t_c, n)
+    xs = np.linspace(params.epsilon_cutoff, params.hbar_omega_d, n)
+    d2 = solve_delta_many(params.u_upper, ts, params)
+    prefactor = solve_delta(params.u_upper, tau, params) ** 2 / (
+        2.0 * params.epsilon_cutoff**2
+    )
+    urows = potential_matrix(potential, xs, grid.nodes)
+    best = (-np.inf, tau, xs[0])
+    for t, d in zip(ts.tolist(), d2.tolist()):
+        kernel = gap_kernel(grid.nodes, d * d, t)
+        kernel += prefactor * gap_kernel(grid.nodes, 0.0, t)
+        row = urows @ (grid.weights * kernel)
+        i = int(np.argmax(row))
+        if row[i] > best[0]:
+            best = (float(row[i]), t, float(xs[i]))
+    return best
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [GaussianBumpPotential(base=0.3, amplitude=5e-3, width=0.1), _skewed_table()],
+    ids=["bump", "table"],
+)
+def test_bound_encloses_a_fine_scan(potential, params, grid):
+    # both potentials peak inside (eps, hbar_omega_d) in x: the upper bound
+    # must cover a 1021 x 1021 scan of the rectangle, and the point value
+    # found must come within 1e-6 of that scan's maximum
+    validate_potential(potential, params)
+    tau1 = tau_root(params.u_lower, params)
+    t_c = spectral_tc(potential, params, grid)
+    result = compute_alpha(tau1, potential, params, grid, t_c=t_c)
+    finest, t_at, x_at = _fine_scan(potential, tau1, t_c, params, grid)
+    assert alpha_integrand(t_at, x_at, tau1, potential, params, grid) == pytest.approx(
+        finest, rel=1e-13
+    )
+    assert params.epsilon_cutoff < result.x_at_max < params.hbar_omega_d
+    assert (1.0 - 1e-6) * finest <= result.alpha <= result.upper
+    assert finest <= result.upper
+
+
+def test_enclosure_closes_on_a_constant_potential(
+    const_potential, params, grid, const_surface
+):
+    # a constant coupling's bound peaks at (tau, eps), a cell corner; the
+    # cells close to 1e-9 relative both over the search's first, narrow
+    # interval and over the widest, [tau1, T_c]
+    surface, _ = const_surface
+    tau1 = tau_root(params.u_lower, params)
+    narrow = surface.t_c - (surface.t_c - tau1) * 0.5**23
+    for tau in (narrow, tau1):
+        result = compute_alpha(tau, const_potential, params, grid, t_c=surface.t_c)
+        assert (result.t_at_max, result.x_at_max) == (tau, params.epsilon_cutoff)
+        assert result.alpha <= result.upper <= (1.0 + 1e-9) * result.alpha
+        assert result.delta2_at_tau == solve_delta(params.u_upper, tau, params)
+        assert result.delta2_at_tc == solve_delta(params.u_upper, surface.t_c, params)
+
+
+@pytest.mark.parametrize("upper, certified", [(0.75, True), (1.0, False)])
+def test_search_certifies_on_the_upper_bound_only(
+    upper, certified, const_potential, params, grid, monkeypatch
+):
+    # no envelope family here comes near a bound below one, so the search's
+    # decision is checked on a stand-in enclosure: a point value below one
+    # certifies nothing unless the upper bound is below one too, and a
+    # certificate carries the upper bound and the edge root at its tau
+    t_c = tau_root(0.3, params)
+
+    def enclosure(tau, *args, t_c):
+        return AlphaResult(
+            alpha=0.5, upper=upper, t_at_max=tau, x_at_max=params.epsilon_cutoff,
+            delta2_at_tau=1e-3 * tau, delta2_at_tc=2e-3,
+        )
+
+    monkeypatch.setattr(certificate, "compute_alpha", enclosure)
+    outcome = search_certificate(const_potential, params, grid, t_c=t_c)
+    if certified:
+        tau1 = tau_root(params.u_lower, params)
+        assert isinstance(outcome, ContractionCertificate)
+        assert (outcome.tau, outcome.alpha) == (tau1, upper)
+        assert outcome.delta2_at_tau == 1e-3 * tau1
+    else:
+        assert isinstance(outcome, CertificateFailure)
+        assert (outcome.best_alpha, outcome.alpha_upper) == (0.5, upper)
+        assert outcome.delta2_at_tc == 2e-3

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bcsgap
-from bcsgap import certificate, cli, solver
+from bcsgap import certificate, cli, simple_gap, solver
 from bcsgap.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CERTIFICATE,
@@ -18,6 +18,8 @@ from bcsgap.cli import (
     main,
     parse_config,
 )
+from bcsgap.gap_operator import spectral_tc
+from bcsgap.simple_gap import tau_root
 
 BASE_CONFIG = """\
 # constant-coupling run, shrunk for test speed
@@ -113,6 +115,28 @@ def test_cmd_certify_reports_failure(tmp_path):
     report = (tmp_path / "out" / "certificate.txt").read_text()
     assert "status = failed" in report
     assert "best_alpha = " in report
+
+
+def test_certify_reports_an_unproven_bound_as_infinite(
+    tmp_path, monkeypatch, params, grid, const_potential
+):
+    # with no widening allowed, no root window proves a side: Delta2(tau)
+    # has no upper edge, so the bound has none either; the search still
+    # reports failure, and certificate.txt an alpha_upper float() reads
+    monkeypatch.setattr(simple_gap, "_WINDOW_WIDENINGS", 0)
+    t_c = spectral_tc(const_potential, params, grid)
+    tau = 0.5 * (tau_root(params.u_lower, params) + t_c)
+    result = certificate.compute_alpha(tau, const_potential, params, grid, t_c=t_c)
+    assert result.upper == math.inf and 1.0 < result.alpha < math.inf
+    cfg_path = _write_config(tmp_path, f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["certify", str(cfg_path)]) == EXIT_CERTIFICATE
+    lines = (tmp_path / "out" / "certificate.txt").read_text().splitlines()
+    values = dict(line.split(" = ") for line in lines)
+    assert values["status"] == "failed"
+    assert float(values["alpha_upper"]) == math.inf
+    assert lines.index(f"alpha_upper = {values['alpha_upper']}") == (
+        lines.index(f"best_alpha = {values['best_alpha']}") + 1
+    )
 
 
 def test_cmd_solve_and_thermo_outputs(tmp_path):

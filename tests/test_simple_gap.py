@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -150,29 +151,33 @@ def test_solve_delta_many_memory_is_one_block(params):
     assert all_blocks <= 1.5 * one_block
 
 
-def test_envelopes_and_lattices_solve_in_blocks(
-    params, grid, const_potential, monkeypatch
-):
-    # each envelope curve and each certificate lattice makes ceil(n/B) block
-    # solves for its n temperatures below tau and no per-T scalar solve; a
-    # revert to a per-T loop would show up as scalar calls or blocks of one
-    block = simple_gap._BLOCK
+def _count_blocks(monkeypatch) -> list[int]:
+    """Sizes of the root blocks solved from here on, one entry per block."""
     blocks: list[int] = []
-    scalar: list[float] = []
-    real_block, real_scalar = simple_gap._solve_block, simple_gap.solve_delta
+    real_block = simple_gap._solve_block
 
     def counting_block(U, Ts, *args):
         blocks.append(len(Ts))
         return real_block(U, Ts, *args)
 
+    monkeypatch.setattr(simple_gap, "_solve_block", counting_block)
+    return blocks
+
+
+def test_envelopes_solve_in_blocks(params, monkeypatch):
+    # each envelope curve makes ceil(n/B) block solves for its n temperatures
+    # below tau and no per-T scalar solve; a revert to a per-T loop would show
+    # up as scalar calls or blocks of one
+    block = simple_gap._BLOCK
+    blocks = _count_blocks(monkeypatch)
+    scalar: list[float] = []
+    real_scalar = simple_gap.solve_delta
+
     def counting_scalar(U, T, p):
         scalar.append(T)
         return real_scalar(U, T, p)
 
-    monkeypatch.setattr(simple_gap, "_solve_block", counting_block)
-    for module in (simple_gap, certificate):
-        monkeypatch.setattr(module, "solve_delta", counting_scalar)
-
+    monkeypatch.setattr(simple_gap, "solve_delta", counting_scalar)
     for u in (params.u_lower, params.u_upper):
         blocks.clear()
         curve = envelope_curve(u, params)
@@ -180,16 +185,49 @@ def test_envelopes_and_lattices_solve_in_blocks(
         assert len(blocks) == math.ceil(below / block) and sum(blocks) == below
         assert scalar == []
 
-    # compute_alpha's 256 x 256 lattice on [tau1, T_c]: one block solve per
-    # 16 temperatures; the one scalar solve is the prefactor's Delta2(tau),
-    # cached here so that it makes no block
-    tau, t_c = tau_root(params.u_lower, params), spectral_tc(const_potential, params, grid)
-    real_scalar(params.u_upper, tau, params)
-    blocks.clear()
-    scalar.clear()
-    certificate.compute_alpha(tau, const_potential, params, grid, t_c=t_c)
-    assert len(blocks) == math.ceil(256 / block) and sum(blocks) == 256
-    assert scalar == [tau]
+
+def test_certificate_search_solves_few_envelope_roots(
+    params, grid, const_potential, monkeypatch
+):
+    # the search on the default config encloses its bound from the roots at
+    # a few cell edges, and reports Delta2(T_c) from them rather than solving
+    # it again
+    t_c = spectral_tc(const_potential, params, grid)
+    blocks = _count_blocks(monkeypatch)
+    certificate.search_certificate(const_potential, params, grid, t_c=t_c)
+    assert sum(blocks) <= 16 and len(blocks) <= 4
+
+
+def _mp_root(U, T, params, guess):
+    # the reference-rule gap equation, U * sum_j w_j k(xi_j, delta^2, T) = 1,
+    # solved in 40 digits from the float rule's own nodes and weights
+    nodes, weights = simple_gap._reference_rule(params)
+    nodes = [mp.mpf(float(x)) for x in nodes]
+    weights = [mp.mpf(float(w)) for w in weights]
+
+    def f(delta):
+        total = mp.mpf(0)
+        for x, w in zip(nodes, weights):
+            r = mp.sqrt(x * x + delta * delta)
+            total += w * (mp.tanh(r / (2 * T)) / r if T > 0 else 1 / r)
+        return U * total - 1
+
+    return mp.findroot(f, mp.mpf(guess))
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.5, 0.99, 1.0 - 1e-4])
+def test_root_windows_enclose_the_exact_root(params, fraction):
+    # the contraction bound rests on the proven windows: each must hold the
+    # 40-digit root of the same discretised equation, and hold the float
+    # that solve_delta returns
+    for u in (params.u_lower, params.u_upper):
+        T = fraction * tau_root(u, params)
+        (root,), (lo,), (hi,) = simple_gap._solve_windows(u, [T], params)
+        assert root == solve_delta(u, T, params)
+        assert 0.0 < lo <= root <= hi < math.inf
+        with mp.workdps(40):
+            exact = _mp_root(u, T, params, root)
+            assert mp.mpf(lo) <= exact <= mp.mpf(hi)
 
 
 @pytest.mark.parametrize("shift", [0.5, 1.0 + 1e-9, 2.0])
