@@ -110,7 +110,8 @@ class CertificateFailure:
 class AlphaResult:
     """[alpha, upper] encloses the bound's maximum over [tau, T_c] x [eps,
     hbar_omega_d]; alpha is its value at (t_at_max, x_at_max).  The roots
-    Delta2(tau) and Delta2(T_c) are the cell edges' own."""
+    Delta2(tau) and Delta2(T_c) are the cell edges' own, and
+    delta2_at_tau_upper is the upper edge of Delta2(tau)'s proven window."""
 
     alpha: float
     upper: float
@@ -118,6 +119,7 @@ class AlphaResult:
     x_at_max: float
     delta2_at_tau: float
     delta2_at_tc: float
+    delta2_at_tau_upper: float
 
 
 def alpha_integrand(
@@ -251,9 +253,10 @@ class _Enclosure:
         self.potential, self.params, self.grid = potential, params, grid
         roots, lo, hi = _solve_windows(params.u_upper, [tau, t_c], params)
         self.delta2 = roots.tolist()
+        self.delta2_tau_hi = float(hi[0])
         twice_eps2 = 2.0 * params.epsilon_cutoff**2
         self.prefactor = self.delta2[0] ** 2 / twice_eps2
-        self.prefactor_hi = float(hi[0]) ** 2 / twice_eps2
+        self.prefactor_hi = self.delta2_tau_hi**2 / twice_eps2
         self.t: list[float] = []
         self.rows: list[tuple[np.ndarray, np.ndarray]] = []
         self.lo2: list[float] = []
@@ -377,6 +380,7 @@ class _Enclosure:
             x_at_max=float(x[first]),
             delta2_at_tau=self.delta2[0],
             delta2_at_tc=self.delta2[1],
+            delta2_at_tau_upper=self.delta2_tau_hi,
         )
 
 
@@ -427,7 +431,8 @@ def search_certificate(
 
     The 24 scan points approach T_c by halving, and each runs
     ``compute_alpha``.  Returns the smallest tau whose upper bound is below
-    one (widest certified interval), with that bound as its alpha.  On
+    one and whose whole window around Delta2(tau) lies below epsilon
+    (widest certified interval), with that bound as its alpha.  On
     failure returns the enclosure found together with the
     Delta2(T_c)/epsilon ratio, which
     is the structural obstruction: the bound evaluated at T_c already
@@ -443,14 +448,18 @@ def search_certificate(
     fractions = (t_c - tau1) * 0.5 ** np.arange(_N_TAU)
     taus = t_c - fractions
 
+    def certifies(result: AlphaResult) -> bool:
+        # Delta2(tau) < eps must hold for the root, not only for its point
+        return result.upper < 1.0 and result.delta2_at_tau_upper < params.epsilon_cutoff
+
     best = compute_alpha(float(taus[-1]), potential, params, grid, t_c=t_c)
     best_tau = float(taus[-1])
     certified: tuple[float, AlphaResult] | None = None
-    if best.upper < 1.0:
+    if certifies(best):
         certified = (best_tau, best)
         for tau in taus[:-1]:  # smallest upward: widest certified interval wins
             result = compute_alpha(float(tau), potential, params, grid, t_c=t_c)
-            if result.upper < 1.0:
+            if certifies(result):
                 certified = (float(tau), result)
                 break
 

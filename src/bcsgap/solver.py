@@ -209,15 +209,20 @@ def _error_bound(
     has zero or mixed-sign components, and J averages out the rounding
     noise in the step, which would otherwise inflate q by about half of
     1 - rho near T_c (Gaussian bump on the default grid: 2e-4 against
-    1 - rho = 5e-4).  The bound is infinite when q >= 1, and zero after a
-    zero step, which leaves u a fixed point in floating point; q is then
-    taken with x = J 1, which is positive too.
+    1 - rho = 5e-4).  A nonzero step is sized |step| + eps max|u|: a step
+    at the rounding floor is a few one-ulp components, whose J|step| is a
+    few columns of J, far from the Perron vector, and q then reaches one;
+    the floor spreads x over every column.  Any size >= |step| keeps the
+    bound valid.  The bound is infinite when q >= 1, and zero after a zero
+    step, which leaves u a fixed point in floating point; q is then taken
+    with x = J 1, which is positive too.
     """
-    size = np.abs(step)
+    moved = bool(np.any(step))
+    size = np.abs(step) + np.finfo(float).eps * float(np.max(np.abs(u)))
     jac = jacobian_diagonal(op.grid.nodes, u, T)
-    x = op.jacobian_action(jac, size if np.any(size) else 1.0)
+    x = op.jacobian_action(jac, size if moved else 1.0)
     q = float(np.max(op.jacobian_action(jac, x) / x))
-    if not np.any(size):
+    if not moved:
         return q, 0.0
     if q >= 1.0:
         return q, np.inf

@@ -73,7 +73,9 @@ def nystrom_constant_gap(U: float, T: float, grid) -> float:
 def bisect_delta(U: float, T: float, params) -> float:
     """Constant-coupling gap by plain bisection on the computed
     f(delta) = U * integral(gap_kernel(xi, delta^2, T)) - 1, evaluating f at
-    every midpoint.  ``solve_delta`` must return this float bit for bit."""
+    every midpoint, to a bracket of max(1e-15 delta0, 1e-18).  The window
+    that ``solve_delta`` proves around its value must hold this float, up
+    to that bracket."""
     if T < 0:
         raise ValueError("temperature must be nonnegative")
     tau = tau_root(U, params)
@@ -84,9 +86,7 @@ def bisect_delta(U: float, T: float, params) -> float:
     def f(delta: float) -> float:
         return U * _coupling_integral(delta * delta, T, params) - 1.0
 
-    lo, hi = 0.0, d0 * (1.0 + 1e-12)
-    if T > 0.0 and f(hi) > 0.0:  # widen once; never taken in any measured case
-        hi = d0 * 1.5
+    lo, hi = 0.0, d0 * (1.0 + 1e-12)  # the root falls from about delta0 at T = 0
     for _ in range(120):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
@@ -95,6 +95,30 @@ def bisect_delta(U: float, T: float, params) -> float:
             hi = mid
         if hi - lo <= max(1e-15 * d0, 1e-18):
             break
+    return 0.5 * (lo + hi)
+
+
+def bisect_tau(U: float, params) -> float:
+    """Vanishing temperature by 200 plain bisection steps on the computed
+    f(T) = U * integral(tanh(xi/2T)/xi) - 1, from ``tau_root``'s bracket,
+    evaluating f at every midpoint.  ``tau_root`` must return this float
+    bit for bit."""
+
+    def f(T: float) -> float:
+        return U * _coupling_integral(0.0, T, params) - 1.0
+
+    lo = params.epsilon_cutoff * 1e-3
+    while f(lo) <= 0.0:
+        lo *= 0.5
+    hi = lo
+    while f(hi) > 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 

@@ -300,7 +300,7 @@ def test_search_certifies_on_the_upper_bound_only(
     def enclosure(tau, *args, t_c):
         return AlphaResult(
             alpha=0.5, upper=upper, t_at_max=tau, x_at_max=params.epsilon_cutoff,
-            delta2_at_tau=1e-3 * tau, delta2_at_tc=2e-3,
+            delta2_at_tau=1e-3 * tau, delta2_at_tc=2e-3, delta2_at_tau_upper=2e-3 * tau,
         )
 
     monkeypatch.setattr(certificate, "compute_alpha", enclosure)
@@ -314,3 +314,28 @@ def test_search_certifies_on_the_upper_bound_only(
         assert isinstance(outcome, CertificateFailure)
         assert (outcome.best_alpha, outcome.alpha_upper) == (0.5, upper)
         assert outcome.delta2_at_tc == 2e-3
+
+
+@pytest.mark.parametrize("window_top, certified", [(0.999, True), (1.0, False)])
+def test_search_certifies_on_the_window_of_delta2_at_tau(
+    window_top, certified, const_potential, params, grid, monkeypatch
+):
+    # Delta2(tau) < epsilon must hold for the whole window proven around the
+    # root: a stand-in enclosure with upper < 1 and its point below epsilon
+    # certifies only if the window's upper edge is below epsilon too
+    eps = params.epsilon_cutoff
+    t_c = tau_root(0.3, params)
+
+    def enclosure(tau, *args, t_c):
+        return AlphaResult(
+            alpha=0.5, upper=0.75, t_at_max=tau, x_at_max=eps,
+            delta2_at_tau=0.5 * eps, delta2_at_tc=2e-3,
+            delta2_at_tau_upper=window_top * eps,
+        )
+
+    monkeypatch.setattr(certificate, "compute_alpha", enclosure)
+    outcome = search_certificate(const_potential, params, grid, t_c=t_c)
+    assert isinstance(outcome, ContractionCertificate) == certified
+    if not certified:
+        assert isinstance(outcome, CertificateFailure)
+        assert outcome.alpha_upper == 0.75

@@ -258,6 +258,24 @@ def test_surface_nodes_stop_within_two_picard_steps(const_surface, gauss_surface
         assert slow == []
 
 
+@pytest.mark.parametrize("components", [[0], [3, 70, 140], [0, 50, 100, 150]])
+def test_error_bound_at_the_rounding_floor_is_finite(
+    components, gauss_potential, params, grid, gauss_surface
+):
+    # a step of one ulp on a few components is all that is left at the
+    # rounding floor; J|step| alone is then a few columns of J, whose
+    # Collatz-Wielandt ratio exceeds one on the bump's Jacobian, so the
+    # check must see a floor of eps * max|u| under every component
+    op = as_operator(gauss_potential, grid)
+    node = len(gauss_surface.t_nodes) - 2  # the solved node nearest T_c
+    u = gauss_surface.values[node]
+    step = np.zeros_like(u)
+    step[components] = np.spacing(u[components])
+    q, bound = solver._error_bound(op, u, float(gauss_surface.t_nodes[node]), step)
+    assert q < 1.0
+    assert bound <= 1e-11
+
+
 def test_cold_solve_near_tc_checks_the_stop_at_most_three_times(
     const_potential, params, grid, monkeypatch
 ):
