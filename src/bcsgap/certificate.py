@@ -15,10 +15,11 @@ bound is at most its value with both kernels at T_a, the first at the
 lower edge of Delta2(T_b)'s proven window and the prefactor at the upper
 edge of Delta2(tau)'s: the interval idea of Moore ("Interval Analysis",
 1966) for a monotone integrand.  ``_x_bound`` bounds the largest value of
-that over the x-cell.  A branch and bound bisects the cells that may hold
-the maximum, solving envelope roots only at new cell edges.  alpha is the
-largest point value found, and ``alpha_integrand`` gives that value at
-its (T, x); upper is a bound, rounding included.  A certificate exists
+that over the x-cell.  A best-first branch and bound (Skelboe, BIT 14,
+1974) bisects the cell of largest bound, one at a time, and solves an
+envelope root only at a new cell edge.  alpha is the largest point value
+found, and ``alpha_integrand`` gives that value at its (T, x); upper is
+a bound, rounding included.  A certificate exists
 when upper is below one; else the search reports failure with
 diagnostics.  Both entry points take T_c from the caller (``bcsgap
 certify`` locates it with ``gap_operator.spectral_tc``, ``bcsgap thermo``
@@ -29,9 +30,9 @@ it.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -224,29 +225,14 @@ def _rounding(n: int) -> float:
     return (n + _TERM_ROUNDINGS) * np.finfo(float).eps
 
 
-class _Cells(NamedTuple):
-    """Cells of ``_Enclosure``: edge indices of the T-interval, the
-    x-interval, and the cell's bound and slacks."""
-
-    a: np.ndarray
-    b: np.ndarray
-    xa: np.ndarray
-    xb: np.ndarray
-    upper: np.ndarray
-    t_slack: np.ndarray
-    x_slack: np.ndarray
-
-    def take(self, mask: np.ndarray) -> _Cells:
-        return _Cells(*(field[mask] for field in self))
-
-
 class _Enclosure:
     """``compute_alpha``'s branch and bound.
 
     Edges are the solved temperatures, in the order solved, each with its
     weighted kernel rows and the squared lower edge of its root's window.
     ``values`` holds the point value at every edge (rows) and every
-    evaluated x (columns).
+    evaluated x (columns).  Cells wait in a heap, the largest bound on top
+    (the best-first search of Moore and Skelboe).
     """
 
     def __init__(self, tau, t_c, potential, params, grid):
@@ -260,7 +246,7 @@ class _Enclosure:
         self.t: list[float] = []
         self.rows: list[tuple[np.ndarray, np.ndarray]] = []
         self.lo2: list[float] = []
-        self.t_cells: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.mid_edges: dict[tuple[int, int], int] = {}
         self.x = np.linspace(params.epsilon_cutoff, params.hbar_omega_d, _N_X)
         if isinstance(potential, TablePotential):  # where a table's bound peaks
             nodes = potential.x_nodes
@@ -268,101 +254,77 @@ class _Enclosure:
             self.x = np.union1d(self.x, nodes[inside])
         self.urows = potential_matrix(potential, self.x, grid.nodes)
         self.values = np.empty((0, self.x.size))
-        self._add_edges([tau, t_c], roots, lo)
+        for T, d2, lo_w in zip([tau, t_c], roots.tolist(), lo.tolist()):
+            self._add_edge(T, d2, lo_w)
 
-    def _add_edges(self, ts, roots, lo) -> None:
-        """Solved temperatures become edges, evaluated at every x."""
-        new = []
-        for T, d2, lo_w in zip(ts, roots.tolist(), lo.tolist()):
-            self.t.append(T)
-            self.rows.append(_kernel_rows(self.grid, T, d2))
-            self.lo2.append(lo_w * lo_w)
-            new.append(_point_values(self.urows, *self.rows[-1], self.prefactor))
-        self.values = np.vstack([self.values, *new])
+    def _add_edge(self, T: float, d2: float, lo_w: float) -> None:
+        """A solved temperature becomes an edge, evaluated at every x."""
+        self.t.append(T)
+        self.rows.append(_kernel_rows(self.grid, T, d2))
+        self.lo2.append(lo_w * lo_w)
+        new = _point_values(self.urows, *self.rows[-1], self.prefactor)
+        self.values = np.vstack([self.values, new])
 
-    def _add_x(self, xs: np.ndarray) -> None:
-        """New x points, evaluated at every edge."""
-        urows = potential_matrix(self.potential, xs, self.grid.nodes)
-        cols = [_point_values(urows, kd, k0, self.prefactor) for kd, k0 in self.rows]
-        self.x = np.concatenate([self.x, xs])
-        self.urows = np.vstack([self.urows, urows])
-        cols = np.array(cols).reshape(len(self.t), xs.size)
-        self.values = np.hstack([self.values, cols])
+    def _add_x(self, x: float) -> None:
+        """A new x point, evaluated at every edge."""
+        urow = potential_matrix(self.potential, x, self.grid.nodes)
+        col = [_point_values(urow, kd, k0, self.prefactor)[0] for kd, k0 in self.rows]
+        self.x = np.append(self.x, x)
+        self.urows = np.vstack([self.urows, urow])
+        self.values = np.column_stack([self.values, col])
 
-    def _t_cell(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted rows of the T-interval [t_a, t_b]: its bound, and the
-        point value at t_a."""
-        if (a, b) not in self.t_cells:
-            kd, k0 = self.rows[a]
-            nodes, weights = self.grid.nodes, self.grid.weights
-            kb = weights * gap_kernel(nodes, self.lo2[b], self.t[a])
-            self.t_cells[a, b] = (kb + self.prefactor_hi * k0, kd + self.prefactor * k0)
-        return self.t_cells[a, b]
-
-    def _cells(self, a, b, xa, xb) -> _Cells:
-        """Cells with their bounds, and how much of each bound the
-        T-interval and the x-interval add to the point value at t_a and at
-        the x midpoint."""
-        rows = [self._t_cell(i, j) for i, j in zip(a.tolist(), b.tolist())]
-        shape = (a.size, self.grid.size)
-        bound = np.array([row[0] for row in rows]).reshape(shape)
-        point = np.array([row[1] for row in rows]).reshape(shape)
-        mid = potential_matrix(self.potential, 0.5 * (xa + xb), self.grid.nodes)
-        upper, x_slack = _x_bound(self.potential, xa, xb, self.grid.nodes, bound)
-        return _Cells(
-            a, b, xa, xb,
-            upper=(1.0 + _rounding(self.grid.size)) * upper,
-            t_slack=np.einsum("ij,ij->i", mid, bound - point),
-            x_slack=x_slack,
-        )
-
-    def _t_midpoints(self, cells: _Cells, wanted: np.ndarray) -> np.ndarray:
-        """Solve, as one block, the midpoint roots of the T-intervals of the
-        ``wanted`` cells, highest bound first and within the root budget.
-        Returns each cell's new middle edge, or -1."""
-        chosen: list[tuple[int, int]] = []
-        for c in np.argsort(-cells.upper, kind="stable"):
-            a, b = int(cells.a[c]), int(cells.b[c])
+    def _mid_edge(self, a: int, b: int) -> int:
+        """The edge at the midpoint of [t_a, t_b], its root solved on first
+        use; -1 once the root budget is spent or when the midpoint is not
+        strictly inside."""
+        if (a, b) not in self.mid_edges:
             mid = 0.5 * (self.t[a] + self.t[b])
-            if wanted[c] and (a, b) not in chosen and self.t[a] < mid < self.t[b]:
-                chosen.append((a, b))
-        chosen = chosen[: _ROOT_BUDGET - len(self.t)]
-        middle = {pair: len(self.t) + k for k, pair in enumerate(chosen)}
-        if chosen:
-            ts = [0.5 * (self.t[a] + self.t[b]) for a, b in chosen]
-            roots, lo, _ = _solve_windows(self.params.u_upper, ts, self.params)
-            self._add_edges(ts, roots, lo)
-        return np.array(
-            [middle.get(pair, -1) for pair in zip(cells.a.tolist(), cells.b.tolist())],
-            dtype=int,
+            if len(self.t) >= _ROOT_BUDGET or not self.t[a] < mid < self.t[b]:
+                return -1
+            roots, lo, _ = _solve_windows(self.params.u_upper, [mid], self.params)
+            self._add_edge(mid, float(roots[0]), float(lo[0]))
+            self.mid_edges[a, b] = len(self.t) - 1
+        return self.mid_edges[a, b]
+
+    def _cell(self, a: int, b: int, xa: float, xb: float) -> tuple:
+        """Heap entry of the cell [t_a, t_b] x [xa, xb]: its bound, negated,
+        then its edges, and how much of the bound the T-interval and the
+        x-interval add to the point value at t_a and at the x midpoint."""
+        kd, k0 = self.rows[a]
+        nodes, weights = self.grid.nodes, self.grid.weights
+        kb = weights * gap_kernel(nodes, self.lo2[b], self.t[a])
+        bound = (kb + self.prefactor_hi * k0)[None, :]
+        point = (kd + self.prefactor * k0)[None, :]
+        mid = potential_matrix(self.potential, 0.5 * (xa + xb), nodes)
+        upper, x_slack = _x_bound(
+            self.potential, np.array([xa]), np.array([xb]), nodes, bound
         )
+        upper = (1.0 + _rounding(self.grid.size)) * upper
+        t_slack = np.einsum("ij,ij->i", mid, bound - point)
+        return (-float(upper[0]), a, b, xa, xb, float(t_slack[0]), float(x_slack[0]))
 
     def _refine(self) -> float:
-        """Bisect cells until the enclosure closes or no cell can be split;
-        returns the upper bound."""
-        cells = self._cells(np.array([0]), np.array([1]), self.x[:1], self.x[-1:])
+        """Split the cell of largest bound until upper - alpha <= 1e-9 upper
+        or that cell cannot be split; returns its bound."""
+        heap = [self._cell(0, 1, float(self.x[0]), float(self.x[-1]))]
         while True:
-            alpha = self.values.max()
-            cells = cells.take(cells.upper >= alpha)
-            open_ = cells.upper - alpha > _GAP * cells.upper.max()
-            mid_t = self._t_midpoints(cells, open_ & (cells.t_slack >= cells.x_slack))
-            by_t = mid_t >= 0
-            mid_x = 0.5 * (cells.xa + cells.xb)
-            by_x = open_ & (cells.x_slack > cells.t_slack)
-            by_x &= (cells.xa < mid_x) & (mid_x < cells.xb)
-            if not (by_t.any() or by_x.any()):
-                return float(cells.upper.max())
-            if by_x.any():
-                self._add_x(np.unique(mid_x[by_x]))
-            t_cells, x_cells = cells.take(by_t), cells.take(by_x)
-            new = self._cells(
-                np.concatenate([t_cells.a, mid_t[by_t], x_cells.a, x_cells.a]),
-                np.concatenate([mid_t[by_t], t_cells.b, x_cells.b, x_cells.b]),
-                np.concatenate([t_cells.xa, t_cells.xa, x_cells.xa, mid_x[by_x]]),
-                np.concatenate([t_cells.xb, t_cells.xb, mid_x[by_x], x_cells.xb]),
-            )
-            kept = cells.take(~(by_t | by_x))
-            cells = _Cells(*(np.concatenate(pair) for pair in zip(kept, new)))
+            neg_upper, a, b, xa, xb, t_slack, x_slack = heap[0]
+            upper = -neg_upper
+            if upper - self.values.max() <= _GAP * upper:
+                return upper
+            if t_slack >= x_slack:
+                m = self._mid_edge(a, b)
+                if m < 0:
+                    return upper
+                halves = self._cell(a, m, xa, xb), self._cell(m, b, xa, xb)
+            else:
+                xm = 0.5 * (xa + xb)
+                if not xa < xm < xb:
+                    return upper
+                self._add_x(xm)
+                halves = self._cell(a, b, xa, xm), self._cell(a, b, xm, xb)
+            heapq.heapreplace(heap, halves[0])
+            heapq.heappush(heap, halves[1])
 
     def run(self) -> AlphaResult:
         if np.isfinite(self.prefactor_hi):
@@ -401,17 +363,17 @@ def compute_alpha(
     sum_j w_j U(x, xi_j) [k(xi_j, lo(T_b)^2, T_a) + Pbar k(xi_j, 0, T_a)],
     with lo(T_b) the lower edge of the window proven around Delta2(T_b)
     and Pbar = hi(tau)^2 / (2 eps^2); ``_x_bound`` bounds the largest
-    value over x.  Each round drops the cells whose bound is below alpha
-    and bisects those that keep upper - alpha above 1e-9 upper: in T,
-    solving all new edge roots as one block, where the T-interval adds
-    more to the bound than the x-interval, else in x, which solves no
-    root.  It stops there, at 64 roots solved, or when no cell can be
-    split.
+    value over x.  The cells wait in a heap; the one of largest bound is
+    taken while upper - alpha > 1e-9 upper, with upper its bound, and
+    bisected: in T, solving the one new edge root, where the T-interval
+    adds more to the bound than the x-interval, else in x, which solves no
+    root.  It stops there, or when that cell cannot be split (64 roots
+    solved, or no double strictly inside).
 
     alpha is the largest point value at the edge temperatures, over a
     256-point x lattice, every x-cell edge and a table's x nodes, and
     (t_at_max, x_at_max) is its first maximiser in (T, x) order.  upper is
-    the largest bound of a cell kept; it is +inf when no upper edge of
+    the bound of the heap's top cell, the largest of all; it is +inf when no upper edge of
     Delta2(tau) is proven.  Values >= 1 are valid, reported outcomes.
     """
     if not tau < t_c:

@@ -127,6 +127,7 @@ def build_inputs(
 
     For constant potentials without explicit coupling bounds, a strict
     margin band is imposed; the margin used is returned for the record.
+    The bounds params.u1 and params.u2 are set together or not at all.
     """
     variant = str(cfg.get("potential.variant", "constant"))
     margin_used: float | None = None
@@ -145,7 +146,11 @@ def build_inputs(
     else:
         raise ConfigError(f"unknown potential.variant {variant!r}")
 
-    if "params.u1" in cfg.raw and "params.u2" in cfg.raw:
+    has_u1, has_u2 = "params.u1" in cfg.raw, "params.u2" in cfg.raw
+    if has_u1 != has_u2:
+        given, missing = ("u1", "u2") if has_u1 else ("u2", "u1")
+        raise ConfigError(f"params.{missing} is required when params.{given} is set")
+    if has_u1:
         u1, u2 = float(cfg.raw["params.u1"]), float(cfg.raw["params.u2"])
     elif variant == "constant":
         u1, u2 = coupling_margin_bounds(float(cfg.require("potential.u0")), _DEFAULT_MARGIN)
@@ -259,7 +264,7 @@ def cmd_thermo(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     outcome = search_certificate(potential, params, grid, t_c=surface.t_c)
-    report = build_thermo_report(surface, potential, params, grid, outcome)
+    report = build_thermo_report(surface, params, grid, outcome)
     out = _outdir(cfg)
     write_csv(out / "psi.csv", ["T", "psi"], zip(report.t_nodes, report.psi_values))
     write_csv(

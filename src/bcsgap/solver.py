@@ -354,6 +354,8 @@ def solve_surface(
     bound its stop was accepted on; the contraction constant reported with
     the thermodynamics comes from ``thermo.build_thermo_report``.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     unit_offsets = lattice_offsets(t_resolution, span_decades)
     op = as_operator(potential, grid)
     t_c = spectral_tc(op, params, grid)
@@ -395,6 +397,8 @@ def lattice_offsets(t_resolution: int, span_decades: float) -> np.ndarray:
     down by ``span_decades`` decades in ``t_resolution`` geometric steps."""
     if t_resolution < 2:
         raise ValueError("need at least 2 temperature nodes")
+    if not span_decades > 0.0:
+        raise ValueError(f"span_decades must be positive, got {span_decades!r}")
     ratio = 10.0 ** (-span_decades / (t_resolution - 1))
     return ratio ** np.arange(t_resolution)
 

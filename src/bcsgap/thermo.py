@@ -652,7 +652,6 @@ class ThermoReport:
 
 def build_thermo_report(
     surface: GapSurface,
-    potential: PotentialSpec,
     params: PhysicalParams,
     grid: EnergyGrid,
     certificate: ContractionCertificate | CertificateFailure,

@@ -270,6 +270,39 @@ def test_bound_encloses_a_fine_scan(potential, params, grid):
     assert finest <= result.upper
 
 
+def _bump_interval(params, grid):
+    bump = GaussianBumpPotential(base=0.3, amplitude=5e-3, width=0.1)
+    return bump, tau_root(params.u_lower, params), spectral_tc(bump, params, grid)
+
+
+def test_enclosure_closes_on_the_bump_with_few_roots(params, grid, monkeypatch):
+    # best first: only the cell of largest bound is split, so the bump's
+    # widest interval closes to 1e-9 with few envelope roots
+    bump, tau1, t_c = _bump_interval(params, grid)
+    solved = []
+    real = certificate._solve_windows
+
+    def counting(U, Ts, params):
+        solved.extend(Ts)
+        return real(U, Ts, params)
+
+    monkeypatch.setattr(certificate, "_solve_windows", counting)
+    result = compute_alpha(tau1, bump, params, grid, t_c=t_c)
+    assert result.upper - result.alpha <= certificate._GAP * result.upper
+    assert len(solved) <= 24
+
+
+def test_enclosure_out_of_roots_still_bounds_a_fine_scan(params, grid, monkeypatch):
+    # with the root budget spent before the cells close, the top cell
+    # cannot be split; its bound is returned and still covers the maximum
+    bump, tau1, t_c = _bump_interval(params, grid)
+    monkeypatch.setattr(certificate, "_ROOT_BUDGET", 8)
+    result = compute_alpha(tau1, bump, params, grid, t_c=t_c)
+    finest = _fine_scan(bump, tau1, t_c, params, grid)[0]
+    assert result.upper - result.alpha > certificate._GAP * result.upper
+    assert result.alpha <= finest <= result.upper
+
+
 def test_enclosure_closes_on_a_constant_potential(
     const_potential, params, grid, const_surface
 ):

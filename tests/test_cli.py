@@ -88,6 +88,17 @@ def test_build_inputs_explicit_bounds(tmp_path):
     assert params.u_lower == 0.25
 
 
+@pytest.mark.parametrize("given, missing", [("u1", "u2"), ("u2", "u1")])
+def test_a_lone_coupling_bound_is_refused_by_name(given, missing, tmp_path, capsys):
+    # one bound alone would silently fall back to the margin band
+    cfg_path = _write_config(
+        tmp_path, f"params.{given} = 0.2\noutput.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["simple", str(cfg_path)]) == EXIT_BAD_CONFIG
+    assert f"params.{missing} is required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_simple_outputs(tmp_path):
     cfg_path = _write_config(tmp_path, f"output.dir = {tmp_path / 'out'}\n")
     assert main(["simple", str(cfg_path)]) == EXIT_OK
@@ -273,6 +284,42 @@ def test_thermo_refuses_a_coarse_lattice_before_solving(
     if setting == "solver.t_resolution":
         # the deepest extraction, w_table_extract's, needs 8 nodes
         assert f"need at least 8 nodes below T_c, got {value}" in err
+
+
+@pytest.mark.parametrize(
+    "setting, value, message",
+    [
+        ("solver.tol", "-1e-9", "tol must be nonnegative"),
+        ("solver.span_decades", "0", "span_decades must be positive"),
+        ("solver.span_decades", "-1", "span_decades must be positive"),
+    ],
+)
+@pytest.mark.parametrize("command", ["solve", "thermo"])
+def test_bad_lattice_or_tolerance_is_refused_before_solving(
+    command, setting, value, message, tmp_path, monkeypatch, capsys
+):
+    # a negative tol would spend the whole iteration budget on the first
+    # node, and a span of no decades would put every node at tau1
+    located: list[tuple] = []
+    monkeypatch.setattr(solver, "spectral_tc", lambda *args: located.append(args))
+    lines = [
+        f"{setting} = {value}" if line.startswith(setting) else line
+        for line in BASE_CONFIG.splitlines()
+    ]
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("\n".join(lines) + f"\noutput.dir = {tmp_path / 'out'}\n")
+    assert main([command, str(cfg_path)]) == EXIT_BAD_CONFIG
+    assert message in capsys.readouterr().err
+    assert located == []
+
+
+def test_zero_tolerance_is_accepted(tmp_path):
+    cfg_path = tmp_path / "exact.cfg"
+    cfg_path.write_text(
+        BASE_CONFIG.replace("solver.tol = 1e-9", "solver.tol = 0")
+        + f"output.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["solve", str(cfg_path)]) == EXIT_OK
 
 
 def _count_searches(monkeypatch) -> list[dict]:

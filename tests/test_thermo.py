@@ -159,9 +159,7 @@ def test_thermo_builds_no_second_potential_matrix(
 ):
     surface, _ = const_surface
     shapes = _count_potential_matrices(monkeypatch)
-    build_thermo_report(
-        surface, const_potential, params, grid, default_search_outcome
-    )
+    build_thermo_report(surface, params, grid, default_search_outcome)
     assert shapes == []
     # the consistency functionals use W itself: one build from a potential,
     # none from an operator, and the same value either way
@@ -307,7 +305,7 @@ def test_verdict_degenerate_zero_surface(const_surface, params, grid):
     assert verdict.c is False  # no transition without a positive slope limit
 
 
-def test_report_carries_certificate_alpha(const_surface, const_potential, params, grid):
+def test_report_carries_certificate_alpha(const_surface, params, grid):
     surface, _ = const_surface
     certificate = ContractionCertificate(
         tau=surface.tau,
@@ -316,7 +314,7 @@ def test_report_carries_certificate_alpha(const_surface, const_potential, params
         max_location=(surface.tau, params.epsilon_cutoff),
         delta2_at_tau=0.5 * params.epsilon_cutoff,
     )
-    report = build_thermo_report(surface, const_potential, params, grid, certificate)
+    report = build_thermo_report(surface, params, grid, certificate)
     assert report.certified is True
     assert report.alpha == 0.9
 
