@@ -29,6 +29,13 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
+    """One ``fmt`` cell per value, one row per line under ``header``.
+
+    Each line fills one "%.17g" template, which converts a cell as float()
+    does and formats it as ``fmt`` does, with no per-cell call; a row that
+    is not as wide as the header raises TypeError.
+    """
+    template = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(fmt(float(c)) for c in row) for row in rows)
+    lines.extend(template % tuple(row) for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")

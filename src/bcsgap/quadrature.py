@@ -9,6 +9,7 @@ small argument).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
@@ -47,13 +48,22 @@ def gauss_legendre_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np
     if order < 2:
         raise ValueError("Gauss-Legendre order must be >= 2")
     edges = np.asarray(edges, dtype=float)
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _legendre_rule(order)
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     weights = (half[:, None] * wg[None, :]).ravel()
     return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(order)`` on [-1, 1], computed once per order, read-only."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg.flags.writeable = False
+    wg.flags.writeable = False
+    return xg, wg
 
 
 def integrate(values: np.ndarray, grid: "EnergyGrid") -> float:

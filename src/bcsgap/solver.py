@@ -2,11 +2,20 @@
 gap surface on [tau, T_c] x [epsilon, hbar_omega_d], including T_c itself.
 
 A surface node is solved in two stages.  ``newton_seed`` runs Newton on
-F(u) = u - A u from the previous, cooler node's row (from the upper
-envelope at the first node), solving each linear system by matrix-free
-GMRES; it converges in a handful of steps where the Picard iteration
-contracts at a rate approaching one.  ``picard_solve``, the paper's
-iteration, then starts from that seed, and its stop certifies the row.
+F(u) = u - A u, solving each linear system by matrix-free GMRES; it
+converges in a handful of steps where the Picard iteration contracts at a
+rate approaching one.  It starts from the previous, cooler node's row
+scaled by sqrt((T_c - T) / (T_c - T_prev)), since the gap shrinks like
+sqrt(T_c - T) (from the upper envelope at the first node).
+``picard_solve``, the paper's iteration, then starts from that seed, and
+its stop certifies the row.
+
+Before iterating, ``picard_solve`` must know that T is below the
+transition, where the zero-field Perron root rho(M) of M = W k0(T) exceeds
+one.  A positive start u proves it with one product: M is a positive
+matrix, so the Collatz-Wielandt ratio min_i (M u)_i / u_i is at most
+rho(M).  Only when that ratio does not clear one (by a slack) does a power
+iteration decide.
 
 ``picard_solve`` starts from the upper envelope unless given a start, and
 stops through an a-posteriori bound: if the iteration contracts at rate
@@ -143,24 +152,29 @@ def picard_solve(
 
     If the zero-field Perron root at T is <= 1 (temperature at or above the
     transition), the zero field is the unique fixed point inside the
-    envelope and is returned directly.
+    envelope and is returned directly, with the root as its rate.  A
+    positive start whose Collatz-Wielandt ratio exceeds 1 + slack proves
+    the root larger (see the module docstring) and skips the power
+    iteration that otherwise decides.
 
     ``initial`` overrides the upper-envelope start, e.g. for uniqueness
     probes from the lower envelope.  Note the zero field is always a fixed
     point, so a probe start must be positive somewhere.
     """
     op = as_operator(potential, grid)
-    radius = spectral_radius(T, op, grid).radius
-    if radius <= 1.0 + _ZERO_PHASE_SLACK:
-        zero = np.zeros(grid.size)
-        return (
-            GapField(temperature=T, values=zero),
-            SolveTrace(
-                iterates=np.array([]), final_residual=0.0, iterations=0, rate=radius
-            ),
-        )
-
     u = _start(T, params, grid, initial)
+    if not _proves_ordered_phase(op, u, T):
+        radius = spectral_radius(T, op, grid).radius
+        if radius <= 1.0 + _ZERO_PHASE_SLACK:
+            zero = np.zeros(grid.size)
+            return (
+                GapField(temperature=T, values=zero),
+                SolveTrace(
+                    iterates=np.array([]), final_residual=0.0, iterations=0,
+                    rate=radius,
+                ),
+            )
+
     diffs: list[float] = []
     rho = _SCREEN_FLOOR
     for n in range(1, max_iter + 1):
@@ -193,6 +207,19 @@ def picard_solve(
         f"(observed ratio {ratio:.6f})",
         observed_ratio=ratio,
     )
+
+
+def _proves_ordered_phase(op: GapOperator, u: np.ndarray, T: float) -> bool:
+    """Whether u proves the zero-field Perron root above 1 + slack.
+
+    The zero-field kernel M = W k0(T) is a positive matrix, so for a
+    positive u the Collatz-Wielandt ratio min_i (M u)_i / u_i is at most
+    rho(M).  One product settles the question wherever the ratio clears the
+    slack; a start with a zero component proves nothing.
+    """
+    if not np.all(u > 0.0):
+        return False
+    return float(np.min(op.kernel_action(u, T) / u)) > 1.0 + _ZERO_PHASE_SLACK
 
 
 def _error_bound(
@@ -346,7 +373,9 @@ def solve_surface(
     the sqrt(T_c - T) shrinkage of the gap; the exact zero row at T_c is
     appended.  The gap operator, and with it the weighted potential matrix,
     is built once and shared by every stage.  Each node is seeded by
-    ``newton_seed`` from the previous node's row and certified by
+    ``newton_seed`` from the previous node's row times
+    sqrt((T_c - T) / (T_c - T_prev)), a factor in (0, 1) that moves the row
+    onto the sqrt(T_c - T) shrinkage of the gap, and certified by
     ``picard_solve`` from that seed; if the seed is not finite and positive,
     ``picard_solve`` starts from the upper envelope instead.
     ``max_iter`` bounds the operator applications of both stages together,
@@ -370,9 +399,13 @@ def solve_surface(
 
     rows: list[np.ndarray] = []
     traces: list[SolveTrace] = []
-    for T in t_nodes:
+    for i, T in enumerate(t_nodes):
         T = float(T)
-        start = rows[-1] if rows else None
+        # the gap shrinks like sqrt(T_c - T): scale the cooler row onto it
+        start = (
+            rows[-1] * math.sqrt((t_c - T) / (t_c - float(t_nodes[i - 1])))
+            if rows else None
+        )
         seed, steps = newton_seed(T, op, params, grid, max_iter=max_iter, initial=start)
         if not (np.all(np.isfinite(seed)) and np.all(seed > 0.0)):
             seed = None

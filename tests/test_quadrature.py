@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bcsgap import quadrature
 from bcsgap.quadrature import (
     adaptive_integrate,
     gap_curvature,
@@ -201,3 +202,23 @@ def test_curvature_rejects_negative_argument():
 def test_gauss_legendre_order_validation():
     with pytest.raises(ValueError):
         gauss_legendre_panels(np.array([0.0, 1.0]), 1)
+
+
+@pytest.mark.parametrize("order", [2, 10, 12])
+def test_gauss_legendre_rule_cached_bit_identical(order):
+    # the [-1, 1] rule is computed once per order; the panels built from it
+    # equal the ones built from a fresh leggauss call bit for bit
+    edges = np.geomspace(0.005, 1.0, 17)
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    lo, hi = edges[:-1], edges[1:]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    for _ in range(2):
+        nodes, weights = gauss_legendre_panels(edges, order)
+        assert np.array_equal(nodes, (mid[:, None] + half[:, None] * xg[None, :]).ravel())
+        assert np.array_equal(weights, (half[:, None] * wg[None, :]).ravel())
+        assert nodes.flags.writeable and weights.flags.writeable
+    rule = quadrature._legendre_rule(order)
+    assert rule is quadrature._legendre_rule(order)
+    for part in rule:
+        with pytest.raises(ValueError):
+            part[0] = 0.0

@@ -322,6 +322,84 @@ def test_gauss_surface_rows_within_tol_of_picard_reference(
         assert error <= 1e-11 + ROUNDING_ALLOWANCE, f"node {i}: error {error:.4e}"
 
 
+def test_surface_nodes_seeded_on_the_square_root_branch(const_surface, gauss_surface):
+    # each node's Newton seed starts from the cooler row scaled by
+    # sqrt((T_c - T_i) / (T_c - T_{i-1})); the unscaled row took 6-7 steps
+    surface, _ = const_surface
+    for s in (surface, gauss_surface):
+        assert all(tr.newton_steps <= 5 for tr in s.traces[1:])
+
+
+def _count_power_products(monkeypatch) -> list[int]:
+    # one entry per product of gap_operator's power iteration
+    products: list[int] = []
+    real = gap_operator._power_iteration
+
+    def counting(matvec, x):
+        def counted(v):
+            products.append(1)
+            return matvec(v)
+
+        return real(counted, x)
+
+    monkeypatch.setattr(gap_operator, "_power_iteration", counting)
+    return products
+
+
+@pytest.mark.parametrize("fixture", ["const_potential", "gauss_potential"])
+def test_picard_positive_start_proves_the_ordered_phase(
+    fixture, request, params, grid, monkeypatch
+):
+    # below T_c the Collatz-Wielandt ratio min (M u)_i / u_i of a positive
+    # start near the fixed point exceeds one, which proves rho(M) > 1 with
+    # one product: no power iteration runs, and the field is the one the
+    # cold Perron check's path gives
+    potential = request.getfixturevalue(fixture)
+    op = as_operator(potential, grid)
+    t = spectral_tc(op, params, grid) * (1.0 - 5e-3)
+    start, _ = solver.newton_seed(t, op, params, grid)
+    products = _count_power_products(monkeypatch)
+    field, trace = picard_solve(t, op, params, grid, tol=1e-11, initial=start)
+    assert products == []
+    monkeypatch.setattr(solver, "_proves_ordered_phase", lambda *args: False)
+    cold, cold_trace = picard_solve(t, op, params, grid, tol=1e-11, initial=start)
+    assert products != []
+    assert np.array_equal(field.values, cold.values)
+    assert trace.rate == cold_trace.rate
+    assert np.all(field.values > 0.0)
+
+
+def test_picard_positive_start_above_tc_runs_the_perron_check(
+    const_potential, params, grid, monkeypatch
+):
+    # above T_c no positive start can prove rho(M) > 1, so the power
+    # iteration runs and the zero field comes back with the Perron root
+    t = spectral_tc(const_potential, params, grid) * 1.001
+    start = np.full(grid.size, 0.01)
+    products = _count_power_products(monkeypatch)
+    field, trace = picard_solve(t, const_potential, params, grid, initial=start)
+    assert products != []
+    assert np.all(field.values == 0.0)
+    assert trace.iterations == 0
+    assert trace.rate == spectral_radius(t, const_potential, grid).radius
+    assert trace.rate < 1.0
+
+
+def test_picard_start_with_a_zero_component_runs_the_perron_check(
+    const_potential, params, grid, monkeypatch
+):
+    # a zero component leaves the Collatz-Wielandt ratio undefined there,
+    # so the cold Perron check decides the phase
+    t = 0.95 * spectral_tc(const_potential, params, grid)
+    start = np.full(grid.size, solve_delta(params.u_upper, t, params))
+    start[7] = 0.0
+    products = _count_power_products(monkeypatch)
+    field, _ = picard_solve(t, const_potential, params, grid, tol=1e-9, initial=start)
+    assert products != []
+    c = nystrom_constant_gap(0.3, t, grid)
+    assert np.max(np.abs(field.values - c)) <= 1e-9 + ROUNDING_ALLOWANCE
+
+
 def test_surface_budget_counts_newton_steps(const_potential, params, grid, const_surface):
     surface, _ = const_surface
     steps = surface.traces[0].newton_steps
