@@ -64,12 +64,11 @@ from .thermo import (
     g_consistency,
     g_eval,
     g_integral_to_infinity,
+    limit_tables,
     psi,
     psi_perturbation_bound,
     psi_second_at_tc,
     second_order_verdict,
-    v_table_extract,
-    w_table_extract,
 )
 
 __version__ = "0.1.0"

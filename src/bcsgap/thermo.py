@@ -1,6 +1,7 @@
 """Thermodynamics of the transition: potential difference between the
 superconducting and normal states, its first two temperature derivatives,
-the limit slope/curvature of the squared gap at T_c, the second-order
+the limit slope and curvature of the squared gap at T_c (the value and
+slope at T_c of one interpolant, ``limit_tables``), the second-order
 transition verdict, and the specific-heat jump.
 
 The potential difference for a solved gap field u at temperature T is
@@ -18,7 +19,6 @@ keeps that cancellation at rounding level.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +43,7 @@ __all__ = [
     "extrapolate_to_zero",
     "psi",
     "psi_table",
-    "v_table_extract",
-    "w_table_extract",
+    "limit_tables",
     "f_consistency",
     "g_consistency",
     "g_eval",
@@ -192,35 +191,38 @@ class WTable:
 
     values: np.ndarray
     extrapolation_error: np.ndarray
-    estimator_mismatch: float = 0.0  # relative gap between the two estimators
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise ValueError("limit curvature must be finite")
 
+    @property
+    def estimator_mismatch(self) -> float:
+        """Largest gap between the 6-node and 5-node interpolants' w,
+        relative to max |w|."""
+        scale = float(np.max(np.abs(self.values)))
+        return float(np.max(self.extrapolation_error)) / scale if scale > 0 else 0.0
 
-# near-T_c nodes extrapolated by v_table_extract and v_slope_estimate, and
-# by w_table_extract, the deepest extraction build_thermo_report makes
-_V_DEPTH = 6
-_W_DEPTH = 8
+
+# near-T_c nodes of the one interpolant behind v, w and the verdict's limits
+_DEPTH = 6
 
 
 def require_resolution(t_resolution: int, span_decades: float) -> None:
     """Refuse, before any solve, a lattice that ``build_thermo_report`` would
     refuse after it: the check ``_require_resolved`` makes on a solved
-    surface, at the depth of the report's deepest extraction, applied to
-    ``solve_surface``'s offsets T_c - T at unit scale."""
-    _require_offsets(lattice_offsets(t_resolution, span_decades), _W_DEPTH)
+    surface, applied to ``solve_surface``'s offsets T_c - T at unit scale."""
+    _require_offsets(lattice_offsets(t_resolution, span_decades))
 
 
-def _require_resolved(surface: GapSurface, depth: int) -> np.ndarray:
-    return _require_offsets(surface.t_c - surface.t_nodes[:-1], depth)
+def _require_resolved(surface: GapSurface) -> np.ndarray:
+    return _require_offsets(surface.t_c - surface.t_nodes[:-1])
 
 
-def _require_offsets(offsets: np.ndarray, depth: int) -> np.ndarray:
-    if offsets.size < depth:
+def _require_offsets(offsets: np.ndarray) -> np.ndarray:
+    if offsets.size < _DEPTH:
         raise ValueError(
-            f"insufficient near-T_c resolution: need at least {depth} nodes "
+            f"insufficient near-T_c resolution: need at least {_DEPTH} nodes "
             f"below T_c, got {offsets.size}"
         )
     if offsets.max() / offsets.min() < 99.0:
@@ -231,65 +233,32 @@ def _require_offsets(offsets: np.ndarray, depth: int) -> np.ndarray:
     return offsets
 
 
-def v_table_extract(surface: GapSurface) -> VTable:
-    """Per-node extrapolation of u(T, x)^2 / (T_c - T) as T rises to T_c,
-    from the 6 nodes nearest T_c."""
-    depth = _V_DEPTH
-    offsets = _require_resolved(surface, depth)
-    s = surface.values[:-1] ** 2
-    d = offsets[-depth:]
-    ratios = s[-depth:] / d[:, None]
-    limit, err = extrapolate_to_zero(d, ratios)
-    return VTable(values=limit, extrapolation_error=err)
+def _limits(d: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # P interpolates q at the offsets d: v = P(0), and (q - v)/d interpolates
+    # (P(d) - P(0))/d, whose value at 0 is P'(0) = w/2
+    v, _ = extrapolate_to_zero(d, q)
+    half_w, _ = extrapolate_to_zero(d, (q - v) / d[:, None])
+    return v, 2.0 * half_w
 
 
-def v_slope_estimate(surface: GapSurface) -> tuple[np.ndarray, np.ndarray]:
-    """Independent slope estimator -d(u^2)/dT from differences of the
-    squared gap between consecutive solved nodes, extrapolated to T_c.
+def limit_tables(surface: GapSurface) -> tuple[VTable, WTable]:
+    """Limit slope and curvature of the squared gap at T_c from one
+    interpolant.
 
-    Cross-checks the ratio estimator in v_table_extract, over the same 6
-    nodes nearest T_c; the two agree at the transition because u^2
-    vanishes there linearly.
+    P is the Neville polynomial through q = u(T, x)^2 / (T_c - T) at the 6
+    nodes nearest T_c.  Since u^2 = v d + (w/2) d^2 + O(d^3) in
+    d = T_c - T, v = P(0) and w = 2 P'(0).  Each error is the change when
+    the same interpolant is built on the deepest 5 nodes.
     """
-    depth = _V_DEPTH
-    offsets = _require_resolved(surface, depth + 1)
-    s = surface.values[:-1] ** 2
-    t = surface.t_nodes[:-1]
-    slopes = -np.diff(s[-(depth + 1):], axis=0) / np.diff(t[-(depth + 1):])[:, None]
-    mid_offsets = 0.5 * (offsets[-(depth + 1):-1] + offsets[-depth:])
-    return extrapolate_to_zero(mid_offsets, slopes)
-
-
-def w_table_extract(surface: GapSurface) -> WTable:
-    """Limit curvature of the squared gap from one-sided second differences
-    at the 8 nodes nearest T_c.
-
-    The exact zero row at T_c anchors the stencils.  The alternative
-    estimator -2 [s + (T_c - T) ds/dT] / (T_c - T)^2 is evaluated as well;
-    disagreement beyond 1e-2 relative is reported as a warning, not a
-    failure, because second differences of a square-root-type limit are
-    noisy.
-    """
-    depth = _W_DEPTH
-    _require_resolved(surface, depth)
-    t = surface.t_nodes  # includes T_c, where s = 0 exactly
-    s = surface.values**2
-    s1, d2 = _three_point_derivatives(t, s)
-    mids = surface.t_c - t[:-1]
-    use = slice(len(t) - 1 - depth, len(t) - 1)
-    limit, err = extrapolate_to_zero(mids[use], d2[:-1][use])
-
-    d = mids[use]
-    alt = -2.0 * (s[:-1][use] + d[:, None] * s1[:-1][use]) / (d[:, None] ** 2)
-    alt_limit, _ = extrapolate_to_zero(d, alt)
-    scale = float(np.max(np.abs(limit)))
-    mismatch = float(np.max(np.abs(alt_limit - limit))) / scale if scale > 0 else 0.0
-    if mismatch > 1e-2:
-        warnings.warn(
-            f"curvature estimators disagree by {mismatch:.3e} relative",
-            stacklevel=2,
-        )
-    return WTable(values=limit, extrapolation_error=err, estimator_mismatch=mismatch)
+    offsets = _require_resolved(surface)
+    d = offsets[-_DEPTH:]
+    q = surface.values[:-1][-_DEPTH:] ** 2 / d[:, None]
+    v, w = _limits(d, q)
+    v5, w5 = _limits(d[1:], q[1:])
+    return (
+        VTable(values=v, extrapolation_error=np.abs(v - v5)),
+        WTable(values=w, extrapolation_error=np.abs(w - w5)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +448,10 @@ def second_order_verdict(
     v: VTable | np.ndarray,
     params: PhysicalParams,
     grid: EnergyGrid,
-    psi_values: np.ndarray | None = None,
+    psi_values: np.ndarray,
 ) -> TransitionVerdict:
-    """Evaluate the three transition conditions on a solved surface.
+    """Evaluate the three transition conditions on a solved surface, from
+    its potential differences ``psi_values`` (see ``psi_table``).
 
     (a) holds when the potential difference vanishes at T_c and its
     one-sided finite-difference second derivative converges as the node
@@ -496,14 +466,12 @@ def second_order_verdict(
     else:
         v_vals = np.asarray(v, dtype=float)
         v_err = np.zeros_like(v_vals)
-    if psi_values is None:
-        psi_values = psi_table(surface, params, grid)
     offsets = surface.t_c - surface.t_nodes[:-1]
     psi_tc = float(psi_values[-1])
 
     # (a): Psi(T_c) = 0 and FD second derivative 2 Psi/d^2 converges
     est = 2.0 * psi_values[:-1] / offsets**2
-    deep = slice(-6, None)
+    deep = slice(-_DEPTH, None)
     fd2, fd2_err = extrapolate_to_zero(offsets[deep], est[deep])
     fd2, fd2_err = float(fd2), float(fd2_err)
     a_ok = abs(psi_tc) <= 1e-15 * params.n0_dos * params.hbar_omega_d and (
@@ -669,8 +637,7 @@ def build_thermo_report(
     Collatz-Wielandt bound of each node's ``SolveTrace``.
     """
     psis = psi_table(surface, params, grid)
-    v = v_table_extract(surface)
-    w = w_table_extract(surface)
+    v, w = limit_tables(surface)
     jump = delta_cv(v, surface.t_c, params, grid)
     form_a, form_b = psi_second_at_tc(v, surface.t_c, params, grid)
     if abs(form_a - form_b) > 1e-8 * abs(form_a):
@@ -678,7 +645,7 @@ def build_thermo_report(
             f"curvature forms disagree: {form_a!r} vs {form_b!r}"
         )
     entropy, heat = entropy_and_heat(surface.t_nodes, psis)
-    verdict = second_order_verdict(surface, v, params, grid, psi_values=psis)
+    verdict = second_order_verdict(surface, v, params, grid, psis)
     certified = isinstance(certificate, ContractionCertificate)
     alpha = (
         certificate.alpha

@@ -10,6 +10,7 @@ from bcsgap.quadrature import gap_kernel
 from bcsgap.simple_gap import (
     _coupling_integral,
     delta0_closed_form,
+    implicit_slope_v,
     solve_delta,
     tau_root,
 )
@@ -41,6 +42,24 @@ def fd_slope_oracle(U: float, params, h_rel: float = 1e-3) -> float:
     r1 = 2.0 * est[1] - est[0]
     r2 = 2.0 * est[2] - est[1]
     return (4.0 * r2 - r1) / 3.0
+
+
+def curvature_w_oracle(U: float, params) -> float:
+    """Limit curvature w = d^2(delta^2)/dT^2 at the vanishing temperature,
+    from the scalar gap alone.
+
+    s(h) = solve_delta(U, tau - h)^2 equals v h + (w/2) h^2 + O(h^3), so a
+    degree-5 polynomial fit of s(h)/h on h in [3e-4, 3e-2] tau has v as its
+    value and w/2 as its slope at h = 0.  The fit's value must match
+    ``implicit_slope_v`` to 1e-9, which validates the fit.
+    """
+    tau = tau_root(U, params)
+    h = tau * np.geomspace(3e-4, 3e-2, 16)
+    q = np.array([solve_delta(U, tau - x, params) ** 2 for x in h]) / h
+    coeff = np.polynomial.polynomial.polyfit(h / tau, q, 5)
+    v = implicit_slope_v(U, params)
+    assert abs(coeff[0] - v) <= 1e-9 * v, (coeff[0], v)
+    return float(2.0 * coeff[1] / tau)
 
 
 def nystrom_constant_gap(U: float, T: float, grid) -> float:

@@ -190,8 +190,8 @@ def test_criterion_07_limit_tables(const_surface, const_report, const_potential,
     assert const_report.w_table.estimator_mismatch <= 1e-2
     print(
         f"PASS criterion 7: v within {v_gap:.2e} of the implicit slope (1e-3), "
-        f"sqrt(v) eigen-residual {eigen_residual:.2e} <= 1e-3, w estimators "
-        f"within {const_report.w_table.estimator_mismatch:.2e} <= 1e-2"
+        f"sqrt(v) eigen-residual {eigen_residual:.2e} <= 1e-3, w of the 6- and "
+        f"5-node interpolants within {const_report.w_table.estimator_mismatch:.2e} <= 1e-2"
     )
 
 

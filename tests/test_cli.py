@@ -255,7 +255,6 @@ def test_solve_certifies_every_node_through_picard(tmp_path, monkeypatch):
     [
         ("solver.span_decades", "1.0"),
         ("solver.t_resolution", "5"),
-        ("solver.t_resolution", "7"),
     ],
 )
 def test_thermo_refuses_a_coarse_lattice_before_solving(
@@ -282,8 +281,8 @@ def test_thermo_refuses_a_coarse_lattice_before_solving(
     err = capsys.readouterr().err
     assert "insufficient near-T_c resolution" in err
     if setting == "solver.t_resolution":
-        # the deepest extraction, w_table_extract's, needs 8 nodes
-        assert f"need at least 8 nodes below T_c, got {value}" in err
+        # the one interpolant behind the limits at T_c needs 6 nodes
+        assert f"need at least 6 nodes below T_c, got {value}" in err
 
 
 @pytest.mark.parametrize(

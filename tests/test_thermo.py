@@ -1,6 +1,5 @@
 import importlib
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -24,17 +23,21 @@ from bcsgap.thermo import (
     g_consistency,
     g_eval,
     g_integral_to_infinity,
+    limit_tables,
     psi,
     psi_perturbation_bound,
     psi_second_at_tc,
     psi_table,
+    require_resolution,
     second_order_verdict,
-    v_slope_estimate,
-    v_table_extract,
-    w_table_extract,
 )
 
-from oracles import derivative_nonuniform, second_derivative_nonuniform, zeta3_series
+from oracles import (
+    curvature_w_oracle,
+    derivative_nonuniform,
+    second_derivative_nonuniform,
+    zeta3_series,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +99,15 @@ def test_v_constant_in_energy_for_constant_potential(const_report):
     assert (np.max(v) - np.min(v)) / np.max(v) <= 1e-9
 
 
-def test_v_second_estimator_agrees(const_surface, const_report, params):
-    surface, _ = const_surface
-    slope, slope_err = v_slope_estimate(surface)
-    v = const_report.v_table
-    combined = np.max(slope_err) + np.max(v.extrapolation_error) + 1e-4 * np.max(v.values)
-    assert np.max(np.abs(slope - v.values)) <= combined
+def test_limits_match_scalar_oracles(const_report, params):
+    # a constant coupling's v and w are the scalar gap's: v in closed form,
+    # w from a fit of the scalar gap squared near tau
+    v = const_report.v_table.values
+    w = const_report.w_table.values
+    v_target = implicit_slope_v(0.3, params)
+    w_target = curvature_w_oracle(0.3, params)
+    assert np.max(np.abs(v - v_target)) <= 1e-9 * v_target
+    assert np.max(np.abs(w - w_target)) <= 1e-6 * abs(w_target)
 
 
 def test_v_requires_resolution(const_potential, params, grid):
@@ -110,7 +116,11 @@ def test_v_requires_resolution(const_potential, params, grid):
         tol=1e-9,
     )
     with pytest.raises(ValueError, match="resolution"):
-        v_table_extract(shallow)
+        limit_tables(shallow)
+
+
+def test_six_nodes_over_two_decades_are_enough():
+    require_resolution(6, 2.2)  # the interpolant's depth; 5 is refused in test_cli
 
 
 def test_vtable_rejects_nonpositive_values():
@@ -120,20 +130,26 @@ def test_vtable_rejects_nonpositive_values():
 
 def test_w_constant_in_energy_and_estimators_agree(const_surface):
     surface, _ = const_surface
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # estimator disagreement would warn
-        w = w_table_extract(surface)
+    _, w = limit_tables(surface)
     assert w.estimator_mismatch <= 1e-2
     spread = np.max(w.values) - np.min(w.values)
     assert spread <= 1e-2 * np.max(np.abs(w.values))
 
 
-def test_w_consistency_with_curvature_functional(const_surface, const_report, const_potential, grid):
-    surface, _ = const_surface
-    residual = g_consistency(
-        const_report.v_table, const_report.w_table, surface.t_c, const_potential, grid
-    )
-    assert residual <= 1e-2
+@pytest.mark.parametrize(
+    "surface_name, potential_name",
+    [
+        pytest.param("const_surface", "const_potential", id="const_surface"),
+        pytest.param("gauss_surface", "gauss_potential", id="gauss_surface"),
+    ],
+)
+def test_w_consistency_with_curvature_functional(surface_name, potential_name, request, grid):
+    surface = request.getfixturevalue(surface_name)
+    if surface_name == "const_surface":
+        surface, _ = surface  # the fixture carries the solve's wall time
+    v, w = limit_tables(surface)
+    potential = request.getfixturevalue(potential_name)
+    assert g_consistency(v, w, surface.t_c, potential, grid) <= 1e-8
 
 
 def _count_potential_matrices(monkeypatch) -> list[tuple[int, ...]]:
@@ -301,7 +317,9 @@ def test_verdict_degenerate_zero_surface(const_surface, params, grid):
         values=np.zeros_like(surface.values),
         t_c=surface.t_c,
     )
-    verdict = second_order_verdict(zero, np.zeros(grid.size), params, grid)
+    verdict = second_order_verdict(
+        zero, np.zeros(grid.size), params, grid, psi_table(zero, params, grid)
+    )
     assert verdict.c is False  # no transition without a positive slope limit
 
 
