@@ -286,6 +286,8 @@ def cmd_thermo(cfg: RunConfig) -> int:
     lines = [
         f"t_c = {fmt(report.t_c)}",
         f"alpha = {fmt(report.alpha)}",
+        f"rate_bound = {fmt(report.rate_bound)}",
+        f"certified = {str(report.certified).lower()}",
         f"delta_cv = {fmt(report.delta_cv)}",
         f"psi_second_tc = {fmt(report.psi_second_tc_form_a)}",
         f"verdict_a = {str(report.verdict.a).lower()}",

@@ -2,7 +2,9 @@
 superconducting and normal states, its first two temperature derivatives,
 the limit slope and curvature of the squared gap at T_c (the value and
 slope at T_c of one interpolant, ``limit_tables``), the second-order
-transition verdict, and the specific-heat jump.
+transition verdict, and the specific-heat jump.  Every temperature
+derivative is a derivative of a polynomial through 6 nodes, weighted by
+one stencil rule (``_stencil``).
 
 The potential difference for a solved gap field u at temperature T is
 
@@ -61,74 +63,65 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# extrapolation and finite differences on non-uniform nodes
+# polynomial stencils on non-uniform nodes
+
+
+def _stencil(nodes, at, orders) -> np.ndarray:
+    """Weights w[..., i, :] whose dot product with values at ``nodes`` is the
+    orders[i]-th derivative, at ``at``, of the polynomial through them
+    (Fornberg, Math. Comp. 51, 1988).
+
+    ``nodes`` is (..., m) and ``at`` broadcasts against its leading axes;
+    the result is (..., len(orders), m).  One batched solve of the moment
+    equations sum_j w_j (t_j - a)^p = k! [p = k], p < m, on the offsets
+    t_j - a scaled to [-1, 1].
+    """
+    t = np.asarray(nodes, dtype=float)
+    a = np.asarray(at, dtype=float)[..., None]
+    k = np.atleast_1d(orders)
+    h = np.max(np.abs(t - a), axis=-1, keepdims=True)
+    powers = np.arange(t.shape[-1])
+    moments = ((t - a) / h)[..., None, :] ** powers[:, None]
+    rhs = np.zeros((powers.size, k.size))
+    rhs[k, np.arange(k.size)] = [math.factorial(int(o)) for o in k]
+    weights = np.swapaxes(np.linalg.solve(moments, rhs), -1, -2)
+    return weights / h[..., None] ** k[:, None]
 
 
 def extrapolate_to_zero(
     offsets: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Polynomial (Neville) extrapolation of values(offset) to offset = 0.
+    """Value at offset = 0 of the polynomial through values(offset).
 
-    Works elementwise on trailing axes.  The error estimate is the change
-    when the coarsest point is dropped, i.e. the difference between the two
-    deepest extrapolants.
+    Works elementwise on trailing axes of ``values``, whose first axis runs
+    over the offsets.  The error estimate is the change when the coarsest
+    (first) point is dropped.
     """
     d = np.asarray(offsets, dtype=float)
-    if d.size < 2:
+    vals = np.asarray(values, dtype=float)
+    if d.ndim != 1 or d.size < 2:
         raise ValueError("need at least two offsets to extrapolate")
+    if vals.shape[:1] != d.shape:
+        raise ValueError(
+            f"need one value per offset: got values of shape {vals.shape} "
+            f"for {d.size} offsets"
+        )
     if np.any(d <= 0):
         raise ValueError("offsets must be positive")
-
-    def neville(ds: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        cur = [np.asarray(v, dtype=float) for v in vals]
-        n = len(cur)
-        for lev in range(1, n):
-            cur = [
-                (ds[i] * cur[i + 1] - ds[i + lev] * cur[i]) / (ds[i] - ds[i + lev])
-                for i in range(n - lev)
-            ]
-        return cur[0]
-
-    full = neville(d, values)
-    trimmed = neville(d[1:], values[1:])
+    full = np.tensordot(_stencil(d, 0.0, 0)[0], vals, axes=1)
+    trimmed = np.tensordot(_stencil(d[1:], 0.0, 0)[0], vals[1:], axes=1)
     return full, np.abs(full - trimmed)
-
-
-def _three_point_derivatives(
-    ts: np.ndarray, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivatives at every node by 3-point Lagrange
-    stencils: central at interior nodes, one-sided at the ends."""
-    ts = np.asarray(ts, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    n = ts.size
-    if n < 3:
-        raise ValueError("need at least 3 nodes")
-    first = np.empty_like(ys)
-    second = np.empty_like(ys)
-    for i in range(n):
-        j = min(max(i - 1, 0), n - 3)
-        t0, t1, t2 = ts[j], ts[j + 1], ts[j + 2]
-        y0, y1, y2 = ys[j], ys[j + 1], ys[j + 2]
-        d0 = (t0 - t1) * (t0 - t2)
-        d1 = (t1 - t0) * (t1 - t2)
-        d2 = (t2 - t0) * (t2 - t1)
-        t = ts[i]
-        first[i] = (
-            y0 * (2 * t - t1 - t2) / d0
-            + y1 * (2 * t - t0 - t2) / d1
-            + y2 * (2 * t - t0 - t1) / d2
-        )
-        second[i] = 2.0 * (y0 / d0 + y1 / d1 + y2 / d2)
-    return first, second
 
 
 # ---------------------------------------------------------------------------
 # potential difference
 
 
-def _field_values(u) -> np.ndarray:
-    return np.asarray(u.values if isinstance(u, GapField) else u, dtype=float)
+def _values(x) -> np.ndarray:
+    """The array behind a gap field or a limit table, or ``x`` as an array."""
+    return np.asarray(
+        x.values if isinstance(x, (GapField, VTable, WTable)) else x, dtype=float
+    )
 
 
 def psi(T: float, u, params: PhysicalParams, grid: EnergyGrid) -> float:
@@ -140,7 +133,7 @@ def psi(T: float, u, params: PhysicalParams, grid: EnergyGrid) -> float:
     terms so small fields do not lose precision to cancellation or
     overflow at small T.
     """
-    vals = _field_values(u)
+    vals = _values(u)
     xi = grid.nodes
     w = grid.weights
     n0 = params.n0_dos
@@ -233,28 +226,21 @@ def _require_offsets(offsets: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def _limits(d: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # P interpolates q at the offsets d: v = P(0), and (q - v)/d interpolates
-    # (P(d) - P(0))/d, whose value at 0 is P'(0) = w/2
-    v, _ = extrapolate_to_zero(d, q)
-    half_w, _ = extrapolate_to_zero(d, (q - v) / d[:, None])
-    return v, 2.0 * half_w
-
-
 def limit_tables(surface: GapSurface) -> tuple[VTable, WTable]:
     """Limit slope and curvature of the squared gap at T_c from one
     interpolant.
 
-    P is the Neville polynomial through q = u(T, x)^2 / (T_c - T) at the 6
-    nodes nearest T_c.  Since u^2 = v d + (w/2) d^2 + O(d^3) in
-    d = T_c - T, v = P(0) and w = 2 P'(0).  Each error is the change when
-    the same interpolant is built on the deepest 5 nodes.
+    P is the polynomial through q = u(T, x)^2 / (T_c - T) at the 6 nodes
+    nearest T_c.  Since u^2 = v d + (w/2) d^2 + O(d^3) in d = T_c - T,
+    v = P(0) and w = 2 P'(0).  Each error is the change when the same
+    interpolant is built on the deepest 5 nodes.
     """
     offsets = _require_resolved(surface)
     d = offsets[-_DEPTH:]
     q = surface.values[:-1][-_DEPTH:] ** 2 / d[:, None]
-    v, w = _limits(d, q)
-    v5, w5 = _limits(d[1:], q[1:])
+    v, half_w = _stencil(d, 0.0, (0, 1)) @ q
+    v5, half_w5 = _stencil(d[1:], 0.0, (0, 1)) @ q[1:]
+    w, w5 = 2.0 * half_w, 2.0 * half_w5
     return (
         VTable(values=v, extrapolation_error=np.abs(v - v5)),
         WTable(values=w, extrapolation_error=np.abs(w - w5)),
@@ -278,7 +264,7 @@ def f_consistency(
     i.e. sqrt(v) is a unit-eigenvalue eigenfunction of the linearised
     kernel.  Returns sup|sqrt(v) - K sqrt(v)| / sup sqrt(v); scale-free.
     """
-    vals = np.asarray(v.values if isinstance(v, VTable) else v, dtype=float)
+    vals = _values(v)
     if np.any(vals <= 0):
         raise ValueError("limit slope must be positive")
     root = np.sqrt(vals)
@@ -305,8 +291,7 @@ def g_consistency(
 
     where K is the zero-field kernel.  Returns sup|w - G| / sup|w|.
     """
-    vv = np.asarray(v.values if isinstance(v, VTable) else v, dtype=float)
-    ww = np.asarray(w.values if isinstance(w, WTable) else w, dtype=float)
+    vv, ww = _values(v), _values(w)
     root = np.sqrt(vv)
     xi = grid.nodes
     op = as_operator(potential, grid)
@@ -367,7 +352,7 @@ def delta_cv(
     over eta in [eps/(2T_c), hbar_omega_d/(2T_c)]; strictly positive since
     the curvature kernel is negative.
     """
-    vals = np.asarray(v.values if isinstance(v, VTable) else v, dtype=float)
+    vals = _values(v)
     eta, w_eta = _eta_quadrature(t_c, grid)
     return float(
         -params.n0_dos / (8.0 * t_c) * np.dot(w_eta, vals**2 * gap_curvature(eta))
@@ -389,7 +374,7 @@ def psi_second_at_tc(
     Both negative; their agreement is a cross-check of the curvature-kernel
     evaluation since formB carries the raw cancellation.
     """
-    vals = np.asarray(v.values if isinstance(v, VTable) else v, dtype=float)
+    vals = _values(v)
     n0 = params.n0_dos
     eta, w_eta = _eta_quadrature(t_c, grid)
     form_a = n0 / (8.0 * t_c**2) * float(np.dot(w_eta, vals**2 * gap_curvature(eta)))
@@ -410,7 +395,7 @@ def first_derivative_three_terms(
 
     They cancel exactly through 1 - tanh(z/2) = 2/(e^z + 1).
     """
-    vals = np.asarray(v.values if isinstance(v, VTable) else v, dtype=float)
+    vals = _values(v)
     xi = grid.nodes
     w = grid.weights
     n0 = params.n0_dos
@@ -461,11 +446,8 @@ def second_order_verdict(
     propagated error.  A degenerate (zero) slope table yields verdict (c)
     false: no transition.
     """
-    if isinstance(v, VTable):
-        v_vals, v_err = v.values, v.extrapolation_error
-    else:
-        v_vals = np.asarray(v, dtype=float)
-        v_err = np.zeros_like(v_vals)
+    v_vals = _values(v)
+    v_err = v.extrapolation_error if isinstance(v, VTable) else np.zeros_like(v_vals)
     offsets = surface.t_c - surface.t_nodes[:-1]
     psi_tc = float(psi_values[-1])
 
@@ -519,18 +501,24 @@ def entropy_and_heat(
     """Entropy difference -dPsi/dT and specific-heat difference -T d2Psi/dT2
     from a tabulated potential difference.
 
-    Central 3-point stencils at interior nodes, one-sided at the ends; the
-    normal-state contribution is zero by construction, so the value at the
-    last node below T_c is the jump.
+    Each node takes both derivatives of the polynomial through the 6 nodes
+    around it, a window clipped one-sided at the ends; the normal-state
+    contribution is zero by construction, so the value at T_c (the one-sided
+    limit from below) is the jump.
     """
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    psi_values = np.asarray(psi_values, dtype=float)
-    if t_nodes.size < 5:
-        raise ValueError("need at least 5 temperature nodes")
-    first, second = _three_point_derivatives(t_nodes, psi_values)
-    entropy = -first
-    heat = -t_nodes * second
-    return entropy, heat
+    t = np.asarray(t_nodes, dtype=float)
+    psis = np.asarray(psi_values, dtype=float)
+    if t.shape != psis.shape or t.ndim != 1:
+        raise ValueError(
+            f"need one potential value per temperature: got shapes {psis.shape} "
+            f"and {t.shape}"
+        )
+    if t.size < _DEPTH:
+        raise ValueError(f"need at least {_DEPTH} temperature nodes, got {t.size}")
+    start = np.clip(np.arange(t.size) - _DEPTH // 2, 0, t.size - _DEPTH)
+    window = start[:, None] + np.arange(_DEPTH)
+    first, second = np.einsum("nkj,nj->kn", _stencil(t[window], t, (1, 2)), psis[window])
+    return -first, -t * second
 
 
 def psi_perturbation_bound(
@@ -553,7 +541,7 @@ def psi_perturbation_bound(
 
     lhs <= rhs for any two fields inside the envelope at the same T.
     """
-    uv, rv = _field_values(u), _field_values(u_ref)
+    uv, rv = _values(u), _values(u_ref)
     lhs = abs(psi(T, uv, params, grid) - psi(T, rv, params, grid))
     d20 = solve_delta(params.u_upper, 0.0, params)
     bracket = (1.0 + 2.0 * t_c / tau) * math.log(
@@ -616,6 +604,7 @@ class ThermoReport:
     t_c: float
     alpha: float
     certified: bool
+    rate_bound: float
 
 
 def build_thermo_report(
@@ -633,8 +622,10 @@ def build_thermo_report(
     ``certificate`` is the outcome of ``certificate.search_certificate``,
     and this is where the reported contraction constant is decided: the
     certificate's alpha when the search succeeded, otherwise
-    min(max rate + 0.1, 0.95) with ``certified`` False, where rate is the
-    Collatz-Wielandt bound of each node's ``SolveTrace``.
+    min(rate_bound + 0.1, 0.95) with ``certified`` False.  ``rate_bound`` is
+    the largest Collatz-Wielandt bound of the nodes' ``SolveTrace``, the
+    measured local contraction rate, reported either way (nan for a
+    surface that carries no traces).
     """
     psis = psi_table(surface, params, grid)
     v, w = limit_tables(surface)
@@ -647,11 +638,8 @@ def build_thermo_report(
     entropy, heat = entropy_and_heat(surface.t_nodes, psis)
     verdict = second_order_verdict(surface, v, params, grid, psis)
     certified = isinstance(certificate, ContractionCertificate)
-    alpha = (
-        certificate.alpha
-        if certified
-        else min(max(tr.rate for tr in surface.traces) + 0.1, 0.95)
-    )
+    rate_bound = max((tr.rate for tr in surface.traces), default=math.nan)
+    alpha = certificate.alpha if certified else min(rate_bound + 0.1, 0.95)
     return ThermoReport(
         t_nodes=surface.t_nodes,
         psi_values=psis,
@@ -666,4 +654,5 @@ def build_thermo_report(
         t_c=surface.t_c,
         alpha=alpha,
         certified=certified,
+        rate_bound=rate_bound,
     )

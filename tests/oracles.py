@@ -3,6 +3,7 @@ whose results the package must reproduce."""
 
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
 
 from bcsgap.gap_operator import kernel_matrix
@@ -170,38 +171,46 @@ def bisect_tc(potential, grid, lo: float, hi: float, rtol: float = 1e-13) -> flo
     return 0.5 * (lo + hi)
 
 
-def derivative_nonuniform(ts, ys) -> np.ndarray:
-    """First derivative at every node by 3-point Lagrange stencils."""
-    ts = np.asarray(ts, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    n = ts.size
-    out = np.empty_like(ys)
-    for i in range(n):
-        j = min(max(i - 1, 0), n - 3)
-        t0, t1, t2 = ts[j], ts[j + 1], ts[j + 2]
-        y0, y1, y2 = ys[j], ys[j + 1], ys[j + 2]
-        t = ts[i]
-        out[i] = (
-            y0 * (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
-            + y1 * (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
-            + y2 * (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1))
-        )
-    return out
+def constant_psi_derivatives(U: float, T: float, h: float, params, grid) -> tuple[float, float]:
+    """First and second temperature derivatives of the potential difference
+    of the Nyström problem with constant coupling U, by central differences
+    of step h in 40-digit arithmetic.
 
+    At each temperature the field is the constant c solving
+    1 = U * sum_j w_j tanh(r_j/2T)/r_j with r_j = sqrt(xi_j^2 + c^2), found
+    by mpmath's root finder from the double-precision fixed point, and the
+    potential difference is ``thermo.psi``'s three terms in the same
+    arithmetic.  At 40 digits the rounding of the differences stays far
+    below their O(h^2) truncation for steps down to about 1e-12 T.
+    """
+    with mp.workdps(40):
+        xi = [mp.mpf(float(x)) for x in grid.nodes]
+        wt = [mp.mpf(float(x)) for x in grid.weights]
+        n0 = mp.mpf(params.n0_dos)
 
-def second_derivative_nonuniform(ts, ys) -> np.ndarray:
-    """Second derivative at every node by 3-point Lagrange stencils."""
-    ts = np.asarray(ts, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    n = ts.size
-    out = np.empty_like(ys)
-    for i in range(n):
-        j = min(max(i - 1, 0), n - 3)
-        t0, t1, t2 = ts[j], ts[j + 1], ts[j + 2]
-        y0, y1, y2 = ys[j], ys[j + 1], ys[j + 2]
-        out[i] = 2.0 * (
-            y0 / ((t0 - t1) * (t0 - t2))
-            + y1 / ((t1 - t0) * (t1 - t2))
-            + y2 / ((t2 - t0) * (t2 - t1))
-        )
-    return out
+        def excess(c, temp):
+            return U * mp.fsum(
+                w * mp.tanh(mp.sqrt(x * x + c * c) / (2 * temp)) / mp.sqrt(x * x + c * c)
+                for x, w in zip(xi, wt)
+            ) - 1
+
+        def potential(temp):
+            c = mp.findroot(
+                lambda y: excess(y, temp), mp.mpf(nystrom_constant_gap(U, float(temp), grid))
+            )
+            s = c * c
+            total = mp.mpf(0)
+            for x, w in zip(xi, wt):
+                e = mp.sqrt(x * x + s)
+                total += w * (
+                    -2 * (e - x)
+                    + s / e * mp.tanh(e / (2 * temp))
+                    - 4 * temp * mp.log((1 + mp.exp(-e / temp)) / (1 + mp.exp(-x / temp)))
+                )
+            return n0 * total
+
+        t0, step = mp.mpf(T), mp.mpf(h)
+        lo, mid, hi = potential(t0 - step), potential(t0), potential(t0 + step)
+        first = (hi - lo) / (2 * step)
+        second = (hi - 2 * mid + lo) / (step * step)
+        return float(first), float(second)

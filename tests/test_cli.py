@@ -171,9 +171,12 @@ def test_cmd_solve_and_thermo_outputs(tmp_path):
         for line in (out / "thermo_summary.txt").read_text().splitlines()
     )
     assert set(summary) == {
-        "t_c", "alpha", "delta_cv", "psi_second_tc",
+        "t_c", "alpha", "rate_bound", "certified", "delta_cv", "psi_second_tc",
         "verdict_a", "verdict_b", "verdict_c",
     }
+    # the fallback alpha is not a measured rate; the rate bound is
+    assert summary["certified"] == "false"
+    assert float(summary["alpha"]) == 0.95 < float(summary["rate_bound"]) < 1.0
     assert float(summary["delta_cv"]) > 0.0
     assert float(summary["psi_second_tc"]) < 0.0
     assert summary["verdict_a"] == summary["verdict_b"] == summary["verdict_c"] == "true"

@@ -6,7 +6,6 @@ import pytest
 
 from bcsgap import model
 from bcsgap.certificate import ContractionCertificate
-from bcsgap.fileio import write_csv
 from bcsgap.gap_operator import as_operator
 from bcsgap.model import make_params, build_grid
 from bcsgap.simple_gap import implicit_slope_v, tau_root
@@ -32,12 +31,7 @@ from bcsgap.thermo import (
     second_order_verdict,
 )
 
-from oracles import (
-    curvature_w_oracle,
-    derivative_nonuniform,
-    second_derivative_nonuniform,
-    zeta3_series,
-)
+from oracles import constant_psi_derivatives, curvature_w_oracle, zeta3_series
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +51,8 @@ def test_extrapolate_to_zero_validates():
         extrapolate_to_zero(np.array([0.1]), np.array([1.0]))
     with pytest.raises(ValueError):
         extrapolate_to_zero(np.array([0.1, -0.2]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="one value per offset"):
+        extrapolate_to_zero([0.4, 0.2, 0.1], [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +331,16 @@ def test_report_carries_certificate_alpha(const_surface, params, grid):
     report = build_thermo_report(surface, params, grid, certificate)
     assert report.certified is True
     assert report.alpha == 0.9
+    assert report.rate_bound == max(tr.rate for tr in surface.traces)
+
+
+def test_uncertified_report_carries_the_measured_rate_bound(const_surface, const_report):
+    surface, _ = const_surface
+    rate = const_report.rate_bound
+    assert rate == max(tr.rate for tr in surface.traces)
+    assert 0.999 < rate < 1.0  # the contraction weakens toward T_c
+    assert const_report.certified is False
+    assert const_report.alpha == min(rate + 0.1, 0.95) == 0.95
 
 
 # ---------------------------------------------------------------------------
@@ -353,26 +359,37 @@ def test_entropy_and_heat_tables(const_surface, const_report):
     assert heat[-2] == pytest.approx(const_report.delta_cv, rel=5e-2)
 
 
-def test_entropy_and_heat_files_match_separate_stencils(const_report, tmp_path):
-    # one 3-point helper gives both derivatives with the arithmetic of the
-    # former separate first- and second-derivative stencils, byte for byte
-    t, psis = const_report.t_nodes, const_report.psi_values
-    entropy, heat = entropy_and_heat(t, psis)
-    tables = {
-        "new": (entropy, heat),
-        "ref": (
-            -derivative_nonuniform(t, psis),
-            -t * second_derivative_nonuniform(t, psis),
-        ),
-    }
-    written = {}
-    for key, (s, cv) in tables.items():
-        write_csv(tmp_path / f"entropy_{key}.csv", ["T", "s"], zip(t, s))
-        write_csv(tmp_path / f"heat_{key}.csv", ["T", "cv"], zip(t, cv))
-        written[key] = [
-            (tmp_path / f"{name}_{key}.csv").read_bytes() for name in ("entropy", "heat")
-        ]
-    assert written["new"] == written["ref"]
+def test_heat_at_tc_is_the_jump(const_report):
+    # at the T_c row the one-sided interpolant gives the closed-form jump
+    heat = const_report.specific_heat_values
+    assert heat[-1] == pytest.approx(const_report.delta_cv, rel=1e-6)
+
+
+@pytest.mark.parametrize("where", ["coolest", "middle", "nearest_tc"])
+def test_entropy_and_heat_match_the_mpmath_oracle(where, const_surface, const_report, params, grid):
+    surface, _ = const_surface
+    i = {"coolest": 0, "middle": surface.t_nodes.size // 2, "nearest_tc": -2}[where]
+    T = float(surface.t_nodes[i])
+    first, second = constant_psi_derivatives(
+        0.3, T, 1e-8 * (surface.t_c - T), params, grid
+    )
+    assert const_report.entropy_values[i] == pytest.approx(-first, rel=1e-7)
+    assert const_report.specific_heat_values[i] == pytest.approx(-T * second, rel=1e-6)
+
+
+def test_entropy_and_heat_agree_on_nested_lattices(gauss_potential, params, grid):
+    # every third node of the 70-node lattice is a node of the 24-node one
+    tables = []
+    for n in (24, 70):
+        surface = solve_surface(gauss_potential, params, grid, t_resolution=n, span_decades=2.2)
+        psis = psi_table(surface, params, grid)
+        tables.append((surface.t_nodes, *entropy_and_heat(surface.t_nodes, psis)))
+    (t, entropy, heat), (t_fine, entropy_fine, heat_fine) = tables
+    pick = np.r_[np.arange(0, 70, 3), 70]
+    assert np.allclose(t, t_fine[pick], rtol=1e-15, atol=0.0)
+    below = slice(None, -1)  # the entropy difference vanishes at T_c
+    assert np.all(np.abs(entropy - entropy_fine[pick])[below] <= 1e-6 * np.abs(entropy[below]))
+    assert np.all(np.abs(heat - heat_fine[pick]) <= 5e-6 * np.abs(heat))
 
 
 def test_entropy_and_heat_zero_input():
@@ -382,9 +399,18 @@ def test_entropy_and_heat_zero_input():
     assert np.all(heat == 0.0)
 
 
-def test_entropy_and_heat_needs_five_nodes():
-    with pytest.raises(ValueError):
-        entropy_and_heat(np.linspace(0.0, 1.0, 4), np.zeros(4))
+def test_entropy_and_heat_needs_six_nodes():
+    with pytest.raises(ValueError, match="6 temperature nodes"):
+        entropy_and_heat(np.linspace(0.0, 1.0, 5), np.zeros(5))
+    t = np.linspace(0.0, 1.0, 6)
+    entropy, heat = entropy_and_heat(t, t**5)
+    assert entropy == pytest.approx(-5.0 * t**4, abs=1e-12)
+    assert heat == pytest.approx(-20.0 * t**4, abs=1e-12)
+
+
+def test_entropy_and_heat_refuses_a_length_mismatch():
+    with pytest.raises(ValueError, match="one potential value per temperature"):
+        entropy_and_heat(np.linspace(0.0, 1.0, 7), np.zeros(6))
 
 
 # ---------------------------------------------------------------------------
