@@ -24,7 +24,7 @@ import numpy as np
 
 from .certificate import ContractionCertificate, format_certificate_report, search_certificate
 from .fileio import atomic_write_text, fmt, write_csv
-from .gap_operator import spectral_tc
+from .gap_operator import GapOperator, as_operator, spectral_tc
 from .model import (
     ConstantPotential,
     EnergyGrid,
@@ -217,10 +217,12 @@ def _lattice(cfg: RunConfig) -> tuple[int, float]:
 
 
 def _solve(cfg: RunConfig):
+    """Params, the gap operator of the config's potential, grid, surface."""
     params, potential, grid, _ = build_inputs(cfg)
+    op = as_operator(potential, grid)
     t_resolution, span_decades = _lattice(cfg)
     surface = solve_surface(
-        potential,
+        op,
         params,
         grid,
         t_resolution=t_resolution,
@@ -228,17 +230,21 @@ def _solve(cfg: RunConfig):
         span_decades=span_decades,
         max_iter=int(cfg.get("solver.max_iter", 2_000_000)),
     )
-    return params, potential, grid, surface
+    return params, op, grid, surface
 
 
-def _write_surface(out: Path, surface) -> None:
+def _write_surface(out: Path, surface, op: GapOperator) -> None:
     rows = (
         (T, x, surface.values[i, j])
         for i, T in enumerate(surface.t_nodes)
         for j, x in enumerate(surface.x_nodes)
     )
     write_csv(out / "surface.csv", ["T", "x", "u"], rows)
-    atomic_write_text(out / "tc.txt", f"t_c = {fmt(surface.t_c)}\n")
+    atomic_write_text(
+        out / "tc.txt",
+        f"t_c = {fmt(surface.t_c)}\noperator_rank = {op.rank}\n"
+        f"operator_error = {fmt(op.error)}\n",
+    )
     trace_rows = (
         (T, tr.iterations, tr.rate)
         for T, tr in zip(surface.t_nodes[:-1], surface.traces)
@@ -248,22 +254,22 @@ def _write_surface(out: Path, surface) -> None:
 
 def cmd_solve(cfg: RunConfig) -> int:
     try:
-        _, _, _, surface = _solve(cfg)
+        _, op, _, surface = _solve(cfg)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    _write_surface(_outdir(cfg), surface)
+    _write_surface(_outdir(cfg), surface, op)
     return EXIT_OK
 
 
 def cmd_thermo(cfg: RunConfig) -> int:
     require_resolution(*_lattice(cfg))
     try:
-        params, potential, grid, surface = _solve(cfg)
+        params, op, grid, surface = _solve(cfg)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    outcome = search_certificate(potential, params, grid, t_c=surface.t_c)
+    outcome = search_certificate(op.potential, params, grid, t_c=surface.t_c)
     report = build_thermo_report(surface, params, grid, outcome)
     out = _outdir(cfg)
     write_csv(out / "psi.csv", ["T", "psi"], zip(report.t_nodes, report.psi_values))

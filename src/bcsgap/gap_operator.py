@@ -8,14 +8,28 @@ The operator acts on per-temperature fields
 which is the quadrature discretisation of the gap-equation right side with
 collocation at the quadrature nodes.
 
-A ``GapOperator`` is built once per (potential, grid): it holds the
-temperature-independent matrix W = U(x_i, xi_j) w_j and applies, at any
-temperature, the operator, its Jacobian action J v = W (d * v) and the
-zero-field kernel action W (k0(T) * x), and finds the right and left Perron
-vectors of that kernel.  Every other temperature-dependent factor is a
-vector, so no n x n array besides W is formed.  The public functions take
-either a potential, and build the operator through ``as_operator``, or an
-operator already built on the same grid.
+A ``GapOperator`` is built once per (potential, grid).  It holds the
+temperature-independent W = U(x_i, xi_j) w_j as factors L R (n x r and
+r x n) of a degenerate kernel U(x, xi) = sum_k l_k(x) U(c_k, xi)
+(Atkinson, "The Numerical Solution of Integral Equations of the Second
+Kind", 1997, ch. 2): r = 1 for a constant; the hat functions of a table's
+x-nodes, exact since bilinear interpolation is linear in x; and for a
+Gaussian bump the barycentric interpolant on Chebyshev points of the
+second kind, of the smallest degree whose bound from Trefethen, "Approx.
+Theory and Approx. Practice" (2013), Thm 8.2, times |amplitude| is below
+one rounding unit of U.  That bound is the operator's ``error``:
+|W_ij - (L R)_ij| <= error * w_j in exact arithmetic.  A product L (R v)
+costs 2 n r against the n^2 of W v, so where 2 r would reach n the
+operator holds W itself (``left`` is None).
+
+Every product with W goes through ``GapOperator.matvec`` and
+``rmatvec``: the operator, its Jacobian action J v = W (d * v), the
+zero-field kernel action W (k0(T) * x) and the power iterations for the
+Perron pair of M = W diag(k0(T)).  ``apply_A``, ``apply_values``,
+``weighted_potential_matrix`` and ``kernel_matrix`` form the dense W, the
+reference for the operator.  The public functions take either a
+potential, and build the operator through ``as_operator``, or an operator
+already built on the same grid.
 
 The transition temperature is where the zero-field Perron root rho(T) is
 one.  ``radius_crossing_temperature`` finds it by Newton's method on
@@ -36,7 +50,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EnergyGrid, PhysicalParams, PotentialSpec, potential_matrix
+from .model import (
+    ConstantPotential,
+    EnergyGrid,
+    GaussianBumpPotential,
+    PhysicalParams,
+    PotentialSpec,
+    _cells,
+    potential_matrix,
+)
 from .quadrature import gap_kernel, sech
 from .simple_gap import solve_delta, tau_root
 
@@ -60,6 +82,9 @@ __all__ = [
 # or failure after _PERRON_MAX_ITER products
 _PERRON_TOL = 1e-13
 _PERRON_MAX_ITER = 50_000
+# Bernstein-ellipse parameters rho - 1 over which the Chebyshev tail bound
+# is minimised: any rho > 1 gives a valid bound, the grid only tightens it
+_ELLIPSE_OFFSETS = (1e-3, 1e3, 400)
 # radius_crossing_temperature stops on a step or bracket this small, relative
 _CROSSING_RTOL = 1e-13
 # sine modes in a sample_envelope_field profile
@@ -96,10 +121,10 @@ def weighted_potential_matrix(spec: PotentialSpec, grid: EnergyGrid) -> np.ndarr
 def apply_values(
     weighted: np.ndarray, xi: np.ndarray, values: np.ndarray, T: float
 ) -> np.ndarray:
-    """Apply the operator given the precomputed weighted potential matrix.
+    """Apply the operator given the dense weighted potential matrix W.
 
-    Hot path of the fixed-point iteration: one kernel evaluation plus one
-    dense matrix-vector product.
+    One kernel evaluation plus one dense matrix-vector product: the
+    reference that ``apply_A`` uses.
     """
     return weighted @ (values * gap_kernel(xi, values * values, T))
 
@@ -107,9 +132,9 @@ def apply_values(
 def jacobian_diagonal(xi: np.ndarray, values: np.ndarray, T: float) -> np.ndarray:
     """Derivative of u_j k(xi_j, u_j^2, T) in u_j, for T > 0.
 
-    The linearised operator at u is A'(u) = weighted * jacobian_diagonal(u),
-    column by column.  The derivative k + 2 s dk/ds (s = u^2) is evaluated
-    as (xi^2 k + s sech^2(r/2T)/(2T)) / r^2 with r^2 = xi^2 + s, a sum of
+    The linearised operator at u is A'(u) = W diag(jacobian_diagonal(u)).
+    The derivative k + 2 s dk/ds (s = u^2) is evaluated as
+    (xi^2 k + s sech^2(r/2T)/(2T)) / r^2 with r^2 = xi^2 + s, a sum of
     nonnegative terms: no cancellation, and positive wherever xi > 0.
     """
     s = values * values
@@ -149,25 +174,46 @@ def _zero_field_kernel(xi: np.ndarray, T: float) -> np.ndarray:
 class GapOperator:
     """The gap operator of one potential on one grid, with W built once.
 
-    Build it with ``as_operator``.  ``weighted`` is W = U(x_i, xi_j) w_j;
-    every method works with W and vectors only.
+    Build it with ``as_operator``.  ``left`` (n x r) and ``right`` (r x n,
+    weights folded in) multiply to W within ``error`` * w_j (see the module
+    docstring); where ``left`` is None, ``right`` is W itself.  Every method
+    works with ``matvec``, ``rmatvec`` and vectors only.
     """
 
     potential: PotentialSpec
     grid: EnergyGrid
-    weighted: np.ndarray
+    left: np.ndarray | None
+    right: np.ndarray
+    error: float
+
+    @property
+    def rank(self) -> int:
+        """r, the inner dimension of the factors (n where W is held)."""
+        return self.right.shape[0]
+
+    def matvec(self, v) -> np.ndarray:
+        """W v, as L (R v) through the factors."""
+        if self.left is None:
+            return self.right @ v
+        return self.left @ (self.right @ v)
+
+    def rmatvec(self, v) -> np.ndarray:
+        """v^T W, as (v^T L) R through the factors."""
+        if self.left is None:
+            return v @ self.right
+        return (v @ self.left) @ self.right
 
     def apply(self, values: np.ndarray, T: float) -> np.ndarray:
         """(A u) at temperature T for the field values u."""
-        return apply_values(self.weighted, self.grid.nodes, values, T)
+        return self.matvec(values * gap_kernel(self.grid.nodes, values * values, T))
 
     def jacobian_action(self, diagonal: np.ndarray, v) -> np.ndarray:
         """J v = W (d * v), with d = ``jacobian_diagonal`` at some field."""
-        return self.weighted @ (diagonal * v)
+        return self.matvec(diagonal * v)
 
     def kernel_action(self, x: np.ndarray, T: float) -> np.ndarray:
         """W (k0(T) * x): the zero-field linearisation applied to x."""
-        return self.weighted @ (_zero_field_kernel(self.grid.nodes, T) * x)
+        return self.matvec(_zero_field_kernel(self.grid.nodes, T) * x)
 
     def perron(
         self,
@@ -181,11 +227,10 @@ class GapOperator:
         (psi^T M = rho psi^T), by power iteration from ``start`` (the
         constant-one field if None)."""
         k0 = _zero_field_kernel(self.grid.nodes, T)
-        w = self.weighted
         x = np.ones(self.grid.size) if start is None else start
         if left:
-            return _power_iteration(lambda v: k0 * (v @ w), x)
-        return _power_iteration(lambda v: w @ (k0 * v), x)
+            return _power_iteration(lambda v: k0 * self.rmatvec(v), x)
+        return _power_iteration(lambda v: self.matvec(k0 * v), x)
 
     def radius_and_slope(
         self, T: float, right: np.ndarray, left: np.ndarray
@@ -200,16 +245,89 @@ class GapOperator:
         dk0 = -sech(z) ** 2 / (2.0 * T * T)
         norm = float(left @ right)
         rho = float(left @ self.kernel_action(right, T)) / norm
-        slope = float(left @ (self.weighted @ (dk0 * right))) / norm
+        slope = float(left @ self.jacobian_action(dk0, right)) / norm
         return rho, slope
+
+
+def _factors(
+    spec: PotentialSpec, grid: EnergyGrid
+) -> tuple[np.ndarray | None, np.ndarray, float]:
+    """(L, R, error): R holds U at r points c_k times the weights, and row i
+    of L interpolates U(x_i, .) from them within ``error`` (see the module
+    docstring); L is None and R = W where 2 r would reach n."""
+    x = grid.nodes
+    left, centres, error = None, x, 0.0
+    if isinstance(spec, ConstantPotential):
+        left, centres = np.ones((x.size, 1)), x[:1]
+    elif isinstance(spec, GaussianBumpPotential):
+        half = 0.5 * (x[-1] - x[0])
+        degree, error = _chebyshev_degree(spec, half)
+        # the Collatz-Wielandt bounds need L R >= 0, which error < min U gives
+        if 2 * (degree + 1) < x.size and error < spec.base + min(spec.amplitude, 0.0):
+            angles = np.pi * np.arange(degree + 1) / degree
+            centres = x[0] + half * (1.0 - np.cos(angles))
+            left = _barycentric(centres, x)
+    else:  # a table is linear in x between its x-nodes: their hat functions
+        nodes, rows = spec.x_nodes, np.arange(x.size)
+        i, t = _cells(nodes, x)
+        hats = np.zeros((x.size, nodes.size))
+        hats[rows, i], hats[rows, i + 1] = 1.0 - t, t
+        used = np.any(hats != 0.0, axis=0)
+        if 2 * np.count_nonzero(used) < x.size:
+            left, centres = hats[:, used], nodes[used]
+    if left is None:
+        centres, error = x, 0.0
+    return left, potential_matrix(spec, centres, x) * grid.weights[None, :], error
+
+
+def _chebyshev_degree(spec: GaussianBumpPotential, half: float) -> tuple[int, float]:
+    """Smallest degree whose ``_log_tail`` bound times |amplitude| is below
+    one rounding unit of U, and that product."""
+    log_rho, log_tail = _log_tail(half, spec.width)
+    amplitude = abs(spec.amplitude)
+    degree = 1
+    if amplitude > 0.0:
+        target = np.finfo(float).eps * (abs(spec.base) + amplitude)
+        # the smallest m with log_tail - m log_rho < log(target / amplitude)
+        need = np.floor((log_tail - np.log(target / amplitude)) / log_rho)
+        degree = int(max(np.min(need) + 1.0, 1.0))
+    return degree, amplitude * float(np.exp(np.min(log_tail - degree * log_rho)))
+
+
+def _log_tail(half: float, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log rho, log(4 M(rho) / (rho - 1))) on a grid of rho > 1: the
+    degree-m Chebyshev interpolant in x of exp(-(x - xi)^2 / (2 width^2)),
+    on an interval of half-length ``half``, is within
+    exp(min(log_tail - m log rho)) for every xi (ATAP Thm 8.2), since the
+    function is entire and |Im x| <= half (rho - 1/rho) / 2 bounds it by
+    M(rho) = exp(half^2 (rho - 1/rho)^2 / (8 width^2)) on the ellipse E_rho.
+    """
+    rho = 1.0 + np.geomspace(*_ELLIPSE_OFFSETS)
+    log_tail = np.log(4.0 / (rho - 1.0)) + (half * (rho - 1.0 / rho) / width) ** 2 / 8.0
+    return np.log(rho), log_tail
+
+
+def _barycentric(centres: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L_ik = l_k(x_i) for the Lagrange basis on Chebyshev points of the
+    second kind: barycentric weights (-1)^k, halved at the ends, and a unit
+    row where x_i is one of the points."""
+    beta = np.where(np.arange(centres.size) % 2 == 0, 1.0, -1.0)
+    beta[[0, -1]] *= 0.5
+    offsets = x[:, None] - centres[None, :]
+    hits = offsets == 0.0
+    offsets[hits] = 1.0
+    terms = beta / offsets
+    on_point = np.any(hits, axis=1)
+    terms[on_point] = hits[on_point]
+    return terms / terms.sum(axis=1, keepdims=True)
 
 
 def as_operator(potential: PotentialSpec | GapOperator, grid: EnergyGrid) -> GapOperator:
     """The gap operator of ``potential`` on ``grid``.
 
-    A potential is turned into an operator here, which builds W once; an
-    operator is passed through after checking that it was built on this
-    grid.
+    A potential is turned into an operator here, which builds the factors
+    of W once; an operator is passed through after checking that it was
+    built on this grid.
     """
     if isinstance(potential, GapOperator):
         built_on = potential.grid
@@ -219,19 +337,27 @@ def as_operator(potential: PotentialSpec | GapOperator, grid: EnergyGrid) -> Gap
         ):
             raise ValueError("operator was built on a different grid")
         return potential
-    return GapOperator(potential, grid, weighted_potential_matrix(potential, grid))
+    return GapOperator(potential, grid, *_factors(potential, grid))
 
 
 def apply_A(
     u: GapField, potential: PotentialSpec | GapOperator, grid: EnergyGrid
 ) -> GapField:
-    """Apply the gap operator to a nonnegative field at its temperature."""
+    """Apply the gap operator to a nonnegative field at its temperature,
+    through the dense W: the reference for ``GapOperator.apply``."""
     if u.values.shape != grid.nodes.shape:
         raise ValueError(
             f"field length {u.values.shape} does not match grid {grid.nodes.shape}"
         )
-    out = as_operator(potential, grid).apply(u.values, u.temperature)
+    out = apply_values(_dense(potential, grid), grid.nodes, u.values, u.temperature)
     return GapField(temperature=u.temperature, values=out)
+
+
+def _dense(potential: PotentialSpec | GapOperator, grid: EnergyGrid) -> np.ndarray:
+    """W itself, formed afresh for the dense reference functions."""
+    if isinstance(potential, GapOperator):
+        potential = as_operator(potential, grid).potential
+    return weighted_potential_matrix(potential, grid)
 
 
 def kernel_matrix(
@@ -240,7 +366,7 @@ def kernel_matrix(
     """Linearisation of the operator at zero field, the n x n matrix
     M_ij = U(x_i, xi_j) tanh(xi_j/2T)/xi_j * w_j; strictly positive."""
     k0 = _zero_field_kernel(grid.nodes, T)
-    return as_operator(potential, grid).weighted * k0[None, :]
+    return _dense(potential, grid) * k0[None, :]
 
 
 def spectral_radius(

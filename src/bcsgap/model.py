@@ -156,12 +156,17 @@ class GaussianBumpPotential:
 PotentialSpec = ConstantPotential | TablePotential | GaussianBumpPotential
 
 
+def _cells(nodes: np.ndarray, x):
+    """Index i of the node interval holding x, and x's offset t in it as a
+    fraction of its length; the end intervals extend linearly beyond."""
+    i = np.clip(np.searchsorted(nodes, x) - 1, 0, nodes.size - 2)
+    return i, (x - nodes[i]) / (nodes[i + 1] - nodes[i])
+
+
 def _bilinear(table: TablePotential, x, xi):
-    xn, yn, v = table.x_nodes, table.xi_nodes, table.values
-    i = np.clip(np.searchsorted(xn, x) - 1, 0, xn.size - 2)
-    j = np.clip(np.searchsorted(yn, xi) - 1, 0, yn.size - 2)
-    tx = (x - xn[i]) / (xn[i + 1] - xn[i])
-    ty = (xi - yn[j]) / (yn[j + 1] - yn[j])
+    v = table.values
+    i, tx = _cells(table.x_nodes, x)
+    j, ty = _cells(table.xi_nodes, xi)
     return (
         v[i, j] * (1 - tx) * (1 - ty)
         + v[i + 1, j] * tx * (1 - ty)

@@ -2,11 +2,12 @@
 gap surface on [tau, T_c] x [epsilon, hbar_omega_d], including T_c itself.
 
 A surface node is solved in two stages.  ``newton_seed`` runs Newton on
-F(u) = u - A u, solving each linear system by matrix-free GMRES; it
-converges in a handful of steps where the Picard iteration contracts at a
-rate approaching one.  It starts from the previous, cooler node's row
-scaled by sqrt((T_c - T) / (T_c - T_prev)), since the gap shrinks like
-sqrt(T_c - T) (from the upper envelope at the first node).
+F(u) = u - A u, solving each linear system by matrix-free GMRES whose
+products go through the factors of W (see ``gap_operator``); it converges
+in a handful of steps where the Picard iteration contracts at a rate
+approaching one.  It starts from the previous, cooler node's row scaled by
+sqrt((T_c - T) / (T_c - T_prev)), since the gap shrinks like sqrt(T_c - T)
+(from the upper envelope at the first node).
 ``picard_solve``, the paper's iteration, then starts from that seed, and
 its stop certifies the row.
 
@@ -26,7 +27,7 @@ observed ratio approaches the local rate from below and lags it, and a
 stop taken on it alone misses tol (by 56% at 2.5e-5 below T_c on the
 default grid).  The stop therefore uses the Collatz-Wielandt bound
 q >= rho(A'(u)) of the linearised operator at the current iterate (see
-``_error_bound``), which costs two matrix-vector products per check.  A
+``_error_bound``), which costs three matrix-vector products per check.  A
 screen rate decides when a check is worth making: it starts at 0.5 and
 rises only to the q of a refused check, never to an observed ratio, which
 at rounding-level steps is noise near one and would suppress every check.
@@ -74,6 +75,9 @@ _RATIO_WINDOW = 10
 # GMRES stop: relative residual, and Krylov dimension (no restarts)
 _GMRES_RTOL = 1e-10
 _GMRES_MAX_DIM = 40
+# newton_seed stops once ||A u - u|| is at most this many eps * max|u|, its
+# rounding floor (measured: up to 4.5 at 160 nodes and 6.7 at 640)
+_NEWTON_FLOOR_ULPS = 8.0
 
 
 class ConvergenceError(RuntimeError):
@@ -232,22 +236,28 @@ def _error_bound(
     norm of J in the weighted sup norm ||v||_x = max_i |v_i| / x_i, so
     q >= rho(J).  In the linearised iteration the error after ``step`` is
     -J (I - J)^{-1} step, hence ||u - u*|| <= max(x) * q/(1-q) * ||step||_x.
-    Taking x = J|step| instead of |step| keeps x positive where the step
+    Taking x = J J|step| instead of |step| keeps x positive where the step
     has zero or mixed-sign components, and J averages out the rounding
     noise in the step, which would otherwise inflate q by about half of
     1 - rho near T_c (Gaussian bump on the default grid: 2e-4 against
-    1 - rho = 5e-4).  A nonzero step is sized |step| + eps max|u|: a step
-    at the rounding floor is a few one-ulp components, whose J|step| is a
-    few columns of J, far from the Perron vector, and q then reaches one;
-    the floor spreads x over every column.  Any size >= |step| keeps the
-    bound valid.  The bound is infinite when q >= 1, and zero after a zero
-    step, which leaves u a fixed point in floating point; q is then taken
-    with x = J 1, which is positive too.
+    1 - rho = 5e-4).  One product of J is not enough after a Newton seed
+    that stops with its residual up to 8 eps max|u|: q then exceeds one at
+    the bump's nodes nearest T_c.  A nonzero step is sized |step| +
+    eps max|u|: a step at the rounding floor is a few one-ulp components,
+    whose J|step| is a few columns of J, far from the Perron vector, and q
+    then reaches one; the floor spreads x over every column.  Any size
+    >= |step| keeps the bound valid.  The bound is infinite when q >= 1, and
+    zero after a zero step, which leaves u a fixed point in floating point;
+    q is then taken with x = J 1, which is positive too.
+
+    The factors of W are within ``op.error`` * w_j of the dense W, and
+    ``error`` is below one rounding unit of U by construction, so the bound
+    holds for the dense Nystrom operator up to rounding.
     """
     moved = bool(np.any(step))
     size = np.abs(step) + np.finfo(float).eps * float(np.max(np.abs(u)))
     jac = jacobian_diagonal(op.grid.nodes, u, T)
-    x = op.jacobian_action(jac, size if moved else 1.0)
+    x = op.jacobian_action(jac, op.jacobian_action(jac, size) if moved else 1.0)
     q = float(np.max(op.jacobian_action(jac, x) / x))
     if not moved:
         return q, 0.0
@@ -280,12 +290,12 @@ def newton_seed(
 
     Each step applies the operator once and solves (I - A'(u)) delta =
     A u - u by GMRES, which needs only the products A'(u) v = W (d * v) with
-    d = ``jacobian_diagonal``; no matrix besides W is formed.  Starts from
-    ``initial``, or from the upper envelope when it is None.  Stops once the
-    residual ||A u - u|| fails to halve, which happens at its rounding floor
-    (or if Newton stops converging fast), or after ``max_iter`` operator
-    applications.  Returns the iterate with the smallest residual and the
-    number of operator applications made.
+    d = ``jacobian_diagonal``, through the factors of W.  Starts from
+    ``initial``, or from the upper envelope when it is None.  Stops once
+    the residual ||A u - u|| is at its rounding floor, 8 eps max|u|; once
+    it fails to halve (if Newton stops converging fast); or after
+    ``max_iter`` operator applications.  Returns the iterate with the
+    smallest residual and the number of operator applications made.
 
     The result comes with no bound: ``picard_solve`` started from it is what
     proves ||u - u*|| <= tol.
@@ -294,13 +304,15 @@ def newton_seed(
     u = _start(T, params, grid, initial)
     best, best_residual = u, np.inf
     previous = np.inf
+    floor = _NEWTON_FLOOR_ULPS * np.finfo(float).eps
     for n in range(1, max_iter + 1):
         step = op.apply(u, T) - u
         residual = float(np.max(np.abs(step)))
         if residual < best_residual:
             best, best_residual = u, residual
         # also true for a non-finite residual
-        if not residual < 0.5 * previous or residual == 0.0:
+        at_floor = residual <= floor * float(np.max(np.abs(u)))
+        if at_floor or not residual < 0.5 * previous:
             return best, n
         previous = residual
         jac = jacobian_diagonal(grid.nodes, u, T)
@@ -371,9 +383,9 @@ def solve_surface(
     nodes approach T_c geometrically (spacing proportional to T_c - T over
     ``span_decades`` decades) so that downstream extrapolation can resolve
     the sqrt(T_c - T) shrinkage of the gap; the exact zero row at T_c is
-    appended.  The gap operator, and with it the weighted potential matrix,
-    is built once and shared by every stage.  Each node is seeded by
-    ``newton_seed`` from the previous node's row times
+    appended.  The gap operator, and with it the factors of the weighted
+    potential matrix, is built once and shared by every stage.  Each node
+    is seeded by ``newton_seed`` from the previous node's row times
     sqrt((T_c - T) / (T_c - T_prev)), a factor in (0, 1) that moves the row
     onto the sqrt(T_c - T) shrinkage of the gap, and certified by
     ``picard_solve`` from that seed; if the seed is not finite and positive,

@@ -303,7 +303,7 @@ def g_consistency(
     inner = (ww / (xi * root) - 2.0 * root**3 / xi**3) * tanh_z + root * sech2 * (
         vv / (xi**2 * t_c) + 2.0 / t_c**2
     )
-    second = op.weighted @ inner
+    second = op.matvec(inner)
     g_of_x = first * second
     return float(np.max(np.abs(ww - g_of_x)) / np.max(np.abs(ww)))
 

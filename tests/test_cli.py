@@ -1,6 +1,8 @@
 import importlib
 import math
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from bcsgap.cli import (
     main,
     parse_config,
 )
-from bcsgap.gap_operator import spectral_tc
+from bcsgap.gap_operator import as_operator, spectral_tc
 from bcsgap.simple_gap import tau_root
 
 BASE_CONFIG = """\
@@ -158,7 +160,12 @@ def test_cmd_solve_and_thermo_outputs(tmp_path):
 
     surface_rows = (out / "surface.csv").read_text().splitlines()
     assert surface_rows[0] == "T,x,u"
-    tc = float((out / "tc.txt").read_text().split(" = ")[1])
+    tc_text = (out / "tc.txt").read_text()
+    tc_lines = dict(line.split(" = ") for line in tc_text.splitlines())
+    assert set(tc_lines) == {"t_c", "operator_rank", "operator_error"}
+    # a constant potential factors exactly with rank one
+    assert tc_lines["operator_rank"] == "1" and float(tc_lines["operator_error"]) == 0.0
+    tc = float(tc_lines["t_c"])
     terminal = [r for r in surface_rows[1:] if float(r.split(",")[0]) == tc]
     assert len(terminal) == 160
     assert all(float(r.split(",")[2]) == 0.0 for r in terminal)
@@ -367,3 +374,66 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(["simple", str(cfg_b)]) == EXIT_OK
     for name in ("envelope_U1.csv", "envelope_U2.csv", "simple_summary.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+BUMP_CONFIG = """\
+params.hbar_omega_d = 1.0
+params.epsilon = 0.005
+params.n0 = 1.0
+params.u1 = 0.291
+params.u2 = 0.309
+potential.variant = gaussian_bump
+potential.base = 0.3
+potential.amplitude = -0.004
+potential.width = 0.125
+grid.panels = 16
+grid.order = 10
+solver.t_resolution = 4
+solver.span_decades = 1.0
+"""
+
+
+def test_solve_reports_the_bump_factorisation(tmp_path, monkeypatch):
+    # tc.txt names the operator's rank and factorisation error, and
+    # surface.csv holds one row per (T, x) pair, each cell as fmt writes it
+    surfaces = []
+    real_surface = cli.solve_surface
+
+    def keeping_surface(*args, **kwargs):
+        surfaces.append(real_surface(*args, **kwargs))
+        return surfaces[-1]
+
+    monkeypatch.setattr(cli, "solve_surface", keeping_surface)
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "bump.cfg"
+    cfg_path.write_text(BUMP_CONFIG + f"output.dir = {out}\n")
+    assert main(["solve", str(cfg_path)]) == EXIT_OK
+    _, potential, grid, _ = build_inputs(parse_config(cfg_path))
+    op = as_operator(potential, grid)
+    (surface,) = surfaces
+    assert (out / "tc.txt").read_text() == (
+        f"t_c = {cli.fmt(surface.t_c)}\n"
+        f"operator_rank = {op.rank}\n"
+        f"operator_error = {cli.fmt(op.error)}\n"
+    )
+    assert 1 < op.rank < grid.size and 0.0 < op.error < 1e-16
+    expected = ["T,x,u"] + [
+        f"{cli.fmt(T)},{cli.fmt(x)},{cli.fmt(surface.values[i, j])}"
+        for i, T in enumerate(surface.t_nodes)
+        for j, x in enumerate(surface.x_nodes)
+    ]
+    assert (out / "surface.csv").read_text() == "\n".join(expected) + "\n"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # a cold scipy import takes about a second, all of it set-up time
+    src = Path(bcsgap.__file__).resolve().parents[1]
+    code = (
+        "import sys; import bcsgap.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, cwd=src, timeout=120,
+    )
+    assert done.stdout.strip() == "[]"

@@ -6,21 +6,25 @@ from bcsgap.gap_operator import (
     GapField,
     apply_A,
     as_operator,
+    jacobian_diagonal,
     kernel_matrix,
     radius_crossing_temperature,
     sample_envelope_field,
     spectral_radius,
     spectral_tc,
+    weighted_potential_matrix,
 )
 from bcsgap.model import (
     ConstantPotential,
     GaussianBumpPotential,
     TablePotential,
     build_grid,
+    potential_matrix,
     validate_potential,
 )
 from bcsgap.quadrature import gap_kernel
 from bcsgap.simple_gap import solve_delta, tau_root
+from bcsgap.solver import solve_surface
 from oracles import bisect_tc
 
 
@@ -223,6 +227,8 @@ def test_left_perron_vector_of_nonsymmetric_table(params, grid):
     left = op.perron(t, left=True)
     phi, psi = right.eigenvector, left.eigenvector
     assert left.radius == pytest.approx(right.radius, rel=1e-12)
+    assert np.all(phi > 0.0) and np.all(psi > 0.0)
+    assert np.max(phi) == 1.0 and np.max(psi) == 1.0
     assert np.max(np.abs(psi @ m - right.radius * psi)) <= 1e-12 * np.max(psi)
     assert np.max(np.abs(m @ phi - right.radius * phi)) <= 1e-12 * np.max(phi)
     # the two vectors differ, so a right vector would not do as psi
@@ -249,3 +255,171 @@ def test_operator_input_is_used_as_built(const_potential, params, grid):
     other = build_grid(params, panels=8, order=10)
     with pytest.raises(ValueError, match="different grid"):
         as_operator(op, other)
+
+
+# ---------------------------------------------------------------------------
+# the factored operator against the dense W
+
+
+def _factor_cases(params, grid):
+    # (potential, grid): rank one, the bump at the benchmark's extreme
+    # widths on its 640-node grid, and a table that is not symmetric
+    fine = build_grid(params, panels=64, order=10)
+    return {
+        "constant": (ConstantPotential(u0=0.3), grid),
+        "bump-0.1": (GaussianBumpPotential(base=0.3, amplitude=-0.005, width=0.1), fine),
+        "bump-0.2": (GaussianBumpPotential(base=0.3, amplitude=-0.0025, width=0.2), fine),
+        "skew-table": (_skew_table(params), grid),
+    }
+
+
+FACTOR_CASES = ["constant", "bump-0.1", "bump-0.2", "skew-table"]
+
+
+@pytest.mark.parametrize("case", FACTOR_CASES)
+def test_factored_actions_match_dense_w(case, params, grid):
+    potential, case_grid = _factor_cases(params, grid)[case]
+    op = as_operator(potential, case_grid)
+    dense = weighted_potential_matrix(potential, case_grid)
+    assert op.left.shape == (case_grid.size, op.rank)
+    assert op.right.shape == (op.rank, case_grid.size)
+    assert 2 * op.rank < case_grid.size
+    t = 0.035
+    rng = np.random.default_rng(5)
+    u = rng.uniform(0.5, 1.0, case_grid.size) * solve_delta(params.u_upper, t, params)
+    v = rng.uniform(-1.0, 1.0, case_grid.size)
+    d = jacobian_diagonal(case_grid.nodes, u, t)
+    k0 = gap_kernel(case_grid.nodes, 0.0, t)
+    image = u * gap_kernel(case_grid.nodes, u * u, t)
+    triples = [
+        (op.apply(u, t), apply_A(GapField(t, u), potential, case_grid).values, image),
+        (op.jacobian_action(d, v), dense @ (d * v), d * v),
+        (op.kernel_action(v, t), dense @ (k0 * v), k0 * v),
+    ]
+    for factored, reference, vector in triples:
+        # rounding scale of the products: |W| |vector|
+        scale = np.max(np.abs(dense) @ np.abs(vector))
+        assert np.max(np.abs(factored - reference)) <= 1e-14 * scale
+    assert np.max(np.abs(op.rmatvec(v) - v @ dense)) <= 1e-14 * np.max(np.abs(v) @ np.abs(dense))
+
+
+@pytest.mark.parametrize("case", FACTOR_CASES)
+def test_perron_pair_is_an_eigenpair_of_the_dense_kernel(case, params, grid):
+    potential, case_grid = _factor_cases(params, grid)[case]
+    op = as_operator(potential, case_grid)
+    t = 0.036
+    m = kernel_matrix(t, potential, case_grid)
+    right, left = op.perron(t), op.perron(t, left=True)
+    phi, psi = right.eigenvector, left.eigenvector
+    assert left.radius == pytest.approx(right.radius, rel=1e-13)
+    assert np.all(phi > 0.0) and np.all(psi > 0.0)
+    assert np.max(np.abs(m @ phi - right.radius * phi)) <= 1e-13
+    assert np.max(np.abs(psi @ m - right.radius * psi)) <= 1e-13
+    # the Rayleigh quotient of the dense kernel agrees with the iteration's
+    rayleigh = float(psi @ m @ phi) / float(psi @ phi)
+    assert rayleigh == pytest.approx(right.radius, rel=1e-14)
+
+
+# The tail bound stays below one rounding unit of U by construction, so the
+# dense W and L R, each rounded, differ by more than the bound alone: the
+# comparison allows this many units of eps * max|U| on top.
+FACTOR_ROUNDING_ULPS = 16
+
+
+@pytest.mark.parametrize("case", ["bump-0.1", "bump-0.2"])
+def test_gaussian_factor_error_bounds_the_dense_difference(case, params, grid):
+    potential, case_grid = _factor_cases(params, grid)[case]
+    op = as_operator(potential, case_grid)
+    dense = weighted_potential_matrix(potential, case_grid)
+    gap = np.max(np.abs(dense - op.left @ op.right) / case_grid.weights[None, :])
+    eps = np.finfo(float).eps
+    u_max = potential.base + abs(potential.amplitude)
+    assert 0.0 < op.error < eps * u_max
+    assert gap <= op.error + FACTOR_ROUNDING_ULPS * eps * u_max
+
+
+@pytest.mark.parametrize("degree", [6, 10, 16, 24])
+def test_chebyshev_tail_bounds_the_interpolation_error(degree, params):
+    # below the chosen degree the truncation error dwarfs rounding, and the
+    # Bernstein-ellipse bound must cover it on the grid
+    fine = build_grid(params, panels=64, order=10)
+    x = fine.nodes
+    width = 0.1
+    mid, half = 0.5 * (x[-1] + x[0]), 0.5 * (x[-1] - x[0])
+    centres = mid + half * np.cos(np.pi * np.arange(degree + 1) / degree)
+    bump = GaussianBumpPotential(base=0.0, amplitude=1.0, width=width)
+    exact = potential_matrix(bump, x, x)
+    interpolated = gap_operator._barycentric(centres, x) @ potential_matrix(bump, centres, x)
+    measured = np.max(np.abs(exact - interpolated))
+    log_rho, log_tail = gap_operator._log_tail(half, width)
+    bound = float(np.exp(np.min(log_tail - degree * log_rho)))
+    assert measured > 1e-12  # the truncation, not rounding, is measured
+    assert measured <= bound
+
+
+def test_table_factors_are_exact_hat_functions(params, grid):
+    # bilinear interpolation is linear in x between the table's x-nodes
+    table = _skew_table(params)
+    op = as_operator(table, grid)
+    assert op.rank == table.x_nodes.size and op.error == 0.0
+    assert np.all(op.left >= 0.0)
+    assert np.allclose(op.left.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    dense = weighted_potential_matrix(table, grid)
+    assert np.max(np.abs(dense - op.left @ op.right)) <= 4e-16 * np.max(dense)
+    # x-nodes short of the grid's ends: the factors extrapolate as the
+    # bilinear interpolant does, with hat weights up to 3 and -2 at the ends
+    # that scale the rounding up
+    inner = TablePotential(table.x_nodes[2:-2], table.xi_nodes, table.values[2:-2])
+    op = as_operator(inner, grid)
+    dense = weighted_potential_matrix(inner, grid)
+    assert op.rank == inner.x_nodes.size and np.min(op.left) < 0.0
+    assert np.max(np.abs(dense - op.left @ op.right)) <= 2e-15 * np.max(dense)
+
+
+def test_constant_factors_have_rank_one(const_potential, grid):
+    op = as_operator(const_potential, grid)
+    assert op.rank == 1 and op.error == 0.0
+    assert np.array_equal(op.left @ op.right, weighted_potential_matrix(const_potential, grid))
+
+
+def test_factors_fall_back_to_dense_w_where_rank_would_reach_half_of_n(params):
+    # L (R v) costs 2 n r against the n^2 of W v: a bump too narrow for
+    # fewer Chebyshev points than half of 20 nodes, a table with as many
+    # x-nodes as the grid has nodes, and one with 11 are held as W itself
+    coarse = build_grid(params, panels=2, order=10)
+    span = (params.epsilon_cutoff, params.hbar_omega_d)
+    potentials = [GaussianBumpPotential(base=0.3, amplitude=0.005, width=0.01)]
+    for size in (coarse.size, 11):
+        nodes = np.linspace(*span, size)
+        values = 0.3 + 0.001 * np.sin(nodes[:, None] + nodes[None, :])
+        potentials.append(TablePotential(nodes, nodes, values))
+    v = np.random.default_rng(3).uniform(-1.0, 1.0, coarse.size)
+    for potential in potentials:
+        op = as_operator(potential, coarse)
+        dense = weighted_potential_matrix(potential, coarse)
+        assert op.left is None and op.rank == coarse.size and op.error == 0.0
+        assert np.array_equal(op.right, dense)
+        assert np.array_equal(op.matvec(v), dense @ v)
+        assert np.array_equal(op.rmatvec(v), v @ dense)
+    # 9 x-nodes: 2 r < n, so the hat functions are kept
+    nodes = np.linspace(*span, 9)
+    table = TablePotential(nodes, nodes, 0.3 + 0.001 * np.sin(nodes[:, None] + nodes[None, :]))
+    assert as_operator(table, coarse).rank == 9
+
+
+def test_bump_surface_at_1280_nodes_builds_no_n_by_n_matrix(params, monkeypatch):
+    fine = build_grid(params, panels=128, order=10)
+    shapes: list[tuple[int, ...]] = []
+    real = gap_operator.potential_matrix
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(gap_operator, "potential_matrix", counting)
+    potential = GaussianBumpPotential(base=0.3, amplitude=-0.004409, width=0.1134)
+    solve_surface(potential, params, fine, t_resolution=3, span_decades=1.0)
+    assert len(shapes) == 1
+    rows, cols = shapes[0]
+    assert cols == fine.size and rows < 64

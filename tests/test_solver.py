@@ -276,6 +276,21 @@ def test_error_bound_at_the_rounding_floor_is_finite(
     assert bound <= 1e-11
 
 
+def test_zero_step_on_the_bump_operator_ends_picard_at_once(
+    gauss_potential, params, grid, gauss_surface, monkeypatch
+):
+    # a row that is a fixed point in floating point gives a zero step, which
+    # leaves nothing to bound, also at the bump's node nearest T_c
+    op = as_operator(gauss_potential, grid)
+    node = len(gauss_surface.t_nodes) - 2
+    u, t = gauss_surface.values[node], float(gauss_surface.t_nodes[node])
+    q, bound = solver._error_bound(op, u, t, np.zeros_like(u))
+    assert q < 1.0 and bound == 0.0
+    monkeypatch.setattr(gap_operator.GapOperator, "apply", lambda self, v, T: v.copy())
+    field, trace = picard_solve(t, op, params, grid, tol=1e-11, initial=u)
+    assert trace.iterations == 1 and np.array_equal(field.values, u)
+
+
 def test_cold_solve_near_tc_checks_the_stop_at_most_three_times(
     const_potential, params, grid, monkeypatch
 ):
@@ -313,13 +328,18 @@ def test_gauss_surface_rows_within_tol_of_picard_reference(
 ):
     # the bump's Jacobian is not rank one, so the Newton seed's GMRES solves
     # take several iterations; the certified rows must still be within tol
-    # (the solve_surface default) of a plain Picard solve to 1e-13
+    # (the solve_surface default) of a plain Picard solve to 1e-13, and be
+    # fixed points of the dense operator to within its residual promise, 2 tol
     n = len(gauss_surface.traces)
     for i in (0, n // 2, n - 1):
         t = float(gauss_surface.t_nodes[i])
+        row = gauss_surface.values[i]
         reference, _ = picard_solve(t, gauss_potential, params, grid, tol=1e-13)
-        error = float(np.max(np.abs(gauss_surface.values[i] - reference.values)))
+        error = float(np.max(np.abs(row - reference.values)))
         assert error <= 1e-11 + ROUNDING_ALLOWANCE, f"node {i}: error {error:.4e}"
+        weighted = weighted_potential_matrix(gauss_potential, grid)
+        dense = apply_values(weighted, grid.nodes, row, t)
+        assert np.max(np.abs(dense - row)) <= 2e-11
 
 
 def test_surface_nodes_seeded_on_the_square_root_branch(const_surface, gauss_surface):
@@ -472,6 +492,9 @@ def _count_matrix_builds(monkeypatch) -> list[tuple[int, ...]]:
 
 
 def test_surface_builds_weighted_matrix_once(gauss_potential, params, grid, monkeypatch):
+    # W is built once, as its factors: R holds U at the r Chebyshev points
+    rank = as_operator(gauss_potential, grid).rank
     shapes = _count_matrix_builds(monkeypatch)
     solve_surface(gauss_potential, params, grid, t_resolution=4)
-    assert shapes == [(grid.size, grid.size)]
+    assert rank < grid.size
+    assert shapes == [(rank, grid.size)]

@@ -173,10 +173,10 @@ def test_thermo_builds_no_second_potential_matrix(
     shapes = _count_potential_matrices(monkeypatch)
     build_thermo_report(surface, params, grid, default_search_outcome)
     assert shapes == []
-    # the consistency functionals use W itself: one build from a potential,
-    # none from an operator, and the same value either way
+    # the consistency functionals use W's factors: one build of the rank-one
+    # R from a potential, none from an operator, and the same value either way
     op = as_operator(const_potential, grid)
-    assert shapes == [(grid.size, grid.size)]
+    assert shapes == [(1, grid.size)]
     v, w = const_report.v_table, const_report.w_table
     for fn, args in ((f_consistency, (v,)), (g_consistency, (v, w))):
         from_op = fn(*args, surface.t_c, op, grid)
