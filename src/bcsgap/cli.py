@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,7 @@ from .simple_gap import envelope_curve
 from .solver import ConvergenceError, solve_surface
 from .thermo import build_thermo_report, g_integral_to_infinity, require_resolution
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "build_inputs", "main"]
+__all__ = ["ConfigError", "parse_config", "build_inputs", "main"]
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 2
@@ -80,20 +79,14 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    raw: dict[str, object] = field(default_factory=dict)
-
-    def get(self, key: str, default=None):
-        return self.raw.get(key, default)
-
-    def require(self, key: str):
-        if key not in self.raw:
-            raise ConfigError(f"missing required key {key}")
-        return self.raw[key]
+def _require(cfg: dict[str, object], key: str):
+    """cfg[key], or a ConfigError naming the missing key."""
+    if key not in cfg:
+        raise ConfigError(f"missing required key {key}")
+    return cfg[key]
 
 
-def parse_config(path: str | Path) -> RunConfig:
+def parse_config(path: str | Path) -> dict[str, object]:
     """Parse a flat key = value config file; unknown keys are rejected."""
     raw: dict[str, object] = {}
     try:
@@ -117,11 +110,11 @@ def parse_config(path: str | Path) -> RunConfig:
             raw[key] = caster(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
-    return RunConfig(raw=raw)
+    return raw
 
 
 def build_inputs(
-    cfg: RunConfig,
+    cfg: dict[str, object],
 ) -> tuple[PhysicalParams, PotentialSpec, EnergyGrid, float | None]:
     """Materialise params, potential and grid from a parsed config.
 
@@ -133,34 +126,34 @@ def build_inputs(
     margin_used: float | None = None
 
     if variant == "constant":
-        u0 = float(cfg.require("potential.u0"))
+        u0 = float(_require(cfg, "potential.u0"))
         potential: PotentialSpec = ConstantPotential(u0=u0)
     elif variant == "gaussian_bump":
         potential = GaussianBumpPotential(
-            base=float(cfg.require("potential.base")),
-            amplitude=float(cfg.require("potential.amplitude")),
-            width=float(cfg.require("potential.width")),
+            base=float(_require(cfg, "potential.base")),
+            amplitude=float(_require(cfg, "potential.amplitude")),
+            width=float(_require(cfg, "potential.width")),
         )
     elif variant == "table":
-        potential = load_potential_table_csv(str(cfg.require("potential.csv")))
+        potential = load_potential_table_csv(str(_require(cfg, "potential.csv")))
     else:
         raise ConfigError(f"unknown potential.variant {variant!r}")
 
-    has_u1, has_u2 = "params.u1" in cfg.raw, "params.u2" in cfg.raw
+    has_u1, has_u2 = "params.u1" in cfg, "params.u2" in cfg
     if has_u1 != has_u2:
         given, missing = ("u1", "u2") if has_u1 else ("u2", "u1")
         raise ConfigError(f"params.{missing} is required when params.{given} is set")
     if has_u1:
-        u1, u2 = float(cfg.raw["params.u1"]), float(cfg.raw["params.u2"])
+        u1, u2 = float(cfg["params.u1"]), float(cfg["params.u2"])
     elif variant == "constant":
-        u1, u2 = coupling_margin_bounds(float(cfg.require("potential.u0")), _DEFAULT_MARGIN)
+        u1, u2 = coupling_margin_bounds(float(_require(cfg, "potential.u0")), _DEFAULT_MARGIN)
         margin_used = _DEFAULT_MARGIN
     else:
         raise ConfigError("params.u1 and params.u2 are required for non-constant potentials")
 
     params = make_params(
         hbar_omega_d=float(cfg.get("params.hbar_omega_d", 1.0)),
-        epsilon_cutoff=float(cfg.require("params.epsilon")),
+        epsilon_cutoff=float(_require(cfg, "params.epsilon")),
         n0_dos=float(cfg.get("params.n0", 1.0)),
         u_lower=u1,
         u_upper=u2,
@@ -174,13 +167,13 @@ def build_inputs(
     return params, potential, grid, margin_used
 
 
-def _outdir(cfg: RunConfig) -> Path:
+def _outdir(cfg: dict[str, object]) -> Path:
     out = Path(str(cfg.get("output.dir", ".")))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_simple(cfg: RunConfig) -> int:
+def cmd_simple(cfg: dict[str, object]) -> int:
     params, _, _, _ = build_inputs(cfg)
     out = _outdir(cfg)
     summary: list[str] = []
@@ -197,7 +190,7 @@ def cmd_simple(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_certify(cfg: RunConfig) -> int:
+def cmd_certify(cfg: dict[str, object]) -> int:
     params, potential, grid, margin = build_inputs(cfg)
     out = _outdir(cfg)
     t_c = spectral_tc(potential, params, grid)
@@ -208,7 +201,7 @@ def cmd_certify(cfg: RunConfig) -> int:
     return EXIT_OK if isinstance(outcome, ContractionCertificate) else EXIT_CERTIFICATE
 
 
-def _lattice(cfg: RunConfig) -> tuple[int, float]:
+def _lattice(cfg: dict[str, object]) -> tuple[int, float]:
     """(t_resolution, span_decades) of the surface's temperature lattice."""
     return (
         int(cfg.get("solver.t_resolution", 24)),
@@ -216,7 +209,7 @@ def _lattice(cfg: RunConfig) -> tuple[int, float]:
     )
 
 
-def _solve(cfg: RunConfig):
+def _solve(cfg: dict[str, object]):
     """Params, the gap operator of the config's potential, grid, surface."""
     params, potential, grid, _ = build_inputs(cfg)
     op = as_operator(potential, grid)
@@ -234,12 +227,13 @@ def _solve(cfg: RunConfig):
 
 
 def _write_surface(out: Path, surface, op: GapOperator) -> None:
-    rows = (
-        (T, x, surface.values[i, j])
-        for i, T in enumerate(surface.t_nodes)
-        for j, x in enumerate(surface.x_nodes)
-    )
-    write_csv(out / "surface.csv", ["T", "x", "u"], rows)
+    # write_csv's format, with each T and x formatted once, not once a cell
+    xs = ["%.17g," % x for x in surface.x_nodes]
+    lines = ["T,x,u"]
+    for T, row in zip(surface.t_nodes, surface.values):
+        t = "%.17g," % T
+        lines.extend([t + x + "%.17g" % u for x, u in zip(xs, row)])
+    atomic_write_text(out / "surface.csv", "\n".join(lines) + "\n")
     atomic_write_text(
         out / "tc.txt",
         f"t_c = {fmt(surface.t_c)}\noperator_rank = {op.rank}\n"
@@ -249,10 +243,10 @@ def _write_surface(out: Path, surface, op: GapOperator) -> None:
         (T, tr.iterations, tr.rate)
         for T, tr in zip(surface.t_nodes[:-1], surface.traces)
     )
-    write_csv(out / "trace.csv", ["T", "iterations", "final_ratio"], trace_rows)
+    write_csv(out / "trace.csv", ["T", "iterations", "rate_bound"], trace_rows)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: dict[str, object]) -> int:
     try:
         _, op, _, surface = _solve(cfg)
     except ConvergenceError as exc:
@@ -262,7 +256,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_thermo(cfg: RunConfig) -> int:
+def cmd_thermo(cfg: dict[str, object]) -> int:
     require_resolution(*_lattice(cfg))
     try:
         params, op, grid, surface = _solve(cfg)

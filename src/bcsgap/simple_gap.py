@@ -126,7 +126,10 @@ def tau_root(U: float, params: PhysicalParams) -> float:
     lo = params.epsilon_cutoff * 1e-3
     while f(lo) <= 0.0:
         lo *= 0.5
-        if lo < 1e-300:  # unreachable once span > 1, kept as a hard stop
+        # span > 1 in floating point does not make the rule's sum exceed
+        # 1/U: at span 1 + 2e-16 it can fall short, and f stays <= 0 at
+        # every T, so without this stop the loop would never end
+        if lo < 1e-300:
             raise NoRootError("failed to bracket the vanishing temperature from below")
     hi = lo
     while f(hi) > 0.0:

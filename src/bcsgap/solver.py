@@ -26,11 +26,10 @@ nor the observed ratio of successive differences will do as rho: the
 observed ratio approaches the local rate from below and lags it, and a
 stop taken on it alone misses tol (by 56% at 2.5e-5 below T_c on the
 default grid).  The stop therefore uses the Collatz-Wielandt bound
-q >= rho(A'(u)) of the linearised operator at the current iterate (see
-``_error_bound``), which costs three matrix-vector products per check.  A
-screen rate decides when a check is worth making: it starts at 0.5 and
-rises only to the q of a refused check, never to an observed ratio, which
-at rounding-level steps is noise near one and would suppress every check.
+q >= rho(A'(u)) of the linearised operator, with the iterate u itself as
+the test vector (see ``_error_bound``): one matrix-vector product per
+check.  A screen rate decides when a check is worth making: it starts at
+0.5 and rises only to the q of a refused check.
 
 Every function here takes either a potential or a ``GapOperator`` already
 built on the grid (see ``gap_operator.as_operator``); ``solve_surface``
@@ -70,8 +69,6 @@ __all__ = [
 _ZERO_PHASE_SLACK = 1e-9
 # starting value of the stop screen's rate (see picard_solve)
 _SCREEN_FLOOR = 0.5
-# successive differences SolveTrace.asymptotic_ratio looks back over
-_RATIO_WINDOW = 10
 # GMRES stop: relative residual, and Krylov dimension (no restarts)
 _GMRES_RTOL = 1e-10
 _GMRES_MAX_DIM = 40
@@ -81,8 +78,8 @@ _NEWTON_FLOOR_ULPS = 8.0
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the last ratio of successive
-    differences (0.0 with fewer than two) for diagnosis."""
+    """Iteration budget exhausted; carries the ratio of the last two
+    successive differences (0.0 with fewer than two) for diagnosis."""
 
     def __init__(self, message: str, observed_ratio: float):
         super().__init__(message)
@@ -91,7 +88,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Successive sup-norm differences of one fixed-point solve.
+    """Outcome of one fixed-point solve.
 
     ``iterations`` counts Picard operator applications.  ``rate`` is the
     Collatz-Wielandt bound q >= rho(A'(u)) checked at the accepted stop
@@ -100,20 +97,10 @@ class SolveTrace:
     seed that ``solve_surface`` ran before the Picard iteration.
     """
 
-    iterates: np.ndarray
     final_residual: float
     iterations: int
     rate: float
     newton_steps: int = 0
-
-    def asymptotic_ratio(self) -> float:
-        """Largest ratio of successive differences over the last 10 steps."""
-        d = self.iterates
-        if d.size < 2:
-            return 0.0
-        tail = d[-(_RATIO_WINDOW + 1):]
-        ratios = tail[1:] / np.maximum(tail[:-1], 1e-300)
-        return float(np.max(ratios))
 
 
 @dataclass(frozen=True)
@@ -173,19 +160,15 @@ def picard_solve(
             zero = np.zeros(grid.size)
             return (
                 GapField(temperature=T, values=zero),
-                SolveTrace(
-                    iterates=np.array([]), final_residual=0.0, iterations=0,
-                    rate=radius,
-                ),
+                SolveTrace(final_residual=0.0, iterations=0, rate=radius),
             )
 
-    diffs: list[float] = []
+    diff = previous = 0.0
     rho = _SCREEN_FLOOR
     for n in range(1, max_iter + 1):
         au = op.apply(u, T)
         step = au - u
-        diff = float(np.max(np.abs(step)))
-        diffs.append(diff)
+        previous, diff = diff, float(np.max(np.abs(step)))
         u = au
         if diff <= tol * (1.0 - rho) / rho:
             q, bound = _error_bound(op, u, T, step)
@@ -198,14 +181,9 @@ def picard_solve(
             residual = float(np.max(np.abs(op.apply(u, T) - u)))
             return (
                 GapField(temperature=T, values=u),
-                SolveTrace(
-                    iterates=np.array(diffs),
-                    final_residual=residual,
-                    iterations=n,
-                    rate=q,
-                ),
+                SolveTrace(final_residual=residual, iterations=n, rate=q),
             )
-    ratio = diffs[-1] / diffs[-2] if len(diffs) >= 2 and diffs[-2] > 0.0 else 0.0
+    ratio = diff / previous if previous > 0.0 else 0.0
     raise ConvergenceError(
         f"no convergence at T={T!r} after {max_iter} iterations "
         f"(observed ratio {ratio:.6f})",
@@ -235,35 +213,29 @@ def _error_bound(
     positive x the Collatz-Wielandt ratio q = max_i (J x)_i / x_i is the
     norm of J in the weighted sup norm ||v||_x = max_i |v_i| / x_i, so
     q >= rho(J).  In the linearised iteration the error after ``step`` is
-    -J (I - J)^{-1} step, hence ||u - u*|| <= max(x) * q/(1-q) * ||step||_x.
-    Taking x = J J|step| instead of |step| keeps x positive where the step
-    has zero or mixed-sign components, and J averages out the rounding
-    noise in the step, which would otherwise inflate q by about half of
-    1 - rho near T_c (Gaussian bump on the default grid: 2e-4 against
-    1 - rho = 5e-4).  One product of J is not enough after a Newton seed
-    that stops with its residual up to 8 eps max|u|: q then exceeds one at
-    the bump's nodes nearest T_c.  A nonzero step is sized |step| +
-    eps max|u|: a step at the rounding floor is a few one-ulp components,
-    whose J|step| is a few columns of J, far from the Perron vector, and q
-    then reaches one; the floor spreads x over every column.  Any size
-    >= |step| keeps the bound valid.  The bound is infinite when q >= 1, and
-    zero after a zero step, which leaves u a fixed point in floating point;
-    q is then taken with x = J 1, which is positive too.
+    -J (I - J)^{-1} step, hence ||u - u*|| <= max(x) * q/(1-q) * ||step||_x,
+    and ||(I - J)^{-1}||_x <= 1/(1-q) bounds the inverse by the same q.
+    The iterate is the test vector, x = |u| (u itself for the positive
+    fields the iteration produces), at one product of J.  At the fixed
+    point q < 1 by structure: the kernel k falls in s = u^2, so
+    J u = W (u (k + 2 s dk/ds)) < W (u k) = A u = u.  Near T_c the field
+    tends to a multiple of the Perron vector of the zero-field kernel, which
+    J tends to as well, so there q approaches rho(J).  The bound is infinite
+    when q >= 1 or u has a zero component, and zero after a zero step,
+    which leaves u a fixed point in floating point.
 
     The factors of W are within ``op.error`` * w_j of the dense W, and
     ``error`` is below one rounding unit of U by construction, so the bound
     holds for the dense Nystrom operator up to rounding.
     """
-    moved = bool(np.any(step))
-    size = np.abs(step) + np.finfo(float).eps * float(np.max(np.abs(u)))
+    x = np.abs(u)
     jac = jacobian_diagonal(op.grid.nodes, u, T)
-    x = op.jacobian_action(jac, op.jacobian_action(jac, size) if moved else 1.0)
-    q = float(np.max(op.jacobian_action(jac, x) / x))
-    if not moved:
+    q = float(np.max(op.jacobian_action(jac, x) / x)) if np.all(x > 0.0) else np.inf
+    if not np.any(step):
         return q, 0.0
     if q >= 1.0:
         return q, np.inf
-    return q, q / (1.0 - q) * float(np.max(x)) * float(np.max(size / x))
+    return q, q / (1.0 - q) * float(np.max(x)) * float(np.max(np.abs(step) / x))
 
 
 def _start(

@@ -171,7 +171,7 @@ def test_cmd_solve_and_thermo_outputs(tmp_path):
     assert all(float(r.split(",")[2]) == 0.0 for r in terminal)
 
     trace_rows = (out / "trace.csv").read_text().splitlines()
-    assert trace_rows[0] == "T,iterations,final_ratio"
+    assert trace_rows[0] == "T,iterations,rate_bound"
 
     summary = dict(
         line.split(" = ")

@@ -100,6 +100,17 @@ def test_tau_root_requires_logarithmic_span():
         tau_root(0.12, p)  # 0.12 * ln(200) ~ 0.64 < 1
 
 
+def test_tau_root_at_a_span_of_one_ulp_above_one_fails_to_bracket():
+    # U * ln(200) = 1 + 2e-16 passes the span check, but the reference
+    # rule's sum of w/xi falls 8.9e-16 short of ln(200), so U * integral
+    # stays below one at every T and only the 1e-300 stop ends the search
+    u = math.nextafter(1.0 / math.log(200.0), math.inf)
+    p = make_params(1.0, 0.005, 1.0, u, 0.309)
+    assert u * math.log(200.0) > 1.0
+    with pytest.raises(NoRootError, match="failed to bracket"):
+        tau_root(u, p)
+
+
 def test_solve_delta_zero_extension_and_boundary(params):
     tau = tau_root(0.3, params)
     assert solve_delta(0.3, tau, params) == 0.0

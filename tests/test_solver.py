@@ -9,13 +9,16 @@ from bcsgap.certificate import CertificateFailure
 from bcsgap.gap_operator import (
     apply_values,
     as_operator,
+    jacobian_diagonal,
     spectral_radius,
     spectral_tc,
     weighted_potential_matrix,
 )
+from bcsgap.model import GaussianBumpPotential, build_grid, potential_matrix
 from bcsgap.simple_gap import solve_delta, solve_delta_many, tau_root
 from bcsgap.solver import ConvergenceError, picard_solve, solve_surface
 from oracles import nystrom_constant_gap
+from test_gap_operator import _skew_table
 
 # picard_solve promises ||u - u*|| <= tol against the fixed point u* of the
 # discretised operator.  Checked against nystrom_constant_gap, that bound gets
@@ -37,13 +40,13 @@ def test_picard_matches_scalar_bisection(const_potential, params, grid):
 
 
 def test_picard_trace_contracts(const_potential, params, grid):
+    # a cold solve stops on a rate bound that proves contraction, after
+    # enough steps that the difference has shrunk to match it
     t = 0.9 * tau_root(0.3, params)
     _, trace = picard_solve(t, const_potential, params, grid, tol=1e-10)
-    diffs = trace.iterates
-    # differences eventually decrease monotonically
-    tail = diffs[-10:]
-    assert np.all(np.diff(tail) < 0.0)
-    assert trace.asymptotic_ratio() < 1.0
+    assert trace.iterations > 10
+    assert 0.0 < trace.rate < 1.0
+    assert trace.final_residual <= 2e-10
 
 
 def test_picard_at_transition_returns_zero_field(const_potential, params, grid, const_surface):
@@ -228,17 +231,86 @@ def test_surface_uncertified_metadata(const_surface, const_report, default_searc
 def test_surface_trace_ratios_below_one(
     const_potential, gauss_potential, params, grid
 ):
-    # surface nodes stop within two Picard steps, so the ratios come from
+    # surface nodes stop within two Picard steps, so the rates come from
     # cold solves from the upper envelope 1e-2 T_c below T_c (thousands of
     # steps each)
-    checked = 0
     for potential in (const_potential, gauss_potential):
         t_c = spectral_tc(potential, params, grid)
         _, trace = picard_solve(t_c - 1e-2 * t_c, potential, params, grid)
-        if trace.iterates.size >= 11:
-            assert trace.asymptotic_ratio() < 1.0
-            checked += 1
-    assert checked >= 1
+        assert trace.iterations > 1000
+        assert 0.0 < trace.rate < 1.0
+
+
+def _jacobian_radius(potential, grid, u, T) -> float:
+    """max |eig(W diag(d))| of the dense Jacobian at u, d its diagonal.
+
+    For a symmetric U, W diag(d) = U diag(w d) is similar to the symmetric
+    c U c with c = sqrt(w d), whose eigenvalues are cheaper to find.
+    """
+    d = jacobian_diagonal(grid.nodes, u, T)
+    sym = potential_matrix(potential, grid.nodes, grid.nodes)
+    if np.array_equal(sym, sym.T):
+        c = np.sqrt(grid.weights * d)
+        return float(np.max(np.abs(np.linalg.eigvalsh(c[:, None] * sym * c))))
+    weighted = weighted_potential_matrix(potential, grid)
+    return float(np.max(np.abs(np.linalg.eigvals(weighted * d))))
+
+
+def _rate_cases(params, grid):
+    # (potential, grid, lattice): a 640-node bump like the benchmark's, a
+    # non-symmetric table, and a bump of width 0.02, which needs every
+    # Chebyshev degree, so that its operator holds the dense W
+    return {
+        "bump-640": (
+            GaussianBumpPotential(base=0.3, amplitude=-0.004409, width=0.1134),
+            build_grid(params, panels=64, order=10),
+            {"t_resolution": 8, "span_decades": 1.0},
+        ),
+        "skew-table": (_skew_table(params), grid, {}),
+        "bump-0.02": (GaussianBumpPotential(base=0.3, amplitude=0.005, width=0.02), grid, {}),
+    }
+
+
+@pytest.mark.parametrize("case", ["constant", "bump-640", "skew-table", "bump-0.02"])
+def test_node_rate_bounds_the_jacobian_spectral_radius(
+    case, params, grid, const_potential, const_surface
+):
+    # q = max (J u)_i / u_i is a Collatz-Wielandt bound, so q >= rho(J) at
+    # every node; q < 1 because the kernel falls in s = u^2
+    if case == "constant":
+        potential, surface = const_potential, const_surface[0]
+    else:
+        potential, grid, lattice = _rate_cases(params, grid)[case]
+        assert (as_operator(potential, grid).left is None) == (case == "bump-0.02")
+        surface = solve_surface(potential, params, grid, **lattice)
+    for i, trace in enumerate(surface.traces):
+        T = float(surface.t_nodes[i])
+        rho = _jacobian_radius(potential, grid, surface.values[i], T)
+        assert rho - 1e-15 <= trace.rate < 1.0, f"node {i}: {trace.rate!r} vs {rho!r}"
+
+
+def test_each_stop_check_makes_one_jacobian_product(
+    gauss_potential, params, grid, monkeypatch
+):
+    # picard_solve takes Jacobian products only in its stop checks, and each
+    # check takes one, with the iterate as its test vector
+    checks, products = [], []
+    real_bound = solver._error_bound
+    real_action = gap_operator.GapOperator.jacobian_action
+
+    def counting_bound(*args):
+        checks.append(1)
+        return real_bound(*args)
+
+    def counting_action(self, diagonal, v):
+        products.append(1)
+        return real_action(self, diagonal, v)
+
+    t_c = spectral_tc(gauss_potential, params, grid)
+    monkeypatch.setattr(solver, "_error_bound", counting_bound)
+    monkeypatch.setattr(gap_operator.GapOperator, "jacobian_action", counting_action)
+    picard_solve(t_c - 1e-2 * t_c, gauss_potential, params, grid, tol=1e-11)
+    assert checks and len(products) == len(checks)
 
 
 def test_surface_node_rates_in_unit_interval(const_surface, gauss_surface):
@@ -263,9 +335,9 @@ def test_error_bound_at_the_rounding_floor_is_finite(
     components, gauss_potential, params, grid, gauss_surface
 ):
     # a step of one ulp on a few components is all that is left at the
-    # rounding floor; J|step| alone is then a few columns of J, whose
-    # Collatz-Wielandt ratio exceeds one on the bump's Jacobian, so the
-    # check must see a floor of eps * max|u| under every component
+    # rounding floor; a test vector built from such a step is a few columns
+    # of J, whose Collatz-Wielandt ratio exceeds one on the bump's
+    # Jacobian, so the check must take its rate from the iterate instead
     op = as_operator(gauss_potential, grid)
     node = len(gauss_surface.t_nodes) - 2  # the solved node nearest T_c
     u = gauss_surface.values[node]
