@@ -43,6 +43,7 @@ from .model import (
     PhysicalParams,
     PotentialSpec,
     TablePotential,
+    extreme_points,
     potential_matrix,
 )
 from .quadrature import gap_kernel
@@ -161,37 +162,26 @@ def _point_values(
 
 
 def _x_bound(
-    potential: PotentialSpec,
-    xa: np.ndarray,
-    xb: np.ndarray,
-    xi: np.ndarray,
-    rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bound on the largest g_i(x) = sum_j U(x, xi_j) rows[i, j] over each
-    x-cell [xa_i, xb_i], for rows >= 0, before the final rounding factor;
-    and how much of it bisecting in x can remove, over g at the midpoint.
+    potential: PotentialSpec, xa: float, xb: float, xi: np.ndarray, row: np.ndarray
+) -> tuple[float, float]:
+    """Bound on the largest g(x) = sum_j U(x, xi_j) row_j over the x-cell
+    [xa, xb], for row >= 0, before the final rounding factor; and how much
+    of it bisecting in x can remove, over g at the midpoint.
 
     A constant's g is flat.  A table's is linear in x between the table's x
-    nodes, so its largest value is at an end of the cell or at a node
-    inside, and nothing is left to remove.  A Gaussian's is at most the sum
-    with each U(., xi_j) at its largest on the cell (at the x nearest xi_j
-    for a bump, at an end for a dip), and at most the centered form
-    g(x_m) + |g'(x_m)| h/2 + sup|g''| h^2/8 (Moore, 1966), with
-    |d^2U/dx^2| <= |amplitude| / width^2 and the rounding of g'(x_m), a sum
-    of both signs, added; the smaller is taken.
+    nodes, so its largest value is at one of the cell's ``extreme_points``:
+    an end or a node inside, and nothing is left to remove.  A Gaussian's
+    is at most the sum with each U(., xi_j) at its largest on the cell (at
+    the x nearest xi_j for a bump, at an end for a dip), and at most the
+    centered form g(x_m) + |g'(x_m)| h/2 + sup|g''| h^2/8 (Moore, 1966),
+    with |d^2U/dx^2| <= |amplitude| / width^2 and the rounding of g'(x_m), a
+    sum of both signs, added; the smaller is taken.
     """
     if isinstance(potential, ConstantPotential):
-        return potential.u0 * rows.sum(axis=1), np.zeros(xa.size)
+        return potential.u0 * float(row.sum()), 0.0
     if isinstance(potential, TablePotential):
-        best = np.maximum(
-            np.einsum("ij,ij->i", potential_matrix(potential, xa, xi), rows),
-            np.einsum("ij,ij->i", potential_matrix(potential, xb, xi), rows),
-        )
-        for node in potential.x_nodes:
-            inside = (xa < node) & (node < xb)
-            at_node = rows[inside] @ potential_matrix(potential, node, xi)[0]
-            best[inside] = np.maximum(best[inside], at_node)
-        return best, np.zeros(best.size)
+        xs = extreme_points(potential, 0, xa, xb)
+        return float(np.max(potential_matrix(potential, xs, xi) @ row)), 0.0
     if not isinstance(potential, GaussianBumpPotential):
         raise TypeError(f"unknown potential spec {type(potential).__name__}")
     width2 = potential.width**2
@@ -199,23 +189,20 @@ def _x_bound(
     def bump(dx):  # U - base, as potential_matrix computes it
         return potential.amplitude * np.exp(-dx * dx / (2.0 * width2))
 
-    xa, xb = xa[:, None], xb[:, None]
     if potential.amplitude >= 0.0:
         cap = potential.base + bump(np.clip(xi, xa, xb) - xi)
     else:
         cap = potential.base + np.maximum(bump(xa - xi), bump(xb - xi))
     xm = 0.5 * (xa + xb)
-    half = np.maximum(xm - xa, xb - xm)[:, 0]
+    half = max(xm - xa, xb - xm)
     dx = xm - xi
     at_mid = bump(dx)
-    g_mid = np.einsum("ij,ij->i", potential.base + at_mid, rows)
-    slope_terms = -dx / width2 * at_mid * rows
-    g_slope = np.abs(slope_terms.sum(axis=1)) + _rounding(xi.size) * np.abs(
-        slope_terms
-    ).sum(axis=1)
-    g_curvature = abs(potential.amplitude) / width2 * rows.sum(axis=1)
+    g_mid = float((potential.base + at_mid) @ row)
+    slope_terms = -dx / width2 * at_mid * row
+    g_slope = abs(slope_terms.sum()) + _rounding(xi.size) * np.abs(slope_terms).sum()
+    g_curvature = abs(potential.amplitude) / width2 * row.sum()
     centered = g_mid + half * g_slope + 0.5 * g_curvature * half * half
-    best = np.minimum(np.einsum("ij,ij->i", cap, rows), centered)
+    best = min(float(cap @ row), float(centered))
     return best, best - g_mid
 
 
@@ -247,11 +234,10 @@ class _Enclosure:
         self.rows: list[tuple[np.ndarray, np.ndarray]] = []
         self.lo2: list[float] = []
         self.mid_edges: dict[tuple[int, int], int] = {}
-        self.x = np.linspace(params.epsilon_cutoff, params.hbar_omega_d, _N_X)
-        if isinstance(potential, TablePotential):  # where a table's bound peaks
-            nodes = potential.x_nodes
-            inside = (self.x[0] < nodes) & (nodes < self.x[-1])
-            self.x = np.union1d(self.x, nodes[inside])
+        lo_x, hi_x = params.epsilon_cutoff, params.hbar_omega_d
+        # and a table's nodes inside, where its bound can peak
+        inner = extreme_points(potential, 0, lo_x, hi_x)[1:-1]
+        self.x = np.sort(np.concatenate((np.linspace(lo_x, hi_x, _N_X), inner)))
         self.urows = potential_matrix(potential, self.x, grid.nodes)
         self.values = np.empty((0, self.x.size))
         for T, d2, lo_w in zip([tau, t_c], roots.tolist(), lo.tolist()):
@@ -293,15 +279,13 @@ class _Enclosure:
         kd, k0 = self.rows[a]
         nodes, weights = self.grid.nodes, self.grid.weights
         kb = weights * gap_kernel(nodes, self.lo2[b], self.t[a])
-        bound = (kb + self.prefactor_hi * k0)[None, :]
-        point = (kd + self.prefactor * k0)[None, :]
-        mid = potential_matrix(self.potential, 0.5 * (xa + xb), nodes)
-        upper, x_slack = _x_bound(
-            self.potential, np.array([xa]), np.array([xb]), nodes, bound
-        )
-        upper = (1.0 + _rounding(self.grid.size)) * upper
-        t_slack = np.einsum("ij,ij->i", mid, bound - point)
-        return (-float(upper[0]), a, b, xa, xb, float(t_slack[0]), float(x_slack[0]))
+        bound = kb + self.prefactor_hi * k0
+        point = kd + self.prefactor * k0
+        mid = potential_matrix(self.potential, 0.5 * (xa + xb), nodes)[0]
+        upper, x_slack = _x_bound(self.potential, xa, xb, nodes, bound)
+        upper = float((1.0 + _rounding(self.grid.size)) * upper)
+        t_slack = float(mid @ (bound - point))
+        return (-upper, a, b, xa, xb, t_slack, x_slack)
 
     def _refine(self) -> float:
         """Split the cell of largest bound until upper - alpha <= 1e-9 upper

@@ -28,9 +28,7 @@ from .model import (
     ConstantPotential,
     EnergyGrid,
     GaussianBumpPotential,
-    ParamsError,
     PhysicalParams,
-    PotentialError,
     PotentialSpec,
     build_grid,
     coupling_margin_bounds,
@@ -247,22 +245,14 @@ def _write_surface(out: Path, surface, op: GapOperator) -> None:
 
 
 def cmd_solve(cfg: dict[str, object]) -> int:
-    try:
-        _, op, _, surface = _solve(cfg)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    _, op, _, surface = _solve(cfg)
     _write_surface(_outdir(cfg), surface, op)
     return EXIT_OK
 
 
 def cmd_thermo(cfg: dict[str, object]) -> int:
     require_resolution(*_lattice(cfg))
-    try:
-        params, op, grid, surface = _solve(cfg)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    params, op, grid, surface = _solve(cfg)
     outcome = search_certificate(op.potential, params, grid, t_c=surface.t_c)
     report = build_thermo_report(surface, params, grid, outcome)
     out = _outdir(cfg)
@@ -337,7 +327,10 @@ def main(argv: list[str] | None = None) -> int:
             "thermo": cmd_thermo,
         }[args.command]
         return handler(cfg)
-    except (ConfigError, ParamsError, PotentialError, ValueError) as exc:
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    except ValueError as exc:  # ConfigError, ParamsError and PotentialError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

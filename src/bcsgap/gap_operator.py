@@ -113,9 +113,14 @@ class PerronRoot:
     iterations: int
 
 
-def weighted_potential_matrix(spec: PotentialSpec, grid: EnergyGrid) -> np.ndarray:
-    """U(x_i, xi_j) * w_j, the temperature-independent part of the operator."""
-    return potential_matrix(spec, grid.nodes, grid.nodes) * grid.weights[None, :]
+def weighted_potential_matrix(
+    potential: PotentialSpec | GapOperator, grid: EnergyGrid
+) -> np.ndarray:
+    """U(x_i, xi_j) * w_j, the temperature-independent part of the operator:
+    the dense W, formed afresh (from an operator's potential)."""
+    if isinstance(potential, GapOperator):
+        potential = as_operator(potential, grid).potential
+    return potential_matrix(potential, grid.nodes, grid.nodes) * grid.weights[None, :]
 
 
 def apply_values(
@@ -349,15 +354,9 @@ def apply_A(
         raise ValueError(
             f"field length {u.values.shape} does not match grid {grid.nodes.shape}"
         )
-    out = apply_values(_dense(potential, grid), grid.nodes, u.values, u.temperature)
+    weighted = weighted_potential_matrix(potential, grid)
+    out = apply_values(weighted, grid.nodes, u.values, u.temperature)
     return GapField(temperature=u.temperature, values=out)
-
-
-def _dense(potential: PotentialSpec | GapOperator, grid: EnergyGrid) -> np.ndarray:
-    """W itself, formed afresh for the dense reference functions."""
-    if isinstance(potential, GapOperator):
-        potential = as_operator(potential, grid).potential
-    return weighted_potential_matrix(potential, grid)
 
 
 def kernel_matrix(
@@ -366,7 +365,7 @@ def kernel_matrix(
     """Linearisation of the operator at zero field, the n x n matrix
     M_ij = U(x_i, xi_j) tanh(xi_j/2T)/xi_j * w_j; strictly positive."""
     k0 = _zero_field_kernel(grid.nodes, T)
-    return _dense(potential, grid) * k0[None, :]
+    return weighted_potential_matrix(potential, grid) * k0[None, :]
 
 
 def spectral_radius(

@@ -8,9 +8,8 @@ share one unit.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +27,12 @@ __all__ = [
     "PotentialSpec",
     "eval_potential",
     "potential_matrix",
+    "extreme_points",
     "validate_potential",
     "load_potential_table_csv",
     "EnergyGrid",
     "build_grid",
 ]
-
-# points per axis of validate_potential's check lattice
-_VALIDATION_LATTICE = 64
-
 
 class ParamsError(ValueError):
     """Raised when physical parameters violate a standing assumption."""
@@ -200,11 +196,25 @@ def eval_potential(spec: PotentialSpec, x: float, xi: float, params: PhysicalPar
     return float(potential_matrix(spec, x, xi)[0, 0])
 
 
-def validate_potential(spec: PotentialSpec, params: PhysicalParams) -> None:
-    """Check the kernel lies strictly inside (U1, U2) on a dense lattice.
+def extreme_points(spec: PotentialSpec, axis: int, a: float, b: float) -> np.ndarray:
+    """Where U's extremes along ``axis`` (0: x, 1: xi) can lie on [a, b],
+    increasing: the two ends, and a table's nodes strictly inside, between
+    which the table is linear along that axis."""
+    if not isinstance(spec, TablePotential):
+        return np.array([a, b])
+    nodes = (spec.x_nodes, spec.xi_nodes)[axis]
+    return np.concatenate(([a], nodes[(a < nodes) & (nodes < b)], [b]))
 
-    The lattice density (64 x 64) is a pragmatic stand-in for the
-    continuous strict-bounds requirement.
+
+def validate_potential(spec: PotentialSpec, params: PhysicalParams) -> None:
+    """Check the kernel lies strictly inside (U1, U2) on all of
+    [eps, hbar_omega_d]^2, exactly: U is evaluated on both axes'
+    ``extreme_points``, where its extremes lie.  A constant is flat.  A
+    bump's Gaussian factor depends only on |x - xi|, so it peaks on the
+    diagonal (at the corners (eps, eps) among others) and bottoms out at
+    the far corners.  A bilinear table is linear along each axis inside a
+    cell, so its extremes lie on cell corners: its nodes, and the domain's
+    ends where they cut its cells.
     """
     lo, hi = params.epsilon_cutoff, params.hbar_omega_d
     if isinstance(spec, TablePotential):
@@ -218,8 +228,9 @@ def validate_potential(spec: PotentialSpec, params: PhysicalParams) -> None:
                 )
         if spec.values.shape != (spec.x_nodes.size, spec.xi_nodes.size):
             raise PotentialError("table value matrix shape does not match nodes")
-    pts = np.linspace(lo, hi, _VALIDATION_LATTICE)
-    vals = potential_matrix(spec, pts, pts)
+    vals = potential_matrix(
+        spec, extreme_points(spec, 0, lo, hi), extreme_points(spec, 1, lo, hi)
+    )
     vmin, vmax = float(vals.min()), float(vals.max())
     if not (params.u_lower < vmin and vmax < params.u_upper):
         raise PotentialError(
@@ -229,28 +240,28 @@ def validate_potential(spec: PotentialSpec, params: PhysicalParams) -> None:
 
 
 def load_potential_table_csv(path) -> TablePotential:
-    """Read a tabulated kernel from CSV with header x,xi,u, row-major in x then xi."""
-    xs: list[float] = []
-    xis: list[float] = []
-    rows: list[tuple[float, float, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["x", "xi", "u"]:
+    """Read a tabulated kernel from CSV with header x,xi,u, x-major: every
+    xi node for the first x node, then for the next.  The nodes are taken
+    in order of first appearance; a file not in exactly that order (rows
+    missing or repeated, or xi-major) is refused, not read transposed."""
+    with open(path) as fh:
+        header = [h.strip() for h in fh.readline().split(",")]
+        if header != ["x", "xi", "u"]:
             raise PotentialError(f"expected header x,xi,u, got {header!r}")
-        for rec in reader:
-            x, xi, u = (float(c) for c in rec)
-            rows.append((x, xi, u))
-            if x not in xs:
-                xs.append(x)
-            if xi not in xis:
-                xis.append(xi)
-    if len(rows) != len(xs) * len(xis):
+        rows = [line for line in fh if line.strip()]
+    if not rows:
+        raise PotentialError("table has no rows")
+    x, xi, u = np.loadtxt(rows, delimiter=",", ndmin=2, unpack=True)
+    x_nodes, xi_nodes = (np.array(list(dict.fromkeys(c.tolist()))) for c in (x, xi))
+    if not (
+        np.array_equal(x, np.repeat(x_nodes, xi_nodes.size))
+        and np.array_equal(xi, np.tile(xi_nodes, x_nodes.size))
+    ):
         raise PotentialError(
-            f"{len(rows)} rows do not form a full {len(xs)}x{len(xis)} lattice"
+            f"{x.size} rows do not form a full {x_nodes.size}x{xi_nodes.size} "
+            "lattice in x-major order"
         )
-    values = np.array([u for _, _, u in rows], dtype=float).reshape(len(xs), len(xis))
-    return TablePotential(np.array(xs), np.array(xis), values)
+    return TablePotential(x_nodes, xi_nodes, u.reshape(x_nodes.size, xi_nodes.size))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +279,6 @@ class EnergyGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    panel_count: int
-    order: int = field(default=10)
 
     @property
     def size(self) -> int:
@@ -284,9 +293,7 @@ def build_grid(params: PhysicalParams, panels: int = 16, order: int = 10) -> Ene
     """
     if panels < 1:
         raise ValueError("panels must be >= 1")
-    if order < 2:
-        raise ValueError("order must be >= 2")
     a, b = params.epsilon_cutoff, params.hbar_omega_d
     edges = np.geomspace(a, b, panels + 1)
     nodes, weights = gauss_legendre_panels(edges, order)
-    return EnergyGrid(nodes=nodes, weights=weights, panel_count=panels, order=order)
+    return EnergyGrid(nodes=nodes, weights=weights)

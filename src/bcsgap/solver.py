@@ -149,8 +149,9 @@ def picard_solve(
     iteration that otherwise decides.
 
     ``initial`` overrides the upper-envelope start, e.g. for uniqueness
-    probes from the lower envelope.  Note the zero field is always a fixed
-    point, so a probe start must be positive somewhere.
+    probes from the lower envelope.  The zero field is always a fixed point
+    and a negative start heads for -u*, so a start must be finite,
+    nonnegative and positive somewhere, or ``ValueError`` is raised.
     """
     op = as_operator(potential, grid)
     u = _start(T, params, grid, initial)
@@ -247,6 +248,8 @@ def _start(
     u = np.asarray(initial, dtype=float).copy()
     if u.shape != grid.nodes.shape:
         raise ValueError("initial field does not match the grid")
+    if not (u.min() >= 0.0 and 0.0 < u.max() < np.inf):  # false for a nan too
+        raise ValueError("initial field must be finite, nonnegative and positive somewhere")
     return u
 
 
@@ -359,7 +362,8 @@ def solve_surface(
     potential matrix, is built once and shared by every stage.  Each node
     is seeded by ``newton_seed`` from the previous node's row times
     sqrt((T_c - T) / (T_c - T_prev)), a factor in (0, 1) that moves the row
-    onto the sqrt(T_c - T) shrinkage of the gap, and certified by
+    onto the sqrt(T_c - T) shrinkage of the gap (from the upper envelope at
+    the first node, or after a zero row), and certified by
     ``picard_solve`` from that seed; if the seed is not finite and positive,
     ``picard_solve`` starts from the upper envelope instead.
     ``max_iter`` bounds the operator applications of both stages together,
@@ -388,7 +392,7 @@ def solve_surface(
         # the gap shrinks like sqrt(T_c - T): scale the cooler row onto it
         start = (
             rows[-1] * math.sqrt((t_c - T) / (t_c - float(t_nodes[i - 1])))
-            if rows else None
+            if rows and rows[-1].any() else None
         )
         seed, steps = newton_seed(T, op, params, grid, max_iter=max_iter, initial=start)
         if not (np.all(np.isfinite(seed)) and np.all(seed > 0.0)):

@@ -337,9 +337,11 @@ def g_integral_to_infinity() -> tuple[float, float]:
     return inner + outer, 1.0 / (2.0 * _G_CUT * _G_CUT)
 
 
-def _eta_quadrature(t_c: float, grid: EnergyGrid) -> tuple[np.ndarray, np.ndarray]:
-    # substitution eta = xi/(2 T_c) aligned with the energy grid
-    return grid.nodes / (2.0 * t_c), grid.weights / (2.0 * t_c)
+def _curvature_integral(vals: np.ndarray, t_c: float, grid: EnergyGrid) -> float:
+    """integral v(2 T_c eta)^2 g(eta) d eta, on the energy grid's nodes
+    through the substitution eta = xi/(2 T_c)."""
+    eta, w_eta = grid.nodes / (2.0 * t_c), grid.weights / (2.0 * t_c)
+    return float(np.dot(w_eta, vals**2 * gap_curvature(eta)))
 
 
 def delta_cv(
@@ -352,11 +354,8 @@ def delta_cv(
     over eta in [eps/(2T_c), hbar_omega_d/(2T_c)]; strictly positive since
     the curvature kernel is negative.
     """
-    vals = _values(v)
-    eta, w_eta = _eta_quadrature(t_c, grid)
-    return float(
-        -params.n0_dos / (8.0 * t_c) * np.dot(w_eta, vals**2 * gap_curvature(eta))
-    )
+    integral = _curvature_integral(_values(v), t_c, grid)
+    return float(-params.n0_dos / (8.0 * t_c) * integral)
 
 
 def psi_second_at_tc(
@@ -372,12 +371,12 @@ def psi_second_at_tc(
                   {1/(2 T_c cosh^2(xi/2T_c)) - tanh(xi/2T_c)/xi} d xi
 
     Both negative; their agreement is a cross-check of the curvature-kernel
-    evaluation since formB carries the raw cancellation.
+    evaluation since formB carries the raw cancellation.  Form A is
+    ``delta_cv``'s integral.
     """
     vals = _values(v)
     n0 = params.n0_dos
-    eta, w_eta = _eta_quadrature(t_c, grid)
-    form_a = n0 / (8.0 * t_c**2) * float(np.dot(w_eta, vals**2 * gap_curvature(eta)))
+    form_a = n0 / (8.0 * t_c**2) * _curvature_integral(vals, t_c, grid)
 
     xi = grid.nodes
     z = xi / (2.0 * t_c)

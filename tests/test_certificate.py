@@ -270,6 +270,47 @@ def test_bound_encloses_a_fine_scan(potential, params, grid):
     assert finest <= result.upper
 
 
+def _table_cell_row(params, grid):
+    # one cell's weighted kernel row at tau1, and a cell over the table's
+    # x nodes 0.375 and 0.5, the first its peak
+    tau1 = tau_root(params.u_lower, params)
+    d2 = solve_delta(params.u_upper, tau1, params)
+    return grid.weights * gap_kernel(grid.nodes, d2 * d2, tau1), 0.3, 0.6
+
+
+def test_table_cell_bound_is_the_largest_g_at_its_ends_and_inner_nodes(params, grid):
+    # g is linear in x between the table's x nodes: a fine scan of the cell
+    # finds nothing above the largest of g at 0.3, 0.375, 0.5 and 0.6
+    table = _skewed_table()
+    row, xa, xb = _table_cell_row(params, grid)
+    bound, slack = certificate._x_bound(table, xa, xb, grid.nodes, row)
+    at = [
+        float(np.dot(potential_matrix(table, x, grid.nodes)[0], row))
+        for x in (xa, 0.375, 0.5, xb)
+    ]
+    assert bound == pytest.approx(max(at), rel=1e-15)
+    assert bound == pytest.approx(at[1], rel=1e-15)
+    assert slack == 0.0
+    scan = potential_matrix(table, np.linspace(xa, xb, 1001), grid.nodes) @ row
+    assert scan.max() <= (1.0 + 1e-14) * bound
+
+
+def test_table_cell_bound_takes_one_potential_matrix_call(params, grid, monkeypatch):
+    table = _skewed_table()
+    row, xa, xb = _table_cell_row(params, grid)
+    calls = []
+    real = certificate.potential_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(certificate, "potential_matrix", counting)
+    certificate._x_bound(table, xa, xb, grid.nodes, row)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][1], [xa, 0.375, 0.5, xb])
+
+
 def _bump_interval(params, grid):
     bump = GaussianBumpPotential(base=0.3, amplitude=5e-3, width=0.1)
     return bump, tau_root(params.u_lower, params), spectral_tc(bump, params, grid)

@@ -226,6 +226,46 @@ def test_exit_code_invalid_config(tmp_path):
     assert main(["simple", str(physics)]) == EXIT_BAD_CONFIG
 
 
+TABLE_CONFIG = """\
+params.hbar_omega_d = 1.0
+params.epsilon = 0.005
+params.u1 = 0.291
+params.u2 = 0.309
+potential.variant = table
+grid.panels = 16
+grid.order = 10
+"""
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # one node above U2 = 0.309, between lattice points 2e-4 apart
+        (
+            [(x, xi, 0.33 if x == xi == 0.5 else 0.3)
+             for x in (0.0, 0.4999, 0.5, 0.5001, 1.0)
+             for xi in (0.0, 0.4999, 0.5, 0.5001, 1.0)],
+            "potential range [0.3, 0.33] leaves the open coupling band",
+        ),
+        # a 3 x 2 table written xi-major
+        (
+            [(x, xi, 0.3) for xi in (0.0, 1.0) for x in (0.0, 0.5, 1.0)],
+            "x-major order",
+        ),
+    ],
+    ids=["node-above-band", "xi-major"],
+)
+def test_a_bad_table_exits_as_a_bad_config(rows, message, tmp_path, capsys):
+    table = tmp_path / "pot.csv"
+    table.write_text("x,xi,u\n" + "".join(f"{x!r},{xi!r},{u!r}\n" for x, xi, u in rows))
+    cfg_path = tmp_path / "table.cfg"
+    cfg_path.write_text(
+        TABLE_CONFIG + f"potential.csv = {table}\noutput.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["solve", str(cfg_path)]) == EXIT_BAD_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_exit_code_non_convergence(tmp_path):
     cfg_path = _write_config(
         tmp_path, f"solver.max_iter = 5\noutput.dir = {tmp_path / 'out'}\n"

@@ -120,6 +120,49 @@ def test_validate_potential_table_nodes(params):
         validate_potential(bad_order, params)
 
 
+def _spike_table():
+    # 0.3 everywhere but one node at 0.33, above U2 = 0.309, whose hat
+    # function is 2e-4 wide: a sampling lattice of the domain misses it
+    nodes = np.array([0.0, 0.4999, 0.5, 0.5001, 1.0])
+    values = np.full((5, 5), 0.3)
+    values[2, 2] = 0.33
+    return TablePotential(nodes, nodes, values)
+
+
+def test_validate_potential_refuses_a_table_node_above_the_band(params):
+    with pytest.raises(
+        PotentialError,
+        match=r"potential range \[0\.3, 0\.33\] leaves the open coupling band",
+    ):
+        validate_potential(_spike_table(), params)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GaussianBumpPotential(base=0.3, amplitude=0.005, width=0.2),
+        GaussianBumpPotential(base=0.3, amplitude=-0.005, width=0.2),
+    ],
+    ids=["bump", "dip"],
+)
+def test_validate_potential_checks_a_gaussian_at_its_extremes(spec, params):
+    # the Gaussian factor depends only on |x - xi|, so over the domain it is
+    # largest on the diagonal and smallest at the far corners: a fine scan
+    # finds nothing beyond the corner values, and a band that leaves out
+    # either of them refuses the potential
+    lo, hi = params.epsilon_cutoff, params.hbar_omega_d
+    corners = potential_matrix(spec, [lo, hi], [lo, hi])
+    fine = np.linspace(lo, hi, 1001)
+    scan = potential_matrix(spec, fine, fine)
+    vmin, vmax = float(corners.min()), float(corners.max())
+    assert (scan.min(), scan.max()) == (vmin, vmax)
+    inside = (np.nextafter(vmin, 0.0), np.nextafter(vmax, 1.0))
+    validate_potential(spec, make_params(1.0, lo, 1.0, *inside))
+    for band in ((vmin, inside[1]), (inside[0], vmax)):
+        with pytest.raises(PotentialError, match="open coupling band"):
+            validate_potential(spec, make_params(1.0, lo, 1.0, *band))
+
+
 def test_load_potential_csv_round_trip(tmp_path, params):
     table = _example_table(params)
     rows = ["x,xi,u"]
@@ -144,6 +187,78 @@ def test_load_potential_csv_rejects_ragged_lattice(tmp_path):
     path = tmp_path / "pot.csv"
     path.write_text("x,xi,u\n0.1,0.1,0.3\n0.1,0.2,0.3\n0.2,0.1,0.3\n")
     with pytest.raises(PotentialError, match="full"):
+        load_potential_table_csv(path)
+
+
+def _write_table_csv(path, x, xi, values, fmt=repr, xi_major=False):
+    pairs = [(i, j) for i in range(x.size) for j in range(xi.size)]
+    if xi_major:
+        pairs.sort(key=lambda ij: (ij[1], ij[0]))
+    rows = ["x,xi,u"] + [
+        f"{fmt(float(x[i]))},{fmt(float(xi[j]))},{fmt(float(values[i, j]))}"
+        for i, j in pairs
+    ]
+    path.write_text("\n".join(rows) + "\n")
+
+
+def _read_table_by_float(path):
+    # the reference reader: float() per field, nodes in order of first
+    # appearance, values reshaped x-major
+    lines = path.read_text().splitlines()[1:]
+    records = [tuple(float(c) for c in line.split(",")) for line in lines]
+    xs = list(dict.fromkeys(r[0] for r in records))
+    xis = list(dict.fromkeys(r[1] for r in records))
+    values = np.array([r[2] for r in records]).reshape(len(xs), len(xis))
+    return np.array(xs), np.array(xis), values
+
+
+def _random_table():
+    rng = np.random.default_rng(20)
+    x = np.concatenate(([0.0], np.sort(rng.uniform(0.01, 0.99, 11)), [1.0]))
+    xi = np.concatenate(([1e-3], np.geomspace(4e-3, 0.9, 6), [1.25]))
+    values = 0.3 + 1e-3 * rng.standard_normal((x.size, xi.size))
+    values[0, 0] = 0.3 + 2.0**-40
+    return TablePotential(x, xi, values)
+
+
+@pytest.mark.parametrize(
+    "fmt", [repr, "{:.17g}".format, "{:.6e}".format, "{:.4f}".format]
+)
+@pytest.mark.parametrize("which", ["example", "spike", "random"])
+def test_load_potential_csv_matches_a_float_per_field_reader(
+    which, fmt, tmp_path, params
+):
+    table = {
+        "example": lambda: _example_table(params),
+        "spike": _spike_table,
+        "random": _random_table,
+    }[which]()
+    path = tmp_path / "pot.csv"
+    _write_table_csv(path, table.x_nodes, table.xi_nodes, table.values, fmt)
+    loaded = load_potential_table_csv(path)
+    x, xi, values = _read_table_by_float(path)
+    assert np.array_equal(loaded.x_nodes, x)
+    assert np.array_equal(loaded.xi_nodes, xi)
+    assert loaded.values.tobytes() == values.tobytes()
+
+
+def test_load_potential_csv_rejects_xi_major_rows(tmp_path):
+    # a 3 x 2 table written xi-major has the rows of a full lattice, and
+    # reshaping them x-major would transpose its values
+    x, xi = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0])
+    values = np.array([[0.30, 0.301], [0.302, 0.303], [0.304, 0.305]])
+    path = tmp_path / "pot.csv"
+    _write_table_csv(path, x, xi, values, xi_major=True)
+    with pytest.raises(PotentialError, match="x-major"):
+        load_potential_table_csv(path)
+    _write_table_csv(path, x, xi, values)
+    assert np.array_equal(load_potential_table_csv(path).values, values)
+
+
+def test_load_potential_csv_rejects_an_empty_body(tmp_path):
+    path = tmp_path / "pot.csv"
+    path.write_text("x,xi,u\n")
+    with pytest.raises(PotentialError, match="no rows"):
         load_potential_table_csv(path)
 
 

@@ -122,6 +122,30 @@ def test_picard_validates_arguments(const_potential, params, grid):
         picard_solve(0.03, const_potential, params, grid, initial=np.ones(3))
 
 
+@pytest.mark.parametrize(
+    "start",
+    [np.zeros, lambda n: np.full(n, -0.01), lambda n: np.full(n, np.nan)],
+    ids=["zero", "negative", "nan"],
+)
+@pytest.mark.parametrize("solve", [picard_solve, solver.newton_seed])
+def test_a_start_that_proves_nothing_is_refused(
+    solve, start, const_potential, params, grid
+):
+    # below T_c the zero field is a fixed point that picard_solve would
+    # return as a solved row, and a negative start heads for -u*
+    with pytest.raises(ValueError, match="nonnegative and positive somewhere"):
+        solve(0.03, const_potential, params, grid, initial=start(grid.size))
+
+
+def test_surface_after_a_zero_row_starts_from_the_envelope(const_potential, params, grid):
+    # 14 decades put nodes inside the zero-phase slack below T_c, whose rows
+    # come back zero; a zero row is no start, so the next node starts from
+    # the upper envelope instead of being refused
+    surface = solve_surface(const_potential, params, grid, span_decades=14.0)
+    zero = ~surface.values[:-1].any(axis=1)
+    assert zero[-1] and zero.sum() < zero.size
+
+
 def test_picard_iteration_budget(const_potential, params, grid):
     with pytest.raises(ConvergenceError) as err:
         picard_solve(0.03, const_potential, params, grid, tol=1e-12, max_iter=5)
