@@ -184,6 +184,8 @@ def cmd_simple(cfg: dict[str, object]) -> int:
         )
         summary.append(f"tau_{name} = {fmt(curve.tau)}")
         summary.append(f"delta0_{name} = {fmt(curve.delta0)}")
+        summary.append(f"quadrature_bound_{name} = {fmt(curve.quadrature_bound)}")
+    summary.append(f"reference_nodes = {curve.reference_nodes}")
     atomic_write_text(out / "simple_summary.txt", "\n".join(summary) + "\n")
     return EXIT_OK
 

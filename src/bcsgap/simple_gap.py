@@ -4,21 +4,25 @@ enclosed roots, and the implicit-function slope of the squared gap.
 These scalar solutions serve two roles: they are physically meaningful in
 their own right (constant-potential superconductor), and they bracket the
 full solution pointwise, making them the independent oracle against which
-the field solver is checked.  All integrals here use their own adaptive
-quadrature rather than the shared collocation grid, which keeps this
-module an independent computation route.
+the field solver is checked.  All integrals here use their own
+quadrature (``_reference_rule``, or an adaptive one) rather than the
+shared collocation grid, which keeps this module an independent
+computation route.
 
 A gap value is a point of a proven window, the window its error bar (the
 enclosure idea of Moore, Interval Analysis, 1966).  Newton's method in
 s = delta^2 locates the root of the computed residual
-f(delta) = U * integral(gap_kernel(xi, delta^2, T)) - 1; a bound on the
-rounding error of a floating point sum of n positive terms (Higham,
-Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.1 and
-4.2) then proves the sign of the exact f at the two edges of a small
-window around it, so the exact root of the discretised equation lies in
-the window.  The roots of one coupling are solved a block of
-temperatures at a time: every root of the block runs both stages, and
-each round evaluates f for all of them in one kernel call.
+f(delta) = U * integral(gap_kernel(xi, delta^2, T)) - 1 on the reference
+rule.  A bound E on the distance of that computed f from the continuum
+one then proves the sign of the continuum f at the two edges of a small
+window around it, so the root of the continuum equation lies in the
+window.  E is a rounding bound, for a floating point sum of n positive
+terms (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+sections 3.1 and 4.2) and for the rule's float nodes and weights, plus a
+quadrature bound Q(T) for the rule itself (Bernstein ellipses; Trefethen,
+SIAM Rev. 50, 2008, Thm 4.5).  The roots of one coupling are solved a
+block of temperatures at a time: every root of the block runs both
+stages, and each round evaluates f for all of them in one kernel call.
 """
 
 from __future__ import annotations
@@ -70,28 +74,54 @@ def delta0_closed_form(U: float, params: PhysicalParams) -> float:
     return math.sqrt(factor * other) / math.sinh(1.0 / U)
 
 
+# Gauss-Legendre order of the reference rule's panels
+_RULE_ORDER = 12
+
+
+def _reference_edges(params: PhysicalParams) -> np.ndarray:
+    """Edges of the reference rule's geometric panels on [epsilon, hbar_omega_d]:
+    an even count, about three per e-fold."""
+    span = math.log(params.hbar_omega_d / params.epsilon_cutoff)
+    panels = 2 * math.ceil(1.5 * span)
+    return np.geomspace(params.epsilon_cutoff, params.hbar_omega_d, panels + 1)
+
+
 @lru_cache(maxsize=32)
 def _reference_rule(params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
-    """High-resolution quadrature rule for the scalar gap equations.
+    """Quadrature rule for the scalar gap equations, built once per parameter set.
 
-    Built once per parameter set: log-spaced panels against the 1/xi
-    character of the integrands, validated by a panel-doubling check on the
-    hardest integrand in scope (the zero-gap kernel at a temperature well
-    below the cutoff, where the tanh knee is sharpest).
+    Order-12 Gauss-Legendre panels, geometric against the 1/xi character
+    of the integrands, 2 ceil(1.5 ln(hbar_omega_d/epsilon)) of them (16
+    panels, 192 nodes, at epsilon = 0.005).  Its error is not estimated
+    but bounded: ``_panel_bounds`` gives each panel's Bernstein-ellipse
+    bound, whose sum ``_solve_block`` adds to every root's E.
     """
-    edges = np.geomspace(params.epsilon_cutoff, params.hbar_omega_d, 33)
-    nodes, weights = gauss_legendre_panels(edges, 12)
-    fine_edges = np.geomspace(params.epsilon_cutoff, params.hbar_omega_d, 65)
-    fine_nodes, fine_weights = gauss_legendre_panels(fine_edges, 12)
-    t_probe = params.epsilon_cutoff / 4.0
-    coarse = float(np.dot(weights, gap_kernel(nodes, 0.0, t_probe)))
-    fine = float(np.dot(fine_weights, gap_kernel(fine_nodes, 0.0, t_probe)))
-    if abs(fine - coarse) > max(1e-12, 1e-10 * abs(fine)):
-        raise RuntimeError(
-            f"reference quadrature not converged: doubling moved the probe "
-            f"integral by {abs(fine - coarse):.3e}"
-        )
-    return fine_nodes, fine_weights
+    return gauss_legendre_panels(_reference_edges(params), _RULE_ORDER)
+
+
+def _panel_bounds(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b): |integral - Gauss sum| of the gap kernel on panel i is at
+    most a[i] + b[i] * T, for every s >= 0 and T >= 0.
+
+    The kernel tanh(r/2T)/r, r^2 = xi^2 + s, is a function of r^2 whose
+    poles, xi^2 = -s - (pi T (2j+1))^2, all lie on the imaginary xi-axis.
+    The Bernstein ellipse of parameter rho < (sqrt(q)+1)/(sqrt(q)-1) about
+    a panel [lo, q lo] (foci at its ends) stays in Re xi >= m > 0.  There
+    Re r >= Re xi and |tanh w| <= coth(Re w) <= 1 + 1/Re w, so
+    |k| <= M = (1 + 2T/m)/m, uniformly in s, and at T = 0 too.  The n-point
+    Gauss-Legendre rule then errs by at most
+    h (64/15) M rho^(2-2n) / (rho^2 - 1) on a panel of half-length h
+    (Trefethen, SIAM Rev. 50, 2008, Thm 4.5, whose rule has n + 1 points).
+    rho is taken 0.9 of the way from 1 to its limit; on these panels that
+    bound is within 1.7x of the best rho's at every T (measured).
+    """
+    lo, hi = edges[:-1], edges[1:]
+    root_q = np.sqrt(hi / lo)
+    rho = 1.0 + 0.9 * ((root_q + 1.0) / (root_q - 1.0) - 1.0)
+    half = 0.5 * (hi - lo)
+    m = 0.5 * (hi + lo) - 0.5 * half * (rho + 1.0 / rho)
+    c = half * (64.0 / 15.0) * rho ** (2.0 - 2.0 * order) / (rho * rho - 1.0)
+    return c / m, 2.0 * c / (m * m)
 
 
 def _coupling_integral(s: float, T: float, params: PhysicalParams) -> float:
@@ -150,6 +180,11 @@ def tau_root(U: float, params: PhysicalParams) -> float:
 # order (gamma_n), the rest each term's own roundings (square, sqrt, tanh,
 # divide, weight) with room to spare.
 _TERM_ROUNDINGS = 16
+# the float rule is not the exact Gauss rule that Q(T) is for: its
+# weights, from numpy's leggauss, err by up to 41 eps, relatively, and its
+# nodes by up to 1 eps, which moves a term by as much, since
+# |d ln k / d ln xi| <= 1; _RULE_ROUNDINGS eps S covers both
+_RULE_ROUNDINGS = 48
 # x4 widenings of one side of the window before that side proves nothing
 _WINDOW_WIDENINGS = 8
 # cap on Newton passes; a root typically takes 3 or 4
@@ -167,6 +202,34 @@ def _block_rule(params: PhysicalParams) -> tuple[np.ndarray, np.ndarray, np.ndar
     """(xi^2, weights, 1/xi) of the reference rule, built once per rule."""
     nodes, weights = _reference_rule(params)
     return nodes * nodes, weights, 1.0 / nodes
+
+
+@lru_cache(maxsize=32)
+def _rule_bound(params: PhysicalParams) -> tuple[float, float]:
+    """(A, B): the sums over the reference rule's panels of ``_panel_bounds``."""
+    a, b = _panel_bounds(_reference_edges(params), _RULE_ORDER)
+    return float(a.sum()), float(b.sum())
+
+
+def _quadrature_bound(U: float, T, params: PhysicalParams):
+    """Q(T) = U (A + B T): a bound on U times the exact Gauss rule's error,
+    on the reference panels, for the gap kernel at T and every s >= 0."""
+    a, b = _rule_bound(params)
+    return U * (a + b * T)
+
+
+def _rounding_bound(U: float, T, params: PhysicalParams):
+    """(n + _TERM_ROUNDINGS + _RULE_ROUNDINGS) eps S at each temperature T:
+    a bound on the distance of the computed f from the f of the exact Gauss
+    rule on the reference panels.  S = U * sum_j w_j min(1/xi_j, 1/(2T))
+    bounds U * sum_j w_j k_j for every s >= 0, because k decreases in s and
+    tanh(z) <= min(1, z).  Each S is one pairwise sum, as each f is."""
+    _, weights, inv_xi = _block_rule(params)
+    T = np.asarray(T, dtype=float)[..., None]
+    half_over_t = np.divide(0.5, T, out=np.full_like(T, np.inf), where=T > 0.0)
+    cap = np.minimum(inv_xi, half_over_t)
+    scale = (weights.size + _TERM_ROUNDINGS + _RULE_ROUNDINGS) * np.finfo(float).eps * U
+    return scale * np.multiply(cap, weights, out=cap).sum(axis=-1)
 
 
 @lru_cache(maxsize=262144)
@@ -188,10 +251,11 @@ def solve_delta_many(U: float, Ts, params: PhysicalParams) -> np.ndarray:
     """Gap values ``solve_delta(U, T, params)`` for every T in ``Ts``, bit for bit.
 
     Each result is a point of a window that holds the exact root of
-    U * integral(gap_kernel(xi, delta^2, T)) = 1 on the reference rule:
+    U * integral(gap_kernel(xi, delta^2, T)) = 1 over [epsilon, hbar_omega_d]:
 
-    1. locate: bracketed Newton steps in s = delta^2 on the computed f run
-       until |f| <= E/8, with E a bound on |fl(f) - f|; one more Newton
+    1. locate: bracketed Newton steps in s = delta^2 on the computed f,
+       summed on the reference rule, run until |f| <= E/8, with E a bound
+       on the distance of the computed f from the exact one; one more Newton
        update from the last f and slope, which costs no evaluation, gives
        the point;
     2. prove a window: the edges sit 3E/|df/ds| either side of the point
@@ -218,14 +282,14 @@ def _solve_windows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(roots, lo, hi): ``solve_delta_many``'s roots and the windows they prove.
 
-    The exact root of the reference-rule equation at each T lies in
-    [lo, hi], and so does the returned point: the window is the point's
-    error bar.  Measured relative half-widths at U = 0.309: 3e-12 at
-    T <= 0.5 tau, 9.5e-11 at 0.99 tau, 9.5e-9 at (1 - 1e-4) tau; the point
-    lies at most 1.6e-4 window widths from the exact root.  A side whose
-    checks prove nothing gives the trivial enclosure, 0 below or +inf
-    above.  At T >= tau_U the gap is 0 by the zero extension, and so are
-    both edges.
+    The exact root of the continuum equation at each T lies in [lo, hi],
+    and so do the returned point and the root of the reference rule's
+    equation: the window is the point's error bar.  Measured relative
+    half-widths at U = 0.309: 9.7e-13 at T <= 0.5 tau, 3.1e-11 at 0.99 tau,
+    3.1e-9 at (1 - 1e-4) tau; the point lies at most 4.3e-4 window widths
+    from the rule's exact root.  A side whose checks prove nothing gives
+    the trivial enclosure, 0 below or +inf above.  At T >= tau_U the gap is
+    0 by the zero extension, and so are both edges.
     """
     Ts = np.asarray(Ts, dtype=float)
     if Ts.ndim != 1:
@@ -252,18 +316,26 @@ def _solve_block(
 
     Each root runs ``_root_search``, which yields the squared gap it needs
     f at; a round evaluates every pending gap in one kernel call and sends
-    each search its (f, df/ds), with f = U * float(np.dot(weights, k)) - 1,
-    each row summed on its own.  E = (n + 16) eps S with
-    S = U * sum_j w_j min(1/xi_j, 1/(2T)), which bounds U * sum_j w_j k_j
-    for every s >= 0 because k decreases in s and tanh(z) <= min(1, z).
+    each search its (f, df/ds), with f = U * sum_j w_j k_j - 1 summed by
+    one pairwise reduction per row, whose result for a row does not depend
+    on the rows beside it.  Each root's E is ``_rounding_bound`` plus
+    ``_quadrature_bound``, which bounds the distance of the computed f from
+    the continuum one.  A quadrature bound above 1/16 of the rounding bound
+    means the rule is too coarse for that T/epsilon, and is refused.
     """
-    xi2, weights, inv_xi = _block_rule(params)
-    scale = (xi2.size + _TERM_ROUNDINGS) * np.finfo(float).eps * U
-    searches = []
-    for T in Ts:
-        cap = np.minimum(inv_xi, 0.5 / T) if T > 0.0 else inv_xi
-        bound = scale * float(np.dot(weights, cap))
-        searches.append(_root_search(T, tau, d0, bound))
+    xi2, weights, _ = _block_rule(params)
+    rounding = _rounding_bound(U, Ts, params)
+    quadrature = _quadrature_bound(U, np.asarray(Ts), params)
+    for T, r, q in zip(Ts, rounding, quadrature):
+        if not q <= r / 16.0:
+            raise ParamsError(
+                f"reference_rule: quadrature bound {q:.3e} exceeds 1/16 of the "
+                f"rounding bound {r:.3e} at T/epsilon = {T / params.epsilon_cutoff:.3e}"
+            )
+    searches = [
+        _root_search(T, tau, d0, bound)
+        for T, bound in zip(Ts, (rounding + quadrature).tolist())
+    ]
     results = [(0.0, 0.0, 0.0)] * len(Ts)
     live = list(range(len(Ts)))
     requests = [next(search) for search in searches]
@@ -273,12 +345,15 @@ def _solve_block(
         k, dk = gap_kernel_rows(
             xi2, [s for s, _ in wanted], [Ts[i] for i in live], slopes=slopes
         )
+        f = (U * np.multiply(k, weights, out=k).sum(axis=1) - 1.0).tolist()
+        if slopes:
+            df = (U * np.multiply(dk, weights, out=dk).sum(axis=1)).tolist()
+        else:
+            df = [None] * len(live)
         still = []
-        for j, i in enumerate(live):
-            f = U * float(np.dot(weights, k[j])) - 1.0
-            df = U * float(np.dot(weights, dk[j])) if slopes else None
+        for i, fi, dfi in zip(live, f, df):
             try:
-                requests[i] = searches[i].send((f, df))
+                requests[i] = searches[i].send((fi, dfi))
             except StopIteration as done:
                 results[i] = done.value
             else:
@@ -400,13 +475,20 @@ def implicit_slope_v(U: float, params: PhysicalParams) -> float:
 
 @dataclass(frozen=True)
 class EnvelopeCurve:
-    """Constant-coupling gap curve Delta(T) on [0, tau], zero beyond."""
+    """Constant-coupling gap curve Delta(T) on [0, tau], zero beyond.
+
+    ``reference_nodes`` is the size of the rule it was solved on, and
+    ``quadrature_bound`` the largest Q(T) over its solved temperatures,
+    the part of each window's E that bounds that rule's own error.
+    """
 
     coupling: float
     tau: float
     t_nodes: np.ndarray
     delta_values: np.ndarray
     delta0: float
+    reference_nodes: int
+    quadrature_bound: float
 
     def __call__(self, T: float) -> float:
         """Interpolated gap value; exactly 0 for T > tau (zero extension)."""
@@ -436,10 +518,13 @@ def envelope_curve(U: float, params: PhysicalParams) -> EnvelopeCurve:
     falling = np.minimum.accumulate(roots)
     floor = np.maximum.accumulate(lo[::-1])[::-1]
     deltas = np.maximum(falling, floor)
+    solved = t_nodes[t_nodes < tau]
     return EnvelopeCurve(
         coupling=U,
         tau=tau,
         t_nodes=t_nodes,
         delta_values=deltas,
         delta0=delta0_closed_form(U, params),
+        reference_nodes=_reference_rule(params)[0].size,
+        quadrature_bound=float(_quadrature_bound(U, solved, params).max()),
     )

@@ -120,6 +120,14 @@ def test_cmd_simple_outputs(tmp_path):
         assert rows[0] == "T,delta"
         deltas = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(b <= a for a, b in zip(deltas, deltas[1:]))
+    # the rule's size, and each curve's largest quadrature bound Q, which
+    # must stay below 1/16 of the rounding bound; that bound falls in T, so
+    # its value at tau is below its value at every solved temperature
+    params = build_inputs(parse_config(cfg_path))[0]
+    assert int(entries["reference_nodes"]) == simple_gap._reference_rule(params)[0].size
+    for name, u, tau in (("U1", params.u_lower, tau1), ("U2", params.u_upper, tau2)):
+        bound = float(entries[f"quadrature_bound_{name}"])
+        assert 0.0 < bound <= simple_gap._rounding_bound(u, tau, params) / 16.0
 
 
 def test_cmd_certify_reports_failure(tmp_path):

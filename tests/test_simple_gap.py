@@ -284,6 +284,93 @@ def test_root_windows_enclose_the_exact_root(params, fraction):
             assert abs(mp.mpf(root) - exact) <= 1e-3 * (mp.mpf(hi) - mp.mpf(lo))
 
 
+def _mp_kernel(s, T):
+    # the gap kernel at squared gap s and temperature T, in the working precision
+    s, T = mp.mpf(s), mp.mpf(T)
+
+    def k(xi):
+        r = mp.sqrt(xi * xi + s)
+        return mp.tanh(r / (2 * T)) / r if T > 0 else 1 / r
+
+    return k
+
+
+def _continuum_f(U, delta, T, params):
+    # U * integral of the gap kernel over [epsilon, hbar_omega_d], less one,
+    # in the working precision: mpmath's quad over one piece per e-fold
+    eps, top = mp.mpf(params.epsilon_cutoff), mp.mpf(params.hbar_omega_d)
+    pieces = math.ceil(math.log(params.hbar_omega_d / params.epsilon_cutoff))
+    edges = [eps * (top / eps) ** (mp.mpf(j) / pieces) for j in range(pieces + 1)]
+    return U * mp.quad(_mp_kernel(mp.mpf(delta) ** 2, T), edges) - 1
+
+
+@pytest.mark.parametrize(
+    "epsilon, band",
+    [(0.005, (0.291, 0.309)), (1e-6, (0.291, 0.309)), (0.05, (0.485, 0.515))],
+)
+def test_root_windows_enclose_the_continuum_root(epsilon, band):
+    # E covers the reference rule's quadrature error as well as rounding,
+    # so each window holds the root of the continuum equation: the 40-digit
+    # continuum f, which falls in the gap, is positive at the lower edge
+    # and negative at the upper one
+    p = make_params(1.0, epsilon, 1.0, *band)
+    for u in band:
+        ts = [f * tau_root(u, p) for f in (0.0, 0.5, 0.99, 1.0 - 1e-4)]
+        _, lo, hi = simple_gap._solve_windows(u, ts, p)
+        for t, a, b in zip(ts, lo, hi):
+            assert 0.0 < a <= b < math.inf, (u, t)
+            with mp.workdps(40):
+                assert _continuum_f(u, a, t, p) > 0 > _continuum_f(u, b, t, p), (u, t)
+
+
+@pytest.mark.parametrize("epsilon", [0.005, 1e-6])
+def test_reference_rule_panel_errors_lie_within_their_bounds(epsilon):
+    # each panel's bound a + b T holds the error of the exact 12-point Gauss
+    # rule on that panel, against mpmath's quad: at the zero gap at tau, at
+    # delta0 at T = 0, and at the zero gap far below the cutoff.  And each
+    # term of the float rule, its node and weight, lies within
+    # _RULE_ROUNDINGS eps of the exact rule's, relatively
+    p = make_params(1.0, epsilon, 1.0, 0.291, 0.309)
+    order = simple_gap._RULE_ORDER
+    edges = simple_gap._reference_edges(p)
+    a, b = simple_gap._panel_bounds(edges, order)
+    nodes, weights = simple_gap._reference_rule(p)
+    cases = [
+        (0.0, tau_root(0.309, p)),
+        (delta0_closed_form(0.309, p) ** 2, 0.0),
+        (0.0, 1e-3 * epsilon),
+    ]
+    allowance = simple_gap._RULE_ROUNDINGS * np.finfo(float).eps
+    with mp.workdps(40):
+        xg = [
+            mp.findroot(lambda x: mp.legendre(order, x), mp.mpf(float(x0)))
+            for x0 in np.polynomial.legendre.leggauss(order)[0]
+        ]
+        wg = [2 * (1 - x * x) / (order * mp.legendre(order - 1, x)) ** 2 for x in xg]
+        for i, (lo, hi) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
+            mid, half = (mp.mpf(lo) + mp.mpf(hi)) / 2, (mp.mpf(hi) - mp.mpf(lo)) / 2
+            xs, ws = [mid + half * x for x in xg], [half * w for w in wg]
+            for j in range(order):
+                node, weight = nodes[i * order + j], weights[i * order + j]
+                moved = abs(node - xs[j]) / xs[j] + abs(weight - ws[j]) / ws[j]
+                assert moved <= allowance, (i, j)
+            for s, T in cases:
+                k = _mp_kernel(s, T)
+                error = abs(mp.quad(k, [lo, hi]) - mp.fsum(w * k(x) for x, w in zip(xs, ws)))
+                assert error <= a[i] + b[i] * T, (i, s, T)
+
+
+def test_a_rule_too_coarse_for_the_temperature_is_refused():
+    # near tau of a strong coupling over a tiny cutoff, T/epsilon is so
+    # large that the quadrature bound passes 1/16 of the rounding bound;
+    # the window would still be proven, but the rule is refused by name
+    p = make_params(1.0, 1e-10, 1.0, 0.291, 0.309)
+    u = 0.5
+    with pytest.raises(ParamsError, match="reference_rule: quadrature bound"):
+        solve_delta(u, 0.99 * tau_root(u, p), p)
+    assert solve_delta(p.u_upper, 0.99 * tau_root(p.u_upper, p), p) > 0.0
+
+
 @pytest.mark.parametrize("shift", [0.5, 1.0 + 1e-9, 2.0])
 def test_solve_delta_window_checks_catch_a_misplaced_root(params, monkeypatch, shift):
     # the window checks, not the locate stage, carry the proof: with the
@@ -378,6 +465,26 @@ def test_default_envelopes_evaluate_f_at_most_7_times_per_root(params, monkeypat
         roots += int(np.count_nonzero(curve.t_nodes < tau))
     assert roots == 256
     assert rows / roots <= 7.0
+
+
+def test_default_envelopes_evaluate_at_most_1200_kernel_elements_per_root(
+    params, monkeypatch
+):
+    # the kernel work is rows x nodes: about 5.7 rows per root on the
+    # 192-node rule, 1,086 elements; the 768-node rule took 4,314, so a
+    # revert of the rule's size fails here and not only in a timing
+    elements = 0
+    kernel_rows = simple_gap.gap_kernel_rows
+
+    def counting(xi2, s, T, **kwargs):
+        nonlocal elements
+        elements += len(s) * len(xi2)
+        return kernel_rows(xi2, s, T, **kwargs)
+
+    monkeypatch.setattr(simple_gap, "gap_kernel_rows", counting)
+    for u in (params.u_lower, params.u_upper):
+        envelope_curve(u, params)
+    assert elements / 256 <= 1200
 
 
 def test_solve_delta_strictly_decreasing(params):
