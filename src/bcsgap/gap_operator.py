@@ -25,7 +25,8 @@ operator holds W itself (``left`` is None).
 Every product with W goes through ``GapOperator.matvec`` and
 ``rmatvec``: the operator, its Jacobian action J v = W (d * v), the
 zero-field kernel action W (k0(T) * x) and the power iterations for the
-Perron pair of M = W diag(k0(T)).  ``apply_A``, ``apply_values``,
+Perron pair of M = W diag(k0(T)); d and the partials of k come from
+``quadrature.kernel_jet``.  ``apply_A``, ``apply_values``,
 ``weighted_potential_matrix`` and ``kernel_matrix`` form the dense W, the
 reference for the operator.  The public functions take either a
 potential, and build the operator through ``as_operator``, or an operator
@@ -36,12 +37,12 @@ one.  ``radius_crossing_temperature`` finds it by Newton's method on
 rho(T) = 1, with the slope
 
     rho'(T) = <psi, W (dk0/dT * phi)> / <psi, phi>,
-    dk0/dT = -sech^2(xi/2T) / (2 T^2),
 
-from the right and left Perron vectors phi and psi (the potential need
-not be symmetric, so psi is its own power iteration).  Each step keeps the
-iterate inside the bracket that the computed signs of rho - 1 prove, and
-one that would leave it takes the midpoint.
+dk0/dT the "T" partial of ``kernel_jet`` at s = 0, from the right and
+left Perron vectors phi and psi (the potential need not be symmetric, so
+psi is its own power iteration).  Each step keeps the iterate inside the
+bracket that the computed signs of rho - 1 prove, and one that would
+leave it takes the midpoint.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .model import (
     _cells,
     potential_matrix,
 )
-from .quadrature import gap_kernel, sech
+from .quadrature import gap_kernel, kernel_jet
 from .simple_gap import solve_delta, tau_root
 
 __all__ = [
@@ -70,7 +71,6 @@ __all__ = [
     "weighted_potential_matrix",
     "apply_A",
     "apply_values",
-    "jacobian_diagonal",
     "kernel_matrix",
     "spectral_radius",
     "radius_crossing_temperature",
@@ -132,20 +132,6 @@ def apply_values(
     reference that ``apply_A`` uses.
     """
     return weighted @ (values * gap_kernel(xi, values * values, T))
-
-
-def jacobian_diagonal(xi: np.ndarray, values: np.ndarray, T: float) -> np.ndarray:
-    """Derivative of u_j k(xi_j, u_j^2, T) in u_j, for T > 0.
-
-    The linearised operator at u is A'(u) = W diag(jacobian_diagonal(u)).
-    The derivative k + 2 s dk/ds (s = u^2) is evaluated as
-    (xi^2 k + s sech^2(r/2T)/(2T)) / r^2 with r^2 = xi^2 + s, a sum of
-    nonnegative terms: no cancellation, and positive wherever xi > 0.
-    """
-    s = values * values
-    r2 = xi * xi + s
-    sech_z = sech(np.sqrt(r2) / (2.0 * T))
-    return (xi * xi * gap_kernel(xi, s, T) + s * sech_z * sech_z / (2.0 * T)) / r2
 
 
 def _power_iteration(matvec, x: np.ndarray) -> PerronRoot:
@@ -213,7 +199,7 @@ class GapOperator:
         return self.matvec(values * gap_kernel(self.grid.nodes, values * values, T))
 
     def jacobian_action(self, diagonal: np.ndarray, v) -> np.ndarray:
-        """J v = W (d * v), with d = ``jacobian_diagonal`` at some field."""
+        """J v = W (d * v), with d the "u" partial of ``kernel_jet`` at a field."""
         return self.matvec(diagonal * v)
 
     def kernel_action(self, x: np.ndarray, T: float) -> np.ndarray:
@@ -245,9 +231,7 @@ class GapOperator:
         rho is the two-sided Rayleigh quotient <psi, M phi>/<psi, phi>,
         whose error is second order in the vectors' errors.
         """
-        xi = self.grid.nodes
-        z = xi / (2.0 * T)
-        dk0 = -sech(z) ** 2 / (2.0 * T * T)
+        _, dk0 = kernel_jet(self.grid.nodes**2, 0.0, T, "T")
         norm = float(left @ right)
         rho = float(left @ self.kernel_action(right, T)) / norm
         slope = float(left @ self.jacobian_action(dk0, right)) / norm
@@ -363,7 +347,7 @@ def kernel_matrix(
     T: float, potential: PotentialSpec | GapOperator, grid: EnergyGrid
 ) -> np.ndarray:
     """Linearisation of the operator at zero field, the n x n matrix
-    M_ij = U(x_i, xi_j) tanh(xi_j/2T)/xi_j * w_j; strictly positive."""
+    M_ij = U(x_i, xi_j) gap_kernel(xi_j, 0, T) w_j; strictly positive."""
     k0 = _zero_field_kernel(grid.nodes, T)
     return weighted_potential_matrix(potential, grid) * k0[None, :]
 

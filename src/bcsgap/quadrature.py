@@ -22,17 +22,17 @@ __all__ = [
     "integrate",
     "adaptive_integrate",
     "gap_kernel",
-    "gap_kernel_rows",
+    "kernel_jet",
     "tanh_half_identity",
     "sech",
     "gap_curvature",
 ]
 
-# tanh(z) rounds to 1.0 in double precision well before 40; returning 1
-# exactly avoids 1-ulp noise accumulating in long quadrature sums.
+# tanh(z) rounds to 1.0 in double precision well before 40, so a tanh
+# argument clamped here gives exactly 1 beyond it, and no 1-ulp noise.
 TANH_SATURATION = 40.0
-# floor of gap_kernel_rows' divisor 2T: every r/_COLD_DIVISOR with r above
-# 1e-298 exceeds TANH_SATURATION, so a T = 0 row saturates to t = 1
+# floor of the kernel's divisor 2T: every r/_COLD_DIVISOR with r above
+# 1e-298 exceeds TANH_SATURATION, so T = 0 saturates to t = 1
 _COLD_DIVISOR = 1e-300
 # adaptive_integrate: Gauss-Legendre order, starting panel count, stop
 # |I_2n - I_n| <= max(abs, rel * |I_2n|), and panel doublings before failure
@@ -123,49 +123,57 @@ def gap_kernel(xi, s, T: float):
     limit 1/sqrt(xi^2 + s).
     """
     xi = np.asarray(xi, dtype=float)
-    r = np.sqrt(xi * xi + s)
-    if T == 0.0:
-        return 1.0 / r
-    z = r / (2.0 * T)
-    t = np.where(z > TANH_SATURATION, 1.0, np.tanh(z))
-    return t / r
+    return _kernel(xi * xi + s, max(2.0 * T, _COLD_DIVISOR))[3]
 
 
-def gap_kernel_rows(xi2, s, T, *, slopes: bool = False):
-    """Gap kernel rows k[i] = gap_kernel(xi, s[i], T[i]), and dk/ds if ``slopes``.
+def _kernel(r2, twice_t):
+    """(r, eta, t, k) at r^2 = r2, tanh's argument clamped at TANH_SATURATION."""
+    r = np.sqrt(r2)
+    eta = r / twice_t
+    t = np.tanh(np.minimum(eta, TANH_SATURATION))
+    return r, eta, t, t / r
 
-    ``xi2`` holds xi * xi for the nodes, and ``s`` and ``T`` one squared
-    gap and one temperature per row.  Every element equals what
-    ``gap_kernel`` computes, by the same operations in the same order, done
-    in place on (rows x nodes) buffers.  Each row divides r by
-    max(2T, _COLD_DIVISOR) instead of 2T: a row whose r/(2T) exceeds the
-    saturation point saturates either way, so a ``T = 0`` row gets t = 1
-    and k = 1/r, ``gap_kernel``'s ``T = 0`` branch.
 
-    dk/ds = ((1 - t^2)/(2T) - k) / (2 r^2) with r^2 = xi^2 + s and
-    t = tanh(r/(2T)), which equals gap_curvature(r/(2T)) / (16 T^3); at
-    ``T = 0`` it is -k/(2 r^2).  The slope cancels at small r/(2T) and is
-    meant to steer a root search, not to certify one.  Without ``slopes``
-    the second result is None.
+def kernel_jet(xi2, s, T, partials: str = ""):
+    """The gap kernel k = tanh(eta)/r, r^2 = xi^2 + s, eta = r/(2T), and the
+    first partials named in ``partials``, in its order: the one code that
+    evaluates them.  With sigma = sech^2(eta),
+
+    - "s": k_s = (sigma/(2T) - k)/(2 r^2) = (eta sigma - tanh eta)/(2 r^3), that
+      is gap_curvature(eta)/(16 T^3), by its series below eta = 0.1, where
+      the terms cancel; only sigma's absolute error counts, so 1 - tanh^2 does;
+    - "T": k_T = -sigma/(2 T^2), and "u": d(u k(u^2))/du = k + 2 s k_s as the
+      sum (xi^2 k + s sigma/(2T))/r^2, both with ``sech`` for sigma.
+
+    ``xi2`` is an array of xi * xi, and ``s`` and ``T`` broadcast against
+    it.  k is ``gap_kernel``'s, element for element; 2T is floored at
+    _COLD_DIVISOR, so T = 0 saturates: k = 1/r, k_s = -1/(2 r^3), k_T = 0.
     """
-    s = np.asarray(s, dtype=float)[:, None]
-    twice_t = np.maximum(2.0 * np.asarray(T, dtype=float), _COLD_DIVISOR)[:, None]
+    twice_t = np.maximum(2.0 * T, _COLD_DIVISOR)
     r2 = xi2 + s
-    r = np.sqrt(r2, out=None if slopes else r2)
-    t = np.divide(r, twice_t)
-    saturated = t > TANH_SATURATION
-    np.tanh(t, out=t)
-    np.copyto(t, 1.0, where=saturated)
-    k = np.divide(t, r, out=r)
-    if not slopes:
-        return k, None
-    dk = np.multiply(t, t, out=t)
-    np.subtract(1.0, dk, out=dk)
-    dk /= twice_t
-    dk -= k
-    r2 *= 2.0
-    dk /= r2
-    return k, dk
+    r, eta, t, k = _kernel(r2, twice_t)
+    jet = [k]
+    for partial in partials:
+        if partial == "s":
+            c = np.multiply(t, t, out=t)  # t is read by no other partial
+            np.subtract(1.0, c, out=c)
+            c /= twice_t
+            c -= k
+            c /= 2.0 * r2
+            small = eta < _CURVATURE_CROSSOVER
+            if small.any():
+                e, rs = eta[small], r[small]
+                c[small] = e * e * e * _curvature_series(e * e) / (2.0 * rs * rs * rs)
+            jet.append(c)
+        elif partial == "T":
+            sz = sech(eta)
+            jet.append(np.divide(-(sz * sz), twice_t * T, out=np.zeros_like(k), where=T > 0.0))
+        elif partial == "u":
+            sz = sech(eta)
+            jet.append((xi2 * k + s * sz * sz / twice_t) / r2)
+        else:
+            raise ValueError(f"unknown partial {partial!r}: expected 's', 'T' or 'u'")
+    return tuple(jet)
 
 
 def sech(z):
@@ -206,6 +214,14 @@ _CURVATURE_SERIES = (
 _CURVATURE_CROSSOVER = 0.1
 
 
+def _curvature_series(e2):
+    """gap_curvature's Taylor series at eta^2 = e2, by Horner's rule."""
+    acc = np.full_like(e2, _CURVATURE_SERIES[-1])
+    for c in _CURVATURE_SERIES[-2::-1]:
+        acc = acc * e2 + c
+    return acc
+
+
 def gap_curvature(eta):
     """1/(eta^2 cosh^2 eta) - tanh(eta)/eta^3, negative on [0, inf).
 
@@ -222,11 +238,7 @@ def gap_curvature(eta):
 
     small = eta < _CURVATURE_CROSSOVER
     if np.any(small):
-        e2 = eta[small] ** 2
-        acc = np.full_like(e2, _CURVATURE_SERIES[-1])
-        for c in _CURVATURE_SERIES[-2::-1]:
-            acc = acc * e2 + c
-        out[small] = acc
+        out[small] = _curvature_series(eta[small] ** 2)
     if np.any(~small):
         e = eta[~small]
         s = sech(e)

@@ -38,8 +38,8 @@ from .quadrature import (
     adaptive_integrate,
     gap_curvature,
     gap_kernel,
-    gap_kernel_rows,
     gauss_legendre_panels,
+    kernel_jet,
 )
 
 __all__ = [
@@ -271,7 +271,7 @@ def solve_delta_many(U: float, Ts, params: PhysicalParams) -> np.ndarray:
     Temperatures at or above tau_U give 0.0 without an evaluation.  The
     others are solved in blocks of ``_BLOCK``: every root of a block runs
     both stages, and each round evaluates f at the pending gap of every
-    unfinished root in one ``gap_kernel_rows`` call.  A root's evaluations
+    unfinished root in one ``kernel_jet`` call.  A root's evaluations
     depend only on (U, T), so its value does not depend on its block.
     """
     return _solve_windows(U, Ts, params)[0]
@@ -315,12 +315,13 @@ def _solve_block(
     """(root, lo, hi) at temperatures 0 <= T < tau, the evaluations made together.
 
     Each root runs ``_root_search``, which yields the squared gap it needs
-    f at; a round evaluates every pending gap in one kernel call and sends
-    each search its (f, df/ds), with f = U * sum_j w_j k_j - 1 summed by
-    one pairwise reduction per row, whose result for a row does not depend
-    on the rows beside it.  Each root's E is ``_rounding_bound`` plus
-    ``_quadrature_bound``, which bounds the distance of the computed f from
-    the continuum one.  A quadrature bound above 1/16 of the rounding bound
+    f at; a round evaluates every pending gap in one ``kernel_jet`` call,
+    one row per root, with k_s rows only when some search asks for a slope,
+    and sends each search its (f, df/ds), with f = U * sum_j w_j k_j - 1
+    summed by one pairwise reduction per row, whose result for a row does
+    not depend on the rows beside it.  Each root's E is ``_rounding_bound``
+    plus ``_quadrature_bound``, which bounds the distance of the computed f
+    from the continuum one.  A quadrature bound above 1/16 of the rounding bound
     means the rule is too coarse for that T/epsilon, and is refused.
     """
     xi2, weights, _ = _block_rule(params)
@@ -342,14 +343,12 @@ def _solve_block(
     while live:
         wanted = [requests[i] for i in live]
         slopes = any(want_slope for _, want_slope in wanted)
-        k, dk = gap_kernel_rows(
-            xi2, [s for s, _ in wanted], [Ts[i] for i in live], slopes=slopes
-        )
-        f = (U * np.multiply(k, weights, out=k).sum(axis=1) - 1.0).tolist()
-        if slopes:
-            df = (U * np.multiply(dk, weights, out=dk).sum(axis=1)).tolist()
-        else:
-            df = [None] * len(live)
+        gaps = np.array([s for s, _ in wanted])[:, None]
+        temps = np.array([Ts[i] for i in live])[:, None]
+        jet = kernel_jet(xi2, gaps, temps, "s" if slopes else "")
+        sums = [U * np.multiply(rows, weights, out=rows).sum(axis=1) for rows in jet]
+        f = (sums[0] - 1.0).tolist()
+        df = sums[1].tolist() if slopes else [None] * len(live)
         still = []
         for i, fi, dfi in zip(live, f, df):
             try:
@@ -359,7 +358,7 @@ def _solve_block(
             else:
                 still.append(i)
         live = still
-        del k, dk  # free this round's buffers before the next round fills its own
+        del jet  # free this round's buffers before the next round fills its own
     return results
 
 
@@ -460,9 +459,8 @@ def implicit_slope_v(U: float, params: PhysicalParams) -> float:
         Phi_s = (U/(8 T^2)) * integral of gap_curvature over
                 [eps/(2T), hw/(2T)]
 
-    so v = Phi_T / Phi_s = -8T * (tanh(hw/2T) - tanh(eps/2T)) / integral.
-    Both reductions follow from d/dT tanh(xi/2T)/xi = -sech^2(xi/2T)/(2T^2)
-    and d/ds of the kernel at s=0 being gap_curvature(xi/2T)/(16 T^3);
+    so v = Phi_T / Phi_s = -8T * (tanh(hw/2T) - tanh(eps/2T)) / integral,
+    by the partials k_T and k_s that ``kernel_jet`` documents, at s = 0;
     positive because the curvature kernel is negative.
     """
     tau = tau_root(U, params)

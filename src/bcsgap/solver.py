@@ -9,7 +9,8 @@ approaching one.  It starts from the previous, cooler node's row scaled by
 sqrt((T_c - T) / (T_c - T_prev)), since the gap shrinks like sqrt(T_c - T)
 (from the upper envelope at the first node).
 ``picard_solve``, the paper's iteration, then starts from that seed, and
-its stop certifies the row.
+its stop certifies the row; a zero row below T_c is refused by name.
+Both take the Jacobian's diagonal d from ``quadrature.kernel_jet``.
 
 Before iterating, ``picard_solve`` must know that T is below the
 transition, where the zero-field Perron root rho(M) of M = W k0(T) exceeds
@@ -47,11 +48,11 @@ from .gap_operator import (
     GapField,
     GapOperator,
     as_operator,
-    jacobian_diagonal,
     spectral_radius,
     spectral_tc,
 )
 from .model import EnergyGrid, PhysicalParams, PotentialSpec
+from .quadrature import kernel_jet
 from .simple_gap import solve_delta, solve_delta_many, tau_root
 
 __all__ = [
@@ -230,7 +231,7 @@ def _error_bound(
     holds for the dense Nystrom operator up to rounding.
     """
     x = np.abs(u)
-    jac = jacobian_diagonal(op.grid.nodes, u, T)
+    _, jac = kernel_jet(op.grid.nodes**2, u * u, T, "u")
     q = float(np.max(op.jacobian_action(jac, x) / x)) if np.all(x > 0.0) else np.inf
     if not np.any(step):
         return q, 0.0
@@ -265,12 +266,13 @@ def newton_seed(
 
     Each step applies the operator once and solves (I - A'(u)) delta =
     A u - u by GMRES, which needs only the products A'(u) v = W (d * v) with
-    d = ``jacobian_diagonal``, through the factors of W.  Starts from
-    ``initial``, or from the upper envelope when it is None.  Stops once
-    the residual ||A u - u|| is at its rounding floor, 8 eps max|u|; once
-    it fails to halve (if Newton stops converging fast); or after
-    ``max_iter`` operator applications.  Returns the iterate with the
-    smallest residual and the number of operator applications made.
+    d = d(u k(u^2))/du, the "u" partial of ``quadrature.kernel_jet``,
+    through the factors of W.  Starts from ``initial``, or from the upper
+    envelope when it is None.  Stops once the residual ||A u - u|| is at
+    its rounding floor, 8 eps max|u|; once it fails to halve (if Newton
+    stops converging fast); or after ``max_iter`` operator applications.
+    Returns the iterate with the smallest residual and the number of
+    operator applications made.
 
     The result comes with no bound: ``picard_solve`` started from it is what
     proves ||u - u*|| <= tol.
@@ -290,7 +292,7 @@ def newton_seed(
         if at_floor or not residual < 0.5 * previous:
             return best, n
         previous = residual
-        jac = jacobian_diagonal(grid.nodes, u, T)
+        _, jac = kernel_jet(grid.nodes**2, u * u, T, "u")
         u = u + _gmres(lambda v: v - op.jacobian_action(jac, v), step)
     return best, max_iter
 
@@ -363,9 +365,10 @@ def solve_surface(
     is seeded by ``newton_seed`` from the previous node's row times
     sqrt((T_c - T) / (T_c - T_prev)), a factor in (0, 1) that moves the row
     onto the sqrt(T_c - T) shrinkage of the gap (from the upper envelope at
-    the first node, or after a zero row), and certified by
-    ``picard_solve`` from that seed; if the seed is not finite and positive,
-    ``picard_solve`` starts from the upper envelope instead.
+    the first node), and certified by ``picard_solve`` from that seed; if
+    the seed is not finite and positive, ``picard_solve`` starts from the
+    upper envelope instead.  A zero row below T_c (a node inside the
+    zero-phase slack) raises ``ValueError`` naming T, T_c - T and the span.
     ``max_iter`` bounds the operator applications of both stages together,
     per node.  Each node's ``SolveTrace`` records the Collatz-Wielandt rate
     bound its stop was accepted on; the contraction constant reported with
@@ -392,7 +395,7 @@ def solve_surface(
         # the gap shrinks like sqrt(T_c - T): scale the cooler row onto it
         start = (
             rows[-1] * math.sqrt((t_c - T) / (t_c - float(t_nodes[i - 1])))
-            if rows and rows[-1].any() else None
+            if rows else None
         )
         seed, steps = newton_seed(T, op, params, grid, max_iter=max_iter, initial=start)
         if not (np.all(np.isfinite(seed)) and np.all(seed > 0.0)):
@@ -401,6 +404,11 @@ def solve_surface(
             T, op, params, grid, tol=tol,
             max_iter=max_iter - steps, initial=seed,
         )
+        if not u.values.any():
+            raise ValueError(
+                f"the row at T = {T!r}, T_c - T = {t_c - T:.3e}, came back zero below T_c "
+                f"(zero-phase slack); lower solver.span_decades (now {span_decades!r})"
+            )
         rows.append(u.values)
         traces.append(replace(trace, newton_steps=steps))
 

@@ -32,6 +32,7 @@ from .quadrature import (
     TANH_SATURATION,
     adaptive_integrate,
     gap_curvature,
+    kernel_jet,
     sech,
 )
 from .simple_gap import solve_delta
@@ -289,21 +290,17 @@ def g_consistency(
                  + (sqrt(v)/cosh^2(eta/(2T_c))) (v/(eta^2 T_c) + 2/T_c^2)
                } d eta
 
-    where K is the zero-field kernel.  Returns sup|w - G| / sup|w|.
+    where K is the zero-field kernel.  The braces are evaluated as
+    (w k + 4 v^2 k_s - 4 v k_T) / sqrt(v), by ``kernel_jet`` at s = 0,
+    free of their terms' cancellation.  Returns sup|w - G| / sup|w|.
     """
     vv, ww = _values(v), _values(w)
     root = np.sqrt(vv)
-    xi = grid.nodes
     op = as_operator(potential, grid)
     first = op.kernel_action(root, t_c)
 
-    z = xi / (2.0 * t_c)
-    tanh_z = np.tanh(z)
-    sech2 = sech(z) ** 2
-    inner = (ww / (xi * root) - 2.0 * root**3 / xi**3) * tanh_z + root * sech2 * (
-        vv / (xi**2 * t_c) + 2.0 / t_c**2
-    )
-    second = op.matvec(inner)
+    k, k_s, k_t = kernel_jet(grid.nodes**2, 0.0, t_c, "sT")
+    second = op.matvec((ww * k + 4.0 * vv * (vv * k_s - k_t)) / root)
     g_of_x = first * second
     return float(np.max(np.abs(ww - g_of_x)) / np.max(np.abs(ww)))
 

@@ -485,3 +485,26 @@ def test_importing_the_cli_loads_no_scipy():
         capture_output=True, text=True, check=True, cwd=src, timeout=120,
     )
     assert done.stdout.strip() == "[]"
+
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+
+
+@pytest.mark.parametrize("span", ["8", "14"])
+@pytest.mark.parametrize("command", ["solve", "thermo"])
+def test_a_span_that_reaches_into_the_zero_phase_slack_is_refused(
+    command, span, tmp_path, capsys
+):
+    # on the default config these spans put nodes so close below T_c that
+    # their rows come back zero: 2 of them at span 8 and 11 at span 14
+    lines = [
+        f"solver.span_decades = {span}" if line.startswith("solver.span_decades") else line
+        for line in DEFAULT_CONFIG.read_text().splitlines()
+        if not line.startswith("output.dir")
+    ]
+    cfg_path = tmp_path / "wide.cfg"
+    cfg_path.write_text("\n".join(lines) + f"\noutput.dir = {tmp_path / 'out'}\n")
+    assert main([command, str(cfg_path)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "came back zero below T_c" in err
+    assert f"solver.span_decades (now {float(span)!r})" in err

@@ -6,7 +6,6 @@ from bcsgap.gap_operator import (
     GapField,
     apply_A,
     as_operator,
-    jacobian_diagonal,
     kernel_matrix,
     radius_crossing_temperature,
     sample_envelope_field,
@@ -22,7 +21,7 @@ from bcsgap.model import (
     potential_matrix,
     validate_potential,
 )
-from bcsgap.quadrature import gap_kernel
+from bcsgap.quadrature import gap_kernel, kernel_jet
 from bcsgap.simple_gap import solve_delta, tau_root
 from bcsgap.solver import solve_surface
 from oracles import bisect_tc
@@ -288,7 +287,7 @@ def test_factored_actions_match_dense_w(case, params, grid):
     rng = np.random.default_rng(5)
     u = rng.uniform(0.5, 1.0, case_grid.size) * solve_delta(params.u_upper, t, params)
     v = rng.uniform(-1.0, 1.0, case_grid.size)
-    d = jacobian_diagonal(case_grid.nodes, u, t)
+    _, d = kernel_jet(case_grid.nodes**2, u * u, t, "u")
     k0 = gap_kernel(case_grid.nodes, 0.0, t)
     image = u * gap_kernel(case_grid.nodes, u * u, t)
     triples = [

@@ -10,9 +10,9 @@ from bcsgap.quadrature import (
     adaptive_integrate,
     gap_curvature,
     gap_kernel,
-    gap_kernel_rows,
     gauss_legendre_panels,
     integrate,
+    kernel_jet,
     sech,
     tanh_half_identity,
 )
@@ -90,33 +90,39 @@ def test_gap_kernel_strictly_decreasing_in_t(xi, s, t1, dt):
 
 
 def test_gap_kernel_rows_slope_matches_curvature_identity():
-    # dk/ds = gap_curvature(r/2T) / (16 T^3); r/2T >= 0.06 here, where the
-    # one-pass formula loses at most ~1e-13 to cancellation
+    # k_s = gap_curvature(r/2T) / (16 T^3), with r/2T from 1e-3 (T = 2.5)
+    # through the series' 0.1 crossover to beyond tanh's saturation (T = 0.01)
     xi = np.geomspace(0.005, 1.0, 50)
-    cases = [(s, T) for T in (0.01, 0.04) for s in (0.0, 1e-4, 4e-3)]
-    k, dk = gap_kernel_rows(xi * xi, *zip(*cases), slopes=True)
+    cases = [(s, T) for T in (0.01, 0.04, 0.5, 2.5) for s in (0.0, 1e-4, 4e-3)]
+    s, T = (np.array(c)[:, None] for c in zip(*cases))
+    k, dk = kernel_jet(xi * xi, s, T, "s")
     for (s, T), k_row, dk_row in zip(cases, k, dk):
         assert np.array_equal(k_row, gap_kernel(xi, s, T))
         eta = np.sqrt(xi * xi + s) / (2.0 * T)
         expected = gap_curvature(eta) / (16.0 * T**3)
         assert np.all(dk_row < 0.0)
-        np.testing.assert_allclose(dk_row, expected, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(dk_row, expected, rtol=1e-12, atol=0.0)
 
 
 def test_gap_kernel_rows_zero_temperature_branch():
     xi = np.geomspace(0.005, 1.0, 20)
     cases = [(0.0, 0.0), (1e-3, 0.0), (1e-3, 0.02)]  # a warm row beside the cold ones
-    k, dk = gap_kernel_rows(xi * xi, *zip(*cases), slopes=True)
-    for (s, T), k_row, dk_row in zip(cases[:2], k, dk):
+    s, T = (np.array(c)[:, None] for c in zip(*cases))
+    k, dk, dk_t, du = kernel_jet(xi * xi, s, T, "sTu")
+    for i, (s, T) in enumerate(cases[:2]):
         r = np.sqrt(xi * xi + s)
-        assert np.array_equal(k_row, gap_kernel(xi, s, T))
-        np.testing.assert_allclose(dk_row, -0.5 / r**3, rtol=1e-14, atol=0.0)
+        assert np.array_equal(k[i], gap_kernel(xi, s, T))
+        np.testing.assert_allclose(dk[i], -0.5 / r**3, rtol=1e-14, atol=0.0)
+        assert np.all(dk_t[i] == 0.0)
+        np.testing.assert_allclose(du[i], xi * xi / r**3, rtol=1e-14, atol=0.0)
     assert np.array_equal(k[2], gap_kernel(xi, 1e-3, 0.02))
+    assert np.all(dk_t[2] < 0.0)
 
 
 def test_gap_kernel_rows_equal_gap_kernel_element_for_element():
     # the block solve's replay relies on each row being gap_kernel's array,
-    # whatever the other rows of the block hold and with or without slopes
+    # whatever the other rows of the block hold and whichever partials are
+    # asked for
     rng = np.random.default_rng(7)
     xi = np.geomspace(0.005, 1.0, 97)
     for _ in range(40):
@@ -125,10 +131,66 @@ def test_gap_kernel_rows_equal_gap_kernel_element_for_element():
         T = rng.uniform(0.0, 0.05, m) ** rng.uniform(1.0, 3.0, m)
         T[rng.random(m) < 0.2] = 0.0  # cold rows
         T[rng.random(m) < 0.2] *= 1e-3  # saturated rows
-        for slopes in (False, True):
-            k, _ = gap_kernel_rows(xi * xi, s, T, slopes=slopes)
+        for partials in ("", "s", "sTu"):
+            k = kernel_jet(xi * xi, s[:, None], T[:, None], partials)[0]
             for i in range(m):
                 assert np.array_equal(k[i], gap_kernel(xi, s[i], T[i])), (s[i], T[i])
+
+
+def _reference_jet(xi, s, T):
+    """(k, k_s, k_T, d(u k(u^2))/du at u^2 = s) to 40 digits, the partials
+    by mpmath's numerical differentiation.  k_T falls like e^(-2 eta) while
+    k does not, so 2 eta more digits keep it resolved."""
+    eta = math.sqrt(xi * xi + s) / (2.0 * T) if T > 0 else 0.0
+    with mp.workdps(40 + int(2.0 * eta)):
+        xi, s, T = mp.mpf(xi), mp.mpf(s), mp.mpf(T)
+
+        def k(s, T):
+            r = mp.sqrt(xi * xi + s)
+            return mp.tanh(r / (2 * T)) / r if T > 0 else 1 / r
+
+        if T == 0:
+            r = mp.sqrt(xi * xi + s)
+            jet = (1 / r, -1 / (2 * r**3), 0, xi * xi / r**3)
+        else:
+            jet = (
+                k(s, T),
+                mp.diff(lambda x: k(x, T), s),
+                mp.diff(lambda x: k(s, x), T),
+                mp.diff(lambda u: u * k(u * u, T), mp.sqrt(s)),
+            )
+        return [float(x) for x in jet]
+
+
+def test_kernel_jet_matches_a_40_digit_reference():
+    # xi in [0.005, 1], s in [0, 4e-3], T in [0.002, 5] and T = 0: eta runs
+    # from 5e-4 through the 0.1 crossover (both sides, pinned at T = 0.3) to
+    # 250, beyond tanh's saturation at 40
+    cases = [
+        (xi, s, T)
+        for xi in np.geomspace(0.005, 1.0, 7)
+        for s in (0.0, 1e-5, 4e-3)
+        for T in (0.0, 0.002, 0.02, 0.3, 5.0)
+    ]
+    cases += [(0.6 * eta, 0.0, 0.3) for eta in (1e-3 / 0.3, 0.0999, 0.1001)]
+    xi, s, T = (np.array(c) for c in zip(*cases))
+    jet = np.array(kernel_jet(xi * xi, s, T, "sTu"))
+    reference = np.array([_reference_jet(*c) for c in cases]).T
+    worst = [
+        float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)))
+        for got, ref in zip(jet, reference)
+    ]
+    # k_s keeps a cancellation of ~150x just above the crossover (measured
+    # 3.0e-14 at eta = 0.11), and k_T ~ e^(-2 eta) inherits 2 eta times the
+    # rounding of eta itself (6.3e-14 at eta = 250)
+    bounds = (1e-15, 1e-13, 2e-13, 2e-15)
+    for name, err, bound in zip(("k", "k_s", "k_T", "u"), worst, bounds):
+        assert err <= bound, (name, err)
+
+
+def test_kernel_jet_refuses_an_unknown_partial():
+    with pytest.raises(ValueError, match="unknown partial"):
+        kernel_jet(np.ones(3), 0.0, 0.1, "x")
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0, 50.0])

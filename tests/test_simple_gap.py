@@ -451,14 +451,14 @@ def test_default_envelopes_evaluate_f_at_most_7_times_per_root(params, monkeypat
     # stage's included (about 5.6 rows per root in all)
     taus = [tau_root(u, params) for u in (params.u_lower, params.u_upper)]
     rows = 0
-    kernel_rows = simple_gap.gap_kernel_rows
+    kernel_jet = simple_gap.kernel_jet
 
-    def counting(xi2, s, T, **kwargs):
+    def counting(xi2, s, T, *partials):
         nonlocal rows
         rows += len(s)
-        return kernel_rows(xi2, s, T, **kwargs)
+        return kernel_jet(xi2, s, T, *partials)
 
-    monkeypatch.setattr(simple_gap, "gap_kernel_rows", counting)
+    monkeypatch.setattr(simple_gap, "kernel_jet", counting)
     roots = 0
     for u, tau in zip((params.u_lower, params.u_upper), taus):
         curve = envelope_curve(u, params)
@@ -474,14 +474,14 @@ def test_default_envelopes_evaluate_at_most_1200_kernel_elements_per_root(
     # 192-node rule, 1,086 elements; the 768-node rule took 4,314, so a
     # revert of the rule's size fails here and not only in a timing
     elements = 0
-    kernel_rows = simple_gap.gap_kernel_rows
+    kernel_jet = simple_gap.kernel_jet
 
-    def counting(xi2, s, T, **kwargs):
+    def counting(xi2, s, T, *partials):
         nonlocal elements
         elements += len(s) * len(xi2)
-        return kernel_rows(xi2, s, T, **kwargs)
+        return kernel_jet(xi2, s, T, *partials)
 
-    monkeypatch.setattr(simple_gap, "gap_kernel_rows", counting)
+    monkeypatch.setattr(simple_gap, "kernel_jet", counting)
     for u in (params.u_lower, params.u_upper):
         envelope_curve(u, params)
     assert elements / 256 <= 1200

@@ -9,12 +9,12 @@ from bcsgap.certificate import CertificateFailure
 from bcsgap.gap_operator import (
     apply_values,
     as_operator,
-    jacobian_diagonal,
     spectral_radius,
     spectral_tc,
     weighted_potential_matrix,
 )
 from bcsgap.model import GaussianBumpPotential, build_grid, potential_matrix
+from bcsgap.quadrature import kernel_jet
 from bcsgap.simple_gap import solve_delta, solve_delta_many, tau_root
 from bcsgap.solver import ConvergenceError, picard_solve, solve_surface
 from oracles import nystrom_constant_gap
@@ -137,13 +137,15 @@ def test_a_start_that_proves_nothing_is_refused(
         solve(0.03, const_potential, params, grid, initial=start(grid.size))
 
 
-def test_surface_after_a_zero_row_starts_from_the_envelope(const_potential, params, grid):
-    # 14 decades put nodes inside the zero-phase slack below T_c, whose rows
-    # come back zero; a zero row is no start, so the next node starts from
-    # the upper envelope instead of being refused
-    surface = solve_surface(const_potential, params, grid, span_decades=14.0)
-    zero = ~surface.values[:-1].any(axis=1)
-    assert zero[-1] and zero.sum() < zero.size
+@pytest.mark.parametrize("span", [8.0, 14.0])
+def test_surface_refuses_a_zero_row_below_t_c(span, const_potential, params, grid):
+    # these spans put nodes inside the zero-phase slack below T_c, whose
+    # rows come back zero although the gap there is ~sqrt(T_c - T) > 0
+    with pytest.raises(ValueError) as err:
+        solve_surface(const_potential, params, grid, span_decades=span)
+    message = str(err.value)
+    assert re.search(r"row at T = \S+, T_c - T = \S+, came back zero below T_c", message)
+    assert f"solver.span_decades (now {span!r})" in message
 
 
 def test_picard_iteration_budget(const_potential, params, grid):
@@ -271,7 +273,7 @@ def _jacobian_radius(potential, grid, u, T) -> float:
     For a symmetric U, W diag(d) = U diag(w d) is similar to the symmetric
     c U c with c = sqrt(w d), whose eigenvalues are cheaper to find.
     """
-    d = jacobian_diagonal(grid.nodes, u, T)
+    _, d = kernel_jet(grid.nodes**2, u * u, T, "u")
     sym = potential_matrix(potential, grid.nodes, grid.nodes)
     if np.array_equal(sym, sym.T):
         c = np.sqrt(grid.weights * d)
