@@ -193,7 +193,7 @@ def cmd_simple(cfg: dict[str, object]) -> int:
 def cmd_certify(cfg: dict[str, object]) -> int:
     params, potential, grid, margin = build_inputs(cfg)
     out = _outdir(cfg)
-    t_c = spectral_tc(potential, params, grid)
+    t_c = spectral_tc(as_operator(potential, grid), params)
     outcome = search_certificate(
         potential, params, grid, t_c=t_c, coupling_margin=margin
     )
@@ -210,20 +210,19 @@ def _lattice(cfg: dict[str, object]) -> tuple[int, float]:
 
 
 def _solve(cfg: dict[str, object]):
-    """Params, the gap operator of the config's potential, grid, surface."""
+    """Params, the gap operator of the config's potential, surface."""
     params, potential, grid, _ = build_inputs(cfg)
     op = as_operator(potential, grid)
     t_resolution, span_decades = _lattice(cfg)
     surface = solve_surface(
         op,
         params,
-        grid,
         t_resolution=t_resolution,
         tol=float(cfg.get("solver.tol", 1e-11)),
         span_decades=span_decades,
         max_iter=int(cfg.get("solver.max_iter", 2_000_000)),
     )
-    return params, op, grid, surface
+    return params, op, surface
 
 
 def _write_surface(out: Path, surface, op: GapOperator) -> None:
@@ -247,16 +246,16 @@ def _write_surface(out: Path, surface, op: GapOperator) -> None:
 
 
 def cmd_solve(cfg: dict[str, object]) -> int:
-    _, op, _, surface = _solve(cfg)
+    _, op, surface = _solve(cfg)
     _write_surface(_outdir(cfg), surface, op)
     return EXIT_OK
 
 
 def cmd_thermo(cfg: dict[str, object]) -> int:
     require_resolution(*_lattice(cfg))
-    params, op, grid, surface = _solve(cfg)
-    outcome = search_certificate(op.potential, params, grid, t_c=surface.t_c)
-    report = build_thermo_report(surface, params, grid, outcome)
+    params, op, surface = _solve(cfg)
+    outcome = search_certificate(op.potential, params, op.grid, t_c=surface.t_c)
+    report = build_thermo_report(surface, params, op.grid, outcome)
     out = _outdir(cfg)
     write_csv(out / "psi.csv", ["T", "psi"], zip(report.t_nodes, report.psi_values))
     write_csv(

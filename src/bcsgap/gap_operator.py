@@ -27,10 +27,9 @@ Every product with W goes through ``GapOperator.matvec`` and
 zero-field kernel action W (k0(T) * x) and the power iterations for the
 Perron pair of M = W diag(k0(T)); d and the partials of k come from
 ``quadrature.kernel_jet``.  ``apply_A``, ``apply_values``,
-``weighted_potential_matrix`` and ``kernel_matrix`` form the dense W, the
-reference for the operator.  The public functions take either a
-potential, and build the operator through ``as_operator``, or an operator
-already built on the same grid.
+``weighted_potential_matrix`` and ``kernel_matrix`` form the dense W from
+a potential and a grid, the reference for the operator.  Every other
+function takes the operator alone and reads the grid from it.
 
 The transition temperature is where the zero-field Perron root rho(T) is
 one.  ``radius_crossing_temperature`` finds it by Newton's method on
@@ -113,13 +112,9 @@ class PerronRoot:
     iterations: int
 
 
-def weighted_potential_matrix(
-    potential: PotentialSpec | GapOperator, grid: EnergyGrid
-) -> np.ndarray:
+def weighted_potential_matrix(potential: PotentialSpec, grid: EnergyGrid) -> np.ndarray:
     """U(x_i, xi_j) * w_j, the temperature-independent part of the operator:
-    the dense W, formed afresh (from an operator's potential)."""
-    if isinstance(potential, GapOperator):
-        potential = as_operator(potential, grid).potential
+    the dense W, formed afresh."""
     return potential_matrix(potential, grid.nodes, grid.nodes) * grid.weights[None, :]
 
 
@@ -205,23 +200,6 @@ class GapOperator:
     def kernel_action(self, x: np.ndarray, T: float) -> np.ndarray:
         """W (k0(T) * x): the zero-field linearisation applied to x."""
         return self.matvec(_zero_field_kernel(self.grid.nodes, T) * x)
-
-    def perron(
-        self,
-        T: float,
-        start: np.ndarray | None = None,
-        *,
-        left: bool = False,
-    ) -> PerronRoot:
-        """Perron root of the zero-field kernel M = W diag(k0(T)) with its
-        right vector (M phi = rho phi) or, with ``left``, its left vector
-        (psi^T M = rho psi^T), by power iteration from ``start`` (the
-        constant-one field if None)."""
-        k0 = _zero_field_kernel(self.grid.nodes, T)
-        x = np.ones(self.grid.size) if start is None else start
-        if left:
-            return _power_iteration(lambda v: k0 * self.rmatvec(v), x)
-        return _power_iteration(lambda v: self.matvec(k0 * v), x)
 
     def radius_and_slope(
         self, T: float, right: np.ndarray, left: np.ndarray
@@ -311,27 +289,13 @@ def _barycentric(centres: np.ndarray, x: np.ndarray) -> np.ndarray:
     return terms / terms.sum(axis=1, keepdims=True)
 
 
-def as_operator(potential: PotentialSpec | GapOperator, grid: EnergyGrid) -> GapOperator:
-    """The gap operator of ``potential`` on ``grid``.
-
-    A potential is turned into an operator here, which builds the factors
-    of W once; an operator is passed through after checking that it was
-    built on this grid.
-    """
-    if isinstance(potential, GapOperator):
-        built_on = potential.grid
-        if built_on is not grid and not (
-            np.array_equal(built_on.nodes, grid.nodes)
-            and np.array_equal(built_on.weights, grid.weights)
-        ):
-            raise ValueError("operator was built on a different grid")
-        return potential
+def as_operator(potential: PotentialSpec, grid: EnergyGrid) -> GapOperator:
+    """The gap operator of ``potential`` on ``grid``, with the factors of W
+    built once."""
     return GapOperator(potential, grid, *_factors(potential, grid))
 
 
-def apply_A(
-    u: GapField, potential: PotentialSpec | GapOperator, grid: EnergyGrid
-) -> GapField:
+def apply_A(u: GapField, potential: PotentialSpec, grid: EnergyGrid) -> GapField:
     """Apply the gap operator to a nonnegative field at its temperature,
     through the dense W: the reference for ``GapOperator.apply``."""
     if u.values.shape != grid.nodes.shape:
@@ -343,9 +307,7 @@ def apply_A(
     return GapField(temperature=u.temperature, values=out)
 
 
-def kernel_matrix(
-    T: float, potential: PotentialSpec | GapOperator, grid: EnergyGrid
-) -> np.ndarray:
+def kernel_matrix(T: float, potential: PotentialSpec, grid: EnergyGrid) -> np.ndarray:
     """Linearisation of the operator at zero field, the n x n matrix
     M_ij = U(x_i, xi_j) gap_kernel(xi_j, 0, T) w_j; strictly positive."""
     k0 = _zero_field_kernel(grid.nodes, T)
@@ -353,30 +315,25 @@ def kernel_matrix(
 
 
 def spectral_radius(
-    T: float,
-    potential: PotentialSpec | GapOperator,
-    grid: EnergyGrid,
-    *,
-    start: np.ndarray | None = None,
-    left: bool = False,
+    T: float, op: GapOperator, *, start: np.ndarray | None = None, left: bool = False
 ) -> PerronRoot:
-    """Perron root of the zero-field kernel by power iteration.
+    """Perron root of the zero-field kernel M = W diag(k0(T)) with its right
+    vector (M phi = rho phi) or, with ``left``, its left vector
+    (psi^T M = rho psi^T), by power iteration.
 
-    Returns the right Perron vector, or the left one with ``left`` (see
-    ``GapOperator.perron``).  Seeded with ``start``, or with the
-    constant-one field: the dominant eigenvector of a positive kernel is
-    positive, so no deflation is needed.  Converged when successive
-    Rayleigh quotients differ by at most 1e-13.
+    Seeded with ``start``, or with the constant-one field: the dominant
+    eigenvector of a positive kernel is positive, so no deflation is
+    needed.  Converged when successive Rayleigh quotients differ by at most
+    1e-13.
     """
-    return as_operator(potential, grid).perron(T, start, left=left)
+    k0 = _zero_field_kernel(op.grid.nodes, T)
+    x = np.ones(op.grid.size) if start is None else start
+    if left:
+        return _power_iteration(lambda v: k0 * op.rmatvec(v), x)
+    return _power_iteration(lambda v: op.matvec(k0 * v), x)
 
 
-def radius_crossing_temperature(
-    potential: PotentialSpec | GapOperator,
-    grid: EnergyGrid,
-    lo: float,
-    hi: float,
-) -> float:
+def radius_crossing_temperature(op: GapOperator, lo: float, hi: float) -> float:
     """Unit crossing of the zero-field Perron root, by safeguarded Newton.
 
     The root decreases strictly in T (the kernel does, entrywise), so a
@@ -387,9 +344,8 @@ def radius_crossing_temperature(
     power iterations of the next.  Stops once a step is at most 1e-13 T,
     or the bracket at most 1e-13 hi.
     """
-    op = as_operator(potential, grid)
-    f_lo = spectral_radius(lo, op, grid).radius
-    right = spectral_radius(hi, op, grid)
+    f_lo = spectral_radius(lo, op).radius
+    right = spectral_radius(hi, op)
     f_hi = right.radius
     if not (f_lo >= 1.0 - 1e-12 and f_hi <= 1.0 + 1e-12):
         raise ValueError(
@@ -399,7 +355,7 @@ def radius_crossing_temperature(
     T, left = hi, None
     for _ in range(200):
         start = None if left is None else left.eigenvector
-        left = spectral_radius(T, op, grid, start=start, left=True)
+        left = spectral_radius(T, op, start=start, left=True)
         rho, slope = op.radius_and_slope(T, right.eigenvector, left.eigenvector)
         if rho > 1.0:
             lo = T
@@ -413,21 +369,16 @@ def radius_crossing_temperature(
             if hi - lo <= _CROSSING_RTOL * hi:
                 return new
         T = new
-        right = spectral_radius(T, op, grid, start=right.eigenvector)
+        right = spectral_radius(T, op, start=right.eigenvector)
     return 0.5 * (lo + hi)
 
 
-def spectral_tc(
-    potential: PotentialSpec | GapOperator, params: PhysicalParams, grid: EnergyGrid
-) -> float:
+def spectral_tc(op: GapOperator, params: PhysicalParams) -> float:
     """Unit crossing of the zero-field Perron root, bracketed by the envelope
     vanishing temperatures [tau(U1), tau(U2)] and located by the Newton
     iteration of ``radius_crossing_temperature``."""
     return radius_crossing_temperature(
-        potential,
-        grid,
-        tau_root(params.u_lower, params),
-        tau_root(params.u_upper, params),
+        op, tau_root(params.u_lower, params), tau_root(params.u_upper, params)
     )
 
 

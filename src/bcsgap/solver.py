@@ -32,9 +32,9 @@ the test vector (see ``_error_bound``): one matrix-vector product per
 check.  A screen rate decides when a check is worth making: it starts at
 0.5 and rises only to the q of a refused check.
 
-Every function here takes either a potential or a ``GapOperator`` already
-built on the grid (see ``gap_operator.as_operator``); ``solve_surface``
-builds the operator once and hands it to T_c location and to every node.
+Every function here takes the ``GapOperator`` (see
+``gap_operator.as_operator``) and reads the grid from it; ``solve_surface``
+hands its operator to T_c location and to every node.
 """
 
 from __future__ import annotations
@@ -44,14 +44,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gap_operator import (
-    GapField,
-    GapOperator,
-    as_operator,
-    spectral_radius,
-    spectral_tc,
-)
-from .model import EnergyGrid, PhysicalParams, PotentialSpec
+from .gap_operator import GapField, GapOperator, spectral_radius, spectral_tc
+from .model import PhysicalParams
 from .quadrature import kernel_jet
 from .simple_gap import solve_delta, solve_delta_many, tau_root
 
@@ -124,9 +118,8 @@ class GapSurface:
 
 def picard_solve(
     T: float,
-    potential: PotentialSpec | GapOperator,
+    op: GapOperator,
     params: PhysicalParams,
-    grid: EnergyGrid,
     tol: float = 1e-9,
     max_iter: int = 2_000_000,
     initial: np.ndarray | None = None,
@@ -152,14 +145,14 @@ def picard_solve(
     ``initial`` overrides the upper-envelope start, e.g. for uniqueness
     probes from the lower envelope.  The zero field is always a fixed point
     and a negative start heads for -u*, so a start must be finite,
-    nonnegative and positive somewhere, or ``ValueError`` is raised.
+    nonnegative and positive somewhere, or ``ValueError`` is raised, as it
+    is for T <= 0.
     """
-    op = as_operator(potential, grid)
-    u = _start(T, params, grid, initial)
+    u = _start(T, op, params, initial)
     if not _proves_ordered_phase(op, u, T):
-        radius = spectral_radius(T, op, grid).radius
+        radius = spectral_radius(T, op).radius
         if radius <= 1.0 + _ZERO_PHASE_SLACK:
-            zero = np.zeros(grid.size)
+            zero = np.zeros(op.grid.size)
             return (
                 GapField(temperature=T, values=zero),
                 SolveTrace(final_residual=0.0, iterations=0, rate=radius),
@@ -241,13 +234,16 @@ def _error_bound(
 
 
 def _start(
-    T: float, params: PhysicalParams, grid: EnergyGrid, initial: np.ndarray | None
+    T: float, op: GapOperator, params: PhysicalParams, initial: np.ndarray | None
 ) -> np.ndarray:
-    """A copy of ``initial``, or the upper envelope at T when it is None."""
+    """A copy of ``initial``, or the upper envelope at T when it is None;
+    a temperature that is not positive is refused."""
+    if not T > 0.0:
+        raise ValueError(f"temperature must be positive, got T = {T!r}")
     if initial is None:
-        return np.full(grid.size, solve_delta(params.u_upper, T, params))
+        return np.full(op.grid.size, solve_delta(params.u_upper, T, params))
     u = np.asarray(initial, dtype=float).copy()
-    if u.shape != grid.nodes.shape:
+    if u.shape != op.grid.nodes.shape:
         raise ValueError("initial field does not match the grid")
     if not (u.min() >= 0.0 and 0.0 < u.max() < np.inf):  # false for a nan too
         raise ValueError("initial field must be finite, nonnegative and positive somewhere")
@@ -256,9 +252,8 @@ def _start(
 
 def newton_seed(
     T: float,
-    potential: PotentialSpec | GapOperator,
+    op: GapOperator,
     params: PhysicalParams,
-    grid: EnergyGrid,
     max_iter: int = 100,
     initial: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
@@ -277,8 +272,7 @@ def newton_seed(
     The result comes with no bound: ``picard_solve`` started from it is what
     proves ||u - u*|| <= tol.
     """
-    op = as_operator(potential, grid)
-    u = _start(T, params, grid, initial)
+    u = _start(T, op, params, initial)
     best, best_residual = u, np.inf
     previous = np.inf
     floor = _NEWTON_FLOOR_ULPS * np.finfo(float).eps
@@ -292,7 +286,7 @@ def newton_seed(
         if at_floor or not residual < 0.5 * previous:
             return best, n
         previous = residual
-        _, jac = kernel_jet(grid.nodes**2, u * u, T, "u")
+        _, jac = kernel_jet(op.grid.nodes**2, u * u, T, "u")
         u = u + _gmres(lambda v: v - op.jacobian_action(jac, v), step)
     return best, max_iter
 
@@ -345,9 +339,8 @@ def _gmres(matvec, b: np.ndarray) -> np.ndarray:
 
 
 def solve_surface(
-    potential: PotentialSpec | GapOperator,
+    op: GapOperator,
     params: PhysicalParams,
-    grid: EnergyGrid,
     t_resolution: int = 24,
     tol: float = 1e-11,
     *,
@@ -361,7 +354,9 @@ def solve_surface(
     ``span_decades`` decades) so that downstream extrapolation can resolve
     the sqrt(T_c - T) shrinkage of the gap; the exact zero row at T_c is
     appended.  The gap operator, and with it the factors of the weighted
-    potential matrix, is built once and shared by every stage.  Each node
+    potential matrix, is shared by every stage.  A span so deep that the
+    nodes are no longer strictly increasing below T_c in floating point is
+    refused before any node is solved, naming the span.  Each node
     is seeded by ``newton_seed`` from the previous node's row times
     sqrt((T_c - T) / (T_c - T_prev)), a factor in (0, 1) that moves the row
     onto the sqrt(T_c - T) shrinkage of the gap (from the upper envelope at
@@ -377,8 +372,7 @@ def solve_surface(
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     unit_offsets = lattice_offsets(t_resolution, span_decades)
-    op = as_operator(potential, grid)
-    t_c = spectral_tc(op, params, grid)
+    t_c = spectral_tc(op, params)
 
     # spectral_tc admits a bracket edge within 1e-12 of radius one, so a
     # potential at its lower band edge can put T_c at or below tau1
@@ -387,6 +381,14 @@ def solve_surface(
         raise ValueError(f"lower temperature {tau!r} must be below T_c = {t_c!r}")
 
     t_nodes = t_c - (t_c - tau) * unit_offsets  # increasing toward T_c
+    collapsed = (np.diff(t_nodes, prepend=-np.inf) <= 0.0) | (t_nodes >= t_c)
+    if collapsed.any():
+        i = int(np.argmax(collapsed))
+        raise ValueError(
+            f"solver.span_decades = {span_decades!r} collapses the lattice onto T_c: "
+            f"node {i}, at T_c - T = {t_c - float(t_nodes[i]):.3e}, is not strictly "
+            "between the node before it and T_c; lower solver.span_decades"
+        )
 
     rows: list[np.ndarray] = []
     traces: list[SolveTrace] = []
@@ -397,12 +399,11 @@ def solve_surface(
             rows[-1] * math.sqrt((t_c - T) / (t_c - float(t_nodes[i - 1])))
             if rows else None
         )
-        seed, steps = newton_seed(T, op, params, grid, max_iter=max_iter, initial=start)
+        seed, steps = newton_seed(T, op, params, max_iter=max_iter, initial=start)
         if not (np.all(np.isfinite(seed)) and np.all(seed > 0.0)):
             seed = None
         u, trace = picard_solve(
-            T, op, params, grid, tol=tol,
-            max_iter=max_iter - steps, initial=seed,
+            T, op, params, tol=tol, max_iter=max_iter - steps, initial=seed
         )
         if not u.values.any():
             raise ValueError(
@@ -412,10 +413,10 @@ def solve_surface(
         rows.append(u.values)
         traces.append(replace(trace, newton_steps=steps))
 
-    values = np.vstack(rows + [np.zeros(grid.size)])
+    values = np.vstack(rows + [np.zeros(op.grid.size)])
     t_all = np.append(t_nodes, t_c)
     surface = GapSurface(
-        t_nodes=t_all, x_nodes=grid.nodes, values=values, t_c=t_c, traces=traces
+        t_nodes=t_all, x_nodes=op.grid.nodes, values=values, t_c=t_c, traces=traces
     )
     _validate_surface(surface, params, tol)
     return surface

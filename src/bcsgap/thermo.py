@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import CertificateFailure, ContractionCertificate
-from .gap_operator import GapField, GapOperator, as_operator
-from .model import EnergyGrid, PhysicalParams, PotentialSpec
+from .gap_operator import GapField, GapOperator
+from .model import EnergyGrid, PhysicalParams
 from .quadrature import (
     TANH_SATURATION,
     adaptive_integrate,
@@ -219,7 +219,7 @@ def _require_offsets(offsets: np.ndarray) -> np.ndarray:
             f"insufficient near-T_c resolution: need at least {_DEPTH} nodes "
             f"below T_c, got {offsets.size}"
         )
-    if offsets.max() / offsets.min() < 99.0:
+    if offsets.max() < 99.0 * offsets.min():  # no division: an offset may be 0
         raise ValueError(
             "insufficient near-T_c resolution: offsets must span two decades, "
             f"got ratio {offsets.max() / offsets.min()!r}"
@@ -252,12 +252,7 @@ def limit_tables(surface: GapSurface) -> tuple[VTable, WTable]:
 # consistency functionals at the transition
 
 
-def f_consistency(
-    v: VTable | np.ndarray,
-    t_c: float,
-    potential: PotentialSpec | GapOperator,
-    grid: EnergyGrid,
-) -> float:
+def f_consistency(v: VTable | np.ndarray, t_c: float, op: GapOperator) -> float:
     """Eigen-residual of sqrt(v) under the zero-field kernel at T_c.
 
     At the transition the limit slope satisfies
@@ -269,17 +264,13 @@ def f_consistency(
     if np.any(vals <= 0):
         raise ValueError("limit slope must be positive")
     root = np.sqrt(vals)
-    image = as_operator(potential, grid).kernel_action(root, t_c)
+    image = op.kernel_action(root, t_c)
     residual = np.max(np.abs(root - image))
     return float(residual / np.max(root))
 
 
 def g_consistency(
-    v: VTable | np.ndarray,
-    w: WTable | np.ndarray,
-    t_c: float,
-    potential: PotentialSpec | GapOperator,
-    grid: EnergyGrid,
+    v: VTable | np.ndarray, w: WTable | np.ndarray, t_c: float, op: GapOperator
 ) -> float:
     """Residual of the curvature fixed-point functional at the transition.
 
@@ -296,10 +287,9 @@ def g_consistency(
     """
     vv, ww = _values(v), _values(w)
     root = np.sqrt(vv)
-    op = as_operator(potential, grid)
     first = op.kernel_action(root, t_c)
 
-    k, k_s, k_t = kernel_jet(grid.nodes**2, 0.0, t_c, "sT")
+    k, k_s, k_t = kernel_jet(op.grid.nodes**2, 0.0, t_c, "sT")
     second = op.matvec((ww * k + 4.0 * vv * (vv * k_s - k_t)) / root)
     g_of_x = first * second
     return float(np.max(np.abs(ww - g_of_x)) / np.max(np.abs(ww)))

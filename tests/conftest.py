@@ -7,6 +7,7 @@ import time
 import pytest
 
 from bcsgap.certificate import search_certificate
+from bcsgap.gap_operator import as_operator
 from bcsgap.model import ConstantPotential, GaussianBumpPotential, build_grid, make_params
 from bcsgap.solver import solve_surface
 from bcsgap.thermo import build_thermo_report
@@ -34,11 +35,21 @@ def gauss_potential():
 
 
 @pytest.fixture(scope="session")
-def _const_solve(const_potential, params, grid):
+def const_op(const_potential, grid):
+    return as_operator(const_potential, grid)
+
+
+@pytest.fixture(scope="session")
+def gauss_op(gauss_potential, grid):
+    return as_operator(gauss_potential, grid)
+
+
+@pytest.fixture(scope="session")
+def _const_solve(const_potential, const_op, params, grid):
     """Default-config surface and certificate search, as ``bcsgap thermo``
     runs them; their joint wall time is kept for the runtime gate."""
     t0 = time.perf_counter()
-    surface = solve_surface(const_potential, params, grid)
+    surface = solve_surface(const_op, params)
     outcome = search_certificate(const_potential, params, grid, t_c=surface.t_c)
     elapsed = time.perf_counter() - t0
     return surface, outcome, elapsed
@@ -57,8 +68,8 @@ def const_report(const_surface, params, grid, default_search_outcome):
 
 
 @pytest.fixture(scope="session")
-def gauss_surface(gauss_potential, params, grid):
-    return solve_surface(gauss_potential, params, grid, t_resolution=20)
+def gauss_surface(gauss_op, params):
+    return solve_surface(gauss_op, params, t_resolution=20)
 
 
 @pytest.fixture(scope="session")

@@ -179,13 +179,13 @@ def test_criterion_06_specific_heat_jump(const_surface, const_report):
     )
 
 
-def test_criterion_07_limit_tables(const_surface, const_report, const_potential, params, grid):
+def test_criterion_07_limit_tables(const_surface, const_report, const_op, params):
     surface, _ = const_surface
     v = const_report.v_table
     target = implicit_slope_v(0.3, params)
     v_gap = float(np.max(np.abs(v.values - target))) / target
     assert v_gap <= 1e-3
-    eigen_residual = f_consistency(v, surface.t_c, const_potential, grid)
+    eigen_residual = f_consistency(v, surface.t_c, const_op)
     assert eigen_residual <= 1e-3
     assert const_report.w_table.estimator_mismatch <= 1e-2
     print(

@@ -35,15 +35,15 @@ def test_traced_names_stay_public():
         assert not missing, f"bcsgap.{owner}.__all__ lacks {missing}"
 
 
-def test_spectral_radius_returns_perron_root_with_iterations(const_potential, grid):
-    root = spectral_radius(0.035, const_potential, grid)
+def test_spectral_radius_returns_perron_root_with_iterations(const_op):
+    root = spectral_radius(0.035, const_op)
     assert isinstance(root, PerronRoot)
     assert isinstance(root.iterations, int) and root.iterations >= 1
 
 
-def test_picard_solve_returns_field_and_trace(const_potential, params, grid):
+def test_picard_solve_returns_field_and_trace(const_op, params):
     t = 0.9 * tau_root(0.3, params)
-    out = picard_solve(t, const_potential, params, grid, tol=1e-9)
+    out = picard_solve(t, const_op, params, tol=1e-9)
     assert isinstance(out, tuple) and len(out) == 2
     field, trace = out
     assert isinstance(field, GapField) and isinstance(trace, SolveTrace)

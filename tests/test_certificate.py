@@ -11,7 +11,7 @@ from bcsgap.certificate import (
     format_certificate_report,
     search_certificate,
 )
-from bcsgap.gap_operator import apply_A, sample_envelope_field, spectral_tc
+from bcsgap.gap_operator import apply_A, as_operator, sample_envelope_field, spectral_tc
 from bcsgap.model import (
     ConstantPotential,
     GaussianBumpPotential,
@@ -132,7 +132,8 @@ def test_search_fails_even_for_near_top_coupling(grid):
     # the cutoff term's growth always outpaces the envelope-term gap
     params = make_params(1.0, 0.005, 1.0, 0.291, 0.309)
     pot = ConstantPotential(0.309 - 1e-6)
-    outcome = search_certificate(pot, params, grid, t_c=spectral_tc(pot, params, grid))
+    t_c = spectral_tc(as_operator(pot, grid), params)
+    outcome = search_certificate(pot, params, grid, t_c=t_c)
     assert isinstance(outcome, CertificateFailure)
     assert outcome.obstruction_ratio < 1.0  # envelope did drop below the cutoff
     assert 1.0 < outcome.best_alpha < 1.01  # but the bound stays above one
@@ -259,7 +260,7 @@ def test_bound_encloses_a_fine_scan(potential, params, grid):
     # found must come within 1e-6 of that scan's maximum
     validate_potential(potential, params)
     tau1 = tau_root(params.u_lower, params)
-    t_c = spectral_tc(potential, params, grid)
+    t_c = spectral_tc(as_operator(potential, grid), params)
     result = compute_alpha(tau1, potential, params, grid, t_c=t_c)
     finest, t_at, x_at = _fine_scan(potential, tau1, t_c, params, grid)
     assert alpha_integrand(t_at, x_at, tau1, potential, params, grid) == pytest.approx(
@@ -313,7 +314,8 @@ def test_table_cell_bound_takes_one_potential_matrix_call(params, grid, monkeypa
 
 def _bump_interval(params, grid):
     bump = GaussianBumpPotential(base=0.3, amplitude=5e-3, width=0.1)
-    return bump, tau_root(params.u_lower, params), spectral_tc(bump, params, grid)
+    t_c = spectral_tc(as_operator(bump, grid), params)
+    return bump, tau_root(params.u_lower, params), t_c
 
 
 def test_enclosure_closes_on_the_bump_with_few_roots(params, grid, monkeypatch):

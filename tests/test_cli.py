@@ -145,7 +145,7 @@ def test_certify_reports_an_unproven_bound_as_infinite(
     # has no upper edge, so the bound has none either; the search still
     # reports failure, and certificate.txt an alpha_upper float() reads
     monkeypatch.setattr(simple_gap, "_WINDOW_WIDENINGS", 0)
-    t_c = spectral_tc(const_potential, params, grid)
+    t_c = spectral_tc(as_operator(const_potential, grid), params)
     tau = 0.5 * (tau_root(params.u_lower, params) + t_c)
     result = certificate.compute_alpha(tau, const_potential, params, grid, t_c=t_c)
     assert result.upper == math.inf and 1.0 < result.alpha < math.inf
@@ -508,3 +508,25 @@ def test_a_span_that_reaches_into_the_zero_phase_slack_is_refused(
     err = capsys.readouterr().err
     assert "came back zero below T_c" in err
     assert f"solver.span_decades (now {float(span)!r})" in err
+
+
+@pytest.mark.parametrize("span", ["16", "400"])
+@pytest.mark.parametrize("command", ["solve", "thermo"])
+def test_a_span_that_collapses_the_lattice_onto_t_c_is_refused_before_any_node(
+    command, span, tmp_path, monkeypatch, capsys
+):
+    # past about 15.5 decades the deepest nodes round onto each other and
+    # onto T_c: 23 distinct nodes are left at span 16 and 2 at span 400
+    seeds: list[tuple] = []
+    monkeypatch.setattr(solver, "newton_seed", lambda *args, **kwargs: seeds.append(args))
+    lines = [
+        f"solver.span_decades = {span}" if line.startswith("solver.span_decades") else line
+        for line in DEFAULT_CONFIG.read_text().splitlines()
+        if not line.startswith("output.dir")
+    ]
+    cfg_path = tmp_path / "deep.cfg"
+    cfg_path.write_text("\n".join(lines) + f"\noutput.dir = {tmp_path / 'out'}\n")
+    assert main([command, str(cfg_path)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert f"solver.span_decades = {float(span)!r} collapses the lattice onto T_c" in err
+    assert seeds == []

@@ -20,7 +20,7 @@ from bcsgap.simple_gap import (
 
 import bcsgap.certificate as certificate
 import bcsgap.simple_gap as simple_gap
-from bcsgap.gap_operator import spectral_tc
+from bcsgap.gap_operator import as_operator, spectral_tc
 from oracles import bisect_delta, bisect_tau, fd_slope_oracle, zeta3_series
 
 # frozen from 40-digit evaluation of the defining equations at
@@ -245,7 +245,7 @@ def test_certificate_search_solves_few_envelope_roots(
     # the search on the default config encloses its bound from the roots at
     # a few cell edges, and reports Delta2(T_c) from them rather than solving
     # it again
-    t_c = spectral_tc(const_potential, params, grid)
+    t_c = spectral_tc(as_operator(const_potential, grid), params)
     blocks = _count_blocks(monkeypatch)
     certificate.search_certificate(const_potential, params, grid, t_c=t_c)
     assert sum(blocks) <= 16 and len(blocks) <= 4

@@ -28,55 +28,53 @@ from test_gap_operator import _skew_table
 ROUNDING_ALLOWANCE = 1e-14
 
 
-def test_picard_matches_scalar_bisection(const_potential, params, grid):
+def test_picard_matches_scalar_bisection(const_op, params):
     t_c = tau_root(0.3, params)
     for frac in (0.8, 0.95, 0.995):
         t = frac * t_c
-        field, trace = picard_solve(t, const_potential, params, grid, tol=1e-9)
+        field, trace = picard_solve(t, const_op, params, tol=1e-9)
         oracle = solve_delta(0.3, t, params)
         assert np.max(np.abs(field.values - oracle)) <= 1e-8
         assert trace.iterations > 0
         assert trace.final_residual <= 2e-9
 
 
-def test_picard_trace_contracts(const_potential, params, grid):
+def test_picard_trace_contracts(const_op, params):
     # a cold solve stops on a rate bound that proves contraction, after
     # enough steps that the difference has shrunk to match it
     t = 0.9 * tau_root(0.3, params)
-    _, trace = picard_solve(t, const_potential, params, grid, tol=1e-10)
+    _, trace = picard_solve(t, const_op, params, tol=1e-10)
     assert trace.iterations > 10
     assert 0.0 < trace.rate < 1.0
     assert trace.final_residual <= 2e-10
 
 
-def test_picard_at_transition_returns_zero_field(const_potential, params, grid, const_surface):
+def test_picard_at_transition_returns_zero_field(const_op, params, const_surface):
     surface, _ = const_surface
-    field, trace = picard_solve(surface.t_c, const_potential, params, grid)
+    field, trace = picard_solve(surface.t_c, const_op, params)
     assert np.all(field.values == 0.0)
     assert trace.final_residual == 0.0
-    above, _ = picard_solve(surface.t_c * 1.05, const_potential, params, grid)
+    above, _ = picard_solve(surface.t_c * 1.05, const_op, params)
     assert np.all(above.values == 0.0)
 
 
-def test_picard_uniqueness_probe(const_potential, params, grid):
+def test_picard_uniqueness_probe(const_op, params, grid):
     # below tau1 the lower envelope is positive, so both envelope starts are
     # admissible and must reach the same fixed point
     tau1 = tau_root(params.u_lower, params)
     t = 0.9 * tau1
     lo0 = np.full(grid.size, solve_delta(params.u_lower, t, params))
-    from_top, _ = picard_solve(t, const_potential, params, grid, tol=1e-9)
-    from_bottom, _ = picard_solve(
-        t, const_potential, params, grid, tol=1e-9, initial=lo0
-    )
+    from_top, _ = picard_solve(t, const_op, params, tol=1e-9)
+    from_bottom, _ = picard_solve(t, const_op, params, tol=1e-9, initial=lo0)
     assert np.max(np.abs(from_top.values - from_bottom.values)) <= 2e-9
 
 
-def test_picard_a_posteriori_bound(const_potential, params, grid):
+def test_picard_a_posteriori_bound(const_potential, const_op, params, grid):
     # ||u_n - u*|| <= rho/(1-rho) * ||u_n - u_{n-1}|| along the trace, with
     # rho the contraction rate; the running max of observed ratios converges
     # to it from below (transient ratios understate it)
     t = 0.9 * tau_root(0.3, params)
-    reference, _ = picard_solve(t, const_potential, params, grid, tol=1e-13)
+    reference, _ = picard_solve(t, const_op, params, tol=1e-13)
     weighted = weighted_potential_matrix(const_potential, grid)
     u = np.full(grid.size, solve_delta(params.u_upper, t, params))
     history: list[tuple[float, np.ndarray]] = []
@@ -98,7 +96,7 @@ def test_picard_a_posteriori_bound(const_potential, params, grid):
 
 @pytest.mark.parametrize("offset, ripple", [(0.0, 0.0), (5e-9, 0.0), (5e-9, 2e-12)])
 def test_picard_start_near_fixed_point_close_to_tc(
-    offset, ripple, const_potential, params, grid, const_surface
+    offset, ripple, const_op, params, grid, const_surface
 ):
     # 2.5e-5 below T_c the contraction rate is ~0.9996, so a start 5e-9 off
     # the fixed point makes a first step of ~2e-12, under tol*(1-alpha)/alpha;
@@ -110,16 +108,14 @@ def test_picard_start_near_fixed_point_close_to_tc(
     c = nystrom_constant_gap(0.3, t, grid)
     sign = np.where(np.arange(grid.size) % 2 == 0, 1.0, -1.0)
     start = c + offset + ripple * sign
-    field, trace = picard_solve(
-        t, const_potential, params, grid, tol=1e-11, initial=start
-    )
+    field, trace = picard_solve(t, const_op, params, tol=1e-11, initial=start)
     assert trace.iterations >= 1
     assert np.max(np.abs(field.values - c)) <= 1e-11 + ROUNDING_ALLOWANCE
 
 
-def test_picard_validates_arguments(const_potential, params, grid):
+def test_picard_validates_arguments(const_op, params):
     with pytest.raises(ValueError, match="initial"):
-        picard_solve(0.03, const_potential, params, grid, initial=np.ones(3))
+        picard_solve(0.03, const_op, params, initial=np.ones(3))
 
 
 @pytest.mark.parametrize(
@@ -128,34 +124,56 @@ def test_picard_validates_arguments(const_potential, params, grid):
     ids=["zero", "negative", "nan"],
 )
 @pytest.mark.parametrize("solve", [picard_solve, solver.newton_seed])
-def test_a_start_that_proves_nothing_is_refused(
-    solve, start, const_potential, params, grid
-):
+def test_a_start_that_proves_nothing_is_refused(solve, start, const_op, params, grid):
     # below T_c the zero field is a fixed point that picard_solve would
     # return as a solved row, and a negative start heads for -u*
     with pytest.raises(ValueError, match="nonnegative and positive somewhere"):
-        solve(0.03, const_potential, params, grid, initial=start(grid.size))
+        solve(0.03, const_op, params, initial=start(grid.size))
 
 
 @pytest.mark.parametrize("span", [8.0, 14.0])
-def test_surface_refuses_a_zero_row_below_t_c(span, const_potential, params, grid):
+def test_surface_refuses_a_zero_row_below_t_c(span, const_op, params):
     # these spans put nodes inside the zero-phase slack below T_c, whose
     # rows come back zero although the gap there is ~sqrt(T_c - T) > 0
     with pytest.raises(ValueError) as err:
-        solve_surface(const_potential, params, grid, span_decades=span)
+        solve_surface(const_op, params, span_decades=span)
     message = str(err.value)
     assert re.search(r"row at T = \S+, T_c - T = \S+, came back zero below T_c", message)
     assert f"solver.span_decades (now {span!r})" in message
 
 
-def test_picard_iteration_budget(const_potential, params, grid):
+@pytest.mark.parametrize("span", [16.0, 400.0])
+def test_surface_refuses_a_lattice_collapsed_onto_t_c(span, const_op, params, monkeypatch):
+    # from about 15.5 decades on the deepest offsets round away against T_c:
+    # span 16 leaves 23 distinct nodes, span 400 two; no node may be solved
+    seeds = []
+    monkeypatch.setattr(solver, "newton_seed", lambda *args, **kwargs: seeds.append(args))
+    with pytest.raises(ValueError) as err:
+        solve_surface(const_op, params, span_decades=span)
+    message = str(err.value)
+    assert f"solver.span_decades = {span!r} collapses the lattice onto T_c" in message
+    assert re.search(r"node \d+, at T_c - T = \S+, is not strictly between", message)
+    assert seeds == []
+
+
+@pytest.mark.parametrize("T", [-0.01, 0.0])
+@pytest.mark.parametrize("solve", [picard_solve, solver.newton_seed])
+def test_a_temperature_that_is_not_positive_is_refused(solve, T, const_op, params, grid):
+    # from a positive start newton_seed returned the zero-temperature gap
+    # here, and picard_solve refused only inside its zero-field kernel
+    message = re.escape(f"temperature must be positive, got T = {T!r}")
+    with pytest.raises(ValueError, match=message):
+        solve(T, const_op, params, initial=np.full(grid.size, 0.07))
+
+
+def test_picard_iteration_budget(const_op, params):
     with pytest.raises(ConvergenceError) as err:
-        picard_solve(0.03, const_potential, params, grid, tol=1e-12, max_iter=5)
+        picard_solve(0.03, const_op, params, tol=1e-12, max_iter=5)
     assert 0.0 < err.value.observed_ratio <= 1.0
 
 
-def test_critical_temperature_constant_oracle(const_potential, params, grid):
-    t_c = spectral_tc(const_potential, params, grid)
+def test_critical_temperature_constant_oracle(const_op, params):
+    t_c = spectral_tc(const_op, params)
     assert abs(t_c - tau_root(0.3, params)) <= 1e-9
 
 
@@ -165,17 +183,17 @@ def test_spectral_tc_matches_square_root_shrinkage(fixture, request, params, gri
     # quarter of the offset halves its sup norm; just above T_c the
     # linearised radius is below one
     op = as_operator(request.getfixturevalue(fixture), grid)
-    t_c = spectral_tc(op, params, grid)
+    t_c = spectral_tc(op, params)
     delta = 1e-2 * t_c
-    far, _ = picard_solve(t_c - delta, op, params, grid, tol=1e-9)
-    near, _ = picard_solve(t_c - delta / 4.0, op, params, grid, tol=1e-9)
+    far, _ = picard_solve(t_c - delta, op, params, tol=1e-9)
+    near, _ = picard_solve(t_c - delta / 4.0, op, params, tol=1e-9)
     ratio = float(np.max(far.values)) / float(np.max(near.values))
     assert 1.5 <= ratio <= 2.5
-    assert spectral_radius(t_c + delta, op, grid).radius < 1.0
+    assert spectral_radius(t_c + delta, op).radius < 1.0
 
 
-def test_critical_temperature_brackets_gaussian(gauss_potential, params, grid):
-    t_c = spectral_tc(gauss_potential, params, grid)
+def test_critical_temperature_brackets_gaussian(gauss_op, params):
+    t_c = spectral_tc(gauss_op, params)
     assert tau_root(params.u_lower, params) <= t_c <= tau_root(params.u_upper, params)
 
 
@@ -184,8 +202,8 @@ def test_critical_temperature_monotone_in_potential(params, grid):
 
     small = GaussianBumpPotential(base=0.30, amplitude=0.003, width=0.2)
     large = GaussianBumpPotential(base=0.30, amplitude=0.008, width=0.2)
-    tc_small = spectral_tc(small, params, grid)
-    tc_large = spectral_tc(large, params, grid)
+    tc_small = spectral_tc(as_operator(small, grid), params)
+    tc_large = spectral_tc(as_operator(large, grid), params)
     assert tc_large > tc_small
 
 
@@ -254,15 +272,13 @@ def test_surface_uncertified_metadata(const_surface, const_report, default_searc
     assert 0.0 < const_report.alpha <= 0.95
 
 
-def test_surface_trace_ratios_below_one(
-    const_potential, gauss_potential, params, grid
-):
+def test_surface_trace_ratios_below_one(const_op, gauss_op, params):
     # surface nodes stop within two Picard steps, so the rates come from
     # cold solves from the upper envelope 1e-2 T_c below T_c (thousands of
     # steps each)
-    for potential in (const_potential, gauss_potential):
-        t_c = spectral_tc(potential, params, grid)
-        _, trace = picard_solve(t_c - 1e-2 * t_c, potential, params, grid)
+    for op in (const_op, gauss_op):
+        t_c = spectral_tc(op, params)
+        _, trace = picard_solve(t_c - 1e-2 * t_c, op, params)
         assert trace.iterations > 1000
         assert 0.0 < trace.rate < 1.0
 
@@ -307,17 +323,16 @@ def test_node_rate_bounds_the_jacobian_spectral_radius(
         potential, surface = const_potential, const_surface[0]
     else:
         potential, grid, lattice = _rate_cases(params, grid)[case]
-        assert (as_operator(potential, grid).left is None) == (case == "bump-0.02")
-        surface = solve_surface(potential, params, grid, **lattice)
+        op = as_operator(potential, grid)
+        assert (op.left is None) == (case == "bump-0.02")
+        surface = solve_surface(op, params, **lattice)
     for i, trace in enumerate(surface.traces):
         T = float(surface.t_nodes[i])
         rho = _jacobian_radius(potential, grid, surface.values[i], T)
         assert rho - 1e-15 <= trace.rate < 1.0, f"node {i}: {trace.rate!r} vs {rho!r}"
 
 
-def test_each_stop_check_makes_one_jacobian_product(
-    gauss_potential, params, grid, monkeypatch
-):
+def test_each_stop_check_makes_one_jacobian_product(gauss_op, params, monkeypatch):
     # picard_solve takes Jacobian products only in its stop checks, and each
     # check takes one, with the iterate as its test vector
     checks, products = [], []
@@ -332,10 +347,10 @@ def test_each_stop_check_makes_one_jacobian_product(
         products.append(1)
         return real_action(self, diagonal, v)
 
-    t_c = spectral_tc(gauss_potential, params, grid)
+    t_c = spectral_tc(gauss_op, params)
     monkeypatch.setattr(solver, "_error_bound", counting_bound)
     monkeypatch.setattr(gap_operator.GapOperator, "jacobian_action", counting_action)
-    picard_solve(t_c - 1e-2 * t_c, gauss_potential, params, grid, tol=1e-11)
+    picard_solve(t_c - 1e-2 * t_c, gauss_op, params, tol=1e-11)
     assert checks and len(products) == len(checks)
 
 
@@ -358,39 +373,38 @@ def test_surface_nodes_stop_within_two_picard_steps(const_surface, gauss_surface
 
 @pytest.mark.parametrize("components", [[0], [3, 70, 140], [0, 50, 100, 150]])
 def test_error_bound_at_the_rounding_floor_is_finite(
-    components, gauss_potential, params, grid, gauss_surface
+    components, gauss_op, gauss_surface
 ):
     # a step of one ulp on a few components is all that is left at the
     # rounding floor; a test vector built from such a step is a few columns
     # of J, whose Collatz-Wielandt ratio exceeds one on the bump's
     # Jacobian, so the check must take its rate from the iterate instead
-    op = as_operator(gauss_potential, grid)
     node = len(gauss_surface.t_nodes) - 2  # the solved node nearest T_c
     u = gauss_surface.values[node]
     step = np.zeros_like(u)
     step[components] = np.spacing(u[components])
-    q, bound = solver._error_bound(op, u, float(gauss_surface.t_nodes[node]), step)
+    q, bound = solver._error_bound(gauss_op, u, float(gauss_surface.t_nodes[node]), step)
     assert q < 1.0
     assert bound <= 1e-11
 
 
 def test_zero_step_on_the_bump_operator_ends_picard_at_once(
-    gauss_potential, params, grid, gauss_surface, monkeypatch
+    gauss_op, params, gauss_surface, monkeypatch
 ):
     # a row that is a fixed point in floating point gives a zero step, which
     # leaves nothing to bound, also at the bump's node nearest T_c
-    op = as_operator(gauss_potential, grid)
+    op = gauss_op
     node = len(gauss_surface.t_nodes) - 2
     u, t = gauss_surface.values[node], float(gauss_surface.t_nodes[node])
     q, bound = solver._error_bound(op, u, t, np.zeros_like(u))
     assert q < 1.0 and bound == 0.0
     monkeypatch.setattr(gap_operator.GapOperator, "apply", lambda self, v, T: v.copy())
-    field, trace = picard_solve(t, op, params, grid, tol=1e-11, initial=u)
+    field, trace = picard_solve(t, op, params, tol=1e-11, initial=u)
     assert trace.iterations == 1 and np.array_equal(field.values, u)
 
 
 def test_cold_solve_near_tc_checks_the_stop_at_most_three_times(
-    const_potential, params, grid, monkeypatch
+    const_op, params, monkeypatch
 ):
     # the screen rate starts at 0.5 and rises only to a refused check's rate
     # bound, so the next check waits for a difference matched to that bound
@@ -404,10 +418,8 @@ def test_cold_solve_near_tc_checks_the_stop_at_most_three_times(
         return out
 
     monkeypatch.setattr(solver, "_error_bound", counting)
-    t_c = spectral_tc(const_potential, params, grid)
-    _, trace = picard_solve(
-        t_c - 1e-3 * t_c, const_potential, params, grid, tol=1e-11
-    )
+    t_c = spectral_tc(const_op, params)
+    _, trace = picard_solve(t_c - 1e-3 * t_c, const_op, params, tol=1e-11)
     assert trace.iterations > 1000
     assert 1 <= len(checks) <= 3
 
@@ -422,7 +434,7 @@ def test_default_nodes_seeded_to_rounding(const_surface):
 
 
 def test_gauss_surface_rows_within_tol_of_picard_reference(
-    gauss_potential, params, grid, gauss_surface
+    gauss_potential, gauss_op, params, grid, gauss_surface
 ):
     # the bump's Jacobian is not rank one, so the Newton seed's GMRES solves
     # take several iterations; the certified rows must still be within tol
@@ -432,7 +444,7 @@ def test_gauss_surface_rows_within_tol_of_picard_reference(
     for i in (0, n // 2, n - 1):
         t = float(gauss_surface.t_nodes[i])
         row = gauss_surface.values[i]
-        reference, _ = picard_solve(t, gauss_potential, params, grid, tol=1e-13)
+        reference, _ = picard_solve(t, gauss_op, params, tol=1e-13)
         error = float(np.max(np.abs(row - reference.values)))
         assert error <= 1e-11 + ROUNDING_ALLOWANCE, f"node {i}: error {error:.4e}"
         weighted = weighted_potential_matrix(gauss_potential, grid)
@@ -472,15 +484,14 @@ def test_picard_positive_start_proves_the_ordered_phase(
     # start near the fixed point exceeds one, which proves rho(M) > 1 with
     # one product: no power iteration runs, and the field is the one the
     # cold Perron check's path gives
-    potential = request.getfixturevalue(fixture)
-    op = as_operator(potential, grid)
-    t = spectral_tc(op, params, grid) * (1.0 - 5e-3)
-    start, _ = solver.newton_seed(t, op, params, grid)
+    op = as_operator(request.getfixturevalue(fixture), grid)
+    t = spectral_tc(op, params) * (1.0 - 5e-3)
+    start, _ = solver.newton_seed(t, op, params)
     products = _count_power_products(monkeypatch)
-    field, trace = picard_solve(t, op, params, grid, tol=1e-11, initial=start)
+    field, trace = picard_solve(t, op, params, tol=1e-11, initial=start)
     assert products == []
     monkeypatch.setattr(solver, "_proves_ordered_phase", lambda *args: False)
-    cold, cold_trace = picard_solve(t, op, params, grid, tol=1e-11, initial=start)
+    cold, cold_trace = picard_solve(t, op, params, tol=1e-11, initial=start)
     assert products != []
     assert np.array_equal(field.values, cold.values)
     assert trace.rate == cold_trace.rate
@@ -488,55 +499,52 @@ def test_picard_positive_start_proves_the_ordered_phase(
 
 
 def test_picard_positive_start_above_tc_runs_the_perron_check(
-    const_potential, params, grid, monkeypatch
+    const_op, params, grid, monkeypatch
 ):
     # above T_c no positive start can prove rho(M) > 1, so the power
     # iteration runs and the zero field comes back with the Perron root
-    t = spectral_tc(const_potential, params, grid) * 1.001
+    t = spectral_tc(const_op, params) * 1.001
     start = np.full(grid.size, 0.01)
     products = _count_power_products(monkeypatch)
-    field, trace = picard_solve(t, const_potential, params, grid, initial=start)
+    field, trace = picard_solve(t, const_op, params, initial=start)
     assert products != []
     assert np.all(field.values == 0.0)
     assert trace.iterations == 0
-    assert trace.rate == spectral_radius(t, const_potential, grid).radius
+    assert trace.rate == spectral_radius(t, const_op).radius
     assert trace.rate < 1.0
 
 
 def test_picard_start_with_a_zero_component_runs_the_perron_check(
-    const_potential, params, grid, monkeypatch
+    const_op, params, grid, monkeypatch
 ):
     # a zero component leaves the Collatz-Wielandt ratio undefined there,
     # so the cold Perron check decides the phase
-    t = 0.95 * spectral_tc(const_potential, params, grid)
+    t = 0.95 * spectral_tc(const_op, params)
     start = np.full(grid.size, solve_delta(params.u_upper, t, params))
     start[7] = 0.0
     products = _count_power_products(monkeypatch)
-    field, _ = picard_solve(t, const_potential, params, grid, tol=1e-9, initial=start)
+    field, _ = picard_solve(t, const_op, params, tol=1e-9, initial=start)
     assert products != []
     c = nystrom_constant_gap(0.3, t, grid)
     assert np.max(np.abs(field.values - c)) <= 1e-9 + ROUNDING_ALLOWANCE
 
 
-def test_surface_budget_counts_newton_steps(const_potential, params, grid, const_surface):
+def test_surface_budget_counts_newton_steps(const_op, params, const_surface):
     surface, _ = const_surface
     steps = surface.traces[0].newton_steps
     assert steps >= 1
     with pytest.raises(ConvergenceError):
-        solve_surface(const_potential, params, grid, max_iter=steps - 1)
+        solve_surface(const_op, params, max_iter=steps - 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, 0.0])
-def test_surface_ignores_unusable_seed(bad, monkeypatch, const_potential, params, grid):
+def test_surface_ignores_unusable_seed(bad, monkeypatch, const_op, params, grid):
     # a seed that is not finite and positive is dropped, and picard_solve
     # starts from the upper envelope; the seed's steps are still recorded
     monkeypatch.setattr(
         solver, "newton_seed", lambda *args, **kwargs: (np.full(grid.size, bad), 3)
     )
-    surface = solve_surface(
-        const_potential, params, grid, t_resolution=2, span_decades=0.3,
-        tol=1e-11,
-    )
+    surface = solve_surface(const_op, params, t_resolution=2, span_decades=0.3, tol=1e-11)
     for i, t in enumerate(surface.t_nodes[:-1]):
         c = nystrom_constant_gap(0.3, float(t), grid)
         assert np.max(np.abs(surface.values[i] - c)) <= 1e-11 + ROUNDING_ALLOWANCE
@@ -544,15 +552,13 @@ def test_surface_ignores_unusable_seed(bad, monkeypatch, const_potential, params
         assert surface.traces[i].iterations > 1
 
 
-def test_solve_surface_refuses_tc_not_above_tau(
-    const_potential, params, grid, monkeypatch
-):
+def test_solve_surface_refuses_tc_not_above_tau(const_op, params, monkeypatch):
     # spectral_tc accepts radius(tau1) >= 1 - 1e-12, so for a potential at
     # its lower band edge it can return a T_c at or below tau1
     tau1 = tau_root(params.u_lower, params)
     monkeypatch.setattr(solver, "spectral_tc", lambda *args: tau1)
     with pytest.raises(ValueError, match="below T_c"):
-        solve_surface(const_potential, params, grid)
+        solve_surface(const_op, params)
 
 
 def test_surface_validation_names_a_value_above_the_upper_envelope(
@@ -591,8 +597,8 @@ def _count_matrix_builds(monkeypatch) -> list[tuple[int, ...]]:
 
 def test_surface_builds_weighted_matrix_once(gauss_potential, params, grid, monkeypatch):
     # W is built once, as its factors: R holds U at the r Chebyshev points
-    rank = as_operator(gauss_potential, grid).rank
     shapes = _count_matrix_builds(monkeypatch)
-    solve_surface(gauss_potential, params, grid, t_resolution=4)
-    assert rank < grid.size
-    assert shapes == [(rank, grid.size)]
+    op = as_operator(gauss_potential, grid)
+    solve_surface(op, params, t_resolution=4)
+    assert op.rank < grid.size
+    assert shapes == [(op.rank, grid.size)]

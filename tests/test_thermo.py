@@ -6,7 +6,6 @@ import pytest
 
 from bcsgap import model
 from bcsgap.certificate import ContractionCertificate
-from bcsgap.gap_operator import as_operator
 from bcsgap.model import make_params, build_grid
 from bcsgap.simple_gap import implicit_slope_v, tau_root
 from bcsgap.solver import GapSurface, solve_surface
@@ -106,11 +105,8 @@ def test_limits_match_scalar_oracles(const_report, params):
     assert np.max(np.abs(w - w_target)) <= 1e-6 * abs(w_target)
 
 
-def test_v_requires_resolution(const_potential, params, grid):
-    shallow = solve_surface(
-        const_potential, params, grid, t_resolution=8, span_decades=1.0,
-        tol=1e-9,
-    )
+def test_v_requires_resolution(const_op, params):
+    shallow = solve_surface(const_op, params, t_resolution=8, span_decades=1.0, tol=1e-9)
     with pytest.raises(ValueError, match="resolution"):
         limit_tables(shallow)
 
@@ -133,19 +129,19 @@ def test_w_constant_in_energy_and_estimators_agree(const_surface):
 
 
 @pytest.mark.parametrize(
-    "surface_name, potential_name",
+    "surface_name, op_name",
     [
-        pytest.param("const_surface", "const_potential", id="const_surface"),
-        pytest.param("gauss_surface", "gauss_potential", id="gauss_surface"),
+        pytest.param("const_surface", "const_op", id="const_surface"),
+        pytest.param("gauss_surface", "gauss_op", id="gauss_surface"),
     ],
 )
-def test_w_consistency_with_curvature_functional(surface_name, potential_name, request, grid):
+def test_w_consistency_with_curvature_functional(surface_name, op_name, request):
     surface = request.getfixturevalue(surface_name)
     if surface_name == "const_surface":
         surface, _ = surface  # the fixture carries the solve's wall time
     v, w = limit_tables(surface)
-    potential = request.getfixturevalue(potential_name)
-    assert g_consistency(v, w, surface.t_c, potential, grid) <= 1e-8
+    op = request.getfixturevalue(op_name)
+    assert g_consistency(v, w, surface.t_c, op) <= 1e-8
 
 
 def _count_potential_matrices(monkeypatch) -> list[tuple[int, ...]]:
@@ -166,48 +162,43 @@ def _count_potential_matrices(monkeypatch) -> list[tuple[int, ...]]:
 
 
 def test_thermo_builds_no_second_potential_matrix(
-    const_surface, const_report, const_potential, params, grid,
+    const_surface, const_report, const_op, params, grid,
     default_search_outcome, monkeypatch,
 ):
     surface, _ = const_surface
     shapes = _count_potential_matrices(monkeypatch)
     build_thermo_report(surface, params, grid, default_search_outcome)
-    assert shapes == []
-    # the consistency functionals use W's factors: one build of the rank-one
-    # R from a potential, none from an operator, and the same value either way
-    op = as_operator(const_potential, grid)
-    assert shapes == [(1, grid.size)]
+    # the consistency functionals act through the operator's factors
     v, w = const_report.v_table, const_report.w_table
-    for fn, args in ((f_consistency, (v,)), (g_consistency, (v, w))):
-        from_op = fn(*args, surface.t_c, op, grid)
-        assert fn(*args, surface.t_c, const_potential, grid) == from_op
-    assert len(shapes) == 3
+    f_consistency(v, surface.t_c, const_op)
+    g_consistency(v, w, surface.t_c, const_op)
+    assert shapes == []
 
 
 # ---------------------------------------------------------------------------
 # eigen-consistency of sqrt(v)
 
 
-def test_f_consistency_small_at_fixed_point(const_surface, const_report, const_potential, grid):
+def test_f_consistency_small_at_fixed_point(const_surface, const_report, const_op):
     surface, _ = const_surface
-    assert f_consistency(const_report.v_table, surface.t_c, const_potential, grid) <= 1e-3
+    assert f_consistency(const_report.v_table, surface.t_c, const_op) <= 1e-3
 
 
-def test_f_consistency_scale_free(const_surface, const_report, const_potential, grid):
+def test_f_consistency_scale_free(const_surface, const_report, const_op):
     surface, _ = const_surface
     v = const_report.v_table.values
-    base = f_consistency(v, surface.t_c, const_potential, grid)
-    scaled = f_consistency(4.0 * v, surface.t_c, const_potential, grid)
+    base = f_consistency(v, surface.t_c, const_op)
+    scaled = f_consistency(4.0 * v, surface.t_c, const_op)
     assert scaled == pytest.approx(base, abs=1e-14)
 
 
-def test_f_consistency_detects_perturbation(const_surface, const_report, const_potential, grid):
+def test_f_consistency_detects_perturbation(const_surface, const_report, const_op):
     surface, _ = const_surface
     v = const_report.v_table.values
     rng = np.random.default_rng(42)
     noisy = v * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, v.size))
-    base = f_consistency(v, surface.t_c, const_potential, grid)
-    assert f_consistency(noisy, surface.t_c, const_potential, grid) > 10.0 * base
+    base = f_consistency(v, surface.t_c, const_op)
+    assert f_consistency(noisy, surface.t_c, const_op) > 10.0 * base
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +368,11 @@ def test_entropy_and_heat_match_the_mpmath_oracle(where, const_surface, const_re
     assert const_report.specific_heat_values[i] == pytest.approx(-T * second, rel=1e-6)
 
 
-def test_entropy_and_heat_agree_on_nested_lattices(gauss_potential, params, grid):
+def test_entropy_and_heat_agree_on_nested_lattices(gauss_op, params, grid):
     # every third node of the 70-node lattice is a node of the 24-node one
     tables = []
     for n in (24, 70):
-        surface = solve_surface(gauss_potential, params, grid, t_resolution=n, span_decades=2.2)
+        surface = solve_surface(gauss_op, params, t_resolution=n, span_decades=2.2)
         psis = psi_table(surface, params, grid)
         tables.append((surface.t_nodes, *entropy_and_heat(surface.t_nodes, psis)))
     (t, entropy, heat), (t_fine, entropy_fine, heat_fine) = tables
