@@ -52,17 +52,15 @@ from .solver import (
     solve_surface,
 )
 from .thermo import (
+    LimitTable,
     ThermoReport,
     TransitionVerdict,
-    VTable,
-    WTable,
     build_thermo_report,
     cutoff_divergence_scan,
     delta_cv,
     entropy_and_heat,
     f_consistency,
     g_consistency,
-    g_eval,
     g_integral_to_infinity,
     limit_tables,
     psi,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .certificate import ContractionCertificate, format_certificate_report, search_certificate
 from .fileio import atomic_write_text, fmt, write_csv
-from .gap_operator import GapOperator, as_operator, spectral_tc
+from .gap_operator import as_operator, spectral_tc
 from .model import (
     ConstantPotential,
     EnergyGrid,
@@ -38,7 +38,7 @@ from .model import (
 )
 from .quadrature import gap_curvature
 from .simple_gap import envelope_curve
-from .solver import ConvergenceError, solve_surface
+from .solver import ConvergenceError, GapSurface, solve_surface
 from .thermo import build_thermo_report, g_integral_to_infinity, require_resolution
 
 __all__ = ["ConfigError", "parse_config", "build_inputs", "main"]
@@ -209,25 +209,24 @@ def _lattice(cfg: dict[str, object]) -> tuple[int, float]:
     )
 
 
-def _solve(cfg: dict[str, object]):
-    """Params, the gap operator of the config's potential, surface."""
+def _solve(cfg: dict[str, object]) -> tuple[PhysicalParams, GapSurface]:
+    """Params, and the surface solved with the config's gap operator, which it carries."""
     params, potential, grid, _ = build_inputs(cfg)
-    op = as_operator(potential, grid)
     t_resolution, span_decades = _lattice(cfg)
     surface = solve_surface(
-        op,
+        as_operator(potential, grid),
         params,
         t_resolution=t_resolution,
         tol=float(cfg.get("solver.tol", 1e-11)),
         span_decades=span_decades,
         max_iter=int(cfg.get("solver.max_iter", 2_000_000)),
     )
-    return params, op, surface
+    return params, surface
 
 
-def _write_surface(out: Path, surface, op: GapOperator) -> None:
+def _write_surface(out: Path, surface: GapSurface) -> None:
     # write_csv's format, with each T and x formatted once, not once a cell
-    xs = ["%.17g," % x for x in surface.x_nodes]
+    xs = ["%.17g," % x for x in surface.op.grid.nodes]
     lines = ["T,x,u"]
     for T, row in zip(surface.t_nodes, surface.values):
         t = "%.17g," % T
@@ -235,8 +234,8 @@ def _write_surface(out: Path, surface, op: GapOperator) -> None:
     atomic_write_text(out / "surface.csv", "\n".join(lines) + "\n")
     atomic_write_text(
         out / "tc.txt",
-        f"t_c = {fmt(surface.t_c)}\noperator_rank = {op.rank}\n"
-        f"operator_error = {fmt(op.error)}\n",
+        f"t_c = {fmt(surface.t_c)}\noperator_rank = {surface.op.rank}\n"
+        f"operator_error = {fmt(surface.op.error)}\n",
     )
     trace_rows = (
         (T, tr.iterations, tr.rate)
@@ -246,16 +245,17 @@ def _write_surface(out: Path, surface, op: GapOperator) -> None:
 
 
 def cmd_solve(cfg: dict[str, object]) -> int:
-    _, op, surface = _solve(cfg)
-    _write_surface(_outdir(cfg), surface, op)
+    _, surface = _solve(cfg)
+    _write_surface(_outdir(cfg), surface)
     return EXIT_OK
 
 
 def cmd_thermo(cfg: dict[str, object]) -> int:
     require_resolution(*_lattice(cfg))
-    params, op, surface = _solve(cfg)
-    outcome = search_certificate(op.potential, params, op.grid, t_c=surface.t_c)
-    report = build_thermo_report(surface, params, op.grid, outcome)
+    params, surface = _solve(cfg)
+    grid = surface.op.grid
+    outcome = search_certificate(surface.op.potential, params, grid, t_c=surface.t_c)
+    report = build_thermo_report(surface, params, outcome)
     out = _outdir(cfg)
     write_csv(out / "psi.csv", ["T", "psi"], zip(report.t_nodes, report.psi_values))
     write_csv(
@@ -267,12 +267,12 @@ def cmd_thermo(cfg: dict[str, object]) -> int:
     write_csv(
         out / "v.csv",
         ["x", "v", "error"],
-        zip(surface.x_nodes, report.v_table.values, report.v_table.extrapolation_error),
+        zip(grid.nodes, report.v_table.values, report.v_table.extrapolation_error),
     )
     write_csv(
         out / "w.csv",
         ["x", "w", "error"],
-        zip(surface.x_nodes, report.w_table.values, report.w_table.extrapolation_error),
+        zip(grid.nodes, report.w_table.values, report.w_table.extrapolation_error),
     )
     lines = [
         f"t_c = {fmt(report.t_c)}",

@@ -86,8 +86,21 @@ def _reference_edges(params: PhysicalParams) -> np.ndarray:
     return np.geomspace(params.epsilon_cutoff, params.hbar_omega_d, panels + 1)
 
 
+@dataclass(frozen=True, eq=False)
+class _Rule:
+    """The reference rule's nodes and weights, xi^2 and 1/xi at its nodes,
+    and (a, b): the sums over its panels of ``_panel_bounds``."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    xi2: np.ndarray
+    inv_xi: np.ndarray
+    a: float
+    b: float
+
+
 @lru_cache(maxsize=32)
-def _reference_rule(params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+def _reference_rule(params: PhysicalParams) -> _Rule:
     """Quadrature rule for the scalar gap equations, built once per parameter set.
 
     Order-12 Gauss-Legendre panels, geometric against the 1/xi character
@@ -96,7 +109,10 @@ def _reference_rule(params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
     but bounded: ``_panel_bounds`` gives each panel's Bernstein-ellipse
     bound, whose sum ``_solve_block`` adds to every root's E.
     """
-    return gauss_legendre_panels(_reference_edges(params), _RULE_ORDER)
+    edges = _reference_edges(params)
+    nodes, weights = gauss_legendre_panels(edges, _RULE_ORDER)
+    a, b = _panel_bounds(edges, _RULE_ORDER)
+    return _Rule(nodes, weights, nodes * nodes, 1.0 / nodes, float(a.sum()), float(b.sum()))
 
 
 def _panel_bounds(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,8 +142,8 @@ def _panel_bounds(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
 
 def _coupling_integral(s: float, T: float, params: PhysicalParams) -> float:
     """integral of the gap kernel over the energy band at squared gap s."""
-    nodes, weights = _reference_rule(params)
-    return float(np.dot(weights, gap_kernel(nodes, s, T)))
+    rule = _reference_rule(params)
+    return float(np.dot(rule.weights, gap_kernel(rule.nodes, s, T)))
 
 
 def gap_equation_residual(U: float, delta: float, T: float, params: PhysicalParams) -> float:
@@ -140,27 +156,28 @@ def tau_root(U: float, params: PhysicalParams) -> float:
     """Temperature at which the constant-coupling gap closes.
 
     The defining right side U * integral(tanh(xi/2T)/xi) is strictly
-    decreasing in T, so a doubling bracket plus bisection is guaranteed.
-    Requires U * ln(hbar_omega_d/epsilon) > 1, otherwise no root exists.
+    decreasing in T, from U * ln(hbar_omega_d/epsilon) at T = 0, so a root
+    exists only where that exceeds one.  The computed
+    f(0) = U * sum_j w_j/xi_j - 1 must exceed E(0), the rounding and
+    quadrature bound ``_solve_block`` adds to every root, which proves the
+    continuum f(0) positive; otherwise ``NoRootError`` names the span and
+    the bound.  A doubling bracket plus bisection then finds the root.
     Cached: a pure function of hashable inputs called from many hot paths.
     """
-    span = U * math.log(params.hbar_omega_d / params.epsilon_cutoff)
-    if not span > 1.0:
-        raise NoRootError(
-            f"tau_existence: U*ln(hbar_omega_d/epsilon) = {span!r} <= 1"
-        )
 
     def f(T: float) -> float:
         return U * _coupling_integral(0.0, T, params) - 1.0
 
+    f0 = f(0.0)
+    bound = float(_rounding_bound(U, 0.0, params) + _quadrature_bound(U, 0.0, params))
+    if not f0 > bound:
+        span = U * math.log(params.hbar_omega_d / params.epsilon_cutoff)
+        raise NoRootError(
+            f"tau_existence: U*ln(hbar_omega_d/epsilon) = {span!r}; the reference "
+            f"rule's U*sum(w/xi) - 1 = {f0!r} does not exceed its error bound {bound!r}"
+        )
+    # every tanh(xi/2T) saturates at T = epsilon/1000, so f(lo) = f(0) > 0
     lo = params.epsilon_cutoff * 1e-3
-    while f(lo) <= 0.0:
-        lo *= 0.5
-        # span > 1 in floating point does not make the rule's sum exceed
-        # 1/U: at span 1 + 2e-16 it can fall short, and f stays <= 0 at
-        # every T, so without this stop the loop would never end
-        if lo < 1e-300:
-            raise NoRootError("failed to bracket the vanishing temperature from below")
     hi = lo
     while f(hi) > 0.0:
         hi *= 2.0
@@ -197,25 +214,11 @@ _ENVELOPE_NODES = 129
 _BLOCK = 16
 
 
-@lru_cache(maxsize=32)
-def _block_rule(params: PhysicalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(xi^2, weights, 1/xi) of the reference rule, built once per rule."""
-    nodes, weights = _reference_rule(params)
-    return nodes * nodes, weights, 1.0 / nodes
-
-
-@lru_cache(maxsize=32)
-def _rule_bound(params: PhysicalParams) -> tuple[float, float]:
-    """(A, B): the sums over the reference rule's panels of ``_panel_bounds``."""
-    a, b = _panel_bounds(_reference_edges(params), _RULE_ORDER)
-    return float(a.sum()), float(b.sum())
-
-
 def _quadrature_bound(U: float, T, params: PhysicalParams):
     """Q(T) = U (A + B T): a bound on U times the exact Gauss rule's error,
     on the reference panels, for the gap kernel at T and every s >= 0."""
-    a, b = _rule_bound(params)
-    return U * (a + b * T)
+    rule = _reference_rule(params)
+    return U * (rule.a + rule.b * T)
 
 
 def _rounding_bound(U: float, T, params: PhysicalParams):
@@ -224,12 +227,12 @@ def _rounding_bound(U: float, T, params: PhysicalParams):
     rule on the reference panels.  S = U * sum_j w_j min(1/xi_j, 1/(2T))
     bounds U * sum_j w_j k_j for every s >= 0, because k decreases in s and
     tanh(z) <= min(1, z).  Each S is one pairwise sum, as each f is."""
-    _, weights, inv_xi = _block_rule(params)
+    rule = _reference_rule(params)
     T = np.asarray(T, dtype=float)[..., None]
     half_over_t = np.divide(0.5, T, out=np.full_like(T, np.inf), where=T > 0.0)
-    cap = np.minimum(inv_xi, half_over_t)
-    scale = (weights.size + _TERM_ROUNDINGS + _RULE_ROUNDINGS) * np.finfo(float).eps * U
-    return scale * np.multiply(cap, weights, out=cap).sum(axis=-1)
+    cap = np.minimum(rule.inv_xi, half_over_t)
+    scale = (rule.weights.size + _TERM_ROUNDINGS + _RULE_ROUNDINGS) * np.finfo(float).eps * U
+    return scale * np.multiply(cap, rule.weights, out=cap).sum(axis=-1)
 
 
 @lru_cache(maxsize=262144)
@@ -324,7 +327,7 @@ def _solve_block(
     from the continuum one.  A quadrature bound above 1/16 of the rounding bound
     means the rule is too coarse for that T/epsilon, and is refused.
     """
-    xi2, weights, _ = _block_rule(params)
+    rule = _reference_rule(params)
     rounding = _rounding_bound(U, Ts, params)
     quadrature = _quadrature_bound(U, np.asarray(Ts), params)
     for T, r, q in zip(Ts, rounding, quadrature):
@@ -345,8 +348,8 @@ def _solve_block(
         slopes = any(want_slope for _, want_slope in wanted)
         gaps = np.array([s for s, _ in wanted])[:, None]
         temps = np.array([Ts[i] for i in live])[:, None]
-        jet = kernel_jet(xi2, gaps, temps, "s" if slopes else "")
-        sums = [U * np.multiply(rows, weights, out=rows).sum(axis=1) for rows in jet]
+        jet = kernel_jet(rule.xi2, gaps, temps, "s" if slopes else "")
+        sums = [U * np.multiply(rows, rule.weights, out=rows).sum(axis=1) for rows in jet]
         f = (sums[0] - 1.0).tolist()
         df = sums[1].tolist() if slopes else [None] * len(live)
         still = []
@@ -523,6 +526,6 @@ def envelope_curve(U: float, params: PhysicalParams) -> EnvelopeCurve:
         t_nodes=t_nodes,
         delta_values=deltas,
         delta0=delta0_closed_form(U, params),
-        reference_nodes=_reference_rule(params)[0].size,
+        reference_nodes=_reference_rule(params).nodes.size,
         quadrature_bound=float(_quadrature_bound(U, solved, params).max()),
     )

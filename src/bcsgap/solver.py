@@ -100,20 +100,19 @@ class SolveTrace:
 
 @dataclass(frozen=True)
 class GapSurface:
-    """Solution values on a temperature x energy lattice, plus T_c."""
+    """Solution values on a temperature x energy lattice, plus T_c, and the
+    ``GapOperator`` they were solved with, whose grid is the energy lattice;
+    ``thermo`` reads the operator, grid, T_c and tau from here."""
 
+    op: GapOperator
     t_nodes: np.ndarray
-    x_nodes: np.ndarray
-    values: np.ndarray  # shape (len(t_nodes), len(x_nodes))
+    values: np.ndarray  # shape (len(t_nodes), op.grid.size)
     t_c: float
     traces: list[SolveTrace] = field(repr=False, default_factory=list)
 
     @property
     def tau(self) -> float:
         return float(self.t_nodes[0])
-
-    def row(self, i: int) -> GapField:
-        return GapField(temperature=float(self.t_nodes[i]), values=self.values[i])
 
 
 def picard_solve(
@@ -415,9 +414,7 @@ def solve_surface(
 
     values = np.vstack(rows + [np.zeros(op.grid.size)])
     t_all = np.append(t_nodes, t_c)
-    surface = GapSurface(
-        t_nodes=t_all, x_nodes=op.grid.nodes, values=values, t_c=t_c, traces=traces
-    )
+    surface = GapSurface(op=op, t_nodes=t_all, values=values, t_c=t_c, traces=traces)
     _validate_surface(surface, params, tol)
     return surface
 
@@ -448,7 +445,7 @@ def _validate_surface(surface: GapSurface, params: PhysicalParams, tol: float) -
         i, j = np.argwhere(rising)[0]
         raise RuntimeError(
             f"monotonicity violated at T={float(surface.t_nodes[i + 1])!r}, "
-            f"x={float(surface.x_nodes[j])!r}"
+            f"x={float(surface.op.grid.nodes[j])!r}"
         )
     envelope_tol = 1e-9 + 2.0 * tol
     t_solved = surface.t_nodes[:-1]
@@ -459,6 +456,6 @@ def _validate_surface(surface: GapSurface, params: PhysicalParams, tol: float) -
         i, j = np.argwhere(above)[0]
         raise RuntimeError(
             f"envelope violated at T={float(t_solved[i])!r}, "
-            f"x={float(surface.x_nodes[j])!r}: u={float(rows[i, j])!r} outside "
+            f"x={float(surface.op.grid.nodes[j])!r}: u={float(rows[i, j])!r} outside "
             f"the upper envelope Delta2={float(d2[i])!r}"
         )

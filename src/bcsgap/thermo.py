@@ -4,7 +4,12 @@ the limit slope and curvature of the squared gap at T_c (the value and
 slope at T_c of one interpolant, ``limit_tables``), the second-order
 transition verdict, and the specific-heat jump.  Every temperature
 derivative is a derivative of a polynomial through 6 nodes, weighted by
-one stencil rule (``_stencil``).
+one stencil rule (``_stencil``); each limit at T_c is one interpolant's
+value or slope at offset 0 (``_limit_at_zero``).
+
+A function on a solved surface takes the ``GapSurface`` and reads from it
+the operator it was solved with, the grid, T_c and tau; the formula
+functions (``psi``, ``delta_cv``, ...) take arrays and their grid.
 
 The potential difference for a solved gap field u at temperature T is
 
@@ -26,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import CertificateFailure, ContractionCertificate
-from .gap_operator import GapField, GapOperator
 from .model import EnergyGrid, PhysicalParams
 from .quadrature import (
     TANH_SATURATION,
@@ -39,17 +43,14 @@ from .simple_gap import solve_delta
 from .solver import GapSurface, lattice_offsets
 
 __all__ = [
-    "VTable",
-    "WTable",
+    "LimitTable",
     "TransitionVerdict",
     "ThermoReport",
-    "extrapolate_to_zero",
     "psi",
     "psi_table",
     "limit_tables",
     "f_consistency",
     "g_consistency",
-    "g_eval",
     "g_integral_to_infinity",
     "delta_cv",
     "psi_second_at_tc",
@@ -89,28 +90,14 @@ def _stencil(nodes, at, orders) -> np.ndarray:
     return weights / h[..., None] ** k[:, None]
 
 
-def extrapolate_to_zero(
-    offsets: np.ndarray, values: np.ndarray
+def _limit_at_zero(
+    offsets: np.ndarray, values: np.ndarray, orders
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Value at offset = 0 of the polynomial through values(offset).
-
-    Works elementwise on trailing axes of ``values``, whose first axis runs
-    over the offsets.  The error estimate is the change when the coarsest
-    (first) point is dropped.
-    """
-    d = np.asarray(offsets, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if d.ndim != 1 or d.size < 2:
-        raise ValueError("need at least two offsets to extrapolate")
-    if vals.shape[:1] != d.shape:
-        raise ValueError(
-            f"need one value per offset: got values of shape {vals.shape} "
-            f"for {d.size} offsets"
-        )
-    if np.any(d <= 0):
-        raise ValueError("offsets must be positive")
-    full = np.tensordot(_stencil(d, 0.0, 0)[0], vals, axes=1)
-    trimmed = np.tensordot(_stencil(d[1:], 0.0, 0)[0], vals[1:], axes=1)
+    """Derivatives of the given orders at offset 0 of the polynomial through
+    ``values`` at ``offsets`` (its first axis runs over the offsets), and the
+    change of each when the coarsest, first, node is dropped."""
+    full = _stencil(offsets, 0.0, orders) @ values
+    trimmed = _stencil(offsets[1:], 0.0, orders) @ values[1:]
     return full, np.abs(full - trimmed)
 
 
@@ -118,14 +105,7 @@ def extrapolate_to_zero(
 # potential difference
 
 
-def _values(x) -> np.ndarray:
-    """The array behind a gap field or a limit table, or ``x`` as an array."""
-    return np.asarray(
-        x.values if isinstance(x, (GapField, VTable, WTable)) else x, dtype=float
-    )
-
-
-def psi(T: float, u, params: PhysicalParams, grid: EnergyGrid) -> float:
+def psi(T: float, u: np.ndarray, params: PhysicalParams, grid: EnergyGrid) -> float:
     """Thermodynamic potential difference at temperature T for gap field u.
 
     Negative below the transition (the gapped state is favoured) and
@@ -134,11 +114,10 @@ def psi(T: float, u, params: PhysicalParams, grid: EnergyGrid) -> float:
     terms so small fields do not lose precision to cancellation or
     overflow at small T.
     """
-    vals = _values(u)
     xi = grid.nodes
     w = grid.weights
     n0 = params.n0_dos
-    s = vals * vals
+    s = u * u
     e = np.sqrt(xi * xi + s)
 
     term1 = -2.0 * n0 * float(np.dot(w, s / (e + xi)))
@@ -153,13 +132,11 @@ def psi(T: float, u, params: PhysicalParams, grid: EnergyGrid) -> float:
     return term1 + term2 + term3
 
 
-def psi_table(surface: GapSurface, params: PhysicalParams, grid: EnergyGrid) -> np.ndarray:
+def psi_table(surface: GapSurface, params: PhysicalParams) -> np.ndarray:
     """Potential difference at every surface temperature node."""
+    grid = surface.op.grid
     return np.array(
-        [
-            psi(float(T), surface.values[i], params, grid)
-            for i, T in enumerate(surface.t_nodes)
-        ]
+        [psi(float(T), row, params, grid) for T, row in zip(surface.t_nodes, surface.values)]
     )
 
 
@@ -168,32 +145,18 @@ def psi_table(surface: GapSurface, params: PhysicalParams, grid: EnergyGrid) -> 
 
 
 @dataclass(frozen=True)
-class VTable:
-    """Limit slope v(x) = -d/dT u(T, x)^2 at T_c, from the solved surface."""
+class LimitTable:
+    """A limit at T_c of the squared gap on the energy nodes: the slope
+    v(x) = -d/dT u(T, x)^2 or the curvature w(x) = d^2/dT^2 u(T, x)^2, with
+    the change when the interpolant behind it drops its coarsest node."""
 
     values: np.ndarray
     extrapolation_error: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.values <= 0.0):
-            raise ValueError("limit slope must be strictly positive at every node")
-
-
-@dataclass(frozen=True)
-class WTable:
-    """Limit curvature w(x) = d^2/dT^2 u(T, x)^2 at T_c."""
-
-    values: np.ndarray
-    extrapolation_error: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("limit curvature must be finite")
 
     @property
     def estimator_mismatch(self) -> float:
-        """Largest gap between the 6-node and 5-node interpolants' w,
-        relative to max |w|."""
+        """Largest gap between the 6-node and 5-node interpolants' values,
+        relative to max |values|."""
         scale = float(np.max(np.abs(self.values)))
         return float(np.max(self.extrapolation_error)) / scale if scale > 0 else 0.0
 
@@ -204,13 +167,9 @@ _DEPTH = 6
 
 def require_resolution(t_resolution: int, span_decades: float) -> None:
     """Refuse, before any solve, a lattice that ``build_thermo_report`` would
-    refuse after it: the check ``_require_resolved`` makes on a solved
-    surface, applied to ``solve_surface``'s offsets T_c - T at unit scale."""
+    refuse after it: the check ``limit_tables`` makes on a solved surface's
+    offsets, applied to ``solve_surface``'s offsets T_c - T at unit scale."""
     _require_offsets(lattice_offsets(t_resolution, span_decades))
-
-
-def _require_resolved(surface: GapSurface) -> np.ndarray:
-    return _require_offsets(surface.t_c - surface.t_nodes[:-1])
 
 
 def _require_offsets(offsets: np.ndarray) -> np.ndarray:
@@ -227,24 +186,29 @@ def _require_offsets(offsets: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def limit_tables(surface: GapSurface) -> tuple[VTable, WTable]:
-    """Limit slope and curvature of the squared gap at T_c from one
+def limit_tables(surface: GapSurface) -> tuple[LimitTable, LimitTable]:
+    """Limit slope v and curvature w of the squared gap at T_c from one
     interpolant.
 
     P is the polynomial through q = u(T, x)^2 / (T_c - T) at the 6 nodes
     nearest T_c.  Since u^2 = v d + (w/2) d^2 + O(d^3) in d = T_c - T,
     v = P(0) and w = 2 P'(0).  Each error is the change when the same
-    interpolant is built on the deepest 5 nodes.
+    interpolant is built on the deepest 5 nodes.  A surface whose nodes do
+    not resolve T_c, a v that is not strictly positive at every node and a
+    w that is not finite are refused.
     """
-    offsets = _require_resolved(surface)
+    offsets = _require_offsets(surface.t_c - surface.t_nodes[:-1])
     d = offsets[-_DEPTH:]
     q = surface.values[:-1][-_DEPTH:] ** 2 / d[:, None]
-    v, half_w = _stencil(d, 0.0, (0, 1)) @ q
-    v5, half_w5 = _stencil(d[1:], 0.0, (0, 1)) @ q[1:]
-    w, w5 = 2.0 * half_w, 2.0 * half_w5
+    (v, half_w), (v_err, half_w_err) = _limit_at_zero(d, q, (0, 1))
+    w = 2.0 * half_w
+    if np.any(v <= 0.0):
+        raise ValueError("limit slope must be strictly positive at every node")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("limit curvature must be finite")
     return (
-        VTable(values=v, extrapolation_error=np.abs(v - v5)),
-        WTable(values=w, extrapolation_error=np.abs(w - w5)),
+        LimitTable(values=v, extrapolation_error=v_err),
+        LimitTable(values=w, extrapolation_error=2.0 * half_w_err),
     )
 
 
@@ -252,7 +216,7 @@ def limit_tables(surface: GapSurface) -> tuple[VTable, WTable]:
 # consistency functionals at the transition
 
 
-def f_consistency(v: VTable | np.ndarray, t_c: float, op: GapOperator) -> float:
+def f_consistency(v: np.ndarray, surface: GapSurface) -> float:
     """Eigen-residual of sqrt(v) under the zero-field kernel at T_c.
 
     At the transition the limit slope satisfies
@@ -260,18 +224,15 @@ def f_consistency(v: VTable | np.ndarray, t_c: float, op: GapOperator) -> float:
     i.e. sqrt(v) is a unit-eigenvalue eigenfunction of the linearised
     kernel.  Returns sup|sqrt(v) - K sqrt(v)| / sup sqrt(v); scale-free.
     """
-    vals = _values(v)
-    if np.any(vals <= 0):
+    if np.any(v <= 0):
         raise ValueError("limit slope must be positive")
-    root = np.sqrt(vals)
-    image = op.kernel_action(root, t_c)
+    root = np.sqrt(v)
+    image = surface.op.kernel_action(root, surface.t_c)
     residual = np.max(np.abs(root - image))
     return float(residual / np.max(root))
 
 
-def g_consistency(
-    v: VTable | np.ndarray, w: WTable | np.ndarray, t_c: float, op: GapOperator
-) -> float:
+def g_consistency(v: np.ndarray, w: np.ndarray, surface: GapSurface) -> float:
     """Residual of the curvature fixed-point functional at the transition.
 
     The curvature limit of the squared gap satisfies w = G(v, w) with
@@ -285,27 +246,18 @@ def g_consistency(
     (w k + 4 v^2 k_s - 4 v k_T) / sqrt(v), by ``kernel_jet`` at s = 0,
     free of their terms' cancellation.  Returns sup|w - G| / sup|w|.
     """
-    vv, ww = _values(v), _values(w)
-    root = np.sqrt(vv)
+    op, t_c = surface.op, surface.t_c
+    root = np.sqrt(v)
     first = op.kernel_action(root, t_c)
 
     k, k_s, k_t = kernel_jet(op.grid.nodes**2, 0.0, t_c, "sT")
-    second = op.matvec((ww * k + 4.0 * vv * (vv * k_s - k_t)) / root)
+    second = op.matvec((w * k + 4.0 * v * (v * k_s - k_t)) / root)
     g_of_x = first * second
-    return float(np.max(np.abs(ww - g_of_x)) / np.max(np.abs(ww)))
+    return float(np.max(np.abs(w - g_of_x)) / np.max(np.abs(w)))
 
 
 # ---------------------------------------------------------------------------
 # the curvature kernel and the specific-heat jump
-
-
-def g_eval(eta):
-    """Dimensionless curvature kernel 1/(eta^2 cosh^2 eta) - tanh(eta)/eta^3.
-
-    Negative on [0, inf) with value -2/3 at 0; evaluated through a Taylor
-    branch below eta = 0.1 where the direct form cancels catastrophically.
-    """
-    return gap_curvature(eta)
 
 
 # upper end of g_integral_to_infinity's quadrature
@@ -332,7 +284,7 @@ def _curvature_integral(vals: np.ndarray, t_c: float, grid: EnergyGrid) -> float
 
 
 def delta_cv(
-    v: VTable | np.ndarray, t_c: float, params: PhysicalParams, grid: EnergyGrid
+    v: np.ndarray, t_c: float, params: PhysicalParams, grid: EnergyGrid
 ) -> float:
     """Specific-heat jump at the transition:
 
@@ -341,12 +293,12 @@ def delta_cv(
     over eta in [eps/(2T_c), hbar_omega_d/(2T_c)]; strictly positive since
     the curvature kernel is negative.
     """
-    integral = _curvature_integral(_values(v), t_c, grid)
+    integral = _curvature_integral(v, t_c, grid)
     return float(-params.n0_dos / (8.0 * t_c) * integral)
 
 
 def psi_second_at_tc(
-    v: VTable | np.ndarray, t_c: float, params: PhysicalParams, grid: EnergyGrid
+    v: np.ndarray, t_c: float, params: PhysicalParams, grid: EnergyGrid
 ) -> tuple[float, float]:
     """Second temperature derivative of the potential difference at T_c.
 
@@ -361,19 +313,18 @@ def psi_second_at_tc(
     evaluation since formB carries the raw cancellation.  Form A is
     ``delta_cv``'s integral.
     """
-    vals = _values(v)
     n0 = params.n0_dos
-    form_a = n0 / (8.0 * t_c**2) * _curvature_integral(vals, t_c, grid)
+    form_a = n0 / (8.0 * t_c**2) * _curvature_integral(v, t_c, grid)
 
     xi = grid.nodes
     z = xi / (2.0 * t_c)
     bracket = sech(z) ** 2 / (2.0 * t_c) - np.tanh(z) / xi
-    form_b = 0.5 * n0 * float(np.dot(grid.weights, vals**2 / xi**2 * bracket))
+    form_b = 0.5 * n0 * float(np.dot(grid.weights, v**2 / xi**2 * bracket))
     return form_a, form_b
 
 
 def first_derivative_three_terms(
-    v: VTable | np.ndarray, t_c: float, params: PhysicalParams, grid: EnergyGrid
+    v: np.ndarray, t_c: float, params: PhysicalParams, grid: EnergyGrid
 ) -> tuple[float, float, float]:
     """The three limit integrals whose sum is the first derivative at T_c:
 
@@ -381,11 +332,10 @@ def first_derivative_three_terms(
 
     They cancel exactly through 1 - tanh(z/2) = 2/(e^z + 1).
     """
-    vals = _values(v)
     xi = grid.nodes
     w = grid.weights
     n0 = params.n0_dos
-    base = vals / xi
+    base = v / xi
     term1 = n0 * float(np.dot(w, base))
     term2 = -n0 * float(np.dot(w, base * np.tanh(xi / (2.0 * t_c))))
     ez = np.exp(-xi / t_c)
@@ -416,9 +366,8 @@ class TransitionVerdict:
 
 def second_order_verdict(
     surface: GapSurface,
-    v: VTable | np.ndarray,
+    v: LimitTable,
     params: PhysicalParams,
-    grid: EnergyGrid,
     psi_values: np.ndarray,
 ) -> TransitionVerdict:
     """Evaluate the three transition conditions on a solved surface, from
@@ -432,16 +381,16 @@ def second_order_verdict(
     propagated error.  A degenerate (zero) slope table yields verdict (c)
     false: no transition.
     """
-    v_vals = _values(v)
-    v_err = v.extrapolation_error if isinstance(v, VTable) else np.zeros_like(v_vals)
+    v_vals, v_err = v.values, v.extrapolation_error
+    grid = surface.op.grid
     offsets = surface.t_c - surface.t_nodes[:-1]
     psi_tc = float(psi_values[-1])
 
     # (a): Psi(T_c) = 0 and FD second derivative 2 Psi/d^2 converges
     est = 2.0 * psi_values[:-1] / offsets**2
     deep = slice(-_DEPTH, None)
-    fd2, fd2_err = extrapolate_to_zero(offsets[deep], est[deep])
-    fd2, fd2_err = float(fd2), float(fd2_err)
+    fd2, fd2_err = _limit_at_zero(offsets[deep], est[deep], (0,))
+    fd2, fd2_err = float(fd2[0]), float(fd2_err[0])
     a_ok = abs(psi_tc) <= 1e-15 * params.n0_dos * params.hbar_omega_d and (
         fd2_err <= 5e-2 * abs(fd2) + 1e-300
     )
@@ -508,14 +457,12 @@ def entropy_and_heat(
 
 
 def psi_perturbation_bound(
-    u,
-    u_ref,
+    u: np.ndarray,
+    u_ref: np.ndarray,
     T: float,
+    surface: GapSurface,
     params: PhysicalParams,
-    grid: EnergyGrid,
     *,
-    tau: float,
-    t_c: float,
     alpha: float,
 ) -> tuple[float, float]:
     """Stability of the potential difference under field perturbations.
@@ -525,15 +472,16 @@ def psi_perturbation_bound(
         rhs = 2 N0 Delta2(0) {(1 + 2 T_c/tau) ln(hbar_omega_d/eps) + alpha}
               * sup|u - u_ref|;
 
-    lhs <= rhs for any two fields inside the envelope at the same T.
+    lhs <= rhs for any two fields inside the envelope at the same T, with
+    tau and T_c those of the surface.
     """
-    uv, rv = _values(u), _values(u_ref)
-    lhs = abs(psi(T, uv, params, grid) - psi(T, rv, params, grid))
+    grid = surface.op.grid
+    lhs = abs(psi(T, u, params, grid) - psi(T, u_ref, params, grid))
     d20 = solve_delta(params.u_upper, 0.0, params)
-    bracket = (1.0 + 2.0 * t_c / tau) * math.log(
+    bracket = (1.0 + 2.0 * surface.t_c / surface.tau) * math.log(
         params.hbar_omega_d / params.epsilon_cutoff
     ) + alpha
-    rhs = 2.0 * params.n0_dos * d20 * bracket * float(np.max(np.abs(uv - rv)))
+    rhs = 2.0 * params.n0_dos * d20 * bracket * float(np.max(np.abs(u - u_ref)))
     return lhs, rhs
 
 
@@ -581,8 +529,8 @@ class ThermoReport:
     psi_values: np.ndarray
     entropy_values: np.ndarray
     specific_heat_values: np.ndarray
-    v_table: VTable
-    w_table: WTable
+    v_table: LimitTable
+    w_table: LimitTable
     delta_cv: float
     psi_second_tc_form_a: float
     psi_second_tc_form_b: float
@@ -596,7 +544,6 @@ class ThermoReport:
 def build_thermo_report(
     surface: GapSurface,
     params: PhysicalParams,
-    grid: EnergyGrid,
     certificate: ContractionCertificate | CertificateFailure,
 ) -> ThermoReport:
     """Full thermodynamic analysis of a solved surface.
@@ -613,16 +560,17 @@ def build_thermo_report(
     measured local contraction rate, reported either way (nan for a
     surface that carries no traces).
     """
-    psis = psi_table(surface, params, grid)
+    grid = surface.op.grid
+    psis = psi_table(surface, params)
     v, w = limit_tables(surface)
-    jump = delta_cv(v, surface.t_c, params, grid)
-    form_a, form_b = psi_second_at_tc(v, surface.t_c, params, grid)
+    jump = delta_cv(v.values, surface.t_c, params, grid)
+    form_a, form_b = psi_second_at_tc(v.values, surface.t_c, params, grid)
     if abs(form_a - form_b) > 1e-8 * abs(form_a):
         raise RuntimeError(
             f"curvature forms disagree: {form_a!r} vs {form_b!r}"
         )
     entropy, heat = entropy_and_heat(surface.t_nodes, psis)
-    verdict = second_order_verdict(surface, v, params, grid, psis)
+    verdict = second_order_verdict(surface, v, params, psis)
     certified = isinstance(certificate, ContractionCertificate)
     rate_bound = max((tr.rate for tr in surface.traces), default=math.nan)
     alpha = certificate.alpha if certified else min(rate_bound + 0.1, 0.95)

@@ -62,9 +62,9 @@ def const_surface(_const_solve):
 
 
 @pytest.fixture(scope="session")
-def const_report(const_surface, params, grid, default_search_outcome):
+def const_report(const_surface, params, default_search_outcome):
     surface, _ = const_surface
-    return build_thermo_report(surface, params, grid, default_search_outcome)
+    return build_thermo_report(surface, params, default_search_outcome)
 
 
 @pytest.fixture(scope="session")

@@ -15,12 +15,12 @@ from bcsgap.certificate import CertificateFailure, compute_alpha, format_certifi
 from bcsgap.cli import EXIT_OK, main
 from bcsgap.gap_operator import GapField, apply_A, sample_envelope_field
 from bcsgap.model import build_grid, make_params
+from bcsgap.quadrature import gap_curvature
 from bcsgap.simple_gap import implicit_slope_v, solve_delta, tau_root
 from bcsgap.thermo import (
     cutoff_divergence_scan,
     delta_cv,
     f_consistency,
-    g_eval,
     g_integral_to_infinity,
     psi_perturbation_bound,
 )
@@ -121,9 +121,9 @@ def test_criterion_03_operator_properties(const_potential, params, grid):
 
 
 def test_criterion_04_curvature_kernel_suite():
-    assert g_eval(0.0) == -2.0 / 3.0
+    assert gap_curvature(0.0) == -2.0 / 3.0
     etas = np.geomspace(1e-3, 1e3, 60)
-    assert np.all(g_eval(etas) < 0.0)
+    assert np.all(gap_curvature(etas) < 0.0)
     zeta3 = zeta3_series()
     target = -7.0 * zeta3 / math.pi**2
     estimate, tail_bound = g_integral_to_infinity()
@@ -179,13 +179,13 @@ def test_criterion_06_specific_heat_jump(const_surface, const_report):
     )
 
 
-def test_criterion_07_limit_tables(const_surface, const_report, const_op, params):
+def test_criterion_07_limit_tables(const_surface, const_report, params):
     surface, _ = const_surface
     v = const_report.v_table
     target = implicit_slope_v(0.3, params)
     v_gap = float(np.max(np.abs(v.values - target))) / target
     assert v_gap <= 1e-3
-    eigen_residual = f_consistency(v, surface.t_c, const_op)
+    eigen_residual = f_consistency(v.values, surface)
     assert eigen_residual <= 1e-3
     assert const_report.w_table.estimator_mismatch <= 1e-2
     print(
@@ -195,7 +195,7 @@ def test_criterion_07_limit_tables(const_surface, const_report, const_op, params
     )
 
 
-def _perturbation_violations(surface, params, grid, alpha) -> int:
+def _perturbation_violations(surface, params, alpha) -> int:
     rng = np.random.default_rng(SEED)
     violations = 0
     for _ in range(50):
@@ -204,29 +204,26 @@ def _perturbation_violations(surface, params, grid, alpha) -> int:
         base = surface.values[i]
         d2 = solve_delta(params.u_upper, t, params)
         perturbed = np.minimum(base + rng.uniform(0.0, 1e-4, base.size), d2)
-        lhs, rhs = psi_perturbation_bound(
-            perturbed, base, t, params, grid,
-            tau=surface.tau, t_c=surface.t_c, alpha=alpha,
-        )
+        lhs, rhs = psi_perturbation_bound(perturbed, base, t, surface, params, alpha=alpha)
         if lhs > rhs:
             violations += 1
     return violations
 
 
-def test_criterion_08_perturbation_bound(const_surface, const_report, params, grid):
+def test_criterion_08_perturbation_bound(const_surface, const_report, params):
     surface, _ = const_surface
-    assert _perturbation_violations(surface, params, grid, const_report.alpha) == 0
+    assert _perturbation_violations(surface, params, const_report.alpha) == 0
     print("PASS criterion 8: perturbation bound lhs <= rhs on 50 seeded fields, 0 violations")
 
 
 def test_criterion_08_holds_at_the_measured_rate_bound(
-    const_surface, const_report, params, grid
+    const_surface, const_report, params
 ):
     # the reported alpha is the fallback 0.95 on the default config; the
     # nodes' own Collatz-Wielandt bound, near 0.9996, is the measured rate
     surface, _ = const_surface
     assert const_report.alpha < const_report.rate_bound < 1.0
-    assert _perturbation_violations(surface, params, grid, const_report.rate_bound) == 0
+    assert _perturbation_violations(surface, params, const_report.rate_bound) == 0
 
 
 def test_criterion_09_cutoff_divergence(params):

@@ -124,7 +124,7 @@ def test_cmd_simple_outputs(tmp_path):
     # must stay below 1/16 of the rounding bound; that bound falls in T, so
     # its value at tau is below its value at every solved temperature
     params = build_inputs(parse_config(cfg_path))[0]
-    assert int(entries["reference_nodes"]) == simple_gap._reference_rule(params)[0].size
+    assert int(entries["reference_nodes"]) == simple_gap._reference_rule(params).nodes.size
     for name, u, tau in (("U1", params.u_lower, tau1), ("U2", params.u_upper, tau2)):
         bound = float(entries[f"quadrature_bound_{name}"])
         assert 0.0 < bound <= simple_gap._rounding_bound(u, tau, params) / 16.0
@@ -468,7 +468,7 @@ def test_solve_reports_the_bump_factorisation(tmp_path, monkeypatch):
     expected = ["T,x,u"] + [
         f"{cli.fmt(T)},{cli.fmt(x)},{cli.fmt(surface.values[i, j])}"
         for i, T in enumerate(surface.t_nodes)
-        for j, x in enumerate(surface.x_nodes)
+        for j, x in enumerate(grid.nodes)
     ]
     assert (out / "surface.csv").read_text() == "\n".join(expected) + "\n"
 

@@ -1,25 +1,31 @@
 """The gap operator is the argument: a public function of ``gap_operator``,
 ``solver`` or ``thermo`` that works through the operator takes the
-``GapOperator`` alone and reads the grid from it."""
+``GapOperator`` alone and reads the grid from it.  Likewise the solved
+surface: a public ``thermo`` function that works on a ``GapSurface`` reads
+the operator, grid, T_c and tau from it, and takes arrays or tables, not
+unions of them."""
 
 import importlib
 import inspect
 
+from bcsgap import thermo
 from bcsgap.gap_operator import GapOperator
+from bcsgap.solver import GapSurface
 
 
-def _public_functions():
-    for owner in ("gap_operator", "solver", "thermo"):
+def _public_functions(owners=("gap_operator", "solver", "thermo")):
+    for owner in owners:
         module = importlib.import_module(f"bcsgap.{owner}")
         for name in module.__all__:
             fn = getattr(module, name)
             if inspect.isfunction(fn):
-                yield f"{owner}.{name}", inspect.signature(fn).parameters.values()
+                yield f"{owner}.{name}", inspect.signature(fn)
 
 
 def test_no_function_takes_both_an_operator_and_a_grid():
     offenders = []
-    for name, params in _public_functions():
+    for name, signature in _public_functions():
+        params = signature.parameters.values()
         annotations = [str(p.annotation) for p in params]
         takes_op = any("GapOperator" in a for a in annotations)
         takes_grid = any(p.name == "grid" for p in params) or any(
@@ -35,3 +41,31 @@ def test_no_function_takes_both_an_operator_and_a_grid():
 def test_the_perron_solve_has_one_entry_point():
     # spectral_radius, where the benchmark's tracer counts Perron solves
     assert not hasattr(GapOperator, "perron")
+
+
+def test_thermo_reads_what_the_surface_carries():
+    offenders = []
+    for name, signature in _public_functions(("thermo",)):
+        params = signature.parameters.values()
+        annotations = [str(p.annotation) for p in params]
+        if any("GapSurface" in a for a in annotations):
+            beside = [
+                p.name
+                for p, a in zip(params, annotations)
+                if p.name in ("grid", "op", "t_c", "tau")
+                or "EnergyGrid" in a
+                or "GapOperator" in a
+            ]
+            if beside:
+                offenders.append(f"{name} takes a surface beside {beside}")
+        for a in annotations + [str(signature.return_annotation)]:
+            union = "|" in a or "Union[" in a or "Optional[" in a
+            if union and any(t in a for t in ("LimitTable", "GapField", "np.ndarray")):
+                offenders.append(f"{name} takes or returns the union {a}")
+    assert offenders == []
+
+
+def test_one_limit_table_one_limit_rule_and_no_alias():
+    for gone in ("VTable", "WTable", "extrapolate_to_zero", "g_eval"):
+        assert not hasattr(thermo, gone), gone
+    assert not hasattr(GapSurface, "row")

@@ -100,15 +100,48 @@ def test_tau_root_requires_logarithmic_span():
         tau_root(0.12, p)  # 0.12 * ln(200) ~ 0.64 < 1
 
 
-def test_tau_root_at_a_span_of_one_ulp_above_one_fails_to_bracket():
-    # U * ln(200) = 1 + 2e-16 passes the span check, but the reference
-    # rule's sum of w/xi falls 8.9e-16 short of ln(200), so U * integral
-    # stays below one at every T and only the 1e-300 stop ends the search
+def test_tau_root_at_a_span_of_one_ulp_above_one_fails_to_bracket(monkeypatch):
+    # U * ln(200) = 1 + 2e-16: the rule's computed U * sum(w/xi) - 1 is
+    # within rounding of zero, which proves no root; it is refused before
+    # any bracket is sought
     u = math.nextafter(1.0 / math.log(200.0), math.inf)
     p = make_params(1.0, 0.005, 1.0, u, 0.309)
     assert u * math.log(200.0) > 1.0
-    with pytest.raises(NoRootError, match="failed to bracket"):
-        tau_root(u, p)
+    temperatures = []
+    real = simple_gap._coupling_integral
+
+    def recording(s, T, params):
+        temperatures.append(T)
+        return real(s, T, params)
+
+    monkeypatch.setattr(simple_gap, "_coupling_integral", recording)
+    with pytest.raises(NoRootError, match=r"tau_existence: .* does not exceed its error bound"):
+        tau_root.__wrapped__(u, p)
+    assert temperatures == [0.0]  # refused at T = 0, without halving T
+
+
+def test_tau_root_refuses_a_span_the_rule_rounds_above_one(monkeypatch):
+    # weights a few ulps high, as correctly rounded Gauss weights can be,
+    # lift U * sum(w/xi) above one at the same span; the rule's sum then
+    # crosses one at some T, but that proves no root of the continuum
+    # equation, and tau must be refused rather than returned
+    u = math.nextafter(1.0 / math.log(200.0), math.inf)
+    p = make_params(1.0, 0.005, 1.0, u, 0.309)
+    real = simple_gap.gauss_legendre_panels
+
+    def nudged(edges, order):
+        nodes, weights = real(edges, order)
+        return nodes, weights * (1.0 + 8.0 * np.finfo(float).eps)
+
+    monkeypatch.setattr(simple_gap, "gauss_legendre_panels", nudged)
+    simple_gap._reference_rule.cache_clear()
+    try:
+        rule = simple_gap._reference_rule(p)
+        assert u * float(np.dot(rule.weights, 1.0 / rule.nodes)) > 1.0
+        with pytest.raises(NoRootError, match="tau_existence"):
+            tau_root.__wrapped__(u, p)
+    finally:
+        simple_gap._reference_rule.cache_clear()
 
 
 def test_solve_delta_zero_extension_and_boundary(params):
@@ -254,9 +287,9 @@ def test_certificate_search_solves_few_envelope_roots(
 def _mp_root(U, T, params, guess):
     # the reference-rule gap equation, U * sum_j w_j k(xi_j, delta^2, T) = 1,
     # solved in 40 digits from the float rule's own nodes and weights
-    nodes, weights = simple_gap._reference_rule(params)
-    nodes = [mp.mpf(float(x)) for x in nodes]
-    weights = [mp.mpf(float(w)) for w in weights]
+    rule = simple_gap._reference_rule(params)
+    nodes = [mp.mpf(float(x)) for x in rule.nodes]
+    weights = [mp.mpf(float(w)) for w in rule.weights]
 
     def f(delta):
         total = mp.mpf(0)
@@ -334,7 +367,8 @@ def test_reference_rule_panel_errors_lie_within_their_bounds(epsilon):
     order = simple_gap._RULE_ORDER
     edges = simple_gap._reference_edges(p)
     a, b = simple_gap._panel_bounds(edges, order)
-    nodes, weights = simple_gap._reference_rule(p)
+    rule = simple_gap._reference_rule(p)
+    nodes, weights = rule.nodes, rule.weights
     cases = [
         (0.0, tau_root(0.309, p)),
         (delta0_closed_form(0.309, p) ** 2, 0.0),

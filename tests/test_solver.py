@@ -569,7 +569,7 @@ def test_surface_validation_names_a_value_above_the_upper_envelope(
     # so only (T_i, x_j) breaks an invariant, and the error must name it
     surface, _ = const_surface
     i, j = 12, 37
-    t_i, x_j = float(surface.t_nodes[i]), float(surface.x_nodes[j])
+    t_i, x_j = float(surface.t_nodes[i]), float(surface.op.grid.nodes[j])
     d2 = solve_delta_many(params.u_upper, surface.t_nodes[:-1], params)
     u = float(d2[i]) + 1e-8
     values = surface.values.copy()

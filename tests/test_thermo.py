@@ -1,25 +1,25 @@
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bcsgap import model
+from bcsgap import model, thermo
 from bcsgap.certificate import ContractionCertificate
 from bcsgap.model import make_params, build_grid
+from bcsgap.quadrature import gap_curvature
 from bcsgap.simple_gap import implicit_slope_v, tau_root
 from bcsgap.solver import GapSurface, solve_surface
 from bcsgap.thermo import (
-    VTable,
+    LimitTable,
     build_thermo_report,
     cutoff_divergence_scan,
     delta_cv,
     entropy_and_heat,
-    extrapolate_to_zero,
     f_consistency,
     first_derivative_three_terms,
     g_consistency,
-    g_eval,
     g_integral_to_infinity,
     limit_tables,
     psi,
@@ -34,24 +34,16 @@ from oracles import constant_psi_derivatives, curvature_w_oracle, zeta3_series
 
 
 # ---------------------------------------------------------------------------
-# extrapolation helper
+# the limit rule
 
 
-def test_extrapolate_to_zero_polynomial():
+def test_limit_at_zero_polynomial():
     d = np.array([0.4, 0.2, 0.1, 0.05])
     vals = 3.0 + 2.0 * d - 5.0 * d**2
-    limit, err = extrapolate_to_zero(d, vals)
+    (limit, slope), err = thermo._limit_at_zero(d, vals, (0, 1))
     assert limit == pytest.approx(3.0, abs=1e-12)
-    assert err <= 1e-10
-
-
-def test_extrapolate_to_zero_validates():
-    with pytest.raises(ValueError):
-        extrapolate_to_zero(np.array([0.1]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        extrapolate_to_zero(np.array([0.1, -0.2]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="one value per offset"):
-        extrapolate_to_zero([0.4, 0.2, 0.1], [1.0, 2.0])
+    assert slope == pytest.approx(2.0, abs=1e-10)
+    assert np.all(err <= 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +54,9 @@ def test_psi_zero_field_is_exactly_zero(params, grid):
     assert psi(0.03, np.zeros(grid.size), params, grid) == 0.0
 
 
-def test_psi_negative_and_increasing_on_surface(const_surface, params, grid):
+def test_psi_negative_and_increasing_on_surface(const_surface, params):
     surface, _ = const_surface
-    psis = psi_table(surface, params, grid)
+    psis = psi_table(surface, params)
     assert np.all(psis[:-1] < 0.0)
     assert psis[-1] == 0.0
     assert np.all(np.diff(psis) > 0.0)
@@ -115,9 +107,12 @@ def test_six_nodes_over_two_decades_are_enough():
     require_resolution(6, 2.2)  # the interpolant's depth; 5 is refused in test_cli
 
 
-def test_vtable_rejects_nonpositive_values():
+def test_limit_tables_refuse_a_nonpositive_slope(const_surface):
+    surface, _ = const_surface
+    values = surface.values.copy()
+    values[:-1, 7] = 0.0  # one x column zero below T_c
     with pytest.raises(ValueError, match="positive"):
-        VTable(values=np.array([0.1, 0.0]), extrapolation_error=np.zeros(2))
+        limit_tables(replace(surface, values=values))
 
 
 def test_w_constant_in_energy_and_estimators_agree(const_surface):
@@ -128,20 +123,13 @@ def test_w_constant_in_energy_and_estimators_agree(const_surface):
     assert spread <= 1e-2 * np.max(np.abs(w.values))
 
 
-@pytest.mark.parametrize(
-    "surface_name, op_name",
-    [
-        pytest.param("const_surface", "const_op", id="const_surface"),
-        pytest.param("gauss_surface", "gauss_op", id="gauss_surface"),
-    ],
-)
-def test_w_consistency_with_curvature_functional(surface_name, op_name, request):
+@pytest.mark.parametrize("surface_name", ["const_surface", "gauss_surface"])
+def test_w_consistency_with_curvature_functional(surface_name, request):
     surface = request.getfixturevalue(surface_name)
     if surface_name == "const_surface":
         surface, _ = surface  # the fixture carries the solve's wall time
     v, w = limit_tables(surface)
-    op = request.getfixturevalue(op_name)
-    assert g_consistency(v, w, surface.t_c, op) <= 1e-8
+    assert g_consistency(v.values, w.values, surface) <= 1e-8
 
 
 def _count_potential_matrices(monkeypatch) -> list[tuple[int, ...]]:
@@ -162,16 +150,15 @@ def _count_potential_matrices(monkeypatch) -> list[tuple[int, ...]]:
 
 
 def test_thermo_builds_no_second_potential_matrix(
-    const_surface, const_report, const_op, params, grid,
-    default_search_outcome, monkeypatch,
+    const_surface, const_report, params, default_search_outcome, monkeypatch,
 ):
     surface, _ = const_surface
     shapes = _count_potential_matrices(monkeypatch)
-    build_thermo_report(surface, params, grid, default_search_outcome)
+    build_thermo_report(surface, params, default_search_outcome)
     # the consistency functionals act through the operator's factors
-    v, w = const_report.v_table, const_report.w_table
-    f_consistency(v, surface.t_c, const_op)
-    g_consistency(v, w, surface.t_c, const_op)
+    v, w = const_report.v_table.values, const_report.w_table.values
+    f_consistency(v, surface)
+    g_consistency(v, w, surface)
     assert shapes == []
 
 
@@ -179,26 +166,26 @@ def test_thermo_builds_no_second_potential_matrix(
 # eigen-consistency of sqrt(v)
 
 
-def test_f_consistency_small_at_fixed_point(const_surface, const_report, const_op):
+def test_f_consistency_small_at_fixed_point(const_surface, const_report):
     surface, _ = const_surface
-    assert f_consistency(const_report.v_table, surface.t_c, const_op) <= 1e-3
+    assert f_consistency(const_report.v_table.values, surface) <= 1e-3
 
 
-def test_f_consistency_scale_free(const_surface, const_report, const_op):
+def test_f_consistency_scale_free(const_surface, const_report):
     surface, _ = const_surface
     v = const_report.v_table.values
-    base = f_consistency(v, surface.t_c, const_op)
-    scaled = f_consistency(4.0 * v, surface.t_c, const_op)
+    base = f_consistency(v, surface)
+    scaled = f_consistency(4.0 * v, surface)
     assert scaled == pytest.approx(base, abs=1e-14)
 
 
-def test_f_consistency_detects_perturbation(const_surface, const_report, const_op):
+def test_f_consistency_detects_perturbation(const_surface, const_report):
     surface, _ = const_surface
     v = const_report.v_table.values
     rng = np.random.default_rng(42)
     noisy = v * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, v.size))
-    base = f_consistency(v, surface.t_c, const_op)
-    assert f_consistency(noisy, surface.t_c, const_op) > 10.0 * base
+    base = f_consistency(v, surface)
+    assert f_consistency(noisy, surface) > 10.0 * base
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +193,23 @@ def test_f_consistency_detects_perturbation(const_surface, const_report, const_o
 
 
 def test_g_at_zero_exact():
-    assert g_eval(0.0) == -2.0 / 3.0
+    assert gap_curvature(0.0) == -2.0 / 3.0
 
 
 def test_g_negative_on_log_grid():
     etas = np.geomspace(1e-3, 1e3, 60)
-    assert np.all(g_eval(etas) < 0.0)
+    assert np.all(gap_curvature(etas) < 0.0)
 
 
 def test_g_large_argument_tail():
-    assert g_eval(50.0) == pytest.approx(-math.tanh(50.0) / 50.0**3, rel=1e-10)
+    assert gap_curvature(50.0) == pytest.approx(-math.tanh(50.0) / 50.0**3, rel=1e-10)
 
 
 def test_g_derivative_vanishes_at_origin_and_infinity():
     for h in (1e-2, 1e-3, 1e-4):
-        assert abs((g_eval(h) - g_eval(0.0)) / h) <= 1.0 * h  # slope ~ (16/15) h
-    assert abs(g_eval(60.0)) < 1e-5
-    assert abs((g_eval(60.0 + 1e-3) - g_eval(60.0)) / 1e-3) < 1e-5
+        assert abs((gap_curvature(h) - gap_curvature(0.0)) / h) <= 1.0 * h  # slope ~ (16/15) h
+    assert abs(gap_curvature(60.0)) < 1e-5
+    assert abs((gap_curvature(60.0 + 1e-3) - gap_curvature(60.0)) / 1e-3) < 1e-5
 
 
 def test_g_integral_matches_series_constant():
@@ -248,7 +235,7 @@ def test_delta_cv_linear_in_dos(const_surface, const_report, grid):
     surface, _ = const_surface
     doubled = make_params(1.0, 0.005, 2.0, 0.291, 0.309)
     single = make_params(1.0, 0.005, 1.0, 0.291, 0.309)
-    v = const_report.v_table
+    v = const_report.v_table.values
     one = delta_cv(v, surface.t_c, single, grid)
     two = delta_cv(v, surface.t_c, doubled, grid)
     assert two == pytest.approx(2.0 * one, rel=1e-14)
@@ -273,7 +260,7 @@ def test_psi_second_forms_agree(const_report):
 def test_three_term_first_derivative_cancellation(const_surface, const_report, params, grid):
     surface, _ = const_surface
     t1, t2, t3 = first_derivative_three_terms(
-        const_report.v_table, surface.t_c, params, grid
+        const_report.v_table.values, surface.t_c, params, grid
     )
     assert t1 > 0.0 and t2 < 0.0 and t3 < 0.0
     assert abs(t1 + t2 + t3) <= 1e-10 * abs(t1)
@@ -299,18 +286,17 @@ def test_verdict_all_true_on_default_config(const_report):
 def test_verdict_degenerate_zero_surface(const_surface, params, grid):
     surface, _ = const_surface
     zero = GapSurface(
+        op=surface.op,
         t_nodes=surface.t_nodes,
-        x_nodes=surface.x_nodes,
         values=np.zeros_like(surface.values),
         t_c=surface.t_c,
     )
-    verdict = second_order_verdict(
-        zero, np.zeros(grid.size), params, grid, psi_table(zero, params, grid)
-    )
+    table = LimitTable(values=np.zeros(grid.size), extrapolation_error=np.zeros(grid.size))
+    verdict = second_order_verdict(zero, table, params, psi_table(zero, params))
     assert verdict.c is False  # no transition without a positive slope limit
 
 
-def test_report_carries_certificate_alpha(const_surface, params, grid):
+def test_report_carries_certificate_alpha(const_surface, params):
     surface, _ = const_surface
     certificate = ContractionCertificate(
         tau=surface.tau,
@@ -319,7 +305,7 @@ def test_report_carries_certificate_alpha(const_surface, params, grid):
         max_location=(surface.tau, params.epsilon_cutoff),
         delta2_at_tau=0.5 * params.epsilon_cutoff,
     )
-    report = build_thermo_report(surface, params, grid, certificate)
+    report = build_thermo_report(surface, params, certificate)
     assert report.certified is True
     assert report.alpha == 0.9
     assert report.rate_bound == max(tr.rate for tr in surface.traces)
@@ -368,12 +354,12 @@ def test_entropy_and_heat_match_the_mpmath_oracle(where, const_surface, const_re
     assert const_report.specific_heat_values[i] == pytest.approx(-T * second, rel=1e-6)
 
 
-def test_entropy_and_heat_agree_on_nested_lattices(gauss_op, params, grid):
+def test_entropy_and_heat_agree_on_nested_lattices(gauss_op, params):
     # every third node of the 70-node lattice is a node of the 24-node one
     tables = []
     for n in (24, 70):
         surface = solve_surface(gauss_op, params, t_resolution=n, span_decades=2.2)
-        psis = psi_table(surface, params, grid)
+        psis = psi_table(surface, params)
         tables.append((surface.t_nodes, *entropy_and_heat(surface.t_nodes, psis)))
     (t, entropy, heat), (t_fine, entropy_fine, heat_fine) = tables
     pick = np.r_[np.arange(0, 70, 3), 70]
@@ -408,17 +394,16 @@ def test_entropy_and_heat_refuses_a_length_mismatch():
 # perturbation bound
 
 
-def test_perturbation_bound_trivial_case(const_surface, const_report, params, grid):
+def test_perturbation_bound_trivial_case(const_surface, const_report, params):
     surface, _ = const_surface
-    row = surface.row(10)
+    row = surface.values[10]
     lhs, rhs = psi_perturbation_bound(
-        row, row, float(surface.t_nodes[10]), params, grid,
-        tau=surface.tau, t_c=surface.t_c, alpha=const_report.alpha,
+        row, row, float(surface.t_nodes[10]), surface, params, alpha=const_report.alpha
     )
     assert lhs == 0.0 and rhs == 0.0
 
 
-def test_perturbation_bound_random_sweep(const_surface, const_report, params, grid):
+def test_perturbation_bound_random_sweep(const_surface, const_report, params):
     surface, _ = const_surface
     rng = np.random.default_rng(42)
     slack = []
@@ -432,8 +417,7 @@ def test_perturbation_bound_random_sweep(const_surface, const_report, params, gr
         d2 = solve_delta(params.u_upper, t, params)
         perturbed = np.minimum(base + bump, d2)  # clipped to the envelope
         lhs, rhs = psi_perturbation_bound(
-            perturbed, base, t, params, grid,
-            tau=surface.tau, t_c=surface.t_c, alpha=const_report.alpha,
+            perturbed, base, t, surface, params, alpha=const_report.alpha
         )
         assert lhs <= rhs
         if lhs > 0:
