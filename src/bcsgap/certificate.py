@@ -184,11 +184,7 @@ def _x_bound(
         return float(np.max(potential_matrix(potential, xs, xi) @ row)), 0.0
     if not isinstance(potential, GaussianBumpPotential):
         raise TypeError(f"unknown potential spec {type(potential).__name__}")
-    width2 = potential.width**2
-
-    def bump(dx):  # U - base, as potential_matrix computes it
-        return potential.amplitude * np.exp(-dx * dx / (2.0 * width2))
-
+    bump, width2 = potential.bump, potential.width**2
     if potential.amplitude >= 0.0:
         cap = potential.base + bump(np.clip(xi, xa, xb) - xi)
     else:

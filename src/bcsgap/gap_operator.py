@@ -209,9 +209,9 @@ class GapOperator:
         rho is the two-sided Rayleigh quotient <psi, M phi>/<psi, phi>,
         whose error is second order in the vectors' errors.
         """
-        _, dk0 = kernel_jet(self.grid.nodes**2, 0.0, T, "T")
+        k0, dk0 = kernel_jet(self.grid.nodes**2, 0.0, T, "T")
         norm = float(left @ right)
-        rho = float(left @ self.kernel_action(right, T)) / norm
+        rho = float(left @ self.matvec(k0 * right)) / norm
         slope = float(left @ self.jacobian_action(dk0, right)) / norm
         return rho, slope
 

@@ -25,7 +25,6 @@ __all__ = [
     "TablePotential",
     "GaussianBumpPotential",
     "PotentialSpec",
-    "eval_potential",
     "potential_matrix",
     "extreme_points",
     "validate_potential",
@@ -148,6 +147,10 @@ class GaussianBumpPotential:
     amplitude: float
     width: float
 
+    def bump(self, dx):
+        """U - base at the offsets dx = x - xi."""
+        return self.amplitude * np.exp(-dx * dx / (2.0 * self.width**2))
+
 
 PotentialSpec = ConstantPotential | TablePotential | GaussianBumpPotential
 
@@ -178,22 +181,11 @@ def potential_matrix(spec: PotentialSpec, x, xi) -> np.ndarray:
     if isinstance(spec, ConstantPotential):
         return np.full((x.size, xi.size), spec.u0)
     if isinstance(spec, GaussianBumpPotential):
-        dx = x[:, None] - xi[None, :]
-        return spec.base + spec.amplitude * np.exp(-dx * dx / (2.0 * spec.width**2))
+        return spec.base + spec.bump(x[:, None] - xi[None, :])
     if isinstance(spec, TablePotential):
         xm, ym = np.meshgrid(x, xi, indexing="ij")
         return _bilinear(spec, xm, ym)
     raise TypeError(f"unknown potential spec {type(spec).__name__}")
-
-
-def eval_potential(spec: PotentialSpec, x: float, xi: float, params: PhysicalParams) -> float:
-    """Single kernel value U(x, xi) with domain validation."""
-    lo, hi = params.epsilon_cutoff, params.hbar_omega_d
-    if not (lo <= x <= hi and lo <= xi <= hi):
-        raise PotentialError(
-            f"arguments ({x!r}, {xi!r}) outside the energy domain [{lo!r}, {hi!r}]"
-        )
-    return float(potential_matrix(spec, x, xi)[0, 0])
 
 
 def extreme_points(spec: PotentialSpec, axis: int, a: float, b: float) -> np.ndarray:
@@ -214,9 +206,13 @@ def validate_potential(spec: PotentialSpec, params: PhysicalParams) -> None:
     diagonal (at the corners (eps, eps) among others) and bottoms out at
     the far corners.  A bilinear table is linear along each axis inside a
     cell, so its extremes lie on cell corners: its nodes, and the domain's
-    ends where they cut its cells.
+    ends where they cut its cells.  A bump's width of 0 or NaN defines no U
+    and is refused by name; an infinite width gives a constant, and a
+    negative one acts as its absolute value.
     """
     lo, hi = params.epsilon_cutoff, params.hbar_omega_d
+    if isinstance(spec, GaussianBumpPotential) and not abs(spec.width) > 0.0:
+        raise PotentialError(f"bump width = {spec.width!r} must be nonzero and not NaN")
     if isinstance(spec, TablePotential):
         for name, nodes in (("x_nodes", spec.x_nodes), ("xi_nodes", spec.xi_nodes)):
             if nodes.ndim != 1 or nodes.size < 2 or not np.all(np.diff(nodes) > 0):

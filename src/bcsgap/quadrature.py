@@ -1,29 +1,25 @@
 """Composite Gauss-Legendre integration and numerically safe integrand kernels.
 
-Every integral in the package goes through this module, so accuracy is
-controlled in one place.  The kernels below are written to stay exact in
-double precision over the full argument range met in practice (saturated
-tanh at low temperature, near-cancellation of the curvature kernel at
-small argument).
+Every quadrature rule and every gap-equation kernel in the package comes
+from this module, so accuracy is controlled in one place; callers sum
+``weights @ values`` on the rules themselves.  The kernels below are
+written to stay exact in double precision over the full argument range met
+in practice (saturated tanh at low temperature, near-cancellation of the
+curvature kernel at small argument).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, TYPE_CHECKING
+from typing import Callable
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .model import EnergyGrid
-
 __all__ = [
     "gauss_legendre_panels",
-    "integrate",
     "adaptive_integrate",
     "gap_kernel",
     "kernel_jet",
-    "tanh_half_identity",
     "sech",
     "gap_curvature",
 ]
@@ -64,18 +60,6 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     xg.flags.writeable = False
     wg.flags.writeable = False
     return xg, wg
-
-
-def integrate(values: np.ndarray, grid: "EnergyGrid") -> float:
-    """Weighted sum of integrand samples aligned with the grid nodes."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.nodes.shape:
-        raise ValueError(
-            f"integrand length {values.shape} does not match grid {grid.nodes.shape}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand contains non-finite values")
-    return float(np.dot(grid.weights, values))
 
 
 def adaptive_integrate(
@@ -181,21 +165,6 @@ def sech(z):
     z = np.asarray(z, dtype=float)
     ez = np.exp(-np.abs(z))
     return 2.0 * ez / (1.0 + ez * ez)
-
-
-def tanh_half_identity(z: float) -> float:
-    """Residual |1 - tanh(z/2) - 2/(e^z + 1)|, zero in exact arithmetic.
-
-    This cancellation is what makes the first temperature derivative of the
-    thermodynamic potential difference vanish at the transition.  The Fermi
-    factor is evaluated through e^{-z} so the residual stays at rounding
-    level even for large z.
-    """
-    if z < 0:
-        raise ValueError("z must be nonnegative")
-    ez = np.exp(-z)
-    fermi2 = 2.0 * ez / (1.0 + ez)
-    return float(abs(1.0 - np.tanh(0.5 * z) - fermi2))
 
 
 # Even Taylor coefficients of the curvature kernel about eta = 0, exact

@@ -476,7 +476,7 @@ def implicit_slope_v(U: float, params: PhysicalParams) -> float:
 
 @dataclass(frozen=True)
 class EnvelopeCurve:
-    """Constant-coupling gap curve Delta(T) on [0, tau], zero beyond.
+    """Constant-coupling gap curve Delta(T) sampled on [0, tau], zero beyond.
 
     ``reference_nodes`` is the size of the rule it was solved on, and
     ``quadrature_bound`` the largest Q(T) over its solved temperatures,
@@ -490,12 +490,6 @@ class EnvelopeCurve:
     delta0: float
     reference_nodes: int
     quadrature_bound: float
-
-    def __call__(self, T: float) -> float:
-        """Interpolated gap value; exactly 0 for T > tau (zero extension)."""
-        if T > self.tau:
-            return 0.0
-        return float(np.interp(T, self.t_nodes, self.delta_values))
 
 
 def envelope_curve(U: float, params: PhysicalParams) -> EnvelopeCurve:

@@ -370,6 +370,8 @@ def solve_surface(
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     unit_offsets = lattice_offsets(t_resolution, span_decades)
     t_c = spectral_tc(op, params)
 

@@ -349,6 +349,8 @@ def test_thermo_refuses_a_coarse_lattice_before_solving(
         ("solver.tol", "-1e-9", "tol must be nonnegative"),
         ("solver.span_decades", "0", "span_decades must be positive"),
         ("solver.span_decades", "-1", "span_decades must be positive"),
+        ("solver.max_iter", "0", "max_iter must be at least 1, got 0"),
+        ("solver.max_iter", "-5", "max_iter must be at least 1, got -5"),
     ],
 )
 @pytest.mark.parametrize("command", ["solve", "thermo"])
@@ -356,13 +358,12 @@ def test_bad_lattice_or_tolerance_is_refused_before_solving(
     command, setting, value, message, tmp_path, monkeypatch, capsys
 ):
     # a negative tol would spend the whole iteration budget on the first
-    # node, and a span of no decades would put every node at tau1
+    # node, a span of no decades would put every node at tau1, and a budget
+    # below one is no failure to converge
     located: list[tuple] = []
     monkeypatch.setattr(solver, "spectral_tc", lambda *args: located.append(args))
-    lines = [
-        f"{setting} = {value}" if line.startswith(setting) else line
-        for line in BASE_CONFIG.splitlines()
-    ]
+    lines = [line for line in BASE_CONFIG.splitlines() if not line.startswith(setting)]
+    lines.append(f"{setting} = {value}")
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("\n".join(lines) + f"\noutput.dir = {tmp_path / 'out'}\n")
     assert main([command, str(cfg_path)]) == EXIT_BAD_CONFIG
@@ -439,6 +440,18 @@ grid.order = 10
 solver.t_resolution = 4
 solver.span_decades = 1.0
 """
+
+
+@pytest.mark.parametrize("width", ["0.0", "nan"])
+def test_a_bump_of_no_width_is_refused_by_name(width, tmp_path, capsys):
+    # refused before U is evaluated, so no RuntimeWarning (an error here)
+    cfg_path = tmp_path / "bump.cfg"
+    cfg_path.write_text(
+        BUMP_CONFIG.replace("width = 0.125", f"width = {width}")
+        + f"output.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["solve", str(cfg_path)]) == EXIT_BAD_CONFIG
+    assert f"bump width = {width} must be nonzero and not NaN" in capsys.readouterr().err
 
 
 def test_solve_reports_the_bump_factorisation(tmp_path, monkeypatch):

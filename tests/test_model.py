@@ -11,13 +11,12 @@ from bcsgap.model import (
     TablePotential,
     build_grid,
     coupling_margin_bounds,
-    eval_potential,
     load_potential_table_csv,
     make_params,
     potential_matrix,
     validate_potential,
 )
-from bcsgap.quadrature import gap_kernel, integrate
+from bcsgap.quadrature import gap_kernel
 
 
 def test_make_params_accepts_default_style_values():
@@ -56,23 +55,15 @@ def test_coupling_margin_bounds():
     assert u2 == pytest.approx(0.309, rel=1e-15)
 
 
-def test_eval_potential_constant(params):
+def test_eval_potential_constant():
     pot = ConstantPotential(0.3)
     for x, xi in [(0.005, 0.005), (0.3, 0.9), (1.0, 1.0)]:
-        assert eval_potential(pot, x, xi, params) == 0.3
+        assert potential_matrix(pot, x, xi)[0, 0] == 0.3
 
 
-def test_eval_potential_gaussian_on_diagonal(params):
+def test_eval_potential_gaussian_on_diagonal():
     pot = GaussianBumpPotential(base=0.30, amplitude=0.005, width=0.2)
-    assert eval_potential(pot, 0.4, 0.4, params) == pytest.approx(0.305, rel=1e-15)
-
-
-def test_eval_potential_rejects_out_of_domain(params):
-    pot = ConstantPotential(0.3)
-    with pytest.raises(PotentialError, match="outside the energy domain"):
-        eval_potential(pot, 0.001, 0.5, params)
-    with pytest.raises(PotentialError):
-        eval_potential(pot, 0.5, 1.5, params)
+    assert potential_matrix(pot, 0.4, 0.4)[0, 0] == pytest.approx(0.305, rel=1e-15)
 
 
 def _example_table(params):
@@ -92,8 +83,8 @@ def test_table_interpolation_faithful_at_nodes(params):
 def test_table_evaluation_continuous_between_nodes(params):
     table = _example_table(params)
     x0, x1 = table.x_nodes[1], table.x_nodes[2]
-    left = eval_potential(table, (x0 * 0.5 + x1 * 0.5) - 1e-10, 0.4, params)
-    right = eval_potential(table, (x0 * 0.5 + x1 * 0.5) + 1e-10, 0.4, params)
+    mid = x0 * 0.5 + x1 * 0.5
+    left, right = potential_matrix(table, [mid - 1e-10, mid + 1e-10], 0.4)[:, 0]
     assert abs(left - right) < 1e-8
 
 
@@ -103,6 +94,19 @@ def test_validate_potential_band(params):
         validate_potential(ConstantPotential(0.309), params)  # not strictly inside
     with pytest.raises(PotentialError, match="open coupling band"):
         validate_potential(ConstantPotential(0.5), params)
+
+
+@pytest.mark.parametrize("width", [0.0, math.nan])
+def test_validate_potential_refuses_a_bump_of_no_width(width, params):
+    # width 0 or NaN defines no U: the parent evaluated it anyway, warned
+    # and reported the range [nan, nan]
+    with pytest.raises(PotentialError, match=r"bump width = (0\.0|nan) must be nonzero"):
+        validate_potential(GaussianBumpPotential(0.3, 0.005, width), params)
+
+
+@pytest.mark.parametrize("width", [math.inf, -0.2])
+def test_validate_potential_accepts_an_infinite_or_negative_width(width, params):
+    validate_potential(GaussianBumpPotential(0.3, 0.005, width), params)
 
 
 def test_validate_potential_table_nodes(params):
@@ -274,8 +278,8 @@ def test_build_grid_two_point_panel(params):
 def test_build_grid_weight_sum_and_moments(grid, params):
     a, b = params.epsilon_cutoff, params.hbar_omega_d
     assert grid.weights.sum() == pytest.approx(b - a, rel=1e-12)
-    assert integrate(grid.nodes, grid) == pytest.approx((b * b - a * a) / 2, rel=1e-14)
-    assert integrate(grid.nodes**2, grid) == pytest.approx((b**3 - a**3) / 3, rel=1e-12)
+    assert grid.weights @ grid.nodes == pytest.approx((b * b - a * a) / 2, rel=1e-14)
+    assert grid.weights @ grid.nodes**2 == pytest.approx((b**3 - a**3) / 3, rel=1e-12)
 
 
 def test_build_grid_validates_arguments(params):
@@ -290,8 +294,8 @@ def test_grid_doubling_stable_for_gap_integrand(params):
     coarse = build_grid(params, panels=16, order=10)
     fine = build_grid(params, panels=32, order=10)
     for t in (0.03, 0.034, 0.038, 0.042, 0.05):
-        i_coarse = integrate(gap_kernel(coarse.nodes, 0.0, t), coarse)
-        i_fine = integrate(gap_kernel(fine.nodes, 0.0, t), fine)
+        i_coarse = coarse.weights @ gap_kernel(coarse.nodes, 0.0, t)
+        i_fine = fine.weights @ gap_kernel(fine.nodes, 0.0, t)
         assert abs(i_fine - i_coarse) <= max(1e-12, 1e-10 * abs(i_fine))
 
 
