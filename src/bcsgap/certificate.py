@@ -21,11 +21,17 @@ envelope root only at a new cell edge.  alpha is the largest point value
 found, and ``alpha_integrand`` gives that value at its (T, x); upper is
 a bound, rounding included.  A certificate exists
 when upper is below one; else the search reports failure with
-diagnostics.  Both entry points take T_c from the caller (``bcsgap
-certify`` locates it with ``gap_operator.spectral_tc``, ``bcsgap thermo``
-passes the solved surface's).  The surface solve does not use the
-outcome; ``thermo.build_thermo_report`` decides the alpha it reports from
-it.
+diagnostics.
+
+The entry points take the ``GapOperator`` and read the potential and the
+grid from it, so the bound is the one of the operator that the solve
+iterates.  They evaluate U with ``model.potential_matrix`` at their own x
+points, not through the operator's factors, so the factors' ``error``
+never enters upper.  They take T_c from the caller (``bcsgap certify``
+locates it with ``gap_operator.spectral_tc`` on the same operator,
+``bcsgap thermo`` passes the solved surface's).  The surface solve does
+not use the outcome; ``thermo.build_thermo_report`` decides the alpha it
+reports from it.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gap_operator import GapOperator
 from .model import (
     ConstantPotential,
     EnergyGrid,
@@ -125,19 +132,14 @@ class AlphaResult:
 
 
 def alpha_integrand(
-    T: float,
-    x: float,
-    tau: float,
-    potential: PotentialSpec,
-    params: PhysicalParams,
-    grid: EnergyGrid,
+    T: float, x: float, tau: float, op: GapOperator, params: PhysicalParams
 ) -> float:
     """Value of the contraction bound at one (T, x) pair, summed as
     ``compute_alpha`` sums every point value."""
     d2tau, d2 = solve_delta_many(params.u_upper, [tau, T], params).tolist()
     prefactor = d2tau**2 / (2.0 * params.epsilon_cutoff**2)
-    urows = potential_matrix(potential, x, grid.nodes)
-    return float(_point_values(urows, *_kernel_rows(grid, T, d2), prefactor)[0])
+    urows = potential_matrix(op.potential, x, op.grid.nodes)
+    return float(_point_values(urows, *_kernel_rows(op.grid, T, d2), prefactor)[0])
 
 
 def _kernel_rows(
@@ -218,8 +220,8 @@ class _Enclosure:
     (the best-first search of Moore and Skelboe).
     """
 
-    def __init__(self, tau, t_c, potential, params, grid):
-        self.potential, self.params, self.grid = potential, params, grid
+    def __init__(self, tau, t_c, op, params):
+        self.potential, self.grid, self.params = op.potential, op.grid, params
         roots, lo, hi = _solve_windows(params.u_upper, [tau, t_c], params)
         self.delta2 = roots.tolist()
         self.delta2_tau_hi = float(hi[0])
@@ -232,9 +234,9 @@ class _Enclosure:
         self.mid_edges: dict[tuple[int, int], int] = {}
         lo_x, hi_x = params.epsilon_cutoff, params.hbar_omega_d
         # and a table's nodes inside, where its bound can peak
-        inner = extreme_points(potential, 0, lo_x, hi_x)[1:-1]
+        inner = extreme_points(self.potential, 0, lo_x, hi_x)[1:-1]
         self.x = np.sort(np.concatenate((np.linspace(lo_x, hi_x, _N_X), inner)))
-        self.urows = potential_matrix(potential, self.x, grid.nodes)
+        self.urows = potential_matrix(self.potential, self.x, self.grid.nodes)
         self.values = np.empty((0, self.x.size))
         for T, d2, lo_w in zip([tau, t_c], roots.tolist(), lo.tolist()):
             self._add_edge(T, d2, lo_w)
@@ -327,12 +329,7 @@ class _Enclosure:
 
 
 def compute_alpha(
-    tau: float,
-    potential: PotentialSpec,
-    params: PhysicalParams,
-    grid: EnergyGrid,
-    *,
-    t_c: float,
+    tau: float, op: GapOperator, params: PhysicalParams, *, t_c: float
 ) -> AlphaResult:
     """Enclosure [alpha, upper] of the contraction bound's maximum over
     [tau, T_c] x [eps, hbar_omega_d].
@@ -358,13 +355,12 @@ def compute_alpha(
     """
     if not tau < t_c:
         raise ValueError(f"need tau < T_c, got tau={tau!r} >= T_c={t_c!r}")
-    return _Enclosure(tau, t_c, potential, params, grid).run()
+    return _Enclosure(tau, t_c, op, params).run()
 
 
 def search_certificate(
-    potential: PotentialSpec,
+    op: GapOperator,
     params: PhysicalParams,
-    grid: EnergyGrid,
     *,
     t_c: float,
     coupling_margin: float | None = None,
@@ -394,13 +390,13 @@ def search_certificate(
         # Delta2(tau) < eps must hold for the root, not only for its point
         return result.upper < 1.0 and result.delta2_at_tau_upper < params.epsilon_cutoff
 
-    best = compute_alpha(float(taus[-1]), potential, params, grid, t_c=t_c)
+    best = compute_alpha(float(taus[-1]), op, params, t_c=t_c)
     best_tau = float(taus[-1])
     certified: tuple[float, AlphaResult] | None = None
     if certifies(best):
         certified = (best_tau, best)
         for tau in taus[:-1]:  # smallest upward: widest certified interval wins
-            result = compute_alpha(float(tau), potential, params, grid, t_c=t_c)
+            result = compute_alpha(float(tau), op, params, t_c=t_c)
             if certifies(result):
                 certified = (float(tau), result)
                 break

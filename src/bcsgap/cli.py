@@ -9,8 +9,9 @@ Config format: flat ``key = value`` text with dotted section prefixes and
     potential.u0 = 0.3
 
 Exit codes: 0 ok, 2 certificate failure, 3 non-convergence, 4 invalid
-config.  Re-running a command with the same config produces byte-identical
-output; nothing here draws randomness.
+config, unreadable input file or unusable output directory.  Re-running a
+command with the same config produces byte-identical output; nothing here
+draws randomness.
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ _KNOWN_KEYS = {
     "seed": int,
 }
 
+# the potential.* keys that each variant reads
+_VARIANT_KEYS = {
+    "constant": ("u0",),
+    "gaussian_bump": ("base", "amplitude", "width"),
+    "table": ("csv",),
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -87,11 +95,7 @@ def _require(cfg: dict[str, object], key: str):
 def parse_config(path: str | Path) -> dict[str, object]:
     """Parse a flat key = value config file; unknown keys are rejected."""
     raw: dict[str, object] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -118,9 +122,16 @@ def build_inputs(
 
     For constant potentials without explicit coupling bounds, a strict
     margin band is imposed; the margin used is returned for the record.
-    The bounds params.u1 and params.u2 are set together or not at all.
+    The bounds params.u1 and params.u2 are set together or not at all, and
+    a potential.* key that the variant does not read is refused.
     """
     variant = str(cfg.get("potential.variant", "constant"))
+    if variant not in _VARIANT_KEYS:
+        raise ConfigError(f"unknown potential.variant {variant!r}")
+    for key in cfg:
+        section, _, name = key.partition(".")
+        if section == "potential" and name not in ("variant", *_VARIANT_KEYS[variant]):
+            raise ConfigError(f"potential.variant {variant!r} does not read {key}")
     margin_used: float | None = None
 
     if variant == "constant":
@@ -132,10 +143,8 @@ def build_inputs(
             amplitude=float(_require(cfg, "potential.amplitude")),
             width=float(_require(cfg, "potential.width")),
         )
-    elif variant == "table":
-        potential = load_potential_table_csv(str(_require(cfg, "potential.csv")))
     else:
-        raise ConfigError(f"unknown potential.variant {variant!r}")
+        potential = load_potential_table_csv(str(_require(cfg, "potential.csv")))
 
     has_u1, has_u2 = "params.u1" in cfg, "params.u2" in cfg
     if has_u1 != has_u2:
@@ -193,9 +202,9 @@ def cmd_simple(cfg: dict[str, object]) -> int:
 def cmd_certify(cfg: dict[str, object]) -> int:
     params, potential, grid, margin = build_inputs(cfg)
     out = _outdir(cfg)
-    t_c = spectral_tc(as_operator(potential, grid), params)
+    op = as_operator(potential, grid)
     outcome = search_certificate(
-        potential, params, grid, t_c=t_c, coupling_margin=margin
+        op, params, t_c=spectral_tc(op, params), coupling_margin=margin
     )
     atomic_write_text(out / "certificate.txt", format_certificate_report(outcome))
     return EXIT_OK if isinstance(outcome, ContractionCertificate) else EXIT_CERTIFICATE
@@ -254,7 +263,7 @@ def cmd_thermo(cfg: dict[str, object]) -> int:
     require_resolution(*_lattice(cfg))
     params, surface = _solve(cfg)
     grid = surface.op.grid
-    outcome = search_certificate(surface.op.potential, params, grid, t_c=surface.t_c)
+    outcome = search_certificate(surface.op, params, t_c=surface.t_c)
     report = build_thermo_report(surface, params, outcome)
     out = _outdir(cfg)
     write_csv(out / "psi.csv", ["T", "psi"], zip(report.t_nodes, report.psi_values))
@@ -331,7 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:  # ConfigError, ParamsError and PotentialError too
+    # ConfigError, ParamsError and PotentialError are ValueErrors; an OSError
+    # (an unreadable file, an unusable output directory) names its path
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

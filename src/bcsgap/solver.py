@@ -68,8 +68,10 @@ _SCREEN_FLOOR = 0.5
 _GMRES_RTOL = 1e-10
 _GMRES_MAX_DIM = 40
 # newton_seed stops once ||A u - u|| is at most this many eps * max|u|, its
-# rounding floor (measured: up to 4.5 at 160 nodes and 6.7 at 640)
+# rounding floor (measured: up to 4.5 at 160 nodes and 6.7 at 640) ...
 _NEWTON_FLOOR_ULPS = 8.0
+# ... or after this many operator applications
+_NEWTON_MAX_STEPS = 100
 
 
 class ConvergenceError(RuntimeError):
@@ -145,8 +147,10 @@ def picard_solve(
     probes from the lower envelope.  The zero field is always a fixed point
     and a negative start heads for -u*, so a start must be finite,
     nonnegative and positive somewhere, or ``ValueError`` is raised, as it
-    is for T <= 0.
+    is for T <= 0 and for ``max_iter`` < 1.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     u = _start(T, op, params, initial)
     if not _proves_ordered_phase(op, u, T):
         radius = spectral_radius(T, op).radius
@@ -253,7 +257,6 @@ def newton_seed(
     T: float,
     op: GapOperator,
     params: PhysicalParams,
-    max_iter: int = 100,
     initial: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Newton iterate for F(u) = u - A u, to start ``picard_solve`` from.
@@ -264,7 +267,7 @@ def newton_seed(
     through the factors of W.  Starts from ``initial``, or from the upper
     envelope when it is None.  Stops once the residual ||A u - u|| is at
     its rounding floor, 8 eps max|u|; once it fails to halve (if Newton
-    stops converging fast); or after ``max_iter`` operator applications.
+    stops converging fast); or after 100 operator applications.
     Returns the iterate with the smallest residual and the number of
     operator applications made.
 
@@ -275,7 +278,7 @@ def newton_seed(
     best, best_residual = u, np.inf
     previous = np.inf
     floor = _NEWTON_FLOOR_ULPS * np.finfo(float).eps
-    for n in range(1, max_iter + 1):
+    for n in range(1, _NEWTON_MAX_STEPS + 1):
         step = op.apply(u, T) - u
         residual = float(np.max(np.abs(step)))
         if residual < best_residual:
@@ -287,7 +290,7 @@ def newton_seed(
         previous = residual
         _, jac = kernel_jet(op.grid.nodes**2, u * u, T, "u")
         u = u + _gmres(lambda v: v - op.jacobian_action(jac, v), step)
-    return best, max_iter
+    return best, _NEWTON_MAX_STEPS
 
 
 def _gmres(matvec, b: np.ndarray) -> np.ndarray:
@@ -363,8 +366,8 @@ def solve_surface(
     the seed is not finite and positive, ``picard_solve`` starts from the
     upper envelope instead.  A zero row below T_c (a node inside the
     zero-phase slack) raises ``ValueError`` naming T, T_c - T and the span.
-    ``max_iter`` bounds the operator applications of both stages together,
-    per node.  Each node's ``SolveTrace`` records the Collatz-Wielandt rate
+    ``max_iter`` bounds the Picard steps per node; Newton stops on its own.
+    Each node's ``SolveTrace`` records the Collatz-Wielandt rate
     bound its stop was accepted on; the contraction constant reported with
     the thermodynamics comes from ``thermo.build_thermo_report``.
     """
@@ -400,12 +403,10 @@ def solve_surface(
             rows[-1] * math.sqrt((t_c - T) / (t_c - float(t_nodes[i - 1])))
             if rows else None
         )
-        seed, steps = newton_seed(T, op, params, max_iter=max_iter, initial=start)
+        seed, steps = newton_seed(T, op, params, initial=start)
         if not (np.all(np.isfinite(seed)) and np.all(seed > 0.0)):
             seed = None
-        u, trace = picard_solve(
-            T, op, params, tol=tol, max_iter=max_iter - steps, initial=seed
-        )
+        u, trace = picard_solve(T, op, params, tol=tol, max_iter=max_iter, initial=seed)
         if not u.values.any():
             raise ValueError(
                 f"the row at T = {T!r}, T_c - T = {t_c - T:.3e}, came back zero below T_c "

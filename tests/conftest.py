@@ -45,12 +45,12 @@ def gauss_op(gauss_potential, grid):
 
 
 @pytest.fixture(scope="session")
-def _const_solve(const_potential, const_op, params, grid):
+def _const_solve(const_op, params):
     """Default-config surface and certificate search, as ``bcsgap thermo``
     runs them; their joint wall time is kept for the runtime gate."""
     t0 = time.perf_counter()
     surface = solve_surface(const_op, params)
-    outcome = search_certificate(const_potential, params, grid, t_c=surface.t_c)
+    outcome = search_certificate(surface.op, params, t_c=surface.t_c)
     elapsed = time.perf_counter() - t0
     return surface, outcome, elapsed
 

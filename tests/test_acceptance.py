@@ -61,7 +61,7 @@ def test_criterion_02_certificate_branch(
     # the Lipschitz bound computed by the same machinery dominates the
     # empirical two-field ratios and every node's rate bound
     tau1 = tau_root(params.u_lower, params)
-    bound = compute_alpha(tau1, const_potential, params, grid, t_c=surface.t_c).alpha
+    bound = compute_alpha(tau1, surface.op, params, t_c=surface.t_c).alpha
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(200):

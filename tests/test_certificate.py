@@ -56,14 +56,14 @@ def test_envelope_term_below_one_everywhere(const_potential, params, grid):
             assert _envelope_term(float(t), float(x), const_potential, params, grid) < 1.0
 
 
-def test_cutoff_term_vanishes_as_envelope_drops(const_potential, params, grid):
+def test_cutoff_term_vanishes_as_envelope_drops(const_potential, const_op, params, grid):
     # the second half of the bound scales as Delta2(tau)^2
     t_c = tau_root(0.3, params)
     tau2 = tau_root(params.u_upper, params)
     taus = [t_c, 0.5 * (t_c + tau2), tau2 * 0.999]
     seconds = []
     for tau in taus:
-        total = alpha_integrand(t_c, 0.4, tau, const_potential, params, grid)
+        total = alpha_integrand(t_c, 0.4, tau, const_op, params)
         seconds.append(total - _envelope_term(t_c, 0.4, const_potential, params, grid))
     d2s = [solve_delta(params.u_upper, tau, params) for tau in taus]
     assert seconds[0] > seconds[1] > seconds[2] >= 0.0
@@ -71,12 +71,10 @@ def test_cutoff_term_vanishes_as_envelope_drops(const_potential, params, grid):
     assert seconds[1] / seconds[0] == pytest.approx((d2s[1] / d2s[0]) ** 2, rel=1e-9)
 
 
-def test_compute_alpha_reports_large_bound_on_default_config(
-    const_potential, params, grid, const_surface
-):
+def test_compute_alpha_reports_large_bound_on_default_config(params, const_surface):
     surface, _ = const_surface
     tau1 = tau_root(params.u_lower, params)
-    result = compute_alpha(tau1, const_potential, params, grid, t_c=surface.t_c)
+    result = compute_alpha(tau1, surface.op, params, t_c=surface.t_c)
     # Delta2(tau1) >> eps: the cutoff term dominates and the bound is >> 1,
     # reported rather than raised
     assert result.alpha > 1.0
@@ -84,22 +82,20 @@ def test_compute_alpha_reports_large_bound_on_default_config(
     assert params.epsilon_cutoff <= result.x_at_max <= params.hbar_omega_d
 
 
-def test_compute_alpha_nonincreasing_in_tau(const_potential, params, grid, const_surface):
+def test_compute_alpha_nonincreasing_in_tau(params, const_surface):
     surface, _ = const_surface
     tau1 = tau_root(params.u_lower, params)
-    a_lo = compute_alpha(tau1, const_potential, params, grid, t_c=surface.t_c)
-    a_hi = compute_alpha(
-        0.5 * (tau1 + surface.t_c), const_potential, params, grid, t_c=surface.t_c
-    )
+    a_lo = compute_alpha(tau1, surface.op, params, t_c=surface.t_c)
+    a_hi = compute_alpha(0.5 * (tau1 + surface.t_c), surface.op, params, t_c=surface.t_c)
     assert a_hi.alpha <= a_lo.alpha
 
 
-def test_compute_alpha_rejects_degenerate_interval(const_potential, params, grid, const_surface):
+def test_compute_alpha_rejects_degenerate_interval(params, const_surface):
     surface, _ = const_surface
     with pytest.raises(ValueError, match="tau"):
-        compute_alpha(surface.t_c, const_potential, params, grid, t_c=surface.t_c)
+        compute_alpha(surface.t_c, surface.op, params, t_c=surface.t_c)
     with pytest.raises(ValueError, match="tau"):
-        compute_alpha(surface.t_c * 1.01, const_potential, params, grid, t_c=surface.t_c)
+        compute_alpha(surface.t_c * 1.01, surface.op, params, t_c=surface.t_c)
 
 
 def test_search_fails_on_default_config_with_diagnostics(default_search_outcome, params):
@@ -131,9 +127,8 @@ def test_search_fails_even_for_near_top_coupling(grid):
     # well below the cutoff, yet the bound still lands just above one --
     # the cutoff term's growth always outpaces the envelope-term gap
     params = make_params(1.0, 0.005, 1.0, 0.291, 0.309)
-    pot = ConstantPotential(0.309 - 1e-6)
-    t_c = spectral_tc(as_operator(pot, grid), params)
-    outcome = search_certificate(pot, params, grid, t_c=t_c)
+    op = as_operator(ConstantPotential(0.309 - 1e-6), grid)
+    outcome = search_certificate(op, params, t_c=spectral_tc(op, params))
     assert isinstance(outcome, CertificateFailure)
     assert outcome.obstruction_ratio < 1.0  # envelope did drop below the cutoff
     assert 1.0 < outcome.best_alpha < 1.01  # but the bound stays above one
@@ -145,7 +140,7 @@ def test_contraction_bound_dominates_empirical_ratios(
     # Lipschitz property: even a bound >= 1 must dominate observed ratios
     surface, _ = const_surface
     tau1 = tau_root(params.u_lower, params)
-    bound = compute_alpha(tau1, const_potential, params, grid, t_c=surface.t_c)
+    bound = compute_alpha(tau1, surface.op, params, t_c=surface.t_c)
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(200):
@@ -192,29 +187,23 @@ def test_certificate_report_format_for_success_object():
         assert f"{key} = " in report
 
 
-def test_alpha_result_location_fields(const_potential, params, grid, const_surface):
+def test_alpha_result_location_fields(params, const_surface):
     surface, _ = const_surface
     tau1 = tau_root(params.u_lower, params)
-    result = compute_alpha(tau1, const_potential, params, grid, t_c=surface.t_c)
+    result = compute_alpha(tau1, surface.op, params, t_c=surface.t_c)
     assert isinstance(result, AlphaResult)
-    direct = alpha_integrand(
-        result.t_at_max, result.x_at_max, tau1, const_potential, params, grid
-    )
+    direct = alpha_integrand(result.t_at_max, result.x_at_max, tau1, surface.op, params)
     assert direct == result.alpha
 
 
-def test_bound_has_one_formula_on_default_config(
-    default_search_outcome, const_potential, params, grid
-):
+def test_bound_has_one_formula_on_default_config(default_search_outcome, const_op, params):
     # a constant coupling's bound does not depend on x, so every lattice row
     # ties and the first, x = eps, is reported; the one-point evaluator
     # returns the reported value itself, not one an ulp away
     outcome = default_search_outcome
     t_max, x_max = outcome.max_location
     assert x_max == params.epsilon_cutoff
-    direct = alpha_integrand(
-        t_max, x_max, outcome.best_tau, const_potential, params, grid
-    )
+    direct = alpha_integrand(t_max, x_max, outcome.best_tau, const_op, params)
     assert direct == outcome.best_alpha
 
 
@@ -228,7 +217,7 @@ def _skewed_table():
     )
 
 
-def _fine_scan(potential, tau, t_c, params, grid, n=1021):
+def _fine_scan(op, tau, t_c, params, n=1021):
     # largest bound on an n x n lattice of [tau, T_c] x [eps, hbar_omega_d],
     # summed by a BLAS product: its own rounding, not compute_alpha's
     ts = np.linspace(tau, t_c, n)
@@ -237,7 +226,8 @@ def _fine_scan(potential, tau, t_c, params, grid, n=1021):
     prefactor = solve_delta(params.u_upper, tau, params) ** 2 / (
         2.0 * params.epsilon_cutoff**2
     )
-    urows = potential_matrix(potential, xs, grid.nodes)
+    grid = op.grid
+    urows = potential_matrix(op.potential, xs, grid.nodes)
     best = (-np.inf, tau, xs[0])
     for t, d in zip(ts.tolist(), d2.tolist()):
         kernel = gap_kernel(grid.nodes, d * d, t)
@@ -260,12 +250,11 @@ def test_bound_encloses_a_fine_scan(potential, params, grid):
     # found must come within 1e-6 of that scan's maximum
     validate_potential(potential, params)
     tau1 = tau_root(params.u_lower, params)
-    t_c = spectral_tc(as_operator(potential, grid), params)
-    result = compute_alpha(tau1, potential, params, grid, t_c=t_c)
-    finest, t_at, x_at = _fine_scan(potential, tau1, t_c, params, grid)
-    assert alpha_integrand(t_at, x_at, tau1, potential, params, grid) == pytest.approx(
-        finest, rel=1e-13
-    )
+    op = as_operator(potential, grid)
+    t_c = spectral_tc(op, params)
+    result = compute_alpha(tau1, op, params, t_c=t_c)
+    finest, t_at, x_at = _fine_scan(op, tau1, t_c, params)
+    assert alpha_integrand(t_at, x_at, tau1, op, params) == pytest.approx(finest, rel=1e-13)
     assert params.epsilon_cutoff < result.x_at_max < params.hbar_omega_d
     assert (1.0 - 1e-6) * finest <= result.alpha <= result.upper
     assert finest <= result.upper
@@ -313,9 +302,8 @@ def test_table_cell_bound_takes_one_potential_matrix_call(params, grid, monkeypa
 
 
 def _bump_interval(params, grid):
-    bump = GaussianBumpPotential(base=0.3, amplitude=5e-3, width=0.1)
-    t_c = spectral_tc(as_operator(bump, grid), params)
-    return bump, tau_root(params.u_lower, params), t_c
+    op = as_operator(GaussianBumpPotential(base=0.3, amplitude=5e-3, width=0.1), grid)
+    return op, tau_root(params.u_lower, params), spectral_tc(op, params)
 
 
 def test_enclosure_closes_on_the_bump_with_few_roots(params, grid, monkeypatch):
@@ -330,7 +318,7 @@ def test_enclosure_closes_on_the_bump_with_few_roots(params, grid, monkeypatch):
         return real(U, Ts, params)
 
     monkeypatch.setattr(certificate, "_solve_windows", counting)
-    result = compute_alpha(tau1, bump, params, grid, t_c=t_c)
+    result = compute_alpha(tau1, bump, params, t_c=t_c)
     assert result.upper - result.alpha <= certificate._GAP * result.upper
     assert len(solved) <= 24
 
@@ -340,15 +328,13 @@ def test_enclosure_out_of_roots_still_bounds_a_fine_scan(params, grid, monkeypat
     # cannot be split; its bound is returned and still covers the maximum
     bump, tau1, t_c = _bump_interval(params, grid)
     monkeypatch.setattr(certificate, "_ROOT_BUDGET", 8)
-    result = compute_alpha(tau1, bump, params, grid, t_c=t_c)
-    finest = _fine_scan(bump, tau1, t_c, params, grid)[0]
+    result = compute_alpha(tau1, bump, params, t_c=t_c)
+    finest = _fine_scan(bump, tau1, t_c, params)[0]
     assert result.upper - result.alpha > certificate._GAP * result.upper
     assert result.alpha <= finest <= result.upper
 
 
-def test_enclosure_closes_on_a_constant_potential(
-    const_potential, params, grid, const_surface
-):
+def test_enclosure_closes_on_a_constant_potential(params, const_surface):
     # a constant coupling's bound peaks at (tau, eps), a cell corner; the
     # cells close to 1e-9 relative both over the search's first, narrow
     # interval and over the widest, [tau1, T_c]
@@ -356,7 +342,7 @@ def test_enclosure_closes_on_a_constant_potential(
     tau1 = tau_root(params.u_lower, params)
     narrow = surface.t_c - (surface.t_c - tau1) * 0.5**23
     for tau in (narrow, tau1):
-        result = compute_alpha(tau, const_potential, params, grid, t_c=surface.t_c)
+        result = compute_alpha(tau, surface.op, params, t_c=surface.t_c)
         assert (result.t_at_max, result.x_at_max) == (tau, params.epsilon_cutoff)
         assert result.alpha <= result.upper <= (1.0 + 1e-9) * result.alpha
         assert result.delta2_at_tau == solve_delta(params.u_upper, tau, params)
@@ -365,7 +351,7 @@ def test_enclosure_closes_on_a_constant_potential(
 
 @pytest.mark.parametrize("upper, certified", [(0.75, True), (1.0, False)])
 def test_search_certifies_on_the_upper_bound_only(
-    upper, certified, const_potential, params, grid, monkeypatch
+    upper, certified, const_op, params, monkeypatch
 ):
     # no envelope family here comes near a bound below one, so the search's
     # decision is checked on a stand-in enclosure: a point value below one
@@ -380,7 +366,7 @@ def test_search_certifies_on_the_upper_bound_only(
         )
 
     monkeypatch.setattr(certificate, "compute_alpha", enclosure)
-    outcome = search_certificate(const_potential, params, grid, t_c=t_c)
+    outcome = search_certificate(const_op, params, t_c=t_c)
     if certified:
         tau1 = tau_root(params.u_lower, params)
         assert isinstance(outcome, ContractionCertificate)
@@ -394,7 +380,7 @@ def test_search_certifies_on_the_upper_bound_only(
 
 @pytest.mark.parametrize("window_top, certified", [(0.999, True), (1.0, False)])
 def test_search_certifies_on_the_window_of_delta2_at_tau(
-    window_top, certified, const_potential, params, grid, monkeypatch
+    window_top, certified, const_op, params, monkeypatch
 ):
     # Delta2(tau) < epsilon must hold for the whole window proven around the
     # root: a stand-in enclosure with upper < 1 and its point below epsilon
@@ -410,7 +396,7 @@ def test_search_certifies_on_the_window_of_delta2_at_tau(
         )
 
     monkeypatch.setattr(certificate, "compute_alpha", enclosure)
-    outcome = search_certificate(const_potential, params, grid, t_c=t_c)
+    outcome = search_certificate(const_op, params, t_c=t_c)
     assert isinstance(outcome, ContractionCertificate) == certified
     if not certified:
         assert isinstance(outcome, CertificateFailure)

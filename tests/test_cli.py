@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import math
 import pkgutil
 import subprocess
@@ -139,15 +140,15 @@ def test_cmd_certify_reports_failure(tmp_path):
 
 
 def test_certify_reports_an_unproven_bound_as_infinite(
-    tmp_path, monkeypatch, params, grid, const_potential
+    tmp_path, monkeypatch, params, const_op
 ):
     # with no widening allowed, no root window proves a side: Delta2(tau)
     # has no upper edge, so the bound has none either; the search still
     # reports failure, and certificate.txt an alpha_upper float() reads
     monkeypatch.setattr(simple_gap, "_WINDOW_WIDENINGS", 0)
-    t_c = spectral_tc(as_operator(const_potential, grid), params)
+    t_c = spectral_tc(const_op, params)
     tau = 0.5 * (tau_root(params.u_lower, params) + t_c)
-    result = certificate.compute_alpha(tau, const_potential, params, grid, t_c=t_c)
+    result = certificate.compute_alpha(tau, const_op, params, t_c=t_c)
     assert result.upper == math.inf and 1.0 < result.alpha < math.inf
     cfg_path = _write_config(tmp_path, f"output.dir = {tmp_path / 'out'}\n")
     assert main(["certify", str(cfg_path)]) == EXIT_CERTIFICATE
@@ -274,11 +275,78 @@ def test_a_bad_table_exits_as_a_bad_config(rows, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
-def test_exit_code_non_convergence(tmp_path):
-    cfg_path = _write_config(
-        tmp_path, f"solver.max_iter = 5\noutput.dir = {tmp_path / 'out'}\n"
+BUMP_KEYS = """\
+potential.base = 0.3
+potential.amplitude = 0.05
+potential.width = 0.05
+params.u1 = 0.2
+params.u2 = 0.4
+"""
+
+
+@pytest.mark.parametrize(
+    "variant, stray, message",
+    [
+        # no variant line: the default, constant, reads u0 alone
+        ("", "", "potential.variant 'constant' does not read potential.base"),
+        (
+            "potential.variant = gaussian_bump\n",
+            "potential.u0 = 0.5\npotential.csv = nonexistent.csv\n",
+            "potential.variant 'gaussian_bump' does not read potential.u0",
+        ),
+    ],
+    ids=["constant-with-bump-keys", "bump-with-constant-and-table-keys"],
+)
+def test_a_key_of_another_variant_is_refused_by_name(
+    variant, stray, message, tmp_path, capsys
+):
+    # the parent ran the first as the constant 0.3 and ignored the bump keys
+    base = BASE_CONFIG.replace("potential.variant = constant\n", "")
+    if variant:
+        base = base.replace("potential.u0 = 0.3\n", "")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        base + variant + BUMP_KEYS + stray + f"output.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["certify", str(cfg_path)]) == EXIT_BAD_CONFIG
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_missing_table_file_exits_as_a_bad_config(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.csv"
+    cfg_path = tmp_path / "table.cfg"
+    cfg_path.write_text(TABLE_CONFIG + f"potential.csv = {missing}\n")
+    assert main(["certify", str(cfg_path)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simple", "gcheck"])
+def test_an_unusable_output_directory_exits_as_a_bad_config(command, tmp_path, capsys):
+    # an output directory below a regular file cannot be made
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    if command == "gcheck":
+        argv = ["gcheck", "--out", str(out)]
+    else:
+        argv = [command, str(_write_config(tmp_path, f"output.dir = {out}\n"))]
+    assert main(argv) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+
+
+def test_exit_code_non_convergence(tmp_path, capsys):
+    # at tol = 0 only a step of exactly zero stops, so one Picard step runs out
+    cfg_path = tmp_path / "exact.cfg"
+    cfg_path.write_text(
+        BASE_CONFIG.replace("solver.tol = 1e-9", "solver.tol = 0")
+        + f"solver.max_iter = 1\noutput.dir = {tmp_path / 'out'}\n"
     )
     assert main(["solve", str(cfg_path)]) == EXIT_NO_CONVERGENCE
+    assert "after 1 iterations" in capsys.readouterr().err
 
 
 def test_solve_certifies_every_node_through_picard(tmp_path, monkeypatch):
@@ -381,12 +449,12 @@ def test_zero_tolerance_is_accepted(tmp_path):
 
 
 def _count_searches(monkeypatch) -> list[dict]:
-    # every package binding of search_certificate, counted with its keywords
+    # every package binding of search_certificate, counted with its arguments
     calls: list[dict] = []
     real = certificate.search_certificate
 
     def counting(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
         return real(*args, **kwargs)
 
     modules = [bcsgap] + [
@@ -413,6 +481,34 @@ def test_only_thermo_runs_the_certificate_search(
     if searches:
         summary = (out / "thermo_summary.txt").read_text()
         assert f"t_c = {cli.fmt(calls[0]['t_c'])}\n" in summary
+
+
+@pytest.mark.parametrize("command, code", [("certify", EXIT_CERTIFICATE), ("thermo", EXIT_OK)])
+def test_the_search_gets_the_operator_the_command_built(
+    command, code, tmp_path, monkeypatch
+):
+    # certify builds one operator and hands it to T_c location and to the
+    # search; thermo hands over the operator its surface was solved with
+    built, located = [], []
+    real_build, real_tc = cli.as_operator, cli.spectral_tc
+
+    def building(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    def locating(op, params):
+        located.append(op)
+        return real_tc(op, params)
+
+    monkeypatch.setattr(cli, "as_operator", building)
+    monkeypatch.setattr(cli, "spectral_tc", locating)
+    calls = _count_searches(monkeypatch)
+    cfg_path = _write_config(tmp_path, f"output.dir = {tmp_path / 'out'}\n")
+    assert main([command, str(cfg_path)]) == code
+    assert len(built) == 1 and len(calls) == 1
+    assert calls[0]["op"] is built[0]
+    assert all(op is built[0] for op in located)
+    assert len(located) == (command == "certify")
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -1,6 +1,8 @@
 """The gap operator is the argument: a public function of ``gap_operator``,
-``solver`` or ``thermo`` that works through the operator takes the
-``GapOperator`` alone and reads the grid from it.  Likewise the solved
+``solver``, ``thermo`` or ``certificate`` that works through the operator
+takes the ``GapOperator`` alone and reads the potential and the grid from
+it; only ``as_operator``, which builds it, and the dense references take a
+potential beside a grid.  Likewise the solved
 surface: a public ``thermo`` function that works on a ``GapSurface`` reads
 the operator, grid, T_c and tau from it, and takes arrays or tables, not
 unions of them."""
@@ -8,12 +10,22 @@ unions of them."""
 import importlib
 import inspect
 
-from bcsgap import thermo
+from bcsgap import certificate, thermo
 from bcsgap.gap_operator import GapOperator
 from bcsgap.solver import GapSurface
 
 
-def _public_functions(owners=("gap_operator", "solver", "thermo")):
+OWNERS = ("gap_operator", "solver", "thermo", "certificate")
+# the operator's builder, and the dense references README names as such
+TAKE_A_POTENTIAL_AND_A_GRID = {
+    "gap_operator.as_operator",
+    "gap_operator.weighted_potential_matrix",
+    "gap_operator.apply_A",
+    "gap_operator.kernel_matrix",
+}
+
+
+def _public_functions(owners=OWNERS):
     for owner in owners:
         module = importlib.import_module(f"bcsgap.{owner}")
         for name in module.__all__:
@@ -36,6 +48,24 @@ def test_no_function_takes_both_an_operator_and_a_grid():
         if any("GapOperator" in a and "PotentialSpec" in a for a in annotations):
             offenders.append(f"{name} takes a potential or an operator")
     assert offenders == []
+
+
+def test_no_function_takes_a_potential_beside_a_grid():
+    offenders = []
+    for name, signature in _public_functions():
+        annotations = [str(p.annotation) for p in signature.parameters.values()]
+        takes_potential = any("PotentialSpec" in a for a in annotations)
+        takes_grid = any("EnergyGrid" in a for a in annotations)
+        if takes_potential and takes_grid and name not in TAKE_A_POTENTIAL_AND_A_GRID:
+            offenders.append(name)
+    assert offenders == []
+
+
+def test_the_certificate_entry_points_take_the_operator():
+    for name in ("search_certificate", "compute_alpha", "alpha_integrand"):
+        params = inspect.signature(getattr(certificate, name)).parameters
+        assert params["op"].annotation == "GapOperator", name
+        assert not {"potential", "grid"} & params.keys(), name
 
 
 def test_the_perron_solve_has_one_entry_point():

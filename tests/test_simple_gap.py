@@ -20,7 +20,7 @@ from bcsgap.simple_gap import (
 
 import bcsgap.certificate as certificate
 import bcsgap.simple_gap as simple_gap
-from bcsgap.gap_operator import as_operator, spectral_tc
+from bcsgap.gap_operator import spectral_tc
 from oracles import bisect_delta, bisect_tau, fd_slope_oracle, zeta3_series
 
 # frozen from 40-digit evaluation of the defining equations at
@@ -272,15 +272,13 @@ def test_envelopes_solve_in_blocks(params, monkeypatch):
         assert scalar == []
 
 
-def test_certificate_search_solves_few_envelope_roots(
-    params, grid, const_potential, monkeypatch
-):
+def test_certificate_search_solves_few_envelope_roots(params, const_op, monkeypatch):
     # the search on the default config encloses its bound from the roots at
     # a few cell edges, and reports Delta2(T_c) from them rather than solving
     # it again
-    t_c = spectral_tc(as_operator(const_potential, grid), params)
+    t_c = spectral_tc(const_op, params)
     blocks = _count_blocks(monkeypatch)
-    certificate.search_certificate(const_potential, params, grid, t_c=t_c)
+    certificate.search_certificate(const_op, params, t_c=t_c)
     assert sum(blocks) <= 16 and len(blocks) <= 4
 
 

@@ -529,12 +529,21 @@ def test_picard_start_with_a_zero_component_runs_the_perron_check(
     assert np.max(np.abs(field.values - c)) <= 1e-9 + ROUNDING_ALLOWANCE
 
 
-def test_surface_budget_counts_newton_steps(const_op, params, const_surface):
+def test_surface_budget_counts_picard_steps_only(const_op, params, const_surface):
+    # max_iter bounds picard_solve's steps alone: Newton's steps do not spend
+    # it, and every default node certifies its seed in one Picard step
     surface, _ = const_surface
-    steps = surface.traces[0].newton_steps
-    assert steps >= 1
-    with pytest.raises(ConvergenceError):
-        solve_surface(const_op, params, max_iter=steps - 1)
+    assert all(trace.newton_steps >= 1 for trace in surface.traces)
+    budget = solve_surface(const_op, params, max_iter=1)
+    assert np.array_equal(budget.t_nodes, surface.t_nodes)
+    assert np.array_equal(budget.values, surface.values)
+    assert budget.traces == surface.traces
+
+
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_picard_refuses_a_budget_below_one(max_iter, const_op, params):
+    with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+        picard_solve(0.03, const_op, params, max_iter=max_iter)
 
 
 @pytest.mark.parametrize("bad", [np.nan, 0.0])
