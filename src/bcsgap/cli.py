@@ -8,15 +8,16 @@ Config format: flat ``key = value`` text with dotted section prefixes and
     potential.variant = constant
     potential.u0 = 0.3
 
-Exit codes: 0 ok, 2 certificate failure, 3 non-convergence, 4 invalid
-config, unreadable input file or unusable output directory.  Re-running a
-command with the same config produces byte-identical output; nothing here
-draws randomness.
+Command line: ``bcsgap {simple|certify|solve|thermo} CONFIG``,
+``bcsgap gcheck [--out DIR]``, or ``-h``/``--help`` for the usage.  Exit
+codes: 0 ok, 2 certificate failure, 3 non-convergence, 4 malformed command
+line, invalid config, unreadable input file or unusable output directory.
+Re-running a command with the same config produces byte-identical output;
+nothing here draws randomness.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -186,14 +187,10 @@ def cmd_simple(cfg: dict[str, object]) -> int:
     summary: list[str] = []
     for name, u in (("U1", params.u_lower), ("U2", params.u_upper)):
         curve = envelope_curve(u, params)
-        write_csv(
-            out / f"envelope_{name}.csv",
-            ["T", "delta"],
-            zip(curve.t_nodes, curve.delta_values),
-        )
-        summary.append(f"tau_{name} = {fmt(curve.tau)}")
-        summary.append(f"delta0_{name} = {fmt(curve.delta0)}")
-        summary.append(f"quadrature_bound_{name} = {fmt(curve.quadrature_bound)}")
+        rows = zip(curve.t_nodes, curve.delta_values)
+        write_csv(out / f"envelope_{name}.csv", ["T", "delta"], rows)
+        for key in ("tau", "tau_lo", "tau_hi", "delta0", "quadrature_bound"):
+            summary.append(f"{key}_{name} = {fmt(getattr(curve, key))}")
     summary.append(f"reference_nodes = {curve.reference_nodes}")
     atomic_write_text(out / "simple_summary.txt", "\n".join(summary) + "\n")
     return EXIT_OK
@@ -203,9 +200,7 @@ def cmd_certify(cfg: dict[str, object]) -> int:
     params, potential, grid, margin = build_inputs(cfg)
     out = _outdir(cfg)
     op = as_operator(potential, grid)
-    outcome = search_certificate(
-        op, params, t_c=spectral_tc(op, params), coupling_margin=margin
-    )
+    outcome = search_certificate(op, params, t_c=spectral_tc(op, params), coupling_margin=margin)
     atomic_write_text(out / "certificate.txt", format_certificate_report(outcome))
     return EXIT_OK if isinstance(outcome, ContractionCertificate) else EXIT_CERTIFICATE
 
@@ -267,12 +262,8 @@ def cmd_thermo(cfg: dict[str, object]) -> int:
     report = build_thermo_report(surface, params, outcome)
     out = _outdir(cfg)
     write_csv(out / "psi.csv", ["T", "psi"], zip(report.t_nodes, report.psi_values))
-    write_csv(
-        out / "entropy.csv", ["T", "s"], zip(report.t_nodes, report.entropy_values)
-    )
-    write_csv(
-        out / "heat.csv", ["T", "cv"], zip(report.t_nodes, report.specific_heat_values)
-    )
+    write_csv(out / "entropy.csv", ["T", "s"], zip(report.t_nodes, report.entropy_values))
+    write_csv(out / "heat.csv", ["T", "cv"], zip(report.t_nodes, report.specific_heat_values))
     write_csv(
         out / "v.csv",
         ["x", "v", "error"],
@@ -313,30 +304,31 @@ def cmd_gcheck(out_dir: str | Path = ".") -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="bcsgap",
-        description="Gap-equation solver and phase-transition thermodynamics",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simple", "certify", "solve", "thermo"):
-        p = sub.add_parser(name)
-        p.add_argument("config", help="path to a key = value config file")
-    g = sub.add_parser("gcheck")
-    g.add_argument("--out", default=".", help="output directory")
+_USAGE = "usage: bcsgap {simple|certify|solve|thermo} CONFIG | bcsgap gcheck [--out DIR]"
+# command -> handler of a parsed CONFIG; gcheck takes an output directory instead
+_COMMANDS = {"simple": cmd_simple, "certify": cmd_certify, "solve": cmd_solve, "thermo": cmd_thermo}
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code; never raises SystemExit."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in args or "--help" in args:
+        print(_USAGE)
+        return EXIT_OK
     try:
-        if args.command == "gcheck":
-            return cmd_gcheck(args.out)
-        cfg = parse_config(args.config)
-        handler = {
-            "simple": cmd_simple,
-            "certify": cmd_certify,
-            "solve": cmd_solve,
-            "thermo": cmd_thermo,
-        }[args.command]
-        return handler(cfg)
+        match args:
+            case [name, config] if name in _COMMANDS:
+                return _COMMANDS[name](parse_config(config))
+            case ["gcheck"] | ["gcheck", "--out", _]:
+                return cmd_gcheck(*args[2:])
+            case []:
+                problem = "no command given"
+            case ["gcheck", *rest]:
+                problem = f"gcheck takes [--out DIR], not {' '.join(rest)!r}"
+            case [name, *rest] if name in _COMMANDS:
+                problem = f"{name} takes one CONFIG path, got {len(rest)}"
+            case [name, *_]:
+                problem = f"unknown command {name!r}"
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -345,6 +337,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    print(f"{_USAGE}\nerror: {problem}", file=sys.stderr)
+    return EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

@@ -9,6 +9,11 @@ quadrature (``_reference_rule``, or an adaptive one) rather than the
 shared collocation grid, which keeps this module an independent
 computation route.
 
+The vanishing temperature tau is a plain bisection's float on the computed
+f(T), replayed: Newton steps in T locate the root, the same kind of bound
+proves a window around it, and the bisection evaluates f only inside that
+window (``tau_root``).
+
 A gap value is a point of a proven window, the window its error bar (the
 enclosure idea of Moore, Interval Analysis, 1966).  Newton's method in
 s = delta^2 locates the root of the computed residual
@@ -161,35 +166,80 @@ def tau_root(U: float, params: PhysicalParams) -> float:
     f(0) = U * sum_j w_j/xi_j - 1 must exceed E(0), the rounding and
     quadrature bound ``_solve_block`` adds to every root, which proves the
     continuum f(0) positive; otherwise ``NoRootError`` names the span and
-    the bound.  A doubling bracket plus bisection then finds the root.
-    Cached: a pure function of hashable inputs called from many hot paths.
+    the bound.  Then (``_tau_window``) bracketed Newton steps in T locate
+    the root, a window around it is proven, and a doubling bracket from
+    epsilon/1000 and bisection to adjacent doubles are replayed, with f
+    evaluated only strictly inside the window: that bisection's float bit
+    for bit, from about 20 evaluations of f instead of about 70.  Cached: a
+    pure function of hashable inputs called from many hot paths.
     """
+    return _tau_window(U, params)[0]
+
+
+@lru_cache(maxsize=4096)
+def _tau_window(U: float, params: PhysicalParams) -> tuple[float, float, float]:
+    """(tau, lo, hi): ``tau_root``'s root and the window ``_tau_edge`` proves
+    to hold it and the continuum root; a side proving nothing gives 0 or inf."""
 
     def f(T: float) -> float:
         return U * _coupling_integral(0.0, T, params) - 1.0
 
     f0 = f(0.0)
-    bound = float(_rounding_bound(U, 0.0, params) + _quadrature_bound(U, 0.0, params))
+    rounding = float(_rounding_bound(U, 0.0, params))
+    bound = rounding + float(_quadrature_bound(U, 0.0, params))
     if not f0 > bound:
         span = U * math.log(params.hbar_omega_d / params.epsilon_cutoff)
         raise NoRootError(
             f"tau_existence: U*ln(hbar_omega_d/epsilon) = {span!r}; the reference "
             f"rule's U*sum(w/xi) - 1 = {f0!r} does not exceed its error bound {bound!r}"
         )
+    # U * integral < U hbar_omega_d / 2T, as tanh(z) < z, so f < 0 from U hbar_omega_d / 2 on
+    rule, top = _reference_rule(params), 0.5 * U * params.hbar_omega_d
+    search = _newton(_BCS_TAU * params.hbar_omega_d * math.exp(-1.0 / U), 0.0, top, rounding)
+    try:
+        T, _ = next(search)
+        while True:
+            sums = U * np.dot(kernel_jet(rule.xi2, 0.0, T, "T"), rule.weights)
+            T, _ = search.send((float(sums[0]) - 1.0, float(sums[1])))
+    except StopIteration as done:
+        t_star, slope = done.value
+    width = 3.0 * (rounding + _quadrature_bound(U, t_star, params)) / abs(slope)
+    lo_w, hi_w = (_tau_edge(f, U, t_star, width, side, rounding, params) for side in (-1.0, 1.0))
+
+    def positive(T: float) -> bool:
+        return T <= lo_w or (T < hi_w and f(T) > 0.0)
+
     # every tanh(xi/2T) saturates at T = epsilon/1000, so f(lo) = f(0) > 0
-    lo = params.epsilon_cutoff * 1e-3
-    hi = lo
-    while f(hi) > 0.0:
+    lo = hi = params.epsilon_cutoff * 1e-3
+    while positive(hi):
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent doubles: no further step moves either end
             break
-        if f(mid) > 0.0:
+        if positive(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), lo_w, hi_w
+
+
+def _tau_edge(f, U: float, t_star: float, width: float, side: float, rounding: float, params):
+    """Temperature past which the computed f's sign is proven, left (-1) or
+    right (+1) of t_star: the first t_star + side * width, the width growing
+    x4, with side * f(T) < -2E', E' = rounding + Q(T); else 0 or +inf.
+    A computed f(T) > 2E' puts the exact rule's f, which falls in T, above
+    E' at T and before it, so the computed f, within the rounding bound
+    (largest at T = 0) of it, stays positive there, and the continuum f,
+    within Q(T), is positive at T.  The right side mirrors this."""
+    for _ in range(_WINDOW_WIDENINGS):
+        T = t_star + side * width
+        if not T > 0.0:
+            break
+        if side * f(T) < -2.0 * (rounding + _quadrature_bound(U, T, params)):
+            return T
+        width *= 4.0
+    return math.inf if side > 0.0 else 0.0
 
 
 # |fl(f) - f| <= (n + _TERM_ROUNDINGS) eps S on an n-node rule, with S an
@@ -204,14 +254,17 @@ _TERM_ROUNDINGS = 16
 _RULE_ROUNDINGS = 48
 # x4 widenings of one side of the window before that side proves nothing
 _WINDOW_WIDENINGS = 8
-# cap on Newton passes; a root typically takes 3 or 4
+# 2 e^gamma / pi: tau is about _BCS_TAU hbar_omega_d e^(-1/U) for a small cutoff
+_BCS_TAU = 2.0 * math.exp(0.5772156649015329) / math.pi
+# cap on Newton passes; a root typically takes 3 to 5
 _NEWTON_PASSES = 64
 # nodes of an envelope_curve on [0, tau]
 _ENVELOPE_NODES = 129
-# temperatures solved together; the kernel buffers of a block are
-# (_BLOCK x n) doubles, so the block size, not the number of temperatures,
-# sets the memory of a solve
-_BLOCK = 16
+# kernel elements (rows x rule nodes) of a root block, which size its buffers:
+# max(1, _BLOCK_ELEMENTS // n) rows on an n-node rule.  kernel_jet with the "s"
+# partial took 18.4, 14.2, 12.9, 12.0 and 27.3 ns an element at 16, 32, 40, 64
+# and 128 rows of 192 nodes, but 25.5 at 32 rows of 504: the cache sets the knee
+_BLOCK_ELEMENTS = 7680
 
 
 def _quadrature_bound(U: float, T, params: PhysicalParams):
@@ -272,10 +325,11 @@ def solve_delta_many(U: float, Ts, params: PhysicalParams) -> np.ndarray:
     needs it: a root costs about 5.6 evaluations.
 
     Temperatures at or above tau_U give 0.0 without an evaluation.  The
-    others are solved in blocks of ``_BLOCK``: every root of a block runs
-    both stages, and each round evaluates f at the pending gap of every
-    unfinished root in one ``kernel_jet`` call.  A root's evaluations
-    depend only on (U, T), so its value does not depend on its block.
+    others are solved in blocks of ``_BLOCK_ELEMENTS`` kernel elements:
+    every root of a block runs both stages, and each round evaluates f at
+    the pending gap of every unfinished root in one ``kernel_jet`` call.  A
+    root's evaluations depend only on (U, T), so its value does not depend
+    on its block.
     """
     return _solve_windows(U, Ts, params)[0]
 
@@ -304,8 +358,9 @@ def _solve_windows(
     live = np.flatnonzero(Ts < tau)
     if live.size:
         d0 = delta0_closed_form(U, params)
-        for first in range(0, live.size, _BLOCK):
-            rows = live[first:first + _BLOCK]
+        size = max(1, _BLOCK_ELEMENTS // _reference_rule(params).nodes.size)
+        for first in range(0, live.size, size):
+            rows = live[first:first + size]
             block = _solve_block(U, Ts[rows].tolist(), tau, d0, params)
             found[:, rows] = np.array(block).T
     roots, lo, hi = found
@@ -397,32 +452,32 @@ def _root_search(T: float, tau: float, d0: float, bound: float):
 
 
 def _locate(T: float, tau: float, d0: float, bound: float):
-    """Locate the root in s = delta^2 by Newton steps kept inside a bracket.
-
-    Starts from delta0 * tanh(1.74 sqrt(tau/T - 1)); each computed sign of
-    f narrows the bracket [0, (1.5 delta0)^2], and a step that would leave
-    it takes the bracket's midpoint.  At the first s with |f| <= bound / 8
-    it returns one more Newton update s - f / (df/ds), clamped to the
-    bracket, which costs no evaluation; and df/ds at s.  It only steers:
-    the window checks carry the proof.
-    """
-    lo, hi = 0.0, (1.5 * d0) ** 2
+    """Locate the root in s = delta^2 by ``_newton`` in the bracket
+    [0, (1.5 delta0)^2], from delta0 * tanh(1.74 sqrt(tau/T - 1)).  It only
+    steers: the window checks carry the proof."""
     start = d0 if T == 0.0 else d0 * math.tanh(1.74 * math.sqrt(tau / T - 1.0))
-    s = start * start
+    return (yield from _newton(start * start, 0.0, (1.5 * d0) ** 2, bound))
+
+
+def _newton(x: float, lo: float, hi: float, bound: float):
+    """Newton steps on a decreasing f in the bracket [lo, hi] that its computed
+    signs narrow, a step leaving it taking its midpoint.  Each ``yield`` hands
+    over (x, True) and receives (f, df/dx) at x.  At the first |f| <= bound/8
+    returns one more Newton update, clamped to the bracket, and df/dx."""
     for _ in range(_NEWTON_PASSES):
-        fs, dfs = yield s, True
-        if fs > 0.0:
-            lo = s
+        fx, dfx = yield x, True
+        if fx > 0.0:
+            lo = x
         else:
-            hi = s
-        step = s - fs / dfs
-        if abs(fs) <= 0.125 * bound:
-            return min(max(step, lo), hi), dfs
-        s_next = step if lo < step < hi else 0.5 * (lo + hi)
-        if s_next == s:
+            hi = x
+        step = x - fx / dfx if dfx else math.nan  # a nan step takes the midpoint
+        if abs(fx) <= 0.125 * bound:
+            return min(max(step, lo), hi), dfx
+        x_next = step if lo < step < hi else 0.5 * (lo + hi)
+        if x_next == x:
             break
-        s = s_next
-    return s, dfs
+        x = x_next
+    return x, dfx
 
 
 def _edge(s: float, side: float, limit: float) -> float:
@@ -478,13 +533,16 @@ def implicit_slope_v(U: float, params: PhysicalParams) -> float:
 class EnvelopeCurve:
     """Constant-coupling gap curve Delta(T) sampled on [0, tau], zero beyond.
 
-    ``reference_nodes`` is the size of the rule it was solved on, and
+    ``[tau_lo, tau_hi]`` is the window ``tau_root`` proves around tau,
+    ``reference_nodes`` the size of the rule it was solved on, and
     ``quadrature_bound`` the largest Q(T) over its solved temperatures,
     the part of each window's E that bounds that rule's own error.
     """
 
     coupling: float
     tau: float
+    tau_lo: float
+    tau_hi: float
     t_nodes: np.ndarray
     delta_values: np.ndarray
     delta0: float
@@ -502,7 +560,7 @@ def envelope_curve(U: float, params: PhysicalParams) -> EnvelopeCurve:
     y = max(cummin(roots), reverse-cummax(lo)) over the ascending nodes,
     which is non-increasing and lies in every node's window.
     """
-    tau = tau_root(U, params)
+    tau, tau_lo, tau_hi = _tau_window(U, params)
     # quadratic clustering toward tau resolves Delta ~ sqrt(tau - T)
     frac = 1.0 - (1.0 - np.linspace(0.0, 1.0, _ENVELOPE_NODES)) ** 2
     t_nodes = tau * frac
@@ -517,6 +575,8 @@ def envelope_curve(U: float, params: PhysicalParams) -> EnvelopeCurve:
     return EnvelopeCurve(
         coupling=U,
         tau=tau,
+        tau_lo=tau_lo,
+        tau_hi=tau_hi,
         t_nodes=t_nodes,
         delta_values=deltas,
         delta0=delta0_closed_form(U, params),

@@ -55,3 +55,13 @@ def test_solve_delta_keeps_its_cache_counters(params):
     before = solve_delta.cache_info().misses
     solve_delta(0.3, 0.0123456789, params)
     assert solve_delta.cache_info().misses == before + 1
+
+
+def test_tau_root_keeps_its_cache_counters(params):
+    # the tracer reads tau_root's cache misses: a new coupling misses once,
+    # and asking again hits
+    before = tau_root.cache_info()
+    tau_root(0.3012345678, params)
+    tau_root(0.3012345678, params)
+    after = tau_root.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)

@@ -110,6 +110,10 @@ def test_cmd_simple_outputs(tmp_path):
     entries = dict(line.split(" = ") for line in lines)
     tau1, tau2 = float(entries["tau_U1"]), float(entries["tau_U2"])
     assert tau1 < tau2
+    # each tau lies in the window proven around it, its error bar
+    for name, tau in (("U1", tau1), ("U2", tau2)):
+        lo, hi = float(entries[f"tau_lo_{name}"]), float(entries[f"tau_hi_{name}"])
+        assert 0.0 < lo <= tau <= hi <= tau * (1.0 + 1e-11), name
     d0 = float(entries["delta0_U1"])
     u1 = 0.291
     expected = math.sqrt(
@@ -597,6 +601,59 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus", str(DEFAULT_CONFIG)],
+        ["thermo"],
+        ["simple", str(DEFAULT_CONFIG), str(DEFAULT_CONFIG)],
+        ["gcheck", "--out"],
+        [],
+    ],
+    ids=["unknown-command", "missing-config", "extra-argument", "out-without-value", "no-command"],
+)
+def test_a_malformed_command_line_exits_as_a_bad_config(argv, capsys):
+    # 2 is the certificate-failure code: a malformed line returns 4, with
+    # the usage and the error on stderr, and raises no SystemExit
+    assert main(argv) == EXIT_BAD_CONFIG
+    shown = capsys.readouterr()
+    usage, error = shown.err.splitlines()
+    assert usage.startswith("usage: bcsgap ") and error.startswith("error: ")
+    assert shown.out == ""
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage_and_exits_ok(flag, capsys):
+    assert main([flag]) == EXIT_OK
+    shown = capsys.readouterr()
+    assert shown.out.startswith("usage: bcsgap ") and shown.err == ""
+
+
+def test_the_command_line_is_read_without_argparse(tmp_path):
+    # building an argparse parser cost each call about a millisecond, and the
+    # first one imported gettext and locale: the module run as a program
+    # answers --help and a malformed line itself, and neither importing the
+    # cli nor a gcheck run loads any of the three
+    src = Path(bcsgap.__file__).resolve().parents[1]
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, cwd=src, timeout=120
+        )
+
+    shown = run("-m", "bcsgap.cli", "--help")
+    assert shown.returncode == EXIT_OK and shown.stdout.startswith("usage: bcsgap ")
+    bad = run("-m", "bcsgap.cli", "bogus", str(DEFAULT_CONFIG))
+    assert bad.returncode == EXIT_BAD_CONFIG and bad.stderr.startswith("usage: bcsgap ")
+    code = (
+        "import sys; import bcsgap.cli as cli; "
+        f"assert cli.main(['gcheck', '--out', {str(tmp_path)!r}]) == 0; "
+        "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
+    )
+    done = run("-c", code)
+    assert done.returncode == 0 and done.stdout.strip() == "[]", done.stderr
 
 
 @pytest.mark.parametrize("span", ["8", "14"])

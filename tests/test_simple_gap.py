@@ -75,8 +75,9 @@ def test_tau_root_residual(params):
 
 def test_tau_root_stops_once_the_bracket_holds_adjacent_doubles(params, monkeypatch):
     # the bisection stops when no midpoint falls strictly inside the bracket,
-    # which returns the float of a full 200-step bisection with about a
-    # third of the evaluations
+    # which returns the float of a full 200-step bisection, and evaluates f
+    # only inside the proven window: f(0), the two edges and the midpoints
+    # in the window, 17 evaluations at each of these couplings
     calls = 0
     integral = simple_gap._coupling_integral
 
@@ -90,8 +91,42 @@ def test_tau_root_stops_once_the_bracket_holds_adjacent_doubles(params, monkeypa
     monkeypatch.setattr(simple_gap, "_coupling_integral", counting)
     for u, tau in zip(couplings, expected):
         calls = 0
-        assert tau_root.__wrapped__(u, params) == tau, u
-        assert calls <= 80, (u, calls)
+        assert simple_gap._tau_window.__wrapped__(u, params)[0] == tau, u
+        assert calls <= 19, (u, calls)
+
+
+@pytest.mark.parametrize("epsilon", [0.005, 1e-6])
+def test_tau_window_holds_the_continuum_root(epsilon):
+    # the 40-digit root of U * integral(tanh(xi/2T)/xi) = 1 over
+    # [epsilon, hbar_omega_d] lies in the window proven around tau, and so
+    # does tau; the window is tau's error bar, a few 1e-12 of it wide
+    p = make_params(1.0, epsilon, 1.0, 0.291, 0.309)
+    for u in (0.291, 0.3, 0.309):
+        tau, lo, hi = simple_gap._tau_window(u, p)
+        assert tau == tau_root(u, p)
+        assert 0.0 < lo <= tau <= hi and hi - lo <= 2e-11 * tau, u
+        with mp.workdps(40):
+            exact = mp.findroot(lambda t: _continuum_f(u, 0.0, t, p), (mp.mpf(lo), mp.mpf(hi)),
+                                solver="anderson")
+            assert mp.mpf(lo) <= exact <= mp.mpf(hi), u
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_tau_window_edge_needs_a_margin_of_twice_its_bound(params, side):
+    # a computed f of the proven sign proves nothing until |f| > 2E', with
+    # E' the rounding bound at T = 0 plus Q at the edge: only then is the
+    # computed f proven of that sign at every T past the edge.  Below the
+    # margin the edge widens x4; above it, it is returned
+    u, t_star, width, rounding = 0.3, 0.0378, 1e-14, 1e-13
+    sizes, seen = [0.5, 1.9, 2.1], []
+
+    def f(T):
+        seen.append(T)
+        return -side * sizes[len(seen) - 1] * (rounding + simple_gap._quadrature_bound(u, T, params))
+
+    edge = simple_gap._tau_edge(f, u, t_star, width, side, rounding, params)
+    assert seen == [t_star + side * w for w in (width, 4.0 * width, 16.0 * width)]
+    assert edge == seen[-1]
 
 
 def test_tau_root_requires_logarithmic_span():
@@ -151,6 +186,11 @@ def test_solve_delta_zero_extension_and_boundary(params):
     assert solve_delta(0.3, tau * 0.999, params) > 0.0
 
 
+def _block_rows(p) -> int:
+    """Rows of a root block on p's reference rule, by the element budget."""
+    return max(1, simple_gap._BLOCK_ELEMENTS // simple_gap._reference_rule(p).nodes.size)
+
+
 def _assert_in_window(delta, lo, hi, u, p):
     """delta lies in [lo, hi] up to plain bisection's stop."""
     stop = max(1e-15 * delta0_closed_form(u, p), 1e-18)
@@ -202,7 +242,7 @@ def test_solve_delta_many_equals_plain_bisection_bit_for_bit(epsilon, band, coup
     # scalar solve bit for bit, lies in its window, and the window holds
     # plain bisection's float up to the bisection's stop
     p = make_params(1.0, epsilon, 1.0, *band)
-    block = simple_gap._BLOCK
+    block = _block_rows(p)
     rng = np.random.default_rng(8)
     for u in couplings:
         tau = tau_root(u, p)
@@ -222,7 +262,7 @@ def test_solve_delta_many_equals_plain_bisection_bit_for_bit(epsilon, band, coup
 
 def test_solve_delta_many_memory_is_one_block(params):
     # the kernel buffers are sized by the block, not by the temperatures
-    block = simple_gap._BLOCK
+    block = _block_rows(params)
     ts = np.random.default_rng(5).uniform(0.0, tau_root(0.3, params), 1024)
     solve_delta_many(0.3, ts[:block], params)  # rule caches built outside the count
     tracemalloc.start()
@@ -254,7 +294,7 @@ def test_envelopes_solve_in_blocks(params, monkeypatch):
     # each envelope curve makes ceil(n/B) block solves for its n temperatures
     # below tau and no per-T scalar solve; a revert to a per-T loop would show
     # up as scalar calls or blocks of one
-    block = simple_gap._BLOCK
+    block = _block_rows(params)
     blocks = _count_blocks(monkeypatch)
     scalar: list[float] = []
     real_scalar = simple_gap.solve_delta
@@ -270,6 +310,25 @@ def test_envelopes_solve_in_blocks(params, monkeypatch):
         below = int(np.count_nonzero(curve.t_nodes < curve.tau))
         assert len(blocks) == math.ceil(below / block) and sum(blocks) == below
         assert scalar == []
+
+
+def test_a_larger_rule_solves_fewer_rows_a_block(monkeypatch):
+    # the block budget counts kernel elements, not rows: the 504-node rule
+    # of epsilon = 1e-6 takes fewer temperatures a block than the 192-node
+    # rule of epsilon = 0.005, neither block passes the budget, and across
+    # the blocks every value is the scalar solve's bit for bit
+    blocks = _count_blocks(monkeypatch)
+    rows = {}
+    for epsilon, nodes in ((0.005, 192), (1e-6, 504)):
+        p = make_params(1.0, epsilon, 1.0, 0.291, 0.309)
+        assert simple_gap._reference_rule(p).nodes.size == nodes
+        ts = np.random.default_rng(13).uniform(0.0, tau_root(0.3, p), 100).tolist()
+        blocks.clear()
+        values = solve_delta_many(0.3, ts, p).tolist()
+        rows[nodes] = max(blocks)
+        assert len(blocks) >= 3 and rows[nodes] * nodes <= simple_gap._BLOCK_ELEMENTS
+        assert values == [solve_delta(0.3, t, p) for t in ts], epsilon
+    assert rows[504] < rows[192]
 
 
 def test_certificate_search_solves_few_envelope_roots(params, const_op, monkeypatch):
