@@ -84,11 +84,29 @@ _RULE_ORDER = 12
 
 
 def _reference_edges(params: PhysicalParams) -> np.ndarray:
-    """Edges of the reference rule's geometric panels on [epsilon, hbar_omega_d]:
-    an even count, about three per e-fold."""
-    span = math.log(params.hbar_omega_d / params.epsilon_cutoff)
-    panels = 2 * math.ceil(1.5 * span)
-    return np.geomspace(params.epsilon_cutoff, params.hbar_omega_d, panels + 1)
+    """Edges of the reference rule's geometric panels on [epsilon, hbar_omega_d].
+
+    Their count is the fewest even one whose quadrature bound at
+    T_max = u_upper * hbar_omega_d / 2, the cap above every tau of the band
+    (``_tau_window``), is at most 1/64 of its rounding bound there, and at
+    most 2 ceil(1.5 ln(hbar_omega_d/epsilon)), about three per e-fold, the
+    count taken when none smaller passes.  The quadrature bound rises and
+    the rounding bound falls in T, so at every T <= T_max the rule meets
+    ``_solve_block``'s Q <= E/16 with a 4x margin.  Their ratio falls as
+    panels are added, so a bisection on the count finds it; each candidate
+    is built and bounded on its own float rule.
+    """
+    low, top = params.epsilon_cutoff, params.hbar_omega_d
+    t_max = 0.5 * params.u_upper * top
+    fail, fits = 0, math.ceil(1.5 * math.log(top / low))  # pairs of panels
+    while fits - fail > 1:
+        pairs = (fail + fits) // 2
+        rule = _build_rule(low * (top / low) ** (np.arange(2 * pairs + 1) / (2 * pairs)))
+        if rule.a + rule.b * t_max <= _rounding_bound(1.0, t_max, rule) / 64.0:
+            fits = pairs
+        else:
+            fail = pairs
+    return np.geomspace(low, top, 2 * fits + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +127,17 @@ def _reference_rule(params: PhysicalParams) -> _Rule:
     """Quadrature rule for the scalar gap equations, built once per parameter set.
 
     Order-12 Gauss-Legendre panels, geometric against the 1/xi character
-    of the integrands, 2 ceil(1.5 ln(hbar_omega_d/epsilon)) of them (16
-    panels, 192 nodes, at epsilon = 0.005).  Its error is not estimated
-    but bounded: ``_panel_bounds`` gives each panel's Bernstein-ellipse
-    bound, whose sum ``_solve_block`` adds to every root's E.
+    of the integrands, as many as ``_reference_edges`` sizes (10 panels,
+    120 nodes, at epsilon = 0.005 and U2 = 0.309).  Its error is not
+    estimated but bounded: ``_panel_bounds`` gives each panel's
+    Bernstein-ellipse bound, whose sum ``_solve_block`` adds to every
+    root's E.
     """
-    edges = _reference_edges(params)
+    return _build_rule(_reference_edges(params))
+
+
+def _build_rule(edges: np.ndarray) -> _Rule:
+    """The order-12 rule on these panel edges, with its summed panel bounds."""
     nodes, weights = gauss_legendre_panels(edges, _RULE_ORDER)
     a, b = _panel_bounds(edges, _RULE_ORDER)
     return _Rule(nodes, weights, nodes * nodes, 1.0 / nodes, float(a.sum()), float(b.sum()))
@@ -185,7 +208,8 @@ def _tau_window(U: float, params: PhysicalParams) -> tuple[float, float, float]:
         return U * _coupling_integral(0.0, T, params) - 1.0
 
     f0 = f(0.0)
-    rounding = float(_rounding_bound(U, 0.0, params))
+    rule = _reference_rule(params)
+    rounding = float(_rounding_bound(U, 0.0, rule))
     bound = rounding + float(_quadrature_bound(U, 0.0, params))
     if not f0 > bound:
         span = U * math.log(params.hbar_omega_d / params.epsilon_cutoff)
@@ -194,7 +218,7 @@ def _tau_window(U: float, params: PhysicalParams) -> tuple[float, float, float]:
             f"rule's U*sum(w/xi) - 1 = {f0!r} does not exceed its error bound {bound!r}"
         )
     # U * integral < U hbar_omega_d / 2T, as tanh(z) < z, so f < 0 from U hbar_omega_d / 2 on
-    rule, top = _reference_rule(params), 0.5 * U * params.hbar_omega_d
+    top = 0.5 * U * params.hbar_omega_d
     search = _newton(_BCS_TAU * params.hbar_omega_d * math.exp(-1.0 / U), 0.0, top, rounding)
     try:
         T, _ = next(search)
@@ -262,8 +286,9 @@ _NEWTON_PASSES = 64
 _ENVELOPE_NODES = 129
 # kernel elements (rows x rule nodes) of a root block, which size its buffers:
 # max(1, _BLOCK_ELEMENTS // n) rows on an n-node rule.  kernel_jet with the "s"
-# partial took 18.4, 14.2, 12.9, 12.0 and 27.3 ns an element at 16, 32, 40, 64
-# and 128 rows of 192 nodes, but 25.5 at 32 rows of 504: the cache sets the knee
+# partial and the row sums took 21.7, 16.4, 14.2, 13.6, 13.1 and 26.7 ns an
+# element at 16, 32, 48, 64, 96 and 128 rows of 120 nodes, and 14.2 and 33.6
+# at 16 and 32 rows of 408: the cache sets the knee
 _BLOCK_ELEMENTS = 7680
 
 
@@ -274,13 +299,12 @@ def _quadrature_bound(U: float, T, params: PhysicalParams):
     return U * (rule.a + rule.b * T)
 
 
-def _rounding_bound(U: float, T, params: PhysicalParams):
+def _rounding_bound(U: float, T, rule: _Rule):
     """(n + _TERM_ROUNDINGS + _RULE_ROUNDINGS) eps S at each temperature T:
     a bound on the distance of the computed f from the f of the exact Gauss
-    rule on the reference panels.  S = U * sum_j w_j min(1/xi_j, 1/(2T))
+    rule on the n-node rule's panels.  S = U * sum_j w_j min(1/xi_j, 1/(2T))
     bounds U * sum_j w_j k_j for every s >= 0, because k decreases in s and
     tanh(z) <= min(1, z).  Each S is one pairwise sum, as each f is."""
-    rule = _reference_rule(params)
     T = np.asarray(T, dtype=float)[..., None]
     half_over_t = np.divide(0.5, T, out=np.full_like(T, np.inf), where=T > 0.0)
     cap = np.minimum(rule.inv_xi, half_over_t)
@@ -311,9 +335,10 @@ def solve_delta_many(U: float, Ts, params: PhysicalParams) -> np.ndarray:
 
     1. locate: bracketed Newton steps in s = delta^2 on the computed f,
        summed on the reference rule, run until |f| <= E/8, with E a bound
-       on the distance of the computed f from the exact one; one more Newton
-       update from the last f and slope, which costs no evaluation, gives
-       the point;
+       on the distance of the computed f from the exact one, or until the
+       predicted next step is within 1/30 of the window's half-width; one
+       more Newton update from the last f and slope, which costs no
+       evaluation, gives the point;
     2. prove a window: the edges sit 3E/|df/ds| either side of the point
        in s.  A computed f(lo_w) > 2E means the exact f exceeds E at lo_w,
        so the exact root lies above it; a computed f(hi_w) < -2E proves
@@ -322,7 +347,7 @@ def solve_delta_many(U: float, Ts, params: PhysicalParams) -> np.ndarray:
     If either edge had to widen, the point is suspect, and a bisection on
     the computed sign inside the window, down to twice the first width,
     places it instead.  That costs tens of evaluations, and no measured root
-    needs it: a root costs about 5.6 evaluations.
+    needs it: a root costs about 4.7 evaluations.
 
     Temperatures at or above tau_U give 0.0 without an evaluation.  The
     others are solved in blocks of ``_BLOCK_ELEMENTS`` kernel elements:
@@ -342,8 +367,8 @@ def _solve_windows(
     The exact root of the continuum equation at each T lies in [lo, hi],
     and so do the returned point and the root of the reference rule's
     equation: the window is the point's error bar.  Measured relative
-    half-widths at U = 0.309: 9.7e-13 at T <= 0.5 tau, 3.1e-11 at 0.99 tau,
-    3.1e-9 at (1 - 1e-4) tau; the point lies at most 4.3e-4 window widths
+    half-widths at U = 0.309: 7.0e-13 at T <= 0.5 tau, 2.2e-11 at 0.99 tau,
+    2.2e-9 at (1 - 1e-4) tau; the point lies at most 9e-4 window widths
     from the rule's exact root.  A side whose checks prove nothing gives
     the trivial enclosure, 0 below or +inf above.  At T >= tau_U the gap is
     0 by the zero extension, and so are both edges.
@@ -383,7 +408,7 @@ def _solve_block(
     means the rule is too coarse for that T/epsilon, and is refused.
     """
     rule = _reference_rule(params)
-    rounding = _rounding_bound(U, Ts, params)
+    rounding = _rounding_bound(U, Ts, rule)
     quadrature = _quadrature_bound(U, np.asarray(Ts), params)
     for T, r, q in zip(Ts, rounding, quadrature):
         if not q <= r / 16.0:
@@ -462,18 +487,26 @@ def _locate(T: float, tau: float, d0: float, bound: float):
 def _newton(x: float, lo: float, hi: float, bound: float):
     """Newton steps on a decreasing f in the bracket [lo, hi] that its computed
     signs narrow, a step leaving it taking its midpoint.  Each ``yield`` hands
-    over (x, True) and receives (f, df/dx) at x.  At the first |f| <= bound/8
-    returns one more Newton update, clamped to the bracket, and df/dx."""
+    over (x, True) and receives (f, df/dx) at x.  Returns one more Newton
+    update, clamped to the bracket, and df/dx, which costs no evaluation, at
+    the first |f| <= bound/8, or once the update is below 1e-3 of the
+    Newton step before it and the quadratic estimate of the next one,
+    |d_k| (|d_k|/|d_k-1|)^2, is within 1/30 of the window half-width
+    3 bound/|df/dx| that the callers prove around the root."""
+    last = math.nan  # the Newton step that led to x; nan after a midpoint
     for _ in range(_NEWTON_PASSES):
         fx, dfx = yield x, True
         if fx > 0.0:
             lo = x
         else:
             hi = x
-        step = x - fx / dfx if dfx else math.nan  # a nan step takes the midpoint
-        if abs(fx) <= 0.125 * bound:
+        dx = fx / dfx if dfx else math.nan  # a nan step takes the midpoint
+        step = x - dx
+        if abs(fx) <= 0.125 * bound or (
+            abs(dx) < 1e-3 * abs(last) and abs(dx) * (dx / last) ** 2 <= 0.1 * bound / abs(dfx)
+        ):
             return min(max(step, lo), hi), dfx
-        x_next = step if lo < step < hi else 0.5 * (lo + hi)
+        x_next, last = (step, dx) if lo < step < hi else (0.5 * (lo + hi), math.nan)
         if x_next == x:
             break
         x = x_next

@@ -129,10 +129,11 @@ def test_cmd_simple_outputs(tmp_path):
     # must stay below 1/16 of the rounding bound; that bound falls in T, so
     # its value at tau is below its value at every solved temperature
     params = build_inputs(parse_config(cfg_path))[0]
-    assert int(entries["reference_nodes"]) == simple_gap._reference_rule(params).nodes.size
+    rule = simple_gap._reference_rule(params)
+    assert int(entries["reference_nodes"]) == rule.nodes.size
     for name, u, tau in (("U1", params.u_lower, tau1), ("U2", params.u_upper, tau2)):
         bound = float(entries[f"quadrature_bound_{name}"])
-        assert 0.0 < bound <= simple_gap._rounding_bound(u, tau, params) / 16.0
+        assert 0.0 < bound <= simple_gap._rounding_bound(u, tau, rule) / 16.0
 
 
 def test_cmd_certify_reports_failure(tmp_path):

@@ -313,22 +313,23 @@ def test_envelopes_solve_in_blocks(params, monkeypatch):
 
 
 def test_a_larger_rule_solves_fewer_rows_a_block(monkeypatch):
-    # the block budget counts kernel elements, not rows: the 504-node rule
-    # of epsilon = 1e-6 takes fewer temperatures a block than the 192-node
-    # rule of epsilon = 0.005, neither block passes the budget, and across
-    # the blocks every value is the scalar solve's bit for bit
+    # the block budget counts kernel elements, not rows: the larger rule of
+    # epsilon = 1e-6 takes fewer temperatures a block than the rule of
+    # epsilon = 0.005, neither block passes the budget, and across the
+    # blocks every value is the scalar solve's bit for bit
     blocks = _count_blocks(monkeypatch)
     rows = {}
-    for epsilon, nodes in ((0.005, 192), (1e-6, 504)):
+    for epsilon in (0.005, 1e-6):
         p = make_params(1.0, epsilon, 1.0, 0.291, 0.309)
-        assert simple_gap._reference_rule(p).nodes.size == nodes
-        ts = np.random.default_rng(13).uniform(0.0, tau_root(0.3, p), 100).tolist()
+        nodes = simple_gap._reference_rule(p).nodes.size
+        count = 2 * _block_rows(p) + 5
+        ts = np.random.default_rng(13).uniform(0.0, tau_root(0.3, p), count).tolist()
         blocks.clear()
         values = solve_delta_many(0.3, ts, p).tolist()
-        rows[nodes] = max(blocks)
-        assert len(blocks) >= 3 and rows[nodes] * nodes <= simple_gap._BLOCK_ELEMENTS
+        rows[epsilon] = (nodes, max(blocks))
+        assert len(blocks) >= 3 and rows[epsilon][1] * nodes <= simple_gap._BLOCK_ELEMENTS
         assert values == [solve_delta(0.3, t, p) for t in ts], epsilon
-    assert rows[504] < rows[192]
+    assert rows[1e-6][0] > rows[0.005][0] and rows[1e-6][1] < rows[0.005][1]
 
 
 def test_certificate_search_solves_few_envelope_roots(params, const_op, monkeypatch):
@@ -460,6 +461,51 @@ def test_a_rule_too_coarse_for_the_temperature_is_refused():
     with pytest.raises(ParamsError, match="reference_rule: quadrature bound"):
         solve_delta(u, 0.99 * tau_root(u, p), p)
     assert solve_delta(p.u_upper, 0.99 * tau_root(p.u_upper, p), p) > 0.0
+    # no smaller rule passes the sizing check here, so the rule keeps its cap
+    assert simple_gap._reference_edges(p).size - 1 == 2 * math.ceil(1.5 * math.log(1e10))
+
+
+def _bound_ratio(p, panels):
+    """Q(T_max) / E(T_max) of the order-12 rule on `panels` geometric panels,
+    U cancelling, with T_max = u_upper * hbar_omega_d / 2."""
+    order = simple_gap._RULE_ORDER
+    edges = np.geomspace(p.epsilon_cutoff, p.hbar_omega_d, panels + 1)
+    nodes, weights = simple_gap.gauss_legendre_panels(edges, order)
+    a, b = simple_gap._panel_bounds(edges, order)
+    t_max = 0.5 * p.u_upper * p.hbar_omega_d
+    roundings = nodes.size + simple_gap._TERM_ROUNDINGS + simple_gap._RULE_ROUNDINGS
+    cap = np.sum(weights * np.minimum(1.0 / nodes, 0.5 / t_max))
+    return (a.sum() + b.sum() * t_max) / (roundings * np.finfo(float).eps * cap)
+
+
+@pytest.mark.parametrize(
+    "epsilon, band",
+    [
+        (1e-6, (0.291, 0.309)),
+        (1e-3, (0.291, 0.309)),
+        (0.004, (0.291, 0.309)),
+        (0.005, (0.291, 0.309)),
+        (0.008, (0.291, 0.309)),
+        (0.05, (0.485, 0.515)),
+    ],
+)
+def test_reference_rule_is_the_fewest_panels_its_bound_allows(epsilon, band):
+    # the panel count is the fewest even one whose quadrature bound at
+    # T_max = u_upper * hbar_omega_d / 2, above every tau of the band, is at
+    # most 1/64 of its rounding bound there, and never above the cap of
+    # about three panels per e-fold; every T up to T_max then passes the
+    # Q <= E/16 check of each root with a 4x margin
+    p = make_params(1.0, epsilon, 1.0, *band)
+    panels = simple_gap._reference_edges(p).size - 1
+    assert panels % 2 == 0
+    assert panels <= 2 * math.ceil(1.5 * math.log(p.hbar_omega_d / epsilon))
+    assert _bound_ratio(p, panels) <= 1.0 / 64.0
+    assert panels == 2 or _bound_ratio(p, panels - 2) > 1.0 / 64.0
+    rule = simple_gap._reference_rule(p)
+    ts = np.linspace(0.0, 0.5 * p.u_upper * p.hbar_omega_d, 33)
+    for u in band:
+        quadrature = simple_gap._quadrature_bound(u, ts, p)
+        assert np.all(quadrature <= simple_gap._rounding_bound(u, ts, rule) / 64.0), u
 
 
 @pytest.mark.parametrize("shift", [0.5, 1.0 + 1e-9, 2.0])
@@ -535,18 +581,17 @@ def test_scan_like_envelopes_fall_inside_their_windows(seed):
         assert np.all(np.diff(curve.delta_values) <= 0.0)
 
 
-def test_default_envelopes_evaluate_f_at_most_7_times_per_root(params, monkeypatch):
-    # plain bisection evaluates f about 51 times per root, and the bisection
-    # behind a misplaced locate about 40; a silent fall-back to either would
-    # exceed the budget.  Every evaluated kernel row counts, the locate
-    # stage's included (about 5.6 rows per root in all)
+def _default_envelope_work(params, monkeypatch) -> tuple[int, int, int]:
+    """Roots, kernel rows and kernel elements (rows x nodes) of the two
+    default envelopes, every evaluated row counted, the locate stage's too."""
     taus = [tau_root(u, params) for u in (params.u_lower, params.u_upper)]
-    rows = 0
+    rows = elements = 0
     kernel_jet = simple_gap.kernel_jet
 
     def counting(xi2, s, T, *partials):
-        nonlocal rows
+        nonlocal rows, elements
         rows += len(s)
+        elements += len(s) * len(xi2)
         return kernel_jet(xi2, s, T, *partials)
 
     monkeypatch.setattr(simple_gap, "kernel_jet", counting)
@@ -554,6 +599,14 @@ def test_default_envelopes_evaluate_f_at_most_7_times_per_root(params, monkeypat
     for u, tau in zip((params.u_lower, params.u_upper), taus):
         curve = envelope_curve(u, params)
         roots += int(np.count_nonzero(curve.t_nodes < tau))
+    return roots, rows, elements
+
+
+def test_default_envelopes_evaluate_f_at_most_7_times_per_root(params, monkeypatch):
+    # plain bisection evaluates f about 51 times per root, and the bisection
+    # behind a misplaced locate about 40; a silent fall-back to either would
+    # exceed the budget
+    roots, rows, _ = _default_envelope_work(params, monkeypatch)
     assert roots == 256
     assert rows / roots <= 7.0
 
@@ -561,21 +614,69 @@ def test_default_envelopes_evaluate_f_at_most_7_times_per_root(params, monkeypat
 def test_default_envelopes_evaluate_at_most_1200_kernel_elements_per_root(
     params, monkeypatch
 ):
-    # the kernel work is rows x nodes: about 5.7 rows per root on the
-    # 192-node rule, 1,086 elements; the 768-node rule took 4,314, so a
-    # revert of the rule's size fails here and not only in a timing
-    elements = 0
-    kernel_jet = simple_gap.kernel_jet
+    # the kernel work is rows x nodes: the 768-node rule took 4,314
+    # elements per root, so a revert of the rule's size fails here and not
+    # only in a timing
+    roots, _, elements = _default_envelope_work(params, monkeypatch)
+    assert roots == 256
+    assert elements / roots <= 1200
 
-    def counting(xi2, s, T, *partials):
-        nonlocal elements
-        elements += len(s) * len(xi2)
-        return kernel_jet(xi2, s, T, *partials)
 
-    monkeypatch.setattr(simple_gap, "kernel_jet", counting)
-    for u in (params.u_lower, params.u_upper):
-        envelope_curve(u, params)
-    assert elements / 256 <= 1200
+def test_default_envelopes_evaluate_at_most_650_kernel_elements_and_5_rows_per_root(
+    params, monkeypatch
+):
+    # about 4.7 rows per root on the 120-node rule, 563 elements (the
+    # 192-node rule, on 5.7 rows, took 1,086), so a revert of the rule's
+    # sizing or of Newton's early stop fails here as well
+    roots, rows, elements = _default_envelope_work(params, monkeypatch)
+    assert roots == 256
+    assert elements / roots <= 650
+    assert rows / roots <= 5.0
+
+
+def _count_widenings(monkeypatch) -> list[int]:
+    """Failed checks of each window edge solved from here on, one entry per edge."""
+    failed: list[int] = []
+    real_edge = simple_gap._proven_edge
+
+    def counting(*args):
+        search, checks = real_edge(*args), 0
+        try:
+            request = next(search)
+            while True:
+                checks += 1
+                request = search.send((yield request))
+        except StopIteration as done:
+            failed.append(checks - (not math.isinf(done.value)))
+            return done.value
+
+    monkeypatch.setattr(simple_gap, "_proven_edge", counting)
+    return failed
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_newton_stops_where_no_window_widens(params, monkeypatch, seed):
+    # Newton may hand over its point once the quadratic estimate of its
+    # next step is within 1/30 of the window's half-width, without
+    # evaluating f there; the window checks still prove each edge, and none
+    # of them fails: not on the default envelopes, not on envelopes drawn as
+    # the benchmark's certify scan draws them, and not near tau over a tiny
+    # cutoff, where f's slope vanishes
+    failed = _count_widenings(monkeypatch)
+    rng = np.random.default_rng(seed)
+    u0 = float(rng.uniform(0.28, 0.32))
+    scan = make_params(1.0, float(0.004 * 2.0 ** rng.uniform()), 1.0, 0.97 * u0, 1.03 * u0)
+    roots = 0
+    for p in (params, scan):
+        for u in (p.u_lower, p.u_upper):
+            curve = envelope_curve(u, p)
+            roots += int(np.count_nonzero(curve.t_nodes < curve.tau))
+    tiny = make_params(1.0, 1e-6, 1.0, 0.291, 0.309)
+    u = (0.291, 0.3, 0.309)[seed]
+    tau = tau_root(u, tiny)
+    simple_gap._solve_windows(u, [tau * (1.0 - 10.0**-k) for k in range(1, 9)], tiny)
+    assert len(failed) == 2 * (roots + 8)
+    assert sum(failed) == 0
 
 
 def test_solve_delta_strictly_decreasing(params):
