@@ -9,11 +9,6 @@ quadrature (``_reference_rule``, or an adaptive one) rather than the
 shared collocation grid, which keeps this module an independent
 computation route.
 
-The vanishing temperature tau is a plain bisection's float on the computed
-f(T), replayed: Newton steps in T locate the root, the same kind of bound
-proves a window around it, and the bisection evaluates f only inside that
-window (``tau_root``).
-
 A gap value is a point of a proven window, the window its error bar (the
 enclosure idea of Moore, Interval Analysis, 1966).  Newton's method in
 s = delta^2 locates the root of the computed residual
@@ -28,6 +23,9 @@ quadrature bound Q(T) for the rule itself (Bernstein ellipses; Trefethen,
 SIAM Rev. 50, 2008, Thm 4.5).  The roots of one coupling are solved a
 block of temperatures at a time: every root of the block runs both
 stages, and each round evaluates f for all of them in one kernel call.
+The vanishing temperature tau is located and enclosed by the same routine
+(``_enclose``), in T, on f(T) = U * integral(tanh(xi/2T)/xi) - 1
+(``tau_root``).
 """
 
 from __future__ import annotations
@@ -186,84 +184,44 @@ def tau_root(U: float, params: PhysicalParams) -> float:
     The defining right side U * integral(tanh(xi/2T)/xi) is strictly
     decreasing in T, from U * ln(hbar_omega_d/epsilon) at T = 0, so a root
     exists only where that exceeds one.  The computed
-    f(0) = U * sum_j w_j/xi_j - 1 must exceed E(0), the rounding and
-    quadrature bound ``_solve_block`` adds to every root, which proves the
-    continuum f(0) positive; otherwise ``NoRootError`` names the span and
-    the bound.  Then (``_tau_window``) bracketed Newton steps in T locate
-    the root, a window around it is proven, and a doubling bracket from
-    epsilon/1000 and bisection to adjacent doubles are replayed, with f
-    evaluated only strictly inside the window: that bisection's float bit
-    for bit, from about 20 evaluations of f instead of about 70.  Cached: a
-    pure function of hashable inputs called from many hot paths.
+    f(0) = U * sum_j w_j/xi_j - 1 must exceed E, the rounding bound at
+    T = 0 plus the quadrature bound at U * hbar_omega_d / 2, which bounds
+    the distance of the computed f from the continuum one at every T
+    between; that proves the continuum f(0) positive, and otherwise
+    ``NoRootError`` names the span and the bound.  Then (``_tau_window``)
+    the root is located and enclosed as every gap value is, by
+    ``_enclose`` in T: tau is Newton's point, from about 7 evaluations of f.
+    Cached: a pure function of hashable inputs called from many hot paths.
     """
     return _tau_window(U, params)[0]
 
 
 @lru_cache(maxsize=4096)
 def _tau_window(U: float, params: PhysicalParams) -> tuple[float, float, float]:
-    """(tau, lo, hi): ``tau_root``'s root and the window ``_tau_edge`` proves
+    """(tau, lo, hi): ``tau_root``'s root and the window ``_enclose`` proves
     to hold it and the continuum root; a side proving nothing gives 0 or inf."""
-
-    def f(T: float) -> float:
-        return U * _coupling_integral(0.0, T, params) - 1.0
-
-    f0 = f(0.0)
     rule = _reference_rule(params)
-    rounding = float(_rounding_bound(U, 0.0, rule))
-    bound = rounding + float(_quadrature_bound(U, 0.0, params))
+    # U * integral < U hbar_omega_d / 2T, as tanh(z) < z, so f < 0 from U hbar_omega_d / 2 on
+    top = 0.5 * U * params.hbar_omega_d
+    # the rounding bound falls and Q rises in T, so E holds on all of [0, top]
+    bound = float(_rounding_bound(U, 0.0, rule) + _quadrature_bound(U, top, params))
+    f0 = U * _coupling_integral(0.0, 0.0, params) - 1.0
     if not f0 > bound:
         span = U * math.log(params.hbar_omega_d / params.epsilon_cutoff)
         raise NoRootError(
             f"tau_existence: U*ln(hbar_omega_d/epsilon) = {span!r}; the reference "
             f"rule's U*sum(w/xi) - 1 = {f0!r} does not exceed its error bound {bound!r}"
         )
-    # U * integral < U hbar_omega_d / 2T, as tanh(z) < z, so f < 0 from U hbar_omega_d / 2 on
-    top = 0.5 * U * params.hbar_omega_d
-    search = _newton(_BCS_TAU * params.hbar_omega_d * math.exp(-1.0 / U), 0.0, top, rounding)
+    search = _enclose(_BCS_TAU * params.hbar_omega_d * math.exp(-1.0 / U), 0.0, top, bound)
     try:
-        T, _ = next(search)
+        T, wants_slope = next(search)
         while True:
-            sums = U * np.dot(kernel_jet(rule.xi2, 0.0, T, "T"), rule.weights)
-            T, _ = search.send((float(sums[0]) - 1.0, float(sums[1])))
+            jet = kernel_jet(rule.xi2, 0.0, T, "T" if wants_slope else "")
+            sums = (U * np.dot(jet, rule.weights)).tolist()
+            T, wants_slope = search.send((sums[0] - 1.0, sums[1] if wants_slope else None))
     except StopIteration as done:
-        t_star, slope = done.value
-    width = 3.0 * (rounding + _quadrature_bound(U, t_star, params)) / abs(slope)
-    lo_w, hi_w = (_tau_edge(f, U, t_star, width, side, rounding, params) for side in (-1.0, 1.0))
-
-    def positive(T: float) -> bool:
-        return T <= lo_w or (T < hi_w and f(T) > 0.0)
-
-    # every tanh(xi/2T) saturates at T = epsilon/1000, so f(lo) = f(0) > 0
-    lo = hi = params.epsilon_cutoff * 1e-3
-    while positive(hi):
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent doubles: no further step moves either end
-            break
-        if positive(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), lo_w, hi_w
-
-
-def _tau_edge(f, U: float, t_star: float, width: float, side: float, rounding: float, params):
-    """Temperature past which the computed f's sign is proven, left (-1) or
-    right (+1) of t_star: the first t_star + side * width, the width growing
-    x4, with side * f(T) < -2E', E' = rounding + Q(T); else 0 or +inf.
-    A computed f(T) > 2E' puts the exact rule's f, which falls in T, above
-    E' at T and before it, so the computed f, within the rounding bound
-    (largest at T = 0) of it, stays positive there, and the continuum f,
-    within Q(T), is positive at T.  The right side mirrors this."""
-    for _ in range(_WINDOW_WIDENINGS):
-        T = t_star + side * width
-        if not T > 0.0:
-            break
-        if side * f(T) < -2.0 * (rounding + _quadrature_bound(U, T, params)):
-            return T
-        width *= 4.0
-    return math.inf if side > 0.0 else 0.0
+        tau, lo_w, hi_w = done.value
+    return tau, max(lo_w, 0.0), hi_w
 
 
 # |fl(f) - f| <= (n + _TERM_ROUNDINGS) eps S on an n-node rule, with S an
@@ -446,23 +404,36 @@ def _solve_block(
 
 
 def _root_search(T: float, tau: float, d0: float, bound: float):
-    """One root's locate and window stages, as a generator.
+    """One root's ``_enclose`` in s = delta^2, as a generator for
+    ``_solve_block``: from delta0 * tanh(1.74 sqrt(tau/T - 1)) in the
+    bracket [0, (1.5 delta0)^2], which no root reaches.  Returns the gap
+    and the window [lo, hi] proven around it, as gaps."""
+    start = d0 if T == 0.0 else d0 * math.tanh(1.74 * math.sqrt(tau / T - 1.0))
+    s, lo_w, hi_w = yield from _enclose(start * start, 0.0, (1.5 * d0) ** 2, bound)
+    return math.sqrt(s), math.sqrt(max(lo_w, 0.0)), math.sqrt(hi_w)
 
-    Each ``yield`` hands ``_solve_block`` (s, wants_slope) and receives the
-    computed (f, df/ds) at s, df/ds None unless asked for.  Returns the
-    located gap and the window [lo, hi] proven around it, a side that
-    proves nothing read as 0 or +inf.  When either edge had to widen, the
-    located s is suspect: a bisection on the computed sign inside the
-    window, down to twice the first width, places the gap instead.
+
+def _enclose(x: float, lo: float, hi: float, bound: float):
+    """Locate the root of a decreasing computed f in the bracket [lo, hi] by
+    ``_newton`` from x, and prove a window around it, in the root's own
+    variable: the one locate-and-enclose path of tau and of every gap value.
+
+    Each ``yield`` hands over (x, wants_slope) and receives the computed
+    (f, df/dx) at x, df/dx None unless asked for; ``bound`` is E, a bound on
+    the distance of the computed f from the continuum one.  Each edge
+    starts 3E/|df/dx| from Newton's point and is proven by
+    ``_proven_edge``.  Returns (point, lo_w, hi_w), a side that proves
+    nothing read as -inf or +inf.  When either edge had to widen, the
+    point is suspect: a bisection on the computed sign inside the window,
+    down to twice the first width, places it instead.
     """
-    top = (1.5 * d0) ** 2
-    s, slope = yield from _locate(T, tau, d0, bound)
+    x, slope = yield from _newton(x, lo, hi, bound)
     width = 3.0 * bound / abs(slope)
-    first = (_edge(s - width, -1.0, 0.0), _edge(s + width, 1.0, top))
-    lo_w = yield from _proven_edge(s, width, -1.0, 0.0, bound)
-    hi_w = yield from _proven_edge(s, width, 1.0, top, bound)
+    first = (_edge(x - width, -1.0, lo), _edge(x + width, 1.0, hi))
+    lo_w = yield from _proven_edge(x, width, -1.0, lo, bound)
+    hi_w = yield from _proven_edge(x, width, 1.0, hi, bound)
     if (lo_w, hi_w) != first:  # an edge had to widen
-        a, b = max(lo_w, 0.0) ** 2, min(hi_w**2, top)
+        a, b = max(lo_w, lo), min(hi_w, hi)
         while b - a > 2.0 * width:
             mid = 0.5 * (a + b)
             if not a < mid < b:
@@ -472,16 +443,8 @@ def _root_search(T: float, tau: float, d0: float, bound: float):
                 a = mid
             else:
                 b = mid
-        s = 0.5 * (a + b)
-    return math.sqrt(s), max(lo_w, 0.0), hi_w
-
-
-def _locate(T: float, tau: float, d0: float, bound: float):
-    """Locate the root in s = delta^2 by ``_newton`` in the bracket
-    [0, (1.5 delta0)^2], from delta0 * tanh(1.74 sqrt(tau/T - 1)).  It only
-    steers: the window checks carry the proof."""
-    start = d0 if T == 0.0 else d0 * math.tanh(1.74 * math.sqrt(tau / T - 1.0))
-    return (yield from _newton(start * start, 0.0, (1.5 * d0) ** 2, bound))
+        x = 0.5 * (a + b)
+    return x, lo_w, hi_w
 
 
 def _newton(x: float, lo: float, hi: float, bound: float):
@@ -492,7 +455,7 @@ def _newton(x: float, lo: float, hi: float, bound: float):
     the first |f| <= bound/8, or once the update is below 1e-3 of the
     Newton step before it and the quadratic estimate of the next one,
     |d_k| (|d_k|/|d_k-1|)^2, is within 1/30 of the window half-width
-    3 bound/|df/dx| that the callers prove around the root."""
+    3 bound/|df/dx| that ``_enclose`` proves around the root."""
     last = math.nan  # the Newton step that led to x; nan after a midpoint
     for _ in range(_NEWTON_PASSES):
         fx, dfx = yield x, True
@@ -513,29 +476,29 @@ def _newton(x: float, lo: float, hi: float, bound: float):
     return x, dfx
 
 
-def _edge(s: float, side: float, limit: float) -> float:
-    """The gap sqrt(s), or side * inf where s is at or past ``limit``."""
-    return math.sqrt(s) if side * s < side * limit else side * math.inf
+def _edge(x: float, side: float, limit: float) -> float:
+    """x, or side * inf where x is at or past ``limit``."""
+    return x if side * x < side * limit else side * math.inf
 
 
 def _proven_edge(root: float, width: float, side: float, limit: float, bound: float):
-    """Gap past which f's computed sign is proven, left (-1) or right (+1) of root.
+    """Point past which f's computed sign is proven, left (-1) or right (+1) of root.
 
-    Each side starts 3E/|df/ds| from the located root in s.  The check at
-    s = root + side * width must read side * f < -2E; the width grows x4
-    until it does.  A computed f(lo_w) > 2E means the exact f exceeds E at
-    lo_w, so the exact root, where the decreasing f falls through zero,
-    lies above lo_w; the right side mirrors it.  Past ``limit`` in s (0, or (1.5 delta0)^2, which no root
-    reaches) there is nothing to prove and the side returns side * inf, as
-    it does after the last widening.
+    The check at x = root + side * width must read side * f < -2E; the
+    width grows x4 until it does.  A computed f(lo_w) > 2E means the exact
+    f exceeds E at lo_w, and so at every x before it, as f decreases: the
+    exact root lies above lo_w, and every computed f before lo_w is
+    positive.  The right side mirrors it.  At or past ``limit``, the
+    bracket's end, there is nothing to prove and the side returns
+    side * inf, as it does after the last widening.
     """
     for _ in range(_WINDOW_WIDENINGS):
-        delta = _edge(root + side * width, side, limit)
-        if math.isinf(delta):
+        x = _edge(root + side * width, side, limit)
+        if math.isinf(x):
             break
-        f, _ = yield delta * delta, False
+        f, _ = yield x, False
         if side * f < -2.0 * bound:
-            return delta
+            return x
         width *= 4.0
     return side * math.inf
 

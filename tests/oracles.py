@@ -120,9 +120,9 @@ def bisect_delta(U: float, T: float, params) -> float:
 
 def bisect_tau(U: float, params) -> float:
     """Vanishing temperature by 200 plain bisection steps on the computed
-    f(T) = U * integral(tanh(xi/2T)/xi) - 1, from ``tau_root``'s bracket,
-    evaluating f at every midpoint.  ``tau_root`` must return this float
-    bit for bit."""
+    f(T) = U * integral(tanh(xi/2T)/xi) - 1, from a doubling bracket above
+    epsilon/1000, evaluating f at every midpoint.  This float and
+    ``tau_root``'s must lie in the same proven window."""
 
     def f(T: float) -> float:
         return U * _coupling_integral(0.0, T, params) - 1.0

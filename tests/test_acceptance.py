@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from bcsgap import simple_gap
 from bcsgap.certificate import CertificateFailure, compute_alpha, format_certificate_report
 from bcsgap.cli import EXIT_OK, main
 from bcsgap.gap_operator import GapField, apply_A, sample_envelope_field
@@ -248,6 +249,10 @@ def test_criterion_10_determinism(tmp_path):
     )
     outputs = []
     for run in ("a", "b"):
+        # from cold caches, so that the second run recomputes every tau and root
+        for cached in (tau_root, simple_gap._tau_window,
+                       simple_gap._reference_rule, solve_delta):
+            cached.cache_clear()
         out = tmp_path / run
         cfg = tmp_path / f"{run}.cfg"
         cfg.write_text(config + f"output.dir = {out}\n")

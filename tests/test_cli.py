@@ -214,6 +214,20 @@ def test_cmd_solve_and_thermo_outputs(tmp_path):
     assert all(float(r.split(",")[1]) > 0 for r in v_rows[1:])
 
 
+def test_thermo_at_a_tiny_cutoff_passes_the_curvature_cross_check(tmp_path):
+    # at epsilon = 1e-9 form B's bracket cancels to its rounding, 2.7e-8 of
+    # form A here; the cross-check allows form B's own rounding bound and
+    # no longer stops the run
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(
+        BASE_CONFIG.replace("epsilon = 0.005", "epsilon = 1e-9").replace("u0 = 0.3", "u0 = 0.9")
+        + f"output.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["thermo", str(cfg_path)]) == EXIT_OK
+    summary = (tmp_path / "out" / "thermo_summary.txt").read_text().splitlines()
+    assert {"verdict_a = true", "verdict_b = true", "verdict_c = true"} <= set(summary)
+
+
 def test_cmd_gcheck(tmp_path):
     assert main(["gcheck", "--out", str(tmp_path)]) == EXIT_OK
     g_rows = (tmp_path / "g.csv").read_text().splitlines()
@@ -521,6 +535,10 @@ def test_rerun_is_byte_identical(tmp_path):
     cfg_a = _write_config(tmp_path, f"output.dir = {out_a}\n", name="a.cfg")
     cfg_b = _write_config(tmp_path, f"output.dir = {out_b}\n", name="b.cfg")
     assert main(["simple", str(cfg_a)]) == EXIT_OK
+    # from cold caches, so that the second run recomputes every tau and root
+    for cached in (tau_root, simple_gap._tau_window,
+                   simple_gap._reference_rule, simple_gap.solve_delta):
+        cached.cache_clear()
     assert main(["simple", str(cfg_b)]) == EXIT_OK
     for name in ("envelope_U1.csv", "envelope_U2.csv", "simple_summary.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()

@@ -109,9 +109,9 @@ def test_gap_kernel_rows_zero_temperature_branch():
 
 
 def test_gap_kernel_rows_equal_gap_kernel_element_for_element():
-    # the block solve's replay relies on each row being gap_kernel's array,
-    # whatever the other rows of the block hold and whichever partials are
-    # asked for
+    # a root's value does not depend on its block because each row is
+    # gap_kernel's array, whatever the other rows of the block hold and
+    # whichever partials are asked for
     rng = np.random.default_rng(7)
     xi = np.geomspace(0.005, 1.0, 97)
     for _ in range(40):

@@ -73,26 +73,30 @@ def test_tau_root_residual(params):
         assert abs(gap_equation_residual(u, 0.0, tau, params)) <= 1e-12
 
 
-def test_tau_root_stops_once_the_bracket_holds_adjacent_doubles(params, monkeypatch):
-    # the bisection stops when no midpoint falls strictly inside the bracket,
-    # which returns the float of a full 200-step bisection, and evaluates f
-    # only inside the proven window: f(0), the two edges and the midpoints
-    # in the window, 17 evaluations at each of these couplings
+def test_tau_and_bisect_tau_lie_in_its_window_from_at_most_8_evaluations(params, monkeypatch):
+    # tau is the Newton point of the window _enclose proves, as every gap
+    # value is: it lies in [tau_lo, tau_hi], and so does plain bisection's
+    # float on the same computed f.  f is evaluated 7 times at each of these
+    # couplings: f(0), four Newton steps and the two edges
     calls = 0
-    integral = simple_gap._coupling_integral
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return integral(*args)
+    def counting(real):
+        def wrapped(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        return wrapped
 
     couplings = np.linspace(params.u_lower, params.u_upper, 7).tolist()
     expected = [bisect_tau(u, params) for u in couplings]
-    monkeypatch.setattr(simple_gap, "_coupling_integral", counting)
-    for u, tau in zip(couplings, expected):
+    monkeypatch.setattr(simple_gap, "_coupling_integral", counting(simple_gap._coupling_integral))
+    monkeypatch.setattr(simple_gap, "kernel_jet", counting(simple_gap.kernel_jet))
+    for u, bisected in zip(couplings, expected):
         calls = 0
-        assert simple_gap._tau_window.__wrapped__(u, params)[0] == tau, u
-        assert calls <= 19, (u, calls)
+        tau, lo, hi = simple_gap._tau_window.__wrapped__(u, params)
+        assert lo <= tau <= hi and lo <= bisected <= hi, u
+        assert calls <= 8, (u, calls)
 
 
 @pytest.mark.parametrize("epsilon", [0.005, 1e-6])
@@ -112,21 +116,36 @@ def test_tau_window_holds_the_continuum_root(epsilon):
 
 
 @pytest.mark.parametrize("side", [-1.0, 1.0])
-def test_tau_window_edge_needs_a_margin_of_twice_its_bound(params, side):
-    # a computed f of the proven sign proves nothing until |f| > 2E', with
-    # E' the rounding bound at T = 0 plus Q at the edge: only then is the
-    # computed f proven of that sign at every T past the edge.  Below the
-    # margin the edge widens x4; above it, it is returned
-    u, t_star, width, rounding = 0.3, 0.0378, 1e-14, 1e-13
-    sizes, seen = [0.5, 1.9, 2.1], []
+def test_tau_window_edge_needs_a_margin_of_twice_its_bound(params, monkeypatch, side):
+    # tau's edges are _proven_edge checks in T against E', the rounding
+    # bound at T = 0 plus Q at U hbar_omega_d / 2, where the right side is
+    # capped: a computed f of the proven sign proves nothing until
+    # |f| > 2E'.  Below the margin the edge widens x4; above it, it is
+    # returned
+    u = 0.3
+    calls = []
+    proven_edge = simple_gap._proven_edge
 
-    def f(T):
-        seen.append(T)
-        return -side * sizes[len(seen) - 1] * (rounding + simple_gap._quadrature_bound(u, T, params))
+    def recording(*args):
+        calls.append(args)
+        return (yield from proven_edge(*args))
 
-    edge = simple_gap._tau_edge(f, u, t_star, width, side, rounding, params)
+    monkeypatch.setattr(simple_gap, "_proven_edge", recording)
+    simple_gap._tau_window.__wrapped__(u, params)
+    top = 0.5 * u * params.hbar_omega_d
+    rule = simple_gap._reference_rule(params)
+    expected = float(simple_gap._rounding_bound(u, 0.0, rule) + simple_gap._quadrature_bound(u, top, params))
+    ((t_star, width, _, limit, bound),) = [c for c in calls if c[2] == side]
+    assert limit == (0.0 if side < 0.0 else top)
+    assert bound == expected
+
+    search = proven_edge(t_star, width, side, limit, bound)
+    seen = [next(search)[0]]
+    with pytest.raises(StopIteration) as done:
+        for size in (0.5, 1.9, 2.1):
+            seen.append(search.send((-side * size * bound, None))[0])
     assert seen == [t_star + side * w for w in (width, 4.0 * width, 16.0 * width)]
-    assert edge == seen[-1]
+    assert done.value.value == seen[-1]
 
 
 def test_tau_root_requires_logarithmic_span():
@@ -510,21 +529,22 @@ def test_reference_rule_is_the_fewest_panels_its_bound_allows(epsilon, band):
 
 @pytest.mark.parametrize("shift", [0.5, 1.0 + 1e-9, 2.0])
 def test_solve_delta_window_checks_catch_a_misplaced_root(params, monkeypatch, shift):
-    # the window checks, not the locate stage, carry the proof: with the
-    # located root moved off the true one, the checks fail and the window
-    # widens or gives up.  The window still holds the 40-digit root, and a
-    # bisection inside it places the value within a few widths of the
-    # window that a well-placed root proves
-    tau = tau_root(0.3, params)
+    # the window checks, not Newton, carry the proof: with Newton's point
+    # moved off the true root, the checks fail and the window widens or
+    # gives up.  The window still holds the 40-digit root and plain
+    # bisection's float, and a bisection inside it places the value within
+    # a few widths of the window that a well-placed point proves.  tau is
+    # enclosed the same way, in T
+    tau, tau_lo, tau_hi = simple_gap._tau_window(0.3, params)
     ts = (0.0, 0.5 * tau, tau * (1.0 - 1e-6))
     _, lo0, hi0 = simple_gap._solve_windows(0.3, ts, params)
-    locate = simple_gap._locate
+    newton = simple_gap._newton
 
     def misplaced(*args):
-        s, slope = yield from locate(*args)
-        return s * shift, slope
+        x, slope = yield from newton(*args)
+        return x * shift, slope
 
-    monkeypatch.setattr(simple_gap, "_locate", misplaced)
+    monkeypatch.setattr(simple_gap, "_newton", misplaced)
     for t, width in zip(ts, hi0 - lo0):
         (value,), (lo,), (hi,) = simple_gap._solve_windows(0.3, [t], params)
         bisected = bisect_delta(0.3, t, params)
@@ -533,25 +553,42 @@ def test_solve_delta_window_checks_catch_a_misplaced_root(params, monkeypatch, s
         with mp.workdps(40):
             exact = _mp_root(0.3, t, params, bisected)
             assert mp.mpf(lo) <= exact <= mp.mpf(hi)
+    value, lo, hi = simple_gap._tau_window.__wrapped__(0.3, params)
+    bisected = bisect_tau(0.3, params)
+    assert lo <= value <= hi and lo <= bisected <= hi
+    assert abs(value - bisected) <= 4.0 * (tau_hi - tau_lo)
+    with mp.workdps(40):
+        exact = mp.findroot(lambda t: _continuum_f(0.3, 0.0, t, params),
+                            (mp.mpf(tau_lo), mp.mpf(tau_hi)), solver="anderson")
+        assert mp.mpf(lo) <= exact <= mp.mpf(hi)
 
 
-@pytest.mark.parametrize("side", [-1.0, 1.0])
-def test_window_edge_needs_a_margin_of_twice_the_rounding_bound(side):
+@pytest.mark.parametrize(
+    "side, root, limit",
+    [(-1.0, 1e-4, 0.0), (1.0, 1e-4, 1.0), (1.0, TAU_03, 0.15)],
+    ids=["-1.0", "1.0", "tau-cap"],
+)
+def test_window_edge_needs_a_margin_of_twice_the_rounding_bound(side, root, limit):
     # a computed f of the proven sign proves nothing until |f| > 2E: only
     # then does the exact f, within E of it, exceed E in size, the margin
     # every computed f past the edge needs to keep that sign.  Below it the
-    # edge must widen (x4 in s), at or above it return delta at the edge.
-    root, width, bound = 1e-4, 1e-8, 1e-13
-    limit = 0.0 if side < 0.0 else 1.0
+    # edge must widen x4, at or above it return the edge.  tau's edges are
+    # the same checks in T, the right one capped at U hbar_omega_d / 2
+    # (0.15 at U = 0.3), past which f < 0 needs no check
+    width, bound = 1e-8, 1e-13
     search = simple_gap._proven_edge(root, width, side, limit, bound)
-    s, wants_slope = next(search)
-    assert s == pytest.approx(root + side * width, rel=1e-12) and not wants_slope
+    x, wants_slope = next(search)
+    assert x == root + side * width and not wants_slope
     for size, widened in ((0.5, 4.0), (2.0, 16.0)):
-        s, _ = search.send((-side * size * bound, None))
-        assert s == pytest.approx(root + side * widened * width, rel=1e-12)
+        x, _ = search.send((-side * size * bound, None))
+        assert x == root + side * widened * width
     with pytest.raises(StopIteration) as done:
         search.send((-side * 2.5 * bound, None))
-    assert done.value.value * done.value.value == s
+    assert done.value.value == x
+    # an edge at or past the limit proves nothing, without an evaluation
+    with pytest.raises(StopIteration) as done:
+        next(simple_gap._proven_edge(limit - 0.5 * side * width, width, side, limit, bound))
+    assert done.value.value == side * math.inf
 
 
 def test_default_envelopes_lie_in_their_windows(params):
@@ -661,7 +698,11 @@ def test_newton_stops_where_no_window_widens(params, monkeypatch, seed):
     # evaluating f there; the window checks still prove each edge, and none
     # of them fails: not on the default envelopes, not on envelopes drawn as
     # the benchmark's certify scan draws them, and not near tau over a tiny
-    # cutoff, where f's slope vanishes
+    # cutoff, where f's slope vanishes.  tau's edges, proven by the same
+    # checks, fail none either: its caches are cleared so that each of the
+    # five taus is enclosed here
+    simple_gap.tau_root.cache_clear()
+    simple_gap._tau_window.cache_clear()
     failed = _count_widenings(monkeypatch)
     rng = np.random.default_rng(seed)
     u0 = float(rng.uniform(0.28, 0.32))
@@ -675,7 +716,7 @@ def test_newton_stops_where_no_window_widens(params, monkeypatch, seed):
     u = (0.291, 0.3, 0.309)[seed]
     tau = tau_root(u, tiny)
     simple_gap._solve_windows(u, [tau * (1.0 - 10.0**-k) for k in range(1, 9)], tiny)
-    assert len(failed) == 2 * (roots + 8)
+    assert len(failed) == 2 * (roots + 8 + 5)
     assert sum(failed) == 0
 
 
