@@ -31,21 +31,22 @@ Perron pair of M = W diag(k0(T)); d and the partials of k come from
 a potential and a grid, the reference for the operator.  Every other
 function takes the operator alone and reads the grid from it.
 
-The transition temperature is where the zero-field Perron root rho(T) is
-one.  ``radius_crossing_temperature`` finds it by Newton's method on
-rho(T) = 1, with the slope
+T_c is where the zero-field Perron root rho(T) of M = W diag(k0(T)) is
+one.  ``radius_crossing_temperature`` locates and encloses it with
+``simple_gap._enclose``, in T on f(T) = rho(T) - 1, which falls as k0
+does, by Newton's method with the slope
 
     rho'(T) = <psi, W (dk0/dT * phi)> / <psi, phi>,
 
 dk0/dT the "T" partial of ``kernel_jet`` at s = 0, from the right and
-left Perron vectors phi and psi (the potential need not be symmetric, so
-psi is its own power iteration).  Each step keeps the iterate inside the
-bracket that the computed signs of rho - 1 prove, and one that would
-leave it takes the midpoint.
+left Perron vectors phi and psi (U need not be symmetric), and proves the
+window's edges on Collatz-Wielandt bounds: min r <= rho <= max r for
+r = (M phi)/phi and any positive phi.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ from .model import (
     potential_matrix,
 )
 from .quadrature import gap_kernel, kernel_jet
-from .simple_gap import solve_delta, tau_root
+from .simple_gap import _enclose, _tau_window, solve_delta
 
 __all__ = [
     "GapField",
@@ -84,8 +85,8 @@ _PERRON_MAX_ITER = 50_000
 # Bernstein-ellipse parameters rho - 1 over which the Chebyshev tail bound
 # is minimised: any rho > 1 gives a valid bound, the grid only tightens it
 _ELLIPSE_OFFSETS = (1e-3, 1e3, 400)
-# radius_crossing_temperature stops on a step or bracket this small, relative
-_CROSSING_RTOL = 1e-13
+# roundings of one ratio r_i beyond its sums and L's entries (see _ratio_bound)
+_RATIO_ROUNDINGS = 16
 # sine modes in a sample_envelope_field profile
 _ENVELOPE_MODES = 4
 
@@ -127,27 +128,6 @@ def apply_values(
     reference that ``apply_A`` uses.
     """
     return weighted @ (values * gap_kernel(xi, values * values, T))
-
-
-def _power_iteration(matvec, x: np.ndarray) -> PerronRoot:
-    """Dominant eigenpair of a positive linear map from a positive start.
-
-    The dominant eigenvector of a positive kernel is positive, so no
-    deflation is needed.  Converged when successive Rayleigh quotients
-    differ by at most 1e-13.
-    """
-    lam = 0.0
-    for n in range(1, _PERRON_MAX_ITER + 1):
-        y = matvec(x)
-        lam_new = float(x @ y) / float(x @ x)
-        x = y / np.max(np.abs(y))
-        if abs(lam_new - lam) <= _PERRON_TOL:
-            return PerronRoot(radius=lam_new, eigenvector=x, iterations=n)
-        lam = lam_new
-    raise RuntimeError(
-        f"power iteration did not converge in {_PERRON_MAX_ITER} iterations "
-        f"(last Rayleigh delta {abs(lam_new - lam):.3e})"
-    )
 
 
 def _zero_field_kernel(xi: np.ndarray, T: float) -> np.ndarray:
@@ -319,67 +299,92 @@ def spectral_radius(
 ) -> PerronRoot:
     """Perron root of the zero-field kernel M = W diag(k0(T)) with its right
     vector (M phi = rho phi) or, with ``left``, its left vector
-    (psi^T M = rho psi^T), by power iteration.
-
-    Seeded with ``start``, or with the constant-one field: the dominant
-    eigenvector of a positive kernel is positive, so no deflation is
-    needed.  Converged when successive Rayleigh quotients differ by at most
-    1e-13.
+    (psi^T M = rho psi^T), by power iteration from ``start`` or the
+    constant-one field: the dominant eigenvector of a positive kernel is
+    positive, so no deflation is needed.  Converged when successive
+    Rayleigh quotients differ by at most 1e-13.
     """
     k0 = _zero_field_kernel(op.grid.nodes, T)
     x = np.ones(op.grid.size) if start is None else start
-    if left:
-        return _power_iteration(lambda v: k0 * op.rmatvec(v), x)
-    return _power_iteration(lambda v: op.matvec(k0 * v), x)
+    lam = 0.0
+    for n in range(1, _PERRON_MAX_ITER + 1):
+        y = k0 * op.rmatvec(x) if left else op.matvec(k0 * x)
+        lam_new = float(x @ y) / float(x @ x)
+        x = y / np.max(np.abs(y))
+        if abs(lam_new - lam) <= _PERRON_TOL:
+            return PerronRoot(radius=lam_new, eigenvector=x, iterations=n)
+        lam = lam_new
+    raise RuntimeError(
+        f"power iteration did not converge in {_PERRON_MAX_ITER} iterations "
+        f"(last Rayleigh delta {abs(lam_new - lam):.3e})"
+    )
 
 
-def radius_crossing_temperature(op: GapOperator, lo: float, hi: float) -> float:
-    """Unit crossing of the zero-field Perron root, by safeguarded Newton.
-
-    The root decreases strictly in T (the kernel does, entrywise), so a
-    bracket with radius(lo) >= 1 >= radius(hi) pins the crossing uniquely.
-    Newton starts from ``hi`` with the slope of the module docstring; each
-    computed sign of rho - 1 narrows the bracket, a step that would leave
-    it takes the midpoint, and the Perron vectors of one step start the
-    power iterations of the next.  Stops once a step is at most 1e-13 T,
-    or the bracket at most 1e-13 hi.
-    """
-    f_lo = spectral_radius(lo, op).radius
-    right = spectral_radius(hi, op)
-    f_hi = right.radius
-    if not (f_lo >= 1.0 - 1e-12 and f_hi <= 1.0 + 1e-12):
+def radius_crossing_temperature(
+    op: GapOperator, lo: float, hi: float
+) -> tuple[float, float, float]:
+    """(T_c, lo_w, hi_w): rho's unit crossing in [lo, hi], from hi (see the
+    module docstring).  A Newton query costs a right and a left Perron
+    solve, each warm-started; any other is answered by the side of rho - 1
+    the last right vector's ratios prove, or 0, within ``_ratio_bound``'s E.
+    An end not finite and positive, or a side proving nothing, is refused."""
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"bracket invalid: [{lo!r}, {hi!r}] is not a finite positive bracket")
+    search = _enclose(hi, lo, hi, _ratio_bound(op))
+    phi = psi = None
+    try:
+        T, wants_slope = next(search)
+        while True:
+            if wants_slope:
+                phi = spectral_radius(T, op, start=phi).eigenvector
+                psi = spectral_radius(T, op, start=psi, left=True).eigenvector
+                rho, slope = op.radius_and_slope(T, phi, psi)
+                answer = (rho - 1.0, slope)
+            else:
+                ratios = op.kernel_action(phi, T) / phi
+                low, high = float(ratios.min()) - 1.0, float(ratios.max()) - 1.0
+                answer = (low if low > 0.0 else high if high < 0.0 else 0.0, None)
+            T, wants_slope = search.send(answer)
+    except StopIteration as done:
+        t_c, lo_w, hi_w = done.value
+    if math.isinf(hi_w - lo_w):
         raise ValueError(
-            f"bracket invalid: radius({lo!r}) = {f_lo!r}, radius({hi!r}) = {f_hi!r}; "
+            f"bracket invalid: no window about {t_c!r} is proven inside [{lo!r}, {hi!r}]; "
             "the potential must lie strictly inside its coupling band"
         )
-    T, left = hi, None
-    for _ in range(200):
-        start = None if left is None else left.eigenvector
-        left = spectral_radius(T, op, start=start, left=True)
-        rho, slope = op.radius_and_slope(T, right.eigenvector, left.eigenvector)
-        if rho > 1.0:
-            lo = T
-        else:
-            hi = T
-        new = T - (rho - 1.0) / slope
-        if abs(new - T) <= _CROSSING_RTOL * T:
-            return new
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-            if hi - lo <= _CROSSING_RTOL * hi:
-                return new
-        T = new
-        right = spectral_radius(T, op, start=right.eigenvector)
-    return 0.5 * (lo + hi)
+    return t_c, lo_w, hi_w
+
+
+def _ratio_bound(op: GapOperator) -> float:
+    """E >= |computed - exact| / exact for every r = (M phi)/phi, at any T
+    and positive phi, M = W diag(k0(T)) with W the dense Nystrom matrix: a
+    computed min r - 1 > 2E proves rho > 1, and max r - 1 < -2E rho < 1.
+
+    M phi is computed as L (R v), v = k0 phi.  Its sums, of n and r terms,
+    and L's entries, each a term over a sum of condition number
+    Lambda_i = sum_k |L_ik|, err by (n + r + (r + 3) Lambda) eps
+    (|L| |R| v)_i (Higham, 2nd ed., 3.1; n alone where W is held); k0, v,
+    R and the divide by phi_i by _RATIO_ROUNDINGS eps more; the factors by
+    error (w . v).  R/w holds U at the centres, whose extremes bound every
+    W_ij/w_j (a hat row interpolates; a bump's lie at offsets 0 and
+    x_n - x_1, which the end centres reach), so
+    (|L| |R| v)_i <= Lambda max(R/w) (W v)_i / min(R/w).
+    """
+    u = op.right / op.grid.weights
+    if not u.min() > 0.0:
+        return math.inf
+    terms, lebesgue = op.grid.size + _RATIO_ROUNDINGS, 1.0
+    if op.left is not None:
+        lebesgue = float(np.abs(op.left).sum(axis=1).max())
+        terms += op.rank + (op.rank + 3) * lebesgue
+    return float((terms * np.finfo(float).eps * lebesgue * u.max() + op.error) / u.min())
 
 
 def spectral_tc(op: GapOperator, params: PhysicalParams) -> float:
-    """Unit crossing of the zero-field Perron root, bracketed by the envelope
-    vanishing temperatures [tau(U1), tau(U2)] and located by the Newton
-    iteration of ``radius_crossing_temperature``."""
-    return radius_crossing_temperature(
-        op, tau_root(params.u_lower, params), tau_root(params.u_upper, params)
-    )
+    """T_c, the point of ``radius_crossing_temperature``'s window in the
+    bracket [tau_lo(U1), tau_hi(U2)] that ``simple_gap`` proves."""
+    lo, hi = _tau_window(params.u_lower, params)[1], _tau_window(params.u_upper, params)[2]
+    return radius_crossing_temperature(op, lo, hi)[0]
 
 
 def sample_envelope_field(

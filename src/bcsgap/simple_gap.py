@@ -25,7 +25,7 @@ block of temperatures at a time: every root of the block runs both
 stages, and each round evaluates f for all of them in one kernel call.
 The vanishing temperature tau is located and enclosed by the same routine
 (``_enclose``), in T, on f(T) = U * integral(tanh(xi/2T)/xi) - 1
-(``tau_root``).
+(``tau_root``), and so is ``gap_operator``'s T_c.
 """
 
 from __future__ import annotations
@@ -288,24 +288,14 @@ def solve_delta(U: float, T: float, params: PhysicalParams) -> float:
 def solve_delta_many(U: float, Ts, params: PhysicalParams) -> np.ndarray:
     """Gap values ``solve_delta(U, T, params)`` for every T in ``Ts``, bit for bit.
 
-    Each result is a point of a window that holds the exact root of
-    U * integral(gap_kernel(xi, delta^2, T)) = 1 over [epsilon, hbar_omega_d]:
-
-    1. locate: bracketed Newton steps in s = delta^2 on the computed f,
-       summed on the reference rule, run until |f| <= E/8, with E a bound
-       on the distance of the computed f from the exact one, or until the
-       predicted next step is within 1/30 of the window's half-width; one
-       more Newton update from the last f and slope, which costs no
-       evaluation, gives the point;
-    2. prove a window: the edges sit 3E/|df/ds| either side of the point
-       in s.  A computed f(lo_w) > 2E means the exact f exceeds E at lo_w,
-       so the exact root lies above it; a computed f(hi_w) < -2E proves
-       the mirror image.  An edge whose check fails widens x4.
-
-    If either edge had to widen, the point is suspect, and a bisection on
-    the computed sign inside the window, down to twice the first width,
-    places it instead.  That costs tens of evaluations, and no measured root
-    needs it: a root costs about 4.7 evaluations.
+    Each result is the point of a window that holds the exact root of
+    U * integral(gap_kernel(xi, delta^2, T)) = 1 over [epsilon, hbar_omega_d],
+    located and enclosed by ``_enclose`` in s = delta^2 on the computed f,
+    summed on the reference rule, with E a bound on its distance from the
+    exact f: Newton's point, and edges 3E/|df/ds| either side, each proven
+    by a computed |f| > 2E.  A root costs about 4.7 evaluations; the
+    bisection that places a point whose edge had to widen costs tens, and
+    no measured root needs it.
 
     Temperatures at or above tau_U give 0.0 without an evaluation.  The
     others are solved in blocks of ``_BLOCK_ELEMENTS`` kernel elements:
@@ -416,16 +406,17 @@ def _root_search(T: float, tau: float, d0: float, bound: float):
 def _enclose(x: float, lo: float, hi: float, bound: float):
     """Locate the root of a decreasing computed f in the bracket [lo, hi] by
     ``_newton`` from x, and prove a window around it, in the root's own
-    variable: the one locate-and-enclose path of tau and of every gap value.
+    variable: the one locate-and-enclose path of every gap value, tau and
+    (``gap_operator.radius_crossing_temperature``) T_c.
 
     Each ``yield`` hands over (x, wants_slope) and receives the computed
     (f, df/dx) at x, df/dx None unless asked for; ``bound`` is E, a bound on
-    the distance of the computed f from the continuum one.  Each edge
-    starts 3E/|df/dx| from Newton's point and is proven by
+    the distance of the computed f from the exact f its caller computes.
+    Each edge starts 3E/|df/dx| from Newton's point and is proven by
     ``_proven_edge``.  Returns (point, lo_w, hi_w), a side that proves
-    nothing read as -inf or +inf.  When either edge had to widen, the
-    point is suspect: a bisection on the computed sign inside the window,
-    down to twice the first width, places it instead.
+    nothing read as -inf or +inf.  When either edge had to widen, the point
+    is suspect: a bisection on the computed sign inside the window, down to
+    twice the first width, places it instead.
     """
     x, slope = yield from _newton(x, lo, hi, bound)
     width = 3.0 * bound / abs(slope)
@@ -486,11 +477,11 @@ def _proven_edge(root: float, width: float, side: float, limit: float, bound: fl
 
     The check at x = root + side * width must read side * f < -2E; the
     width grows x4 until it does.  A computed f(lo_w) > 2E means the exact
-    f exceeds E at lo_w, and so at every x before it, as f decreases: the
-    exact root lies above lo_w, and every computed f before lo_w is
-    positive.  The right side mirrors it.  At or past ``limit``, the
-    bracket's end, there is nothing to prove and the side returns
-    side * inf, as it does after the last widening.
+    f, within E of it, exceeds E at lo_w, and so at every x before it, as
+    f decreases: the exact root lies above lo_w, and every computed f
+    before lo_w is positive.  The right side mirrors it.  At or past
+    ``limit``, the bracket's end, there is nothing to prove and the side
+    returns side * inf, as it does after the last widening.
     """
     for _ in range(_WINDOW_WIDENINGS):
         x = _edge(root + side * width, side, limit)

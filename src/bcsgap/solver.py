@@ -378,8 +378,8 @@ def solve_surface(
     unit_offsets = lattice_offsets(t_resolution, span_decades)
     t_c = spectral_tc(op, params)
 
-    # spectral_tc admits a bracket edge within 1e-12 of radius one, so a
-    # potential at its lower band edge can put T_c at or below tau1
+    # spectral_tc's bracket opens at tau1's proven lower edge, so a potential
+    # at its lower band edge can put T_c at or below tau1
     tau = tau_root(params.u_lower, params)
     if not tau < t_c:
         raise ValueError(f"lower temperature {tau!r} must be below T_c = {t_c!r}")

@@ -142,10 +142,13 @@ def bisect_tau(U: float, params) -> float:
     return 0.5 * (lo + hi)
 
 
-def bisect_tc(potential, grid, lo: float, hi: float, rtol: float = 1e-13) -> float:
-    """Unit crossing of the zero-field Perron root by plain bisection, each
-    radius by power iteration on the explicit kernel matrix from the
-    constant-one field.  ``spectral_tc`` must land within a few rtol of it."""
+def bisect_tc(potential, grid, lo: float, hi: float) -> float:
+    """Unit crossing of the zero-field Perron root by plain bisection on the
+    computed sign of radius - 1, each radius by power iteration on the
+    explicit kernel matrix from the constant-one field, until the midpoint
+    rounds onto an end: lo and hi are then adjacent doubles, and the float
+    returned is one of them.  It and ``spectral_tc``'s float must lie in
+    the window ``radius_crossing_temperature`` proves."""
 
     def radius(T: float) -> float:
         m = kernel_matrix(T, potential, grid)
@@ -160,15 +163,14 @@ def bisect_tc(potential, grid, lo: float, hi: float, rtol: float = 1e-13) -> flo
             lam = lam_new
         raise RuntimeError("power iteration did not converge")
 
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
         if radius(mid) > 1.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rtol * hi:
-            break
-    return 0.5 * (lo + hi)
 
 
 def constant_psi_derivatives(U: float, T: float, h: float, params, grid) -> tuple[float, float]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bcsgap
-from bcsgap import certificate, cli, simple_gap, solver
+from bcsgap import certificate, cli, gap_operator, simple_gap, solver
 from bcsgap.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CERTIFICATE,
@@ -149,9 +149,12 @@ def test_certify_reports_an_unproven_bound_as_infinite(
 ):
     # with no widening allowed, no root window proves a side: Delta2(tau)
     # has no upper edge, so the bound has none either; the search still
-    # reports failure, and certificate.txt an alpha_upper float() reads
-    monkeypatch.setattr(simple_gap, "_WINDOW_WIDENINGS", 0)
+    # reports failure, and certificate.txt an alpha_upper float() reads.
+    # T_c's window is proven by the same checks, so T_c is located before
+    # they are switched off, and certify is handed it
     t_c = spectral_tc(const_op, params)
+    monkeypatch.setattr(simple_gap, "_WINDOW_WIDENINGS", 0)
+    monkeypatch.setattr(cli, "spectral_tc", lambda *args: t_c)
     tau = 0.5 * (tau_root(params.u_lower, params) + t_c)
     result = certificate.compute_alpha(tau, const_op, params, t_c=t_c)
     assert result.upper == math.inf and 1.0 < result.alpha < math.inf
@@ -164,6 +167,15 @@ def test_certify_reports_an_unproven_bound_as_infinite(
     assert lines.index(f"alpha_upper = {values['alpha_upper']}") == (
         lines.index(f"best_alpha = {values['best_alpha']}") + 1
     )
+
+
+def test_an_unproven_tc_exits_4_naming_the_bracket(tmp_path, monkeypatch, capsys):
+    # a T_c window that proves neither side (here its bound made infinite)
+    # is a ValueError naming the bracket, which the command reports by exit 4
+    monkeypatch.setattr(gap_operator, "_ratio_bound", lambda op: math.inf)
+    cfg_path = _write_config(tmp_path, f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["certify", str(cfg_path)]) == EXIT_BAD_CONFIG
+    assert "error: bracket invalid" in capsys.readouterr().err
 
 
 def test_cmd_solve_and_thermo_outputs(tmp_path):

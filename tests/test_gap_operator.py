@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from bcsgap import gap_operator
 from bcsgap.gap_operator import (
     GapField,
+    PerronRoot,
     apply_A,
     as_operator,
     kernel_matrix,
@@ -22,9 +25,10 @@ from bcsgap.model import (
     validate_potential,
 )
 from bcsgap.quadrature import gap_kernel, kernel_jet
-from bcsgap.simple_gap import solve_delta, tau_root
+from bcsgap.simple_gap import _tau_window, solve_delta, tau_root
 from bcsgap.solver import solve_surface
 from oracles import bisect_tc
+from test_simple_gap import _count_widenings
 
 
 def test_apply_preserves_zero(const_potential, params, grid):
@@ -185,19 +189,40 @@ def _tc_cases(params, grid):
     }
 
 
-# Perron solves per T_c: two for the bracket check, then a left and a right
-# one per Newton step.  Measured: 11 solves on every case above, with 26 to
-# 62 power iterations in all.
-MAX_PERRON_SOLVES = 13
+# Perron solves per T_c: a right and a left one per Newton step; the
+# window's edges cost one product each.  Measured: 8 solves on every case
+# above, with 19 to 49 power iterations in all.
+MAX_PERRON_SOLVES = 10
 MAX_POWER_ITERATIONS = 70
+TC_CASES = ["constant", "bump", "bump-640", "skew-table"]
 
 
-@pytest.mark.parametrize("case", ["constant", "bump", "bump-640", "skew-table"])
-def test_newton_tc_matches_bisection(case, params, grid, monkeypatch):
+@pytest.fixture(scope="module")
+def bisected_tc(params, grid):
+    """``bisect_tc``'s root for a case of ``_tc_cases``, bisected at its first use."""
+    roots: dict[str, float] = {}
+
+    def root(case: str) -> float:
+        if case not in roots:
+            potential, case_grid = _tc_cases(params, grid)[case]
+            tau1, tau2 = tau_root(params.u_lower, params), tau_root(params.u_upper, params)
+            roots[case] = bisect_tc(potential, case_grid, tau1, tau2)
+        return roots[case]
+
+    return root
+
+
+def _tc_bracket(params) -> tuple[float, float]:
+    """spectral_tc's bracket: [tau_lo(U1), tau_hi(U2)]."""
+    return _tau_window(params.u_lower, params)[1], _tau_window(params.u_upper, params)[2]
+
+
+@pytest.mark.parametrize("case", TC_CASES)
+def test_newton_tc_matches_bisection(case, params, grid, monkeypatch, bisected_tc):
     potential, case_grid = _tc_cases(params, grid)[case]
     op = as_operator(potential, case_grid)
     tau1, tau2 = tau_root(params.u_lower, params), tau_root(params.u_upper, params)
-    reference = bisect_tc(potential, case_grid, tau1, tau2)
+    reference = bisected_tc(case)
     solves = []
     real = gap_operator.spectral_radius
 
@@ -214,6 +239,69 @@ def test_newton_tc_matches_bisection(case, params, grid, monkeypatch):
     assert tau1 < t_c < tau2
     assert len(solves) <= MAX_PERRON_SOLVES
     assert sum(solves) <= MAX_POWER_ITERATIONS
+
+
+@pytest.mark.parametrize("case", TC_CASES)
+def test_tc_window_holds_its_point_and_the_bisected_root(
+    case, params, grid, monkeypatch, bisected_tc
+):
+    # T_c is the point of a window whose edges simple_gap's checks prove on
+    # Collatz-Wielandt bounds of rho: the window lies inside the bracket and
+    # holds spectral_tc's float and bisect_tc's adjacent-doubles root, and
+    # no edge check fails and widens
+    potential, case_grid = _tc_cases(params, grid)[case]
+    op = as_operator(potential, case_grid)
+    lo, hi = _tc_bracket(params)
+    failed = _count_widenings(monkeypatch)
+    t_c, lo_w, hi_w = radius_crossing_temperature(op, lo, hi)
+    assert failed == [0, 0]
+    assert t_c == spectral_tc(op, params)
+    assert lo < lo_w <= t_c <= hi_w < hi
+    assert lo_w <= bisected_tc(case) <= hi_w
+
+
+@pytest.mark.parametrize("coupling", ["u_lower", "u_upper"])
+def test_radius_crossing_at_a_band_edge_is_enclosed_inside_the_bracket_or_refused(
+    coupling, params, grid
+):
+    # a constant potential at U1 or U2 puts T_c at an end of the bracket's
+    # tau windows: its window must lie strictly inside the bracket, or the
+    # bracket is refused by name; so is a bracket end that is not finite
+    op = as_operator(ConstantPotential(getattr(params, coupling)), grid)
+    lo, hi = _tc_bracket(params)
+    try:
+        t_c, lo_w, hi_w = radius_crossing_temperature(op, lo, hi)
+    except ValueError as err:
+        assert "bracket invalid" in str(err)
+    else:
+        assert lo < lo_w <= t_c <= hi_w < hi
+    with pytest.raises(ValueError, match="bracket invalid"):
+        radius_crossing_temperature(op, lo, math.inf)
+
+
+def test_tc_edges_rest_on_collatz_wielandt_bounds(params, grid, monkeypatch, bisected_tc):
+    # Perron vectors perturbed by 1e-5: the two-sided Rayleigh quotient of
+    # Newton's steps then errs in the second order and moves Newton's point
+    # some 2e-10 of T_c off, hundreds of window widths, while the ratios
+    # (M phi)/phi of a perturbed phi spread by about 2e-5 about rho.  Edges proven on those bounds
+    # prove nothing within the widening budget, and T_c is refused; an edge
+    # proven on the Rayleigh quotient's sign would enclose the wrong point
+    op = as_operator(ConstantPotential(0.3), grid)
+    lo, hi = _tc_bracket(params)
+    real = gap_operator.spectral_radius
+    tilt = 1.0 + 1e-5 * np.cos(7.0 * grid.nodes)
+
+    def perturbed(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return PerronRoot(out.radius, out.eigenvector * tilt, out.iterations)
+
+    monkeypatch.setattr(gap_operator, "spectral_radius", perturbed)
+    try:
+        _, lo_w, hi_w = radius_crossing_temperature(op, lo, hi)
+    except ValueError as err:
+        assert "bracket invalid" in str(err)
+    else:
+        assert lo_w <= bisected_tc("constant") <= hi_w
 
 
 def test_left_perron_vector_of_nonsymmetric_table(params, grid):

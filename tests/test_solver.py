@@ -461,18 +461,16 @@ def test_surface_nodes_seeded_on_the_square_root_branch(const_surface, gauss_sur
 
 
 def _count_power_products(monkeypatch) -> list[int]:
-    # one entry per product of gap_operator's power iteration
+    # one entry per Perron solve of picard_solve: its power iterations
     products: list[int] = []
-    real = gap_operator._power_iteration
+    real = solver.spectral_radius
 
-    def counting(matvec, x):
-        def counted(v):
-            products.append(1)
-            return matvec(v)
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        products.append(out.iterations)
+        return out
 
-        return real(counted, x)
-
-    monkeypatch.setattr(gap_operator, "_power_iteration", counting)
+    monkeypatch.setattr(solver, "spectral_radius", counting)
     return products
 
 
@@ -562,8 +560,8 @@ def test_surface_ignores_unusable_seed(bad, monkeypatch, const_op, params, grid)
 
 
 def test_solve_surface_refuses_tc_not_above_tau(const_op, params, monkeypatch):
-    # spectral_tc accepts radius(tau1) >= 1 - 1e-12, so for a potential at
-    # its lower band edge it can return a T_c at or below tau1
+    # spectral_tc's bracket opens at tau1's proven lower edge, so for a
+    # potential at its lower band edge it can return a T_c at or below tau1
     tau1 = tau_root(params.u_lower, params)
     monkeypatch.setattr(solver, "spectral_tc", lambda *args: tau1)
     with pytest.raises(ValueError, match="below T_c"):
