@@ -45,7 +45,6 @@ import numpy as np
 from .gap_operator import GapOperator
 from .model import (
     ConstantPotential,
-    EnergyGrid,
     GaussianBumpPotential,
     PhysicalParams,
     PotentialSpec,
@@ -53,7 +52,7 @@ from .model import (
     extreme_points,
     potential_matrix,
 )
-from .quadrature import gap_kernel
+from .quadrature import EnergyGrid, gap_kernel
 from .simple_gap import _TERM_ROUNDINGS, _solve_windows, solve_delta_many, tau_root
 
 __all__ = [

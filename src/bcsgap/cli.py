@@ -28,7 +28,6 @@ from .fileio import atomic_write_text, fmt, write_csv
 from .gap_operator import as_operator, spectral_tc
 from .model import (
     ConstantPotential,
-    EnergyGrid,
     GaussianBumpPotential,
     PhysicalParams,
     PotentialSpec,
@@ -38,7 +37,7 @@ from .model import (
     make_params,
     validate_potential,
 )
-from .quadrature import gap_curvature
+from .quadrature import EnergyGrid, gap_curvature
 from .simple_gap import envelope_curve
 from .solver import ConvergenceError, GapSurface, solve_surface
 from .thermo import build_thermo_report, g_integral_to_infinity, require_resolution

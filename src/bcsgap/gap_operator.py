@@ -53,14 +53,13 @@ import numpy as np
 
 from .model import (
     ConstantPotential,
-    EnergyGrid,
     GaussianBumpPotential,
     PhysicalParams,
     PotentialSpec,
     _cells,
     potential_matrix,
 )
-from .quadrature import gap_kernel, kernel_jet
+from .quadrature import EnergyGrid, gap_kernel, kernel_jet
 from .simple_gap import _enclose, _tau_window, solve_delta
 
 __all__ = [
@@ -189,7 +188,7 @@ class GapOperator:
         rho is the two-sided Rayleigh quotient <psi, M phi>/<psi, phi>,
         whose error is second order in the vectors' errors.
         """
-        k0, dk0 = kernel_jet(self.grid.nodes**2, 0.0, T, "T")
+        k0, dk0 = kernel_jet(self.grid.xi2, 0.0, T, "T")
         norm = float(left @ right)
         rho = float(left @ self.matvec(k0 * right)) / norm
         slope = float(left @ self.jacobian_action(dk0, right)) / norm

@@ -1,4 +1,5 @@
-"""Physical parameters, interaction potentials and the shared energy grid.
+"""Physical parameters, interaction potentials and the shared energy grid,
+an ``EnergyGrid`` of geometric panels (``build_grid``).
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import gauss_legendre_panels
+from .quadrature import EnergyGrid
 
 __all__ = [
     "ParamsError",
@@ -29,7 +30,6 @@ __all__ = [
     "extreme_points",
     "validate_potential",
     "load_potential_table_csv",
-    "EnergyGrid",
     "build_grid",
 ]
 
@@ -264,23 +264,6 @@ def load_potential_table_csv(path) -> TablePotential:
 # energy grid
 
 
-@dataclass(frozen=True)
-class EnergyGrid:
-    """Composite Gauss-Legendre nodes/weights on [epsilon, hbar_omega_d].
-
-    The nodes double as the collocation points for all gap fields, so
-    applying the integral operator is a dense matrix-vector product with no
-    interpolation inside the fixed-point loop.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
-
 def build_grid(params: PhysicalParams, panels: int = 16, order: int = 10) -> EnergyGrid:
     """Build the shared quadrature grid, panels log-spaced toward the cutoff.
 
@@ -289,7 +272,4 @@ def build_grid(params: PhysicalParams, panels: int = 16, order: int = 10) -> Ene
     """
     if panels < 1:
         raise ValueError("panels must be >= 1")
-    a, b = params.epsilon_cutoff, params.hbar_omega_d
-    edges = np.geomspace(a, b, panels + 1)
-    nodes, weights = gauss_legendre_panels(edges, order)
-    return EnergyGrid(nodes=nodes, weights=weights)
+    return EnergyGrid(np.geomspace(params.epsilon_cutoff, params.hbar_omega_d, panels + 1), order)

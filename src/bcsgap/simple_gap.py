@@ -5,9 +5,10 @@ These scalar solutions serve two roles: they are physically meaningful in
 their own right (constant-potential superconductor), and they bracket the
 full solution pointwise, making them the independent oracle against which
 the field solver is checked.  All integrals here use their own
-quadrature (``_reference_rule``, or an adaptive one) rather than the
-shared collocation grid, which keeps this module an independent
-computation route.
+quadrature rather than the shared collocation grid, which keeps this
+module an independent computation route: an adaptive one, or
+``_reference_rule``, an ``EnergyGrid`` of order-12 panels sized by its
+own bound.
 
 A gap value is a point of a proven window, the window its error bar (the
 enclosure idea of Moore, Interval Analysis, 1966).  Newton's method in
@@ -19,10 +20,11 @@ window around it, so the root of the continuum equation lies in the
 window.  E is a rounding bound, for a floating point sum of n positive
 terms (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 sections 3.1 and 4.2) and for the rule's float nodes and weights, plus a
-quadrature bound Q(T) for the rule itself (Bernstein ellipses; Trefethen,
-SIAM Rev. 50, 2008, Thm 4.5).  The roots of one coupling are solved a
-block of temperatures at a time: every root of the block runs both
-stages, and each round evaluates f for all of them in one kernel call.
+quadrature bound Q(T) for the rule itself (``EnergyGrid.bound``, by
+Bernstein ellipses; Trefethen, SIAM Rev. 50, 2008, Thm 4.5).  The roots
+of one coupling are solved a block of temperatures at a time: every root
+of the block runs both stages, and each round evaluates f for all of them
+in one kernel call.
 The vanishing temperature tau is located and enclosed by the same routine
 (``_enclose``), in T, on f(T) = U * integral(tanh(xi/2T)/xi) - 1
 (``tau_root``), and so is ``gap_operator``'s T_c.
@@ -37,13 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import ParamsError, PhysicalParams
-from .quadrature import (
-    adaptive_integrate,
-    gap_curvature,
-    gap_kernel,
-    gauss_legendre_panels,
-    kernel_jet,
-)
+from .quadrature import EnergyGrid, adaptive_integrate, gap_curvature, gap_kernel, kernel_jet
 
 __all__ = [
     "NoRootError",
@@ -81,10 +77,17 @@ def delta0_closed_form(U: float, params: PhysicalParams) -> float:
 _RULE_ORDER = 12
 
 
-def _reference_edges(params: PhysicalParams) -> np.ndarray:
-    """Edges of the reference rule's geometric panels on [epsilon, hbar_omega_d].
+@lru_cache(maxsize=32)
+def _reference_rule(params: PhysicalParams) -> EnergyGrid:
+    """Quadrature rule for the scalar gap equations, built once per parameter set.
 
-    Their count is the fewest even one whose quadrature bound at
+    Order-12 Gauss-Legendre panels on [epsilon, hbar_omega_d], geometric
+    against the 1/xi character of the integrands (10 panels, 120 nodes, at
+    epsilon = 0.005 and U2 = 0.309).  Its error is not estimated but
+    bounded: ``EnergyGrid.bound`` sums each panel's Bernstein-ellipse
+    bound, and ``_solve_block`` adds it to every root's E.
+
+    The panel count is the fewest even one whose quadrature bound at
     T_max = u_upper * hbar_omega_d / 2, the cap above every tau of the band
     (``_tau_window``), is at most 1/64 of its rounding bound there, and at
     most 2 ceil(1.5 ln(hbar_omega_d/epsilon)), about three per e-fold, the
@@ -92,78 +95,21 @@ def _reference_edges(params: PhysicalParams) -> np.ndarray:
     the rounding bound falls in T, so at every T <= T_max the rule meets
     ``_solve_block``'s Q <= E/16 with a 4x margin.  Their ratio falls as
     panels are added, so a bisection on the count finds it; each candidate
-    is built and bounded on its own float rule.
+    is built and bounded on its own float rule, and the one that passed is
+    returned.
     """
     low, top = params.epsilon_cutoff, params.hbar_omega_d
     t_max = 0.5 * params.u_upper * top
     fail, fits = 0, math.ceil(1.5 * math.log(top / low))  # pairs of panels
+    rule = None
     while fits - fail > 1:
         pairs = (fail + fits) // 2
-        rule = _build_rule(low * (top / low) ** (np.arange(2 * pairs + 1) / (2 * pairs)))
-        if rule.a + rule.b * t_max <= _rounding_bound(1.0, t_max, rule) / 64.0:
-            fits = pairs
+        candidate = EnergyGrid(np.geomspace(low, top, 2 * pairs + 1), _RULE_ORDER)
+        if candidate.bound(t_max) <= _rounding_bound(1.0, t_max, candidate) / 64.0:
+            fits, rule = pairs, candidate
         else:
             fail = pairs
-    return np.geomspace(low, top, 2 * fits + 1)
-
-
-@dataclass(frozen=True, eq=False)
-class _Rule:
-    """The reference rule's nodes and weights, xi^2 and 1/xi at its nodes,
-    and (a, b): the sums over its panels of ``_panel_bounds``."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    xi2: np.ndarray
-    inv_xi: np.ndarray
-    a: float
-    b: float
-
-
-@lru_cache(maxsize=32)
-def _reference_rule(params: PhysicalParams) -> _Rule:
-    """Quadrature rule for the scalar gap equations, built once per parameter set.
-
-    Order-12 Gauss-Legendre panels, geometric against the 1/xi character
-    of the integrands, as many as ``_reference_edges`` sizes (10 panels,
-    120 nodes, at epsilon = 0.005 and U2 = 0.309).  Its error is not
-    estimated but bounded: ``_panel_bounds`` gives each panel's
-    Bernstein-ellipse bound, whose sum ``_solve_block`` adds to every
-    root's E.
-    """
-    return _build_rule(_reference_edges(params))
-
-
-def _build_rule(edges: np.ndarray) -> _Rule:
-    """The order-12 rule on these panel edges, with its summed panel bounds."""
-    nodes, weights = gauss_legendre_panels(edges, _RULE_ORDER)
-    a, b = _panel_bounds(edges, _RULE_ORDER)
-    return _Rule(nodes, weights, nodes * nodes, 1.0 / nodes, float(a.sum()), float(b.sum()))
-
-
-def _panel_bounds(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b): |integral - Gauss sum| of the gap kernel on panel i is at
-    most a[i] + b[i] * T, for every s >= 0 and T >= 0.
-
-    The kernel tanh(r/2T)/r, r^2 = xi^2 + s, is a function of r^2 whose
-    poles, xi^2 = -s - (pi T (2j+1))^2, all lie on the imaginary xi-axis.
-    The Bernstein ellipse of parameter rho < (sqrt(q)+1)/(sqrt(q)-1) about
-    a panel [lo, q lo] (foci at its ends) stays in Re xi >= m > 0.  There
-    Re r >= Re xi and |tanh w| <= coth(Re w) <= 1 + 1/Re w, so
-    |k| <= M = (1 + 2T/m)/m, uniformly in s, and at T = 0 too.  The n-point
-    Gauss-Legendre rule then errs by at most
-    h (64/15) M rho^(2-2n) / (rho^2 - 1) on a panel of half-length h
-    (Trefethen, SIAM Rev. 50, 2008, Thm 4.5, whose rule has n + 1 points).
-    rho is taken 0.9 of the way from 1 to its limit; on these panels that
-    bound is within 1.7x of the best rho's at every T (measured).
-    """
-    lo, hi = edges[:-1], edges[1:]
-    root_q = np.sqrt(hi / lo)
-    rho = 1.0 + 0.9 * ((root_q + 1.0) / (root_q - 1.0) - 1.0)
-    half = 0.5 * (hi - lo)
-    m = 0.5 * (hi + lo) - 0.5 * half * (rho + 1.0 / rho)
-    c = half * (64.0 / 15.0) * rho ** (2.0 - 2.0 * order) / (rho * rho - 1.0)
-    return c / m, 2.0 * c / (m * m)
+    return rule or EnergyGrid(np.geomspace(low, top, 2 * fits + 1), _RULE_ORDER)
 
 
 def _coupling_integral(s: float, T: float, params: PhysicalParams) -> float:
@@ -253,11 +199,10 @@ _BLOCK_ELEMENTS = 7680
 def _quadrature_bound(U: float, T, params: PhysicalParams):
     """Q(T) = U (A + B T): a bound on U times the exact Gauss rule's error,
     on the reference panels, for the gap kernel at T and every s >= 0."""
-    rule = _reference_rule(params)
-    return U * (rule.a + rule.b * T)
+    return U * _reference_rule(params).bound(T)
 
 
-def _rounding_bound(U: float, T, rule: _Rule):
+def _rounding_bound(U: float, T, rule: EnergyGrid):
     """(n + _TERM_ROUNDINGS + _RULE_ROUNDINGS) eps S at each temperature T:
     a bound on the distance of the computed f from the f of the exact Gauss
     rule on the n-node rule's panels.  S = U * sum_j w_j min(1/xi_j, 1/(2T))
@@ -265,7 +210,7 @@ def _rounding_bound(U: float, T, rule: _Rule):
     tanh(z) <= min(1, z).  Each S is one pairwise sum, as each f is."""
     T = np.asarray(T, dtype=float)[..., None]
     half_over_t = np.divide(0.5, T, out=np.full_like(T, np.inf), where=T > 0.0)
-    cap = np.minimum(rule.inv_xi, half_over_t)
+    cap = np.minimum(1.0 / rule.nodes, half_over_t)
     scale = (rule.weights.size + _TERM_ROUNDINGS + _RULE_ROUNDINGS) * np.finfo(float).eps * U
     return scale * np.multiply(cap, rule.weights, out=cap).sum(axis=-1)
 
@@ -440,7 +385,10 @@ def _enclose(x: float, lo: float, hi: float, bound: float):
 
 def _newton(x: float, lo: float, hi: float, bound: float):
     """Newton steps on a decreasing f in the bracket [lo, hi] that its computed
-    signs narrow, a step leaving it taking its midpoint.  Each ``yield`` hands
+    signs narrow.  The first step that leaves it takes the end it passed:
+    where f keeps its sign up to that end, the bracket collapses onto it in
+    one evaluation, not by halving down to adjacent doubles.  A later step
+    leaving it, or a nan step, takes its midpoint.  Each ``yield`` hands
     over (x, True) and receives (f, df/dx) at x.  Returns one more Newton
     update, clamped to the bracket, and df/dx, which costs no evaluation, at
     the first |f| <= bound/8, or once the update is below 1e-3 of the
@@ -448,6 +396,7 @@ def _newton(x: float, lo: float, hi: float, bound: float):
     |d_k| (|d_k|/|d_k-1|)^2, is within 1/30 of the window half-width
     3 bound/|df/dx| that ``_enclose`` proves around the root."""
     last = math.nan  # the Newton step that led to x; nan after a midpoint
+    exited = False
     for _ in range(_NEWTON_PASSES):
         fx, dfx = yield x, True
         if fx > 0.0:
@@ -461,6 +410,8 @@ def _newton(x: float, lo: float, hi: float, bound: float):
         ):
             return min(max(step, lo), hi), dfx
         x_next, last = (step, dx) if lo < step < hi else (0.5 * (lo + hi), math.nan)
+        if not exited and (step <= lo or step >= hi):  # a nan step compares false
+            x_next, exited = (lo if step <= lo else hi), True
         if x_next == x:
             break
         x = x_next

@@ -227,7 +227,7 @@ def _error_bound(
     holds for the dense Nystrom operator up to rounding.
     """
     x = np.abs(u)
-    _, jac = kernel_jet(op.grid.nodes**2, u * u, T, "u")
+    _, jac = kernel_jet(op.grid.xi2, u * u, T, "u")
     q = float(np.max(op.jacobian_action(jac, x) / x)) if np.all(x > 0.0) else np.inf
     if not np.any(step):
         return q, 0.0
@@ -288,7 +288,7 @@ def newton_seed(
         if at_floor or not residual < 0.5 * previous:
             return best, n
         previous = residual
-        _, jac = kernel_jet(op.grid.nodes**2, u * u, T, "u")
+        _, jac = kernel_jet(op.grid.xi2, u * u, T, "u")
         u = u + _gmres(lambda v: v - op.jacobian_action(jac, v), step)
     return best, _NEWTON_MAX_STEPS
 

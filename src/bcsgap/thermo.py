@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import CertificateFailure, ContractionCertificate
-from .model import EnergyGrid, PhysicalParams
+from .model import PhysicalParams
 from .quadrature import (
+    EnergyGrid,
     TANH_SATURATION,
     adaptive_integrate,
     gap_curvature,
@@ -250,7 +251,7 @@ def g_consistency(v: np.ndarray, w: np.ndarray, surface: GapSurface) -> float:
     root = np.sqrt(v)
     first = op.kernel_action(root, t_c)
 
-    k, k_s, k_t = kernel_jet(op.grid.nodes**2, 0.0, t_c, "sT")
+    k, k_s, k_t = kernel_jet(op.grid.xi2, 0.0, t_c, "sT")
     second = op.matvec((w * k + 4.0 * v * (v * k_s - k_t)) / root)
     g_of_x = first * second
     return float(np.max(np.abs(w - g_of_x)) / np.max(np.abs(w)))

@@ -155,6 +155,27 @@ def test_radius_crossing_requires_valid_bracket(params, grid):
         radius_crossing_temperature(as_operator(ConstantPotential(0.35), grid), tau1, tau2)
 
 
+@pytest.mark.parametrize("coupling", [0.28, 0.35])
+def test_a_potential_outside_its_band_is_refused_within_six_perron_solves(
+    coupling, params, grid, monkeypatch
+):
+    # every computed rho - 1 on spectral_tc's bracket has one sign: Newton's
+    # first step out of the bracket queries the end it passed, rather than
+    # halving toward it down to adjacent doubles, and the refusal names it
+    solves = []
+    real = gap_operator.spectral_radius
+
+    def counting(*args, **kwargs):
+        solves.append(real(*args, **kwargs))
+        return solves[-1]
+
+    op = as_operator(ConstantPotential(coupling), grid)
+    monkeypatch.setattr(gap_operator, "spectral_radius", counting)
+    with pytest.raises(ValueError, match="bracket invalid"):
+        radius_crossing_temperature(op, *_tc_bracket(params))
+    assert len(solves) <= 6
+
+
 def test_sampled_envelope_fields_are_admissible(params, grid):
     rng = np.random.default_rng(3)
     t = 0.03

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from bcsgap.fileio import write_csv
-from bcsgap.model import ParamsError, make_params
+from bcsgap.model import ParamsError, build_grid, make_params
+from bcsgap.quadrature import EnergyGrid
 from bcsgap.simple_gap import (
     NoRootError,
     delta0_closed_form,
@@ -19,6 +20,7 @@ from bcsgap.simple_gap import (
 )
 
 import bcsgap.certificate as certificate
+import bcsgap.quadrature as quadrature
 import bcsgap.simple_gap as simple_gap
 from bcsgap.gap_operator import spectral_tc
 from oracles import bisect_delta, bisect_tau, fd_slope_oracle, zeta3_series
@@ -181,13 +183,13 @@ def test_tau_root_refuses_a_span_the_rule_rounds_above_one(monkeypatch):
     # equation, and tau must be refused rather than returned
     u = math.nextafter(1.0 / math.log(200.0), math.inf)
     p = make_params(1.0, 0.005, 1.0, u, 0.309)
-    real = simple_gap.gauss_legendre_panels
+    real = quadrature.gauss_legendre_panels
 
     def nudged(edges, order):
         nodes, weights = real(edges, order)
         return nodes, weights * (1.0 + 8.0 * np.finfo(float).eps)
 
-    monkeypatch.setattr(simple_gap, "gauss_legendre_panels", nudged)
+    monkeypatch.setattr(quadrature, "gauss_legendre_panels", nudged)
     simple_gap._reference_rule.cache_clear()
     try:
         rule = simple_gap._reference_rule(p)
@@ -433,6 +435,39 @@ def test_root_windows_enclose_the_continuum_root(epsilon, band):
                 assert _continuum_f(u, a, t, p) > 0 > _continuum_f(u, b, t, p), (u, t)
 
 
+def _exact_panels_within_bounds(rule, p):
+    """Each panel's exact Gauss rule, in the working precision, as
+    (nodes, weights), after asserting that its error, against mpmath's quad,
+    lies within the panel's bound a + b T, and the rule's summed error
+    within ``rule.bound(T)``: at the zero gap at tau, at delta0 at T = 0,
+    and at the zero gap far below the cutoff."""
+    order = rule.order
+    a, b = quadrature._panel_bounds(rule.edges, order)
+    cases = [
+        (0.0, tau_root(0.309, p)),
+        (delta0_closed_form(0.309, p) ** 2, 0.0),
+        (0.0, 1e-3 * p.epsilon_cutoff),
+    ]
+    xg = [
+        mp.findroot(lambda x: mp.legendre(order, x), mp.mpf(float(x0)))
+        for x0 in np.polynomial.legendre.leggauss(order)[0]
+    ]
+    wg = [2 * (1 - x * x) / (order * mp.legendre(order - 1, x)) ** 2 for x in xg]
+    panels, totals = [], [mp.mpf(0)] * len(cases)
+    for i, (lo, hi) in enumerate(zip(rule.edges[:-1].tolist(), rule.edges[1:].tolist())):
+        mid, half = (mp.mpf(lo) + mp.mpf(hi)) / 2, (mp.mpf(hi) - mp.mpf(lo)) / 2
+        xs, ws = [mid + half * x for x in xg], [half * w for w in wg]
+        panels.append((xs, ws))
+        for c, (s, T) in enumerate(cases):
+            k = _mp_kernel(s, T)
+            error = abs(mp.quad(k, [lo, hi]) - mp.fsum(w * k(x) for x, w in zip(xs, ws)))
+            assert error <= a[i] + b[i] * T, (i, s, T)
+            totals[c] += error
+    for total, (s, T) in zip(totals, cases):
+        assert total <= rule.bound(T), (s, T)
+    return panels
+
+
 @pytest.mark.parametrize("epsilon", [0.005, 1e-6])
 def test_reference_rule_panel_errors_lie_within_their_bounds(epsilon):
     # each panel's bound a + b T holds the error of the exact 12-point Gauss
@@ -442,33 +477,23 @@ def test_reference_rule_panel_errors_lie_within_their_bounds(epsilon):
     # _RULE_ROUNDINGS eps of the exact rule's, relatively
     p = make_params(1.0, epsilon, 1.0, 0.291, 0.309)
     order = simple_gap._RULE_ORDER
-    edges = simple_gap._reference_edges(p)
-    a, b = simple_gap._panel_bounds(edges, order)
     rule = simple_gap._reference_rule(p)
     nodes, weights = rule.nodes, rule.weights
-    cases = [
-        (0.0, tau_root(0.309, p)),
-        (delta0_closed_form(0.309, p) ** 2, 0.0),
-        (0.0, 1e-3 * epsilon),
-    ]
     allowance = simple_gap._RULE_ROUNDINGS * np.finfo(float).eps
     with mp.workdps(40):
-        xg = [
-            mp.findroot(lambda x: mp.legendre(order, x), mp.mpf(float(x0)))
-            for x0 in np.polynomial.legendre.leggauss(order)[0]
-        ]
-        wg = [2 * (1 - x * x) / (order * mp.legendre(order - 1, x)) ** 2 for x in xg]
-        for i, (lo, hi) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
-            mid, half = (mp.mpf(lo) + mp.mpf(hi)) / 2, (mp.mpf(hi) - mp.mpf(lo)) / 2
-            xs, ws = [mid + half * x for x in xg], [half * w for w in wg]
+        for i, (xs, ws) in enumerate(_exact_panels_within_bounds(rule, p)):
             for j in range(order):
                 node, weight = nodes[i * order + j], weights[i * order + j]
                 moved = abs(node - xs[j]) / xs[j] + abs(weight - ws[j]) / ws[j]
                 assert moved <= allowance, (i, j)
-            for s, T in cases:
-                k = _mp_kernel(s, T)
-                error = abs(mp.quad(k, [lo, hi]) - mp.fsum(w * k(x) for x, w in zip(xs, ws)))
-                assert error <= a[i] + b[i] * T, (i, s, T)
+
+
+@pytest.mark.parametrize("epsilon", [0.005, 1e-6])
+def test_nystrom_grid_panel_errors_lie_within_their_bounds(epsilon):
+    # the same bounds, on the default 16 x 10 Nystrom grid
+    p = make_params(1.0, epsilon, 1.0, 0.291, 0.309)
+    with mp.workdps(40):
+        _exact_panels_within_bounds(build_grid(p, 16, 10), p)
 
 
 def test_a_rule_too_coarse_for_the_temperature_is_refused():
@@ -481,20 +506,16 @@ def test_a_rule_too_coarse_for_the_temperature_is_refused():
         solve_delta(u, 0.99 * tau_root(u, p), p)
     assert solve_delta(p.u_upper, 0.99 * tau_root(p.u_upper, p), p) > 0.0
     # no smaller rule passes the sizing check here, so the rule keeps its cap
-    assert simple_gap._reference_edges(p).size - 1 == 2 * math.ceil(1.5 * math.log(1e10))
+    assert simple_gap._reference_rule(p).edges.size - 1 == 2 * math.ceil(1.5 * math.log(1e10))
 
 
-def _bound_ratio(p, panels):
-    """Q(T_max) / E(T_max) of the order-12 rule on `panels` geometric panels,
-    U cancelling, with T_max = u_upper * hbar_omega_d / 2."""
-    order = simple_gap._RULE_ORDER
-    edges = np.geomspace(p.epsilon_cutoff, p.hbar_omega_d, panels + 1)
-    nodes, weights = simple_gap.gauss_legendre_panels(edges, order)
-    a, b = simple_gap._panel_bounds(edges, order)
+def _bound_ratio(p, rule):
+    """Q(T_max) / E(T_max) of ``rule``, from its own nodes, weights and
+    bound, U cancelling, with T_max = u_upper * hbar_omega_d / 2."""
     t_max = 0.5 * p.u_upper * p.hbar_omega_d
-    roundings = nodes.size + simple_gap._TERM_ROUNDINGS + simple_gap._RULE_ROUNDINGS
-    cap = np.sum(weights * np.minimum(1.0 / nodes, 0.5 / t_max))
-    return (a.sum() + b.sum() * t_max) / (roundings * np.finfo(float).eps * cap)
+    roundings = rule.size + simple_gap._TERM_ROUNDINGS + simple_gap._RULE_ROUNDINGS
+    cap = np.sum(rule.weights * np.minimum(1.0 / rule.nodes, 0.5 / t_max))
+    return rule.bound(t_max) / (roundings * np.finfo(float).eps * cap)
 
 
 @pytest.mark.parametrize(
@@ -515,12 +536,13 @@ def test_reference_rule_is_the_fewest_panels_its_bound_allows(epsilon, band):
     # about three panels per e-fold; every T up to T_max then passes the
     # Q <= E/16 check of each root with a 4x margin
     p = make_params(1.0, epsilon, 1.0, *band)
-    panels = simple_gap._reference_edges(p).size - 1
+    rule = simple_gap._reference_rule(p)
+    panels = rule.edges.size - 1
     assert panels % 2 == 0
     assert panels <= 2 * math.ceil(1.5 * math.log(p.hbar_omega_d / epsilon))
-    assert _bound_ratio(p, panels) <= 1.0 / 64.0
-    assert panels == 2 or _bound_ratio(p, panels - 2) > 1.0 / 64.0
-    rule = simple_gap._reference_rule(p)
+    assert _bound_ratio(p, rule) <= 1.0 / 64.0
+    fewer = np.geomspace(p.epsilon_cutoff, p.hbar_omega_d, panels - 1)
+    assert panels == 2 or _bound_ratio(p, EnergyGrid(fewer, simple_gap._RULE_ORDER)) > 1.0 / 64.0
     ts = np.linspace(0.0, 0.5 * p.u_upper * p.hbar_omega_d, 33)
     for u in band:
         quadrature = simple_gap._quadrature_bound(u, ts, p)
