@@ -31,7 +31,7 @@ never enters upper.  They take T_c from the caller (``bcsgap certify``
 locates it with ``gap_operator.spectral_tc`` on the same operator,
 ``bcsgap thermo`` passes the solved surface's).  The surface solve does
 not use the outcome; ``thermo.build_thermo_report`` decides the alpha it
-reports from it.
+reports from it.  The kernel rows come from ``kernel_jet`` on ``xi2``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .model import (
     extreme_points,
     potential_matrix,
 )
-from .quadrature import EnergyGrid, gap_kernel
+from .quadrature import EnergyGrid, kernel_jet
 from .simple_gap import _TERM_ROUNDINGS, _solve_windows, solve_delta_many, tau_root
 
 __all__ = [
@@ -147,8 +147,8 @@ def _kernel_rows(
     """Weighted kernel rows at T: the envelope term's at gap d2 and the
     cutoff term's at gap 0."""
     return (
-        grid.weights * gap_kernel(grid.nodes, d2 * d2, T),
-        grid.weights * gap_kernel(grid.nodes, 0.0, T),
+        grid.weights * kernel_jet(grid.xi2, d2 * d2, T)[0],
+        grid.weights * kernel_jet(grid.xi2, 0.0, T)[0],
     )
 
 
@@ -275,7 +275,7 @@ class _Enclosure:
         x-interval add to the point value at t_a and at the x midpoint."""
         kd, k0 = self.rows[a]
         nodes, weights = self.grid.nodes, self.grid.weights
-        kb = weights * gap_kernel(nodes, self.lo2[b], self.t[a])
+        kb = weights * kernel_jet(self.grid.xi2, self.lo2[b], self.t[a])[0]
         bound = kb + self.prefactor_hi * k0
         point = kd + self.prefactor * k0
         mid = potential_matrix(self.potential, 0.5 * (xa + xb), nodes)[0]

@@ -22,14 +22,14 @@ one rounding unit of U.  That bound is the operator's ``error``:
 costs 2 n r against the n^2 of W v, so where 2 r would reach n the
 operator holds W itself (``left`` is None).
 
-Every product with W goes through ``GapOperator.matvec`` and
-``rmatvec``: the operator, its Jacobian action J v = W (d * v), the
-zero-field kernel action W (k0(T) * x) and the power iterations for the
-Perron pair of M = W diag(k0(T)); d and the partials of k come from
-``quadrature.kernel_jet``.  ``apply_A``, ``apply_values``,
-``weighted_potential_matrix`` and ``kernel_matrix`` form the dense W from
-a potential and a grid, the reference for the operator.  Every other
-function takes the operator alone and reads the grid from it.
+Every product with W goes through ``GapOperator.matvec`` and ``rmatvec``:
+the operator, its Jacobian action J v = W (d * v), the zero-field kernel
+action W (k0(T) * x) and the power iterations for the Perron pair of
+M = W diag(k0(T)).  k, d and k's partials come from ``kernel_jet`` on the
+grid's ``xi2``, A u and d from one call (``linearise``).  ``apply_A``,
+``apply_values``, ``weighted_potential_matrix`` and ``kernel_matrix`` form
+the dense W from a potential and a grid, the reference for the operator.
+Every other function takes the operator alone and reads the grid from it.
 
 T_c is where the zero-field Perron root rho(T) of M = W diag(k0(T)) is
 one.  ``radius_crossing_temperature`` locates and encloses it with
@@ -59,7 +59,7 @@ from .model import (
     _cells,
     potential_matrix,
 )
-from .quadrature import EnergyGrid, gap_kernel, kernel_jet
+from .quadrature import EnergyGrid, kernel_jet
 from .simple_gap import _enclose, _tau_window, solve_delta
 
 __all__ = [
@@ -126,13 +126,13 @@ def apply_values(
     One kernel evaluation plus one dense matrix-vector product: the
     reference that ``apply_A`` uses.
     """
-    return weighted @ (values * gap_kernel(xi, values * values, T))
+    return weighted @ (values * kernel_jet(xi * xi, values * values, T)[0])
 
 
-def _zero_field_kernel(xi: np.ndarray, T: float) -> np.ndarray:
+def _zero_field_kernel(xi2: np.ndarray, T: float) -> np.ndarray:
     if not T > 0:
         raise ValueError("temperature must be positive")
-    return gap_kernel(xi, 0.0, T)
+    return kernel_jet(xi2, 0.0, T)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,15 +170,20 @@ class GapOperator:
 
     def apply(self, values: np.ndarray, T: float) -> np.ndarray:
         """(A u) at temperature T for the field values u."""
-        return self.matvec(values * gap_kernel(self.grid.nodes, values * values, T))
+        return self.matvec(values * kernel_jet(self.grid.xi2, values * values, T)[0])
+
+    def linearise(self, values: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+        """(A u, d), A'(u) = W diag(d), d = d(u k(u^2))/du: one kernel call."""
+        k, d = kernel_jet(self.grid.xi2, values * values, T, "u")
+        return self.matvec(values * k), d
 
     def jacobian_action(self, diagonal: np.ndarray, v) -> np.ndarray:
-        """J v = W (d * v), with d the "u" partial of ``kernel_jet`` at a field."""
+        """J v = W (d * v), with d the diagonal ``linearise`` gives at a field."""
         return self.matvec(diagonal * v)
 
     def kernel_action(self, x: np.ndarray, T: float) -> np.ndarray:
         """W (k0(T) * x): the zero-field linearisation applied to x."""
-        return self.matvec(_zero_field_kernel(self.grid.nodes, T) * x)
+        return self.matvec(_zero_field_kernel(self.grid.xi2, T) * x)
 
     def radius_and_slope(
         self, T: float, right: np.ndarray, left: np.ndarray
@@ -289,7 +294,7 @@ def apply_A(u: GapField, potential: PotentialSpec, grid: EnergyGrid) -> GapField
 def kernel_matrix(T: float, potential: PotentialSpec, grid: EnergyGrid) -> np.ndarray:
     """Linearisation of the operator at zero field, the n x n matrix
     M_ij = U(x_i, xi_j) gap_kernel(xi_j, 0, T) w_j; strictly positive."""
-    k0 = _zero_field_kernel(grid.nodes, T)
+    k0 = _zero_field_kernel(grid.xi2, T)
     return weighted_potential_matrix(potential, grid) * k0[None, :]
 
 
@@ -303,7 +308,7 @@ def spectral_radius(
     positive, so no deflation is needed.  Converged when successive
     Rayleigh quotients differ by at most 1e-13.
     """
-    k0 = _zero_field_kernel(op.grid.nodes, T)
+    k0 = _zero_field_kernel(op.grid.xi2, T)
     x = np.ones(op.grid.size) if start is None else start
     lam = 0.0
     for n in range(1, _PERRON_MAX_ITER + 1):

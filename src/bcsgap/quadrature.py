@@ -6,7 +6,8 @@ from this module, so accuracy is controlled in one place; callers sum
 rule type: the Nystrom grid (``model.build_grid``) and the scalar
 reference rule (``simple_gap._reference_rule``) are both geometric panels
 of it, and each carries its panels and their Bernstein-ellipse bound.
-The kernels below are written to stay exact in double precision over the
+The package evaluates the gap kernel only through ``kernel_jet``.  The
+kernels below are written to stay exact in double precision over the
 full argument range met in practice (saturated tanh at low temperature,
 near-cancellation of the curvature kernel at small argument).
 """
@@ -169,22 +170,14 @@ def adaptive_integrate(
 
 
 def gap_kernel(xi, s, T: float):
-    """tanh(sqrt(xi^2 + s)/(2T)) / sqrt(xi^2 + s), the gap-equation kernel.
+    """tanh(sqrt(xi^2 + s)/(2T)) / sqrt(xi^2 + s), the gap-equation kernel,
+    as ``kernel_jet(xi * xi, s, T)[0]``: kept for perfbench and the tests.
 
     ``s`` is the squared gap value.  Strictly decreasing in both s and T;
-    bounded above by tanh(xi/(2T))/xi.  ``T = 0`` returns the saturated
-    limit 1/sqrt(xi^2 + s).
+    bounded above by tanh(xi/(2T))/xi; ``T = 0`` gives 1/sqrt(xi^2 + s).
     """
     xi = np.asarray(xi, dtype=float)
-    return _kernel(xi * xi + s, max(2.0 * T, _COLD_DIVISOR))[3]
-
-
-def _kernel(r2, twice_t):
-    """(r, eta, t, k) at r^2 = r2, tanh's argument clamped at TANH_SATURATION."""
-    r = np.sqrt(r2)
-    eta = r / twice_t
-    t = np.tanh(np.minimum(eta, TANH_SATURATION))
-    return r, eta, t, t / r
+    return kernel_jet(xi * xi, s, T)[0]
 
 
 def kernel_jet(xi2, s, T, partials: str = ""):
@@ -198,13 +191,16 @@ def kernel_jet(xi2, s, T, partials: str = ""):
     - "T": k_T = -sigma/(2 T^2), and "u": d(u k(u^2))/du = k + 2 s k_s as the
       sum (xi^2 k + s sigma/(2T))/r^2, both with ``sech`` for sigma.
 
-    ``xi2`` is an array of xi * xi, and ``s`` and ``T`` broadcast against
-    it.  k is ``gap_kernel``'s, element for element; 2T is floored at
-    _COLD_DIVISOR, so T = 0 saturates: k = 1/r, k_s = -1/(2 r^3), k_T = 0.
+    ``xi2`` is an array of xi * xi, a rule's ``xi2``, and ``s`` and ``T``
+    broadcast against it.  2T is floored at _COLD_DIVISOR, so T = 0
+    saturates: k = 1/r, k_s = -1/(2 r^3), k_T = 0.
     """
     twice_t = np.maximum(2.0 * T, _COLD_DIVISOR)
     r2 = xi2 + s
-    r, eta, t, k = _kernel(r2, twice_t)
+    r = np.sqrt(r2)
+    eta = r / twice_t
+    t = np.tanh(np.minimum(eta, TANH_SATURATION))
+    k = t / r
     jet = [k]
     for partial in partials:
         if partial == "s":

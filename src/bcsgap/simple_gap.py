@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import ParamsError, PhysicalParams
-from .quadrature import EnergyGrid, adaptive_integrate, gap_curvature, gap_kernel, kernel_jet
+from .quadrature import EnergyGrid, adaptive_integrate, gap_curvature, kernel_jet
 
 __all__ = [
     "NoRootError",
@@ -115,7 +115,7 @@ def _reference_rule(params: PhysicalParams) -> EnergyGrid:
 def _coupling_integral(s: float, T: float, params: PhysicalParams) -> float:
     """integral of the gap kernel over the energy band at squared gap s."""
     rule = _reference_rule(params)
-    return float(np.dot(rule.weights, gap_kernel(rule.nodes, s, T)))
+    return float(np.dot(rule.weights, kernel_jet(rule.xi2, s, T)[0]))
 
 
 def gap_equation_residual(U: float, delta: float, T: float, params: PhysicalParams) -> float:

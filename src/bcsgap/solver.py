@@ -10,7 +10,7 @@ sqrt((T_c - T) / (T_c - T_prev)), since the gap shrinks like sqrt(T_c - T)
 (from the upper envelope at the first node).
 ``picard_solve``, the paper's iteration, then starts from that seed, and
 its stop certifies the row; a zero row below T_c is refused by name.
-Both take the Jacobian's diagonal d from ``quadrature.kernel_jet``.
+Both take A u and A'(u) at an iterate from one ``GapOperator.linearise``.
 
 Before iterating, ``picard_solve`` must know that T is below the
 transition, where the zero-field Perron root rho(M) of M = W k0(T) exceeds
@@ -46,7 +46,6 @@ import numpy as np
 
 from .gap_operator import GapField, GapOperator, spectral_radius, spectral_tc
 from .model import PhysicalParams
-from .quadrature import kernel_jet
 from .simple_gap import solve_delta, solve_delta_many, tau_root
 
 __all__ = [
@@ -169,14 +168,14 @@ def picard_solve(
         previous, diff = diff, float(np.max(np.abs(step)))
         u = au
         if diff <= tol * (1.0 - rho) / rho:
-            q, bound = _error_bound(op, u, T, step)
+            q, bound, image = _error_bound(op, u, T, step)
             if bound > tol:
                 # q >= 1 means no contraction is proven here yet; keep the
                 # screen rate and check again at the next screened step
                 if q < 1.0:
                     rho = max(rho, q)
                 continue
-            residual = float(np.max(np.abs(op.apply(u, T) - u)))
+            residual = float(np.max(np.abs(image - u)))
             return (
                 GapField(temperature=T, values=u),
                 SolveTrace(final_residual=residual, iterations=n, rate=q),
@@ -204,8 +203,8 @@ def _proves_ordered_phase(op: GapOperator, u: np.ndarray, T: float) -> bool:
 
 def _error_bound(
     op: GapOperator, u: np.ndarray, T: float, step: np.ndarray
-) -> tuple[float, float]:
-    """Rate bound q and the error bound on u that it gives, after a step.
+) -> tuple[float, float, np.ndarray]:
+    """Rate bound q, the error bound on u it gives after a step, and A u.
 
     For a positive potential J = A'(u) is a positive matrix, and for any
     positive x the Collatz-Wielandt ratio q = max_i (J x)_i / x_i is the
@@ -227,13 +226,13 @@ def _error_bound(
     holds for the dense Nystrom operator up to rounding.
     """
     x = np.abs(u)
-    _, jac = kernel_jet(op.grid.xi2, u * u, T, "u")
+    image, jac = op.linearise(u, T)
     q = float(np.max(op.jacobian_action(jac, x) / x)) if np.all(x > 0.0) else np.inf
     if not np.any(step):
-        return q, 0.0
+        return q, 0.0, image
     if q >= 1.0:
-        return q, np.inf
-    return q, q / (1.0 - q) * float(np.max(x)) * float(np.max(np.abs(step) / x))
+        return q, np.inf, image
+    return q, q / (1.0 - q) * float(np.max(x)) * float(np.max(np.abs(step) / x)), image
 
 
 def _start(
@@ -261,10 +260,10 @@ def newton_seed(
 ) -> tuple[np.ndarray, int]:
     """Newton iterate for F(u) = u - A u, to start ``picard_solve`` from.
 
-    Each step applies the operator once and solves (I - A'(u)) delta =
-    A u - u by GMRES, which needs only the products A'(u) v = W (d * v) with
-    d = d(u k(u^2))/du, the "u" partial of ``quadrature.kernel_jet``,
-    through the factors of W.  Starts from ``initial``, or from the upper
+    Each step takes A u and the diagonal d = d(u k(u^2))/du of A'(u) from
+    one ``GapOperator.linearise`` call and solves (I - A'(u)) delta = A u - u
+    by GMRES, which needs only the products A'(u) v = W (d * v), through
+    the factors of W.  Starts from ``initial``, or from the upper
     envelope when it is None.  Stops once the residual ||A u - u|| is at
     its rounding floor, 8 eps max|u|; once it fails to halve (if Newton
     stops converging fast); or after 100 operator applications.
@@ -279,7 +278,8 @@ def newton_seed(
     previous = np.inf
     floor = _NEWTON_FLOOR_ULPS * np.finfo(float).eps
     for n in range(1, _NEWTON_MAX_STEPS + 1):
-        step = op.apply(u, T) - u
+        au, jac = op.linearise(u, T)
+        step = au - u
         residual = float(np.max(np.abs(step)))
         if residual < best_residual:
             best, best_residual = u, residual
@@ -288,7 +288,6 @@ def newton_seed(
         if at_floor or not residual < 0.5 * previous:
             return best, n
         previous = residual
-        _, jac = kernel_jet(op.grid.xi2, u * u, T, "u")
         u = u + _gmres(lambda v: v - op.jacobian_action(jac, v), step)
     return best, _NEWTON_MAX_STEPS
 

@@ -240,14 +240,19 @@ def _fine_scan(op, tau, t_c, params, n=1021):
 
 
 @pytest.mark.parametrize(
-    "potential",
-    [GaussianBumpPotential(base=0.3, amplitude=5e-3, width=0.1), _skewed_table()],
-    ids=["bump", "table"],
+    "potential, interior",
+    [
+        (GaussianBumpPotential(base=0.3, amplitude=5e-3, width=0.1), True),
+        (_skewed_table(), True),
+        (GaussianBumpPotential(base=0.3, amplitude=-5e-3, width=0.1), False),
+    ],
+    ids=["bump", "table", "dip"],
 )
-def test_bound_encloses_a_fine_scan(potential, params, grid):
-    # both potentials peak inside (eps, hbar_omega_d) in x: the upper bound
-    # must cover a 1021 x 1021 scan of the rectangle, and the point value
-    # found must come within 1e-6 of that scan's maximum
+def test_bound_encloses_a_fine_scan(potential, interior, params, grid):
+    # the upper bound must cover a 1021 x 1021 scan of the rectangle, and
+    # the point value found must come within 1e-6 of that scan's maximum;
+    # the bump and the table peak inside (eps, hbar_omega_d) in x, and the
+    # dip, which takes _x_bound's dip branch, at hbar_omega_d
     validate_potential(potential, params)
     tau1 = tau_root(params.u_lower, params)
     op = as_operator(potential, grid)
@@ -255,7 +260,8 @@ def test_bound_encloses_a_fine_scan(potential, params, grid):
     result = compute_alpha(tau1, op, params, t_c=t_c)
     finest, t_at, x_at = _fine_scan(op, tau1, t_c, params)
     assert alpha_integrand(t_at, x_at, tau1, op, params) == pytest.approx(finest, rel=1e-13)
-    assert params.epsilon_cutoff < result.x_at_max < params.hbar_omega_d
+    if interior:
+        assert params.epsilon_cutoff < result.x_at_max < params.hbar_omega_d
     assert (1.0 - 1e-6) * finest <= result.alpha <= result.upper
     assert finest <= result.upper
 

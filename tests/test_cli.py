@@ -102,6 +102,35 @@ def test_a_lone_coupling_bound_is_refused_by_name(given, missing, tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("params.epsilon = 0.005\n", "", "missing required key params.epsilon"),
+        (
+            "potential.variant = constant\n",
+            "potential.variant = cubic\n",
+            "unknown potential.variant 'cubic'",
+        ),
+        (
+            "potential.variant = constant\npotential.u0 = 0.3\n",
+            "potential.variant = gaussian_bump\npotential.base = 0.3\n"
+            "potential.amplitude = -0.004\npotential.width = 0.15\n",
+            "params.u1 and params.u2 are required for non-constant potentials",
+        ),
+    ],
+    ids=["no-epsilon", "unknown-variant", "bump-without-bounds"],
+)
+def test_an_incomplete_or_unknown_config_is_refused_by_name(
+    old, new, message, tmp_path, capsys
+):
+    assert old in BASE_CONFIG
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE_CONFIG.replace(old, new) + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["simple", str(cfg_path)]) == EXIT_BAD_CONFIG
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_simple_outputs(tmp_path):
     cfg_path = _write_config(tmp_path, f"output.dir = {tmp_path / 'out'}\n")
     assert main(["simple", str(cfg_path)]) == EXIT_OK
@@ -450,6 +479,7 @@ def test_thermo_refuses_a_coarse_lattice_before_solving(
         ("solver.span_decades", "-1", "span_decades must be positive"),
         ("solver.max_iter", "0", "max_iter must be at least 1, got 0"),
         ("solver.max_iter", "-5", "max_iter must be at least 1, got -5"),
+        ("solver.t_resolution", "1", "need at least 2 temperature nodes"),
     ],
 )
 @pytest.mark.parametrize("command", ["solve", "thermo"])

@@ -122,6 +122,10 @@ def test_validate_potential_table_nodes(params):
     )
     with pytest.raises(PotentialError, match="strictly increasing"):
         validate_potential(bad_order, params)
+    # six values a row for seven xi nodes
+    bad_shape = TablePotential(good.x_nodes, good.xi_nodes, np.full((5, 6), 0.3))
+    with pytest.raises(PotentialError, match="table value matrix shape does not match nodes"):
+        validate_potential(bad_shape, params)
 
 
 def _spike_table():

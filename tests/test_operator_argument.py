@@ -73,6 +73,16 @@ def test_the_perron_solve_has_one_entry_point():
     assert not hasattr(GapOperator, "perron")
 
 
+def test_the_operator_owns_its_kernel_and_its_jacobian():
+    # the solver takes A u and A'(u) from GapOperator.linearise, and every
+    # kernel evaluation in the package reads a rule's xi2 through kernel_jet
+    assert not hasattr(importlib.import_module("bcsgap.solver"), "kernel_jet")
+    for owner in ("model", "simple_gap", "gap_operator", "certificate", "solver",
+                  "thermo", "cli", "fileio"):
+        assert not hasattr(importlib.import_module(f"bcsgap.{owner}"), "gap_kernel"), owner
+    assert "gap_kernel" in importlib.import_module("bcsgap.quadrature").__all__
+
+
 def test_thermo_reads_what_the_surface_carries():
     offenders = []
     for name, signature in _public_functions(("thermo",)):

@@ -109,9 +109,10 @@ def test_gap_kernel_rows_zero_temperature_branch():
 
 
 def test_gap_kernel_rows_equal_gap_kernel_element_for_element():
-    # a root's value does not depend on its block because each row is
-    # gap_kernel's array, whatever the other rows of the block hold and
-    # whichever partials are asked for
+    # a root's value does not depend on its block: each row of a block's k
+    # equals the kernel evaluated on that row alone (gap_kernel, which is
+    # kernel_jet's k at xi * xi), whatever the other rows of the block hold
+    # and whichever partials are asked for
     rng = np.random.default_rng(7)
     xi = np.geomspace(0.005, 1.0, 97)
     for _ in range(40):

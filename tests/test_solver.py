@@ -383,7 +383,7 @@ def test_error_bound_at_the_rounding_floor_is_finite(
     u = gauss_surface.values[node]
     step = np.zeros_like(u)
     step[components] = np.spacing(u[components])
-    q, bound = solver._error_bound(gauss_op, u, float(gauss_surface.t_nodes[node]), step)
+    q, bound, _ = solver._error_bound(gauss_op, u, float(gauss_surface.t_nodes[node]), step)
     assert q < 1.0
     assert bound <= 1e-11
 
@@ -396,11 +396,42 @@ def test_zero_step_on_the_bump_operator_ends_picard_at_once(
     op = gauss_op
     node = len(gauss_surface.t_nodes) - 2
     u, t = gauss_surface.values[node], float(gauss_surface.t_nodes[node])
-    q, bound = solver._error_bound(op, u, t, np.zeros_like(u))
+    q, bound, _ = solver._error_bound(op, u, t, np.zeros_like(u))
     assert q < 1.0 and bound == 0.0
     monkeypatch.setattr(gap_operator.GapOperator, "apply", lambda self, v, T: v.copy())
     field, trace = picard_solve(t, op, params, tol=1e-11, initial=u)
     assert trace.iterations == 1 and np.array_equal(field.values, u)
+
+
+@pytest.mark.parametrize("case", ["constant", "bump"])
+def test_one_kernel_evaluation_gives_a_u_and_its_jacobian(
+    case, const_op, gauss_op, params, monkeypatch
+):
+    # A u and A'(u) at one iterate come from one kernel evaluation: Newton
+    # makes one per operator application it reports, and a Picard solve
+    # accepted after one step makes three (the ordered-phase check, the
+    # step, and the stop check, whose image gives the final residual)
+    op = const_op if case == "constant" else gauss_op
+    t = 0.99 * spectral_tc(op, params)
+    calls = []
+
+    def counted(real):
+        def counting(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return counting
+
+    for module in (gap_operator, solver):
+        for name in ("kernel_jet", "gap_kernel"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    seed, steps = solver.newton_seed(t, op, params)
+    assert steps >= 2 and len(calls) == steps
+    calls.clear()
+    field, trace = picard_solve(t, op, params, tol=1e-11, initial=seed)
+    assert trace.iterations == 1 and len(calls) == 3
+    assert trace.final_residual == np.max(np.abs(op.apply(field.values, t) - field.values))
 
 
 def test_cold_solve_near_tc_checks_the_stop_at_most_three_times(
