@@ -38,10 +38,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .gap_operator import GapOperator
 from .model import (
     ConstantPotential,
@@ -76,8 +76,7 @@ _ROOT_BUDGET = 64
 _N_TAU = 24
 
 
-@dataclass(frozen=True)
-class ContractionCertificate:
+class ContractionCertificate(Record):
     """Certified contraction data for the interval [tau, T_c]."""
 
     tau: float
@@ -97,8 +96,7 @@ class ContractionCertificate:
             )
 
 
-@dataclass(frozen=True)
-class CertificateFailure:
+class CertificateFailure(Record):
     """Best bound found when no contraction certificate exists."""
 
     best_alpha: float
@@ -114,8 +112,7 @@ class CertificateFailure:
         return self.delta2_at_tc / self.epsilon
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(Record):
     """[alpha, upper] encloses the bound's maximum over [tau, T_c] x [eps,
     hbar_omega_d]; alpha is its value at (t_at_max, x_at_max).  The roots
     Delta2(tau) and Delta2(T_c) are the cell edges' own, and

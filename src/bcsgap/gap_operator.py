@@ -47,10 +47,10 @@ r = (M phi)/phi and any positive phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .model import (
     ConstantPotential,
     GaussianBumpPotential,
@@ -90,21 +90,21 @@ _RATIO_ROUNDINGS = 16
 _ENVELOPE_MODES = 4
 
 
-@dataclass(frozen=True)
-class GapField:
-    """Nonnegative gap values on the grid nodes at one temperature."""
+class GapField(Record):
+    """Finite, nonnegative gap values on the grid nodes at one temperature."""
 
     temperature: float
     values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("gap field values must be finite")
         if np.any(self.values < 0):
             raise ValueError("gap field values must be nonnegative")
 
 
-@dataclass(frozen=True)
-class PerronRoot:
+class PerronRoot(Record):
     """Dominant eigenvalue of a positive kernel with its positive eigenvector."""
 
     radius: float
@@ -135,8 +135,7 @@ def _zero_field_kernel(xi2: np.ndarray, T: float) -> np.ndarray:
     return kernel_jet(xi2, 0.0, T)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class GapOperator:
+class GapOperator(Record, eq=False):
     """The gap operator of one potential on one grid, with W built once.
 
     Build it with ``as_operator``.  ``left`` (n x r) and ``right`` (r x n,

@@ -10,10 +10,10 @@ share one unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .quadrature import EnergyGrid
 
 __all__ = [
@@ -41,8 +41,7 @@ class PotentialError(ValueError):
     """Raised when a potential leaves its admissible coupling band."""
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(Record):
     """Debye energy, infrared cutoff, density of states, coupling bounds."""
 
     hbar_omega_d: float
@@ -120,13 +119,11 @@ def coupling_margin_bounds(u0: float, margin: float = 0.03) -> tuple[float, floa
 # potentials
 
 
-@dataclass(frozen=True)
-class ConstantPotential:
+class ConstantPotential(Record):
     u0: float
 
 
-@dataclass(frozen=True)
-class TablePotential:
+class TablePotential(Record):
     """Tabulated kernel with bilinear interpolation between lattice nodes."""
 
     x_nodes: np.ndarray
@@ -139,8 +136,7 @@ class TablePotential:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
-@dataclass(frozen=True)
-class GaussianBumpPotential:
+class GaussianBumpPotential(Record):
     """base + amplitude * exp(-(x - xi)^2 / (2 width^2))."""
 
     base: float

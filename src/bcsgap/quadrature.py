@@ -14,11 +14,12 @@ near-cancellation of the curvature kernel at small argument).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
+
+from ._record import Record
 
 __all__ = [
     "EnergyGrid",
@@ -59,18 +60,14 @@ def gauss_legendre_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np
     return nodes, weights
 
 
-@dataclass(frozen=True, eq=False)
-class EnergyGrid:
+class EnergyGrid(Record, eq=False):
     """The composite Gauss-Legendre rule of ``order`` points on each panel
-    [edges[i], edges[i + 1]]; its nodes, weights and xi2 = nodes^2 are
-    computed once.  As the Nystrom grid, its nodes are the collocation
-    points of every gap field.  Compared by identity."""
+    [edges[i], edges[i + 1]]; ``__post_init__`` computes its nodes, weights
+    and xi2 = nodes^2 once.  As the Nystrom grid, its nodes are the
+    collocation points of every gap field.  Compared by identity."""
 
     edges: np.ndarray
     order: int
-    nodes: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
-    xi2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)

@@ -33,11 +33,11 @@ The vanishing temperature tau is located and enclosed by the same routine
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._record import Record
 from .model import ParamsError, PhysicalParams
 from .quadrature import EnergyGrid, adaptive_integrate, gap_curvature, kernel_jet
 
@@ -467,8 +467,7 @@ def implicit_slope_v(U: float, params: PhysicalParams) -> float:
     return -8.0 * tau * d / curv
 
 
-@dataclass(frozen=True)
-class EnvelopeCurve:
+class EnvelopeCurve(Record):
     """Constant-coupling gap curve Delta(T) sampled on [0, tau], zero beyond.
 
     ``[tau_lo, tau_hi]`` is the window ``tau_root`` proves around tau,

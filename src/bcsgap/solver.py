@@ -40,10 +40,10 @@ hands its operator to T_c location and to every node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._record import Factory, Record, replace
 from .gap_operator import GapField, GapOperator, spectral_radius, spectral_tc
 from .model import PhysicalParams
 from .simple_gap import solve_delta, solve_delta_many, tau_root
@@ -82,8 +82,7 @@ class ConvergenceError(RuntimeError):
         self.observed_ratio = observed_ratio
 
 
-@dataclass(frozen=True)
-class SolveTrace:
+class SolveTrace(Record):
     """Outcome of one fixed-point solve.
 
     ``iterations`` counts Picard operator applications.  ``rate`` is the
@@ -99,8 +98,7 @@ class SolveTrace:
     newton_steps: int = 0
 
 
-@dataclass(frozen=True)
-class GapSurface:
+class GapSurface(Record):
     """Solution values on a temperature x energy lattice, plus T_c, and the
     ``GapOperator`` they were solved with, whose grid is the energy lattice;
     ``thermo`` reads the operator, grid, T_c and tau from here."""
@@ -109,7 +107,7 @@ class GapSurface:
     t_nodes: np.ndarray
     values: np.ndarray  # shape (len(t_nodes), op.grid.size)
     t_c: float
-    traces: list[SolveTrace] = field(repr=False, default_factory=list)
+    traces: list[SolveTrace] = Factory(list)
 
     @property
     def tau(self) -> float:

@@ -26,10 +26,10 @@ keeps that cancellation at rounding level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .certificate import CertificateFailure, ContractionCertificate
 from .model import PhysicalParams
 from .quadrature import (
@@ -145,8 +145,7 @@ def psi_table(surface: GapSurface, params: PhysicalParams) -> np.ndarray:
 # limit tables at the transition
 
 
-@dataclass(frozen=True)
-class LimitTable:
+class LimitTable(Record):
     """A limit at T_c of the squared gap on the energy nodes: the slope
     v(x) = -d/dT u(T, x)^2 or the curvature w(x) = d^2/dT^2 u(T, x)^2, with
     the change when the interpolant behind it drops its coarsest node."""
@@ -357,8 +356,7 @@ def first_derivative_three_terms(
 # verdict, entropy/heat, perturbation bound, cutoff scan
 
 
-@dataclass(frozen=True)
-class TransitionVerdict:
+class TransitionVerdict(Record):
     """Second-order transition checks: (a) Psi in C^2 with Psi(T_c) = 0,
     (b) Psi'(T_c) = 0, (c) Psi''(T_c) != 0."""
 
@@ -495,8 +493,7 @@ def psi_perturbation_bound(
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class CutoffScan:
+class CutoffScan(Record):
     epsilons: np.ndarray
     values: np.ndarray
     slope: float
@@ -533,8 +530,7 @@ def cutoff_divergence_scan(
 # report assembly
 
 
-@dataclass(frozen=True)
-class ThermoReport:
+class ThermoReport(Record):
     t_nodes: np.ndarray
     psi_values: np.ndarray
     entropy_values: np.ndarray

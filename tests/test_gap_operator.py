@@ -54,6 +54,12 @@ def test_gap_field_rejects_negative_values():
         GapField(0.03, np.array([0.1, -0.1]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gap_field_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        GapField(0.03, np.array([bad, 0.1]))
+
+
 def test_envelope_preservation(const_potential, params, grid):
     # fields between the envelope curves stay between them under the operator
     rng = np.random.default_rng(42)

@@ -1,10 +1,10 @@
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bcsgap import gap_operator, solver
+from bcsgap._record import replace
 from bcsgap.certificate import CertificateFailure
 from bcsgap.gap_operator import (
     apply_values,

@@ -1,11 +1,11 @@
 import importlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bcsgap import model, thermo
+from bcsgap._record import replace
 from bcsgap.certificate import ContractionCertificate
 from bcsgap.model import make_params, build_grid
 from bcsgap.quadrature import gap_curvature
