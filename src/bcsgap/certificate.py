@@ -419,8 +419,9 @@ def search_certificate(
 
 def format_certificate_report(
     outcome: ContractionCertificate | CertificateFailure,
-) -> str:
-    """Plain-text key = value report for either search outcome."""
+) -> list[str]:
+    """Plain-text key = value report for either search outcome, as its
+    lines, each ending in a newline."""
     lines: list[str] = []
     if isinstance(outcome, ContractionCertificate):
         lines.append("status = certified")
@@ -442,4 +443,4 @@ def format_certificate_report(
         lines.append(f"max_x = {outcome.max_location[1]!r}")
         lines.append(f"delta2_at_tc = {outcome.delta2_at_tc!r}")
         lines.append(f"obstruction_delta2_over_epsilon = {outcome.obstruction_ratio!r}")
-    return "\n".join(lines) + "\n"
+    return [line + "\n" for line in lines]

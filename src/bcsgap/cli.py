@@ -19,12 +19,13 @@ nothing here draws randomness.
 from __future__ import annotations
 
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .certificate import ContractionCertificate, format_certificate_report, search_certificate
-from .fileio import atomic_write_text, fmt, write_csv
+from .fileio import atomic_write, fmt, write_csv
 from .gap_operator import as_operator, spectral_tc
 from .model import (
     ConstantPotential,
@@ -189,9 +190,9 @@ def cmd_simple(cfg: dict[str, object]) -> int:
         rows = zip(curve.t_nodes, curve.delta_values)
         write_csv(out / f"envelope_{name}.csv", ["T", "delta"], rows)
         for key in ("tau", "tau_lo", "tau_hi", "delta0", "quadrature_bound"):
-            summary.append(f"{key}_{name} = {fmt(getattr(curve, key))}")
-    summary.append(f"reference_nodes = {curve.reference_nodes}")
-    atomic_write_text(out / "simple_summary.txt", "\n".join(summary) + "\n")
+            summary.append(f"{key}_{name} = {fmt(getattr(curve, key))}\n")
+    summary.append(f"reference_nodes = {curve.reference_nodes}\n")
+    atomic_write(out / "simple_summary.txt", summary)
     return EXIT_OK
 
 
@@ -200,7 +201,7 @@ def cmd_certify(cfg: dict[str, object]) -> int:
     out = _outdir(cfg)
     op = as_operator(potential, grid)
     outcome = search_certificate(op, params, t_c=spectral_tc(op, params), coupling_margin=margin)
-    atomic_write_text(out / "certificate.txt", format_certificate_report(outcome))
+    atomic_write(out / "certificate.txt", format_certificate_report(outcome))
     return EXIT_OK if isinstance(outcome, ContractionCertificate) else EXIT_CERTIFICATE
 
 
@@ -228,17 +229,21 @@ def _solve(cfg: dict[str, object]) -> tuple[PhysicalParams, GapSurface]:
 
 
 def _write_surface(out: Path, surface: GapSurface) -> None:
-    # write_csv's format, with each T and x formatted once, not once a cell
+    # write_csv's format, with each T and x formatted once, not once a cell,
+    # and one chunk per temperature row
     xs = ["%.17g," % x for x in surface.op.grid.nodes]
-    lines = ["T,x,u"]
-    for T, row in zip(surface.t_nodes, surface.values):
-        t = "%.17g," % T
-        lines.extend([t + x + "%.17g" % u for x, u in zip(xs, row)])
-    atomic_write_text(out / "surface.csv", "\n".join(lines) + "\n")
-    atomic_write_text(
+    rows = (
+        "".join([t + x + "%.17g\n" % u for x, u in zip(xs, row)])
+        for t, row in zip(("%.17g," % T for T in surface.t_nodes), surface.values)
+    )
+    atomic_write(out / "surface.csv", chain(["T,x,u\n"], rows))
+    atomic_write(
         out / "tc.txt",
-        f"t_c = {fmt(surface.t_c)}\noperator_rank = {surface.op.rank}\n"
-        f"operator_error = {fmt(surface.op.error)}\n",
+        [
+            f"t_c = {fmt(surface.t_c)}\n",
+            f"operator_rank = {surface.op.rank}\n",
+            f"operator_error = {fmt(surface.op.error)}\n",
+        ],
     )
     trace_rows = (
         (T, tr.iterations, tr.rate)
@@ -274,17 +279,17 @@ def cmd_thermo(cfg: dict[str, object]) -> int:
         zip(grid.nodes, report.w_table.values, report.w_table.extrapolation_error),
     )
     lines = [
-        f"t_c = {fmt(report.t_c)}",
-        f"alpha = {fmt(report.alpha)}",
-        f"rate_bound = {fmt(report.rate_bound)}",
-        f"certified = {str(report.certified).lower()}",
-        f"delta_cv = {fmt(report.delta_cv)}",
-        f"psi_second_tc = {fmt(report.psi_second_tc_form_a)}",
-        f"verdict_a = {str(report.verdict.a).lower()}",
-        f"verdict_b = {str(report.verdict.b).lower()}",
-        f"verdict_c = {str(report.verdict.c).lower()}",
+        f"t_c = {fmt(report.t_c)}\n",
+        f"alpha = {fmt(report.alpha)}\n",
+        f"rate_bound = {fmt(report.rate_bound)}\n",
+        f"certified = {str(report.certified).lower()}\n",
+        f"delta_cv = {fmt(report.delta_cv)}\n",
+        f"psi_second_tc = {fmt(report.psi_second_tc_form_a)}\n",
+        f"verdict_a = {str(report.verdict.a).lower()}\n",
+        f"verdict_b = {str(report.verdict.b).lower()}\n",
+        f"verdict_c = {str(report.verdict.c).lower()}\n",
     ]
-    atomic_write_text(out / "thermo_summary.txt", "\n".join(lines) + "\n")
+    atomic_write(out / "thermo_summary.txt", lines)
     return EXIT_OK
 
 
@@ -295,11 +300,11 @@ def cmd_gcheck(out_dir: str | Path = ".") -> int:
     write_csv(out / "g.csv", ["eta", "g"], zip(etas, gap_curvature(etas)))
     estimate, tail = g_integral_to_infinity()
     lines = [
-        f"g_zero = {fmt(gap_curvature(0.0))}",
-        f"integral_estimate = {fmt(estimate)}",
-        f"tail_bound = {fmt(tail)}",
+        f"g_zero = {fmt(gap_curvature(0.0))}\n",
+        f"integral_estimate = {fmt(estimate)}\n",
+        f"tail_bound = {fmt(tail)}\n",
     ]
-    atomic_write_text(out / "g_summary.txt", "\n".join(lines) + "\n")
+    atomic_write(out / "g_summary.txt", lines)
     return EXIT_OK
 
 

@@ -122,11 +122,49 @@ def _panel_bounds(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
 
 @lru_cache(maxsize=None)
 def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """``leggauss(order)`` on [-1, 1], computed once per order, read-only."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    xg.flags.writeable = False
-    wg.flags.writeable = False
-    return xg, wg
+    """The Gauss-Legendre rule of ``order`` points on [-1, 1], computed once
+    per order, read-only.
+
+    ``numpy.polynomial.legendre.leggauss``'s steps, taken here so that no
+    process imports ``numpy.polynomial``: the eigenvalues of the scaled
+    (symmetric) companion matrix of P_n, one Newton step with P_n and P_n'
+    evaluated by ``_legendre_series``, then the weights 1/(P_{n-1} P_n'),
+    symmetrised and scaled to sum to 2.
+    """
+    n = order
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    # P_n' = sum of (2k+1) P_k over k < n with k = n-1 (mod 2)
+    dc = np.zeros(n)
+    dc[n - 1 :: -2] = np.arange(2 * n - 1, 0, -4)
+    df = _legendre_series(x, dc)
+    x -= _legendre_series(x, c) / df
+
+    fm = _legendre_series(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _legendre_series(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c[k] P_k(x) by Clenshaw's recurrence, in the operation order of
+    ``numpy.polynomial.legendre.legval``; len(c) >= 2."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
 
 
 def adaptive_integrate(

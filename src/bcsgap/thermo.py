@@ -71,24 +71,40 @@ __all__ = [
 
 def _stencil(nodes, at, orders) -> np.ndarray:
     """Weights w[..., i, :] whose dot product with values at ``nodes`` is the
-    orders[i]-th derivative, at ``at``, of the polynomial through them
-    (Fornberg, Math. Comp. 51, 1988).
+    orders[i]-th derivative, at ``at``, of the polynomial through them.
 
-    ``nodes`` is (..., m) and ``at`` broadcasts against its leading axes;
-    the result is (..., len(orders), m).  One batched solve of the moment
-    equations sum_j w_j (t_j - a)^p = k! [p = k], p < m, on the offsets
-    t_j - a scaled to [-1, 1].
+    ``nodes`` is (..., m) and ``at`` is a scalar or has the leading shape of
+    ``nodes``; the result is (..., len(orders), m).  Fornberg's recurrence
+    (Math. Comp. 51, 1988) on the offsets t_j - a, one node at a time,
+    vectorised over the windows, the earlier nodes and the orders: the
+    weights of nodes 0..i for derivatives 0..max(orders) follow from those
+    of nodes 0..i-1 with no linear solve, each within a few ulps of its
+    stencil's largest weight.
     """
-    t = np.asarray(nodes, dtype=float)
-    a = np.asarray(at, dtype=float)[..., None]
+    # the windows' axes reversed, behind the node and the order axes
+    x = np.asarray(nodes, dtype=float).T[:, None]
+    t = x - np.asarray(at, dtype=float).T
     k = np.atleast_1d(orders)
-    h = np.max(np.abs(t - a), axis=-1, keepdims=True)
-    powers = np.arange(t.shape[-1])
-    moments = ((t - a) / h)[..., None, :] ** powers[:, None]
-    rhs = np.zeros((powers.size, k.size))
-    rhs[k, np.arange(k.size)] = [math.factorial(int(o)) for o in k]
-    weights = np.swapaxes(np.linalg.solve(moments, rhs), -1, -2)
-    return weights / h[..., None] ** k[:, None]
+    p = np.arange(k.max() + 1.0).reshape(-1, *[1] * (x.ndim - 2))
+    # c[j, q + 1]: node j's weight in the q-th derivative over nodes 0..i;
+    # a zero row 0 lets one update serve every order
+    c = np.zeros((len(x), len(p) + 1, *x.shape[2:]))
+    c[0, 1] = 1.0
+    scale = 1.0
+    for i in range(1, len(x)):
+        gaps = x[i] - x[:i]
+        prod = np.multiply.reduce(gaps)
+        c[i, 1:] = scale / prod * (p * c[i - 1, :-1] - t[i - 1] * c[i - 1, 1:])
+        c[:i, 1:] = (t[i] * c[:i, 1:] - p * c[:i, :-1]) / gaps
+        scale = prod
+    return c[:, k + 1].T
+
+
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of the straight line through the points (x, y),
+    from centred sums."""
+    dx = x - x.mean()
+    return float(np.dot(dx, y - y.mean()) / np.dot(dx, dx))
 
 
 def _limit_at_zero(
@@ -410,9 +426,7 @@ def second_order_verdict(
         order = np.inf
     else:
         mask = np.abs(tail) > 0
-        order = float(
-            np.polyfit(np.log(offsets[deep][mask]), np.log(np.abs(tail[mask])), 1)[0]
-        )
+        order = _slope(np.log(offsets[deep][mask]), np.log(np.abs(tail[mask])))
     t1, t2, t3 = first_derivative_three_terms(v_vals, surface.t_c, params, grid)
     three_rel = abs(t1 + t2 + t3) / abs(t1) if t1 != 0.0 else 0.0
     b_ok = order >= 1.0 - 0.1 and three_rel <= 1e-10
@@ -520,7 +534,7 @@ def cutoff_divergence_scan(
             for e in eps_arr
         ]
     )
-    slope = float(np.polyfit(np.log(1.0 / eps_arr), values, 1)[0])
+    slope = _slope(np.log(1.0 / eps_arr), values)
     return CutoffScan(
         epsilons=eps_arr, values=values, slope=slope, slope_target=n0 * v
     )

@@ -56,7 +56,7 @@ def test_criterion_02_certificate_branch(
     # must exist and the solver must still have converged, with the
     # thermodynamic report flagged uncertified
     assert isinstance(outcome, CertificateFailure)
-    report = format_certificate_report(outcome)
+    report = "".join(format_certificate_report(outcome))
     assert "status = failed" in report and "best_alpha" in report
     assert const_report.certified is False and const_report.alpha <= 0.95
     # the Lipschitz bound computed by the same machinery dominates the

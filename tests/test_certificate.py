@@ -105,7 +105,7 @@ def test_search_fails_on_default_config_with_diagnostics(default_search_outcome,
     # the obstruction: the upper envelope at T_c is far above the cutoff
     assert outcome.obstruction_ratio == outcome.delta2_at_tc / params.epsilon_cutoff
     assert outcome.obstruction_ratio > 1.0
-    report = format_certificate_report(outcome)
+    report = "".join(format_certificate_report(outcome))
     assert "status = failed" in report
     assert "best_alpha" in report and "alpha_upper" in report
     assert "obstruction_delta2_over_epsilon" in report
@@ -114,7 +114,7 @@ def test_search_fails_on_default_config_with_diagnostics(default_search_outcome,
 def test_certificate_report_values_are_plain_numbers(default_search_outcome):
     # every value but the status is written as a number float() reads back,
     # the lattice maximiser included
-    lines = format_certificate_report(default_search_outcome).splitlines()
+    lines = "".join(format_certificate_report(default_search_outcome)).splitlines()
     values = dict(line.split(" = ") for line in lines)
     assert values.pop("status") == "failed"
     assert {"max_T", "max_x"} <= values.keys()
@@ -180,7 +180,7 @@ def test_certificate_report_format_for_success_object():
         tau=0.04, epsilon=0.005, alpha=0.8, max_location=(0.041, 0.3),
         delta2_at_tau=0.004, coupling_margin=0.03,
     )
-    report = format_certificate_report(cert)
+    report = "".join(format_certificate_report(cert))
     assert "status = certified" in report
     for key in ("tau", "epsilon", "alpha", "max_T", "max_x", "delta2_at_tau",
                 "coupling_margin"):

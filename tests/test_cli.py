@@ -664,6 +664,27 @@ def test_importing_the_cli_loads_no_scipy():
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
 
+def test_a_thermo_run_loads_no_numpy_polynomial(tmp_path):
+    # importing numpy.polynomial cost every process 3-5 ms of set-up: the
+    # Gauss-Legendre rule, the stencils and the slopes do without it
+    src = Path(bcsgap.__file__).resolve().parents[1]
+    config = tmp_path / "default.cfg"
+    config.write_text(
+        DEFAULT_CONFIG.read_text().replace("output.dir = results", f"output.dir = {tmp_path}")
+    )
+    code = (
+        "import sys; import bcsgap.cli as cli; "
+        f"cli.build_inputs(cli.parse_config({str(config)!r})); "
+        f"assert cli.main(['thermo', {str(config)!r}]) == 0; "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=src, timeout=120
+    )
+    assert done.returncode == 0 and done.stdout.strip() == "[]", done.stderr
+    assert (tmp_path / "thermo_summary.txt").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

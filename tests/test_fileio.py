@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bcsgap.fileio import fmt, write_csv
+from bcsgap.fileio import atomic_write, fmt, write_csv
 
 
 def _per_cell_join(header, rows) -> str:
@@ -36,5 +36,28 @@ def test_write_csv_matches_per_cell_join(rows, tmp_path):
 
 
 def test_write_csv_refuses_a_row_narrower_than_the_header(tmp_path):
+    # the short row comes after the first chunks have been streamed: the
+    # partial sibling is removed and the earlier file keeps its bytes
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c"], [(1.0, 2.0, 3.0)])
+    before = path.read_bytes()
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "t.csv", ["a", "b", "c"], [(1.0, 2.0)])
+        write_csv(path, ["a", "b", "c"], [(4.0, 5.0, 6.0), (7.0, 8.0, 9.0), (1.0, 2.0)])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_a_write_that_fails_midstream_leaves_nothing_behind(tmp_path):
+    path = tmp_path / "out.txt"
+    atomic_write(path, ["old\n"])
+
+    def chunks():
+        yield "new\n"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(path, chunks())
+    assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+    atomic_write(tmp_path / "fresh.txt", iter(["a", "b\n"]))
+    assert (tmp_path / "fresh.txt").read_bytes() == b"ab\n"

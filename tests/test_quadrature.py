@@ -240,6 +240,16 @@ def test_curvature_rejects_negative_argument():
         gap_curvature(-0.1)
 
 
+def test_gauss_legendre_rule_matches_leggauss():
+    # leggauss's own steps, taken without numpy.polynomial: within 2 ulps of
+    # it (bit-equal on numpy 2.4), so a numpy that reorders legval still passes
+    for order in range(2, 101):
+        x, w = quadrature._legendre_rule(order)
+        xg, wg = np.polynomial.legendre.leggauss(order)
+        assert np.all(np.abs(x - xg) <= 2 * np.spacing(np.abs(xg))), order
+        assert np.all(np.abs(w - wg) <= 2 * np.spacing(wg)), order
+
+
 def test_gauss_legendre_order_validation():
     with pytest.raises(ValueError):
         gauss_legendre_panels(np.array([0.0, 1.0]), 1)
@@ -248,9 +258,9 @@ def test_gauss_legendre_order_validation():
 @pytest.mark.parametrize("order", [2, 10, 12])
 def test_gauss_legendre_rule_cached_bit_identical(order):
     # the [-1, 1] rule is computed once per order; the panels built from it
-    # equal the ones built from a fresh leggauss call bit for bit
+    # equal the ones built from a fresh, uncached rule bit for bit
     edges = np.geomspace(0.005, 1.0, 17)
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = quadrature._legendre_rule.__wrapped__(order)
     lo, hi = edges[:-1], edges[1:]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     for _ in range(2):

@@ -1,5 +1,6 @@
 import importlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,57 @@ def test_limit_at_zero_polynomial():
     assert limit == pytest.approx(3.0, abs=1e-12)
     assert slope == pytest.approx(2.0, abs=1e-10)
     assert np.all(err <= 1e-10)
+
+
+def _exact_stencil(nodes, at, orders) -> list[list[Fraction]]:
+    """The Lagrange basis polynomials' derivatives at ``at``, in exact
+    rational arithmetic on the doubles given."""
+    a, xs = Fraction(float(at)), [Fraction(float(x)) for x in nodes]
+    rows = []
+    for k in orders:
+        row = []
+        for j, xj in enumerate(xs):
+            poly, denominator = [Fraction(1)], Fraction(1)  # coefficients in y = x - a
+            for i, xi in enumerate(xs):
+                if i != j:
+                    poly = [Fraction(0)] + poly
+                    for p in range(len(poly) - 1):
+                        poly[p] += poly[p + 1] * (a - xi)
+                    denominator *= xj - xi
+            row.append(poly[k] * math.factorial(k) / denominator)
+        rows.append(row)
+    return rows
+
+
+def test_stencil_weights_are_exact_to_a_few_ulps(const_surface):
+    # each stencil's weights against exact Lagrange-derivative weights, the
+    # error relative to the stencil's largest weight: on the default lattice's
+    # entropy/heat windows and on the limit window at offset 0; a moment-
+    # equation solve errs by about 4e2 eps here
+    surface, _ = const_surface
+    t = surface.t_nodes
+    start = np.clip(np.arange(t.size) - 3, 0, t.size - 6)
+    windows = t[start[:, None] + np.arange(6)]
+    offsets = (surface.t_c - t[:-1])[-6:]
+    cases = [
+        *zip(thermo._stencil(windows, t, (1, 2)), windows, t, [(1, 2)] * t.size),
+        (thermo._stencil(offsets, 0.0, (0, 1)), offsets, 0.0, (0, 1)),
+    ]
+    errors = [
+        abs(Fraction(float(w)) - e) / max(map(abs, exact))
+        for weights, nodes, at, orders in cases
+        for row, exact in zip(weights, _exact_stencil(nodes, at, orders))
+        for w, e in zip(row, exact)
+    ]
+    assert len(cases) == 26
+    assert max(errors) <= 8 * np.finfo(float).eps
+
+
+def test_slope_is_the_least_squares_line():
+    x = np.log(np.geomspace(1e-3, 1e-1, 6))
+    y = 1.5 * x - 0.25 + 1e-3 * np.sin(7.0 * x)
+    assert thermo._slope(x, y) == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12)
+    assert thermo._slope(x, 2.0 * x + 3.0) == pytest.approx(2.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
