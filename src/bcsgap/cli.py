@@ -265,9 +265,9 @@ def cmd_thermo(cfg: dict[str, object]) -> int:
     outcome = search_certificate(surface.op, params, t_c=surface.t_c)
     report = build_thermo_report(surface, params, outcome)
     out = _outdir(cfg)
-    write_csv(out / "psi.csv", ["T", "psi"], zip(report.t_nodes, report.psi_values))
-    write_csv(out / "entropy.csv", ["T", "s"], zip(report.t_nodes, report.entropy_values))
-    write_csv(out / "heat.csv", ["T", "cv"], zip(report.t_nodes, report.specific_heat_values))
+    write_csv(out / "psi.csv", ["T", "psi"], zip(surface.t_nodes, report.psi_values))
+    write_csv(out / "entropy.csv", ["T", "s"], zip(surface.t_nodes, report.entropy_values))
+    write_csv(out / "heat.csv", ["T", "cv"], zip(surface.t_nodes, report.specific_heat_values))
     write_csv(
         out / "v.csv",
         ["x", "v", "error"],
@@ -279,7 +279,7 @@ def cmd_thermo(cfg: dict[str, object]) -> int:
         zip(grid.nodes, report.w_table.values, report.w_table.extrapolation_error),
     )
     lines = [
-        f"t_c = {fmt(report.t_c)}\n",
+        f"t_c = {fmt(surface.t_c)}\n",
         f"alpha = {fmt(report.alpha)}\n",
         f"rate_bound = {fmt(report.rate_bound)}\n",
         f"certified = {str(report.certified).lower()}\n",

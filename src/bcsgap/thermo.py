@@ -1,11 +1,13 @@
 """Thermodynamics of the transition: potential difference between the
 superconducting and normal states, its first two temperature derivatives,
-the limit slope and curvature of the squared gap at T_c (the value and
-slope at T_c of one interpolant, ``limit_tables``), the second-order
-transition verdict, and the specific-heat jump.  Every temperature
-derivative is a derivative of a polynomial through 6 nodes, weighted by
-one stencil rule (``_stencil``); each limit at T_c is one interpolant's
-value or slope at offset 0 (``_limit_at_zero``).
+the limit slope and curvature of the squared gap at T_c and the potential
+difference's second derivative there (columns of one interpolant,
+``limit_tables``), and the specific-heat jump.  ``build_thermo_report``
+evaluates them in one pass and decides the second-order transition verdict
+on the numbers it holds.  Every temperature derivative is a derivative of
+a polynomial through 6 nodes, weighted by one stencil rule (``_stencil``);
+each limit at T_c is one interpolant's value or slope at offset 0
+(``_limit_at_zero``).
 
 A function on a solved surface takes the ``GapSurface`` and reads from it
 the operator it was solved with, the grid, T_c and tau; the formula
@@ -56,7 +58,6 @@ __all__ = [
     "delta_cv",
     "psi_second_at_tc",
     "first_derivative_three_terms",
-    "second_order_verdict",
     "entropy_and_heat",
     "psi_perturbation_bound",
     "cutoff_divergence_scan",
@@ -177,8 +178,10 @@ class LimitTable(Record):
         return float(np.max(self.extrapolation_error)) / scale if scale > 0 else 0.0
 
 
-# near-T_c nodes of the one interpolant behind v, w and the verdict's limits
+# near-T_c nodes of the one interpolant behind v, w and Psi''(T_c): the
+# surface's rows just before its T_c row
 _DEPTH = 6
+_NEAR_TC = slice(-_DEPTH - 1, -1)
 
 
 def require_resolution(t_resolution: int, span_decades: float) -> None:
@@ -202,29 +205,37 @@ def _require_offsets(offsets: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def limit_tables(surface: GapSurface) -> tuple[LimitTable, LimitTable]:
-    """Limit slope v and curvature w of the squared gap at T_c from one
-    interpolant.
+def limit_tables(
+    surface: GapSurface, psi_values: np.ndarray
+) -> tuple[LimitTable, LimitTable, float, float]:
+    """Limit slope v and curvature w of the squared gap at T_c, and the
+    potential difference's second derivative there, from one interpolant.
 
-    P is the polynomial through q = u(T, x)^2 / (T_c - T) at the 6 nodes
-    nearest T_c.  Since u^2 = v d + (w/2) d^2 + O(d^3) in d = T_c - T,
-    v = P(0) and w = 2 P'(0).  Each error is the change when the same
-    interpolant is built on the deepest 5 nodes.  A surface whose nodes do
-    not resolve T_c, a v that is not strictly positive at every node and a
-    w that is not finite are refused.
+    P is the polynomial through the columns q = u(T, x)^2 / d and
+    2 Psi(T) / d^2 (``psi_values``, see ``psi_table``) at the 6 nodes
+    nearest T_c, d = T_c - T.  Since u^2 = v d + (w/2) d^2 + O(d^3),
+    v = P(0) and w = 2 P'(0) on q; since Psi(T_c) = Psi'(T_c) = 0, the last
+    column's P(0) is Psi''(T_c).  Each error is the change when the same
+    interpolant is built on the deepest 5 nodes.  Returns (v, w, Psi''(T_c),
+    its error).  A surface whose nodes do not resolve T_c, a v that is not
+    strictly positive at every node and a w that is not finite are refused.
     """
     offsets = _require_offsets(surface.t_c - surface.t_nodes[:-1])
     d = offsets[-_DEPTH:]
-    q = surface.values[:-1][-_DEPTH:] ** 2 / d[:, None]
-    (v, half_w), (v_err, half_w_err) = _limit_at_zero(d, q, (0, 1))
-    w = 2.0 * half_w
+    columns = np.column_stack(
+        (surface.values[_NEAR_TC] ** 2 / d[:, None], 2.0 * psi_values[_NEAR_TC] / d**2)
+    )
+    (limit, slope), (limit_err, slope_err) = _limit_at_zero(d, columns, (0, 1))
+    v, w = limit[:-1], 2.0 * slope[:-1]
     if np.any(v <= 0.0):
         raise ValueError("limit slope must be strictly positive at every node")
     if not np.all(np.isfinite(w)):
         raise ValueError("limit curvature must be finite")
     return (
-        LimitTable(values=v, extrapolation_error=v_err),
-        LimitTable(values=w, extrapolation_error=2.0 * half_w_err),
+        LimitTable(values=v, extrapolation_error=limit_err[:-1]),
+        LimitTable(values=w, extrapolation_error=2.0 * slope_err[:-1]),
+        float(limit[-1]),
+        float(limit_err[-1]),
     )
 
 
@@ -373,83 +384,25 @@ def first_derivative_three_terms(
 
 
 class TransitionVerdict(Record):
-    """Second-order transition checks: (a) Psi in C^2 with Psi(T_c) = 0,
-    (b) Psi'(T_c) = 0, (c) Psi''(T_c) != 0."""
+    """Second-order transition checks, decided by ``build_thermo_report``.
+
+    (a) Psi in C^2: the finite-difference Psi''(T_c) of ``limit_tables``
+    moves by at most 5% when its coarsest node is dropped; (b) Psi'(T_c) = 0:
+    the one-sided first derivative -Psi/d vanishes with observed order >= 1
+    on the same nodes and the three-limit decomposition cancels to rounding;
+    (c) Psi''(T_c) != 0: form A is negative and larger than its error
+    propagated from v's.  Psi(T_c) = 0 holds by construction: the T_c row of
+    a solved surface is the zero field.
+    """
 
     a: bool
     b: bool
     c: bool
-    psi_at_tc: float
     second_derivative_fd: float
     second_derivative_fd_error: float
     first_derivative_order: float
     three_term_relative: float
-    psi_second_form_a: float
     psi_second_error: float
-
-
-def second_order_verdict(
-    surface: GapSurface,
-    v: LimitTable,
-    params: PhysicalParams,
-    psi_values: np.ndarray,
-) -> TransitionVerdict:
-    """Evaluate the three transition conditions on a solved surface, from
-    its potential differences ``psi_values`` (see ``psi_table``).
-
-    (a) holds when the potential difference vanishes at T_c and its
-    one-sided finite-difference second derivative converges as the node
-    offsets shrink; (b) when the one-sided first derivative vanishes with
-    observed order >= 1 and the three-limit decomposition cancels to
-    rounding; (c) when the curvature form is negative and larger than its
-    propagated error.  A degenerate (zero) slope table yields verdict (c)
-    false: no transition.
-    """
-    v_vals, v_err = v.values, v.extrapolation_error
-    grid = surface.op.grid
-    offsets = surface.t_c - surface.t_nodes[:-1]
-    psi_tc = float(psi_values[-1])
-
-    # (a): Psi(T_c) = 0 and FD second derivative 2 Psi/d^2 converges
-    est = 2.0 * psi_values[:-1] / offsets**2
-    deep = slice(-_DEPTH, None)
-    fd2, fd2_err = _limit_at_zero(offsets[deep], est[deep], (0,))
-    fd2, fd2_err = float(fd2[0]), float(fd2_err[0])
-    a_ok = abs(psi_tc) <= 1e-15 * params.n0_dos * params.hbar_omega_d and (
-        fd2_err <= 5e-2 * abs(fd2) + 1e-300
-    )
-
-    # (b): -Psi(T)/d -> 0 at rate O(d), plus exact three-term cancellation
-    d1 = -psi_values[:-1] / offsets
-    tail = d1[deep]
-    if np.all(tail == 0.0):  # identically flat difference: derivative is zero
-        order = np.inf
-    else:
-        mask = np.abs(tail) > 0
-        order = _slope(np.log(offsets[deep][mask]), np.log(np.abs(tail[mask])))
-    t1, t2, t3 = first_derivative_three_terms(v_vals, surface.t_c, params, grid)
-    three_rel = abs(t1 + t2 + t3) / abs(t1) if t1 != 0.0 else 0.0
-    b_ok = order >= 1.0 - 0.1 and three_rel <= 1e-10
-
-    # (c): curvature form negative, bounded away from zero by its error
-    form_a, _ = psi_second_at_tc(v_vals, surface.t_c, params, grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel_v_err = float(np.max(np.where(v_vals > 0, v_err / v_vals, 0.0)))
-    err_a = 2.0 * abs(form_a) * rel_v_err + 1e-12 * abs(form_a)
-    c_ok = form_a < 0.0 and abs(form_a) > 3.0 * err_a
-
-    return TransitionVerdict(
-        a=bool(a_ok),
-        b=bool(b_ok),
-        c=bool(c_ok),
-        psi_at_tc=psi_tc,
-        second_derivative_fd=fd2,
-        second_derivative_fd_error=fd2_err,
-        first_derivative_order=order,
-        three_term_relative=float(three_rel),
-        psi_second_form_a=form_a,
-        psi_second_error=err_a,
-    )
 
 
 def entropy_and_heat(
@@ -545,7 +498,6 @@ def cutoff_divergence_scan(
 
 
 class ThermoReport(Record):
-    t_nodes: np.ndarray
     psi_values: np.ndarray
     entropy_values: np.ndarray
     specific_heat_values: np.ndarray
@@ -555,7 +507,6 @@ class ThermoReport(Record):
     psi_second_tc_form_a: float
     psi_second_tc_form_b: float
     verdict: TransitionVerdict
-    t_c: float
     alpha: float
     certified: bool
     rate_bound: float
@@ -566,7 +517,10 @@ def build_thermo_report(
     params: PhysicalParams,
     certificate: ContractionCertificate | CertificateFailure,
 ) -> ThermoReport:
-    """Full thermodynamic analysis of a solved surface.
+    """Full thermodynamic analysis of a solved surface, in one pass: one
+    extrapolation (``limit_tables``) gives v, w and the finite-difference
+    Psi''(T_c), and the transition verdict is decided on the numbers the
+    report holds.  The tables follow the surface's ``t_nodes``.
 
     Cross-checks the two forms of Psi''(T_c) (see ``psi_second_at_tc``).
     The jump delta_cv equals -T_c times form A by construction, since both
@@ -582,16 +536,31 @@ def build_thermo_report(
     """
     grid = surface.op.grid
     psis = psi_table(surface, params)
-    v, w = limit_tables(surface)
+    v, w, fd2, fd2_err = limit_tables(surface, psis)
     jump = delta_cv(v.values, surface.t_c, params, grid)
     form_a, form_b = psi_second_at_tc(v.values, surface.t_c, params, grid)
     entropy, heat = entropy_and_heat(surface.t_nodes, psis)
-    verdict = second_order_verdict(surface, v, params, psis)
+    # the verdict (see TransitionVerdict), on the interpolant's nodes
+    d = surface.t_c - surface.t_nodes[_NEAR_TC]
+    order = _slope(np.log(d), np.log(np.abs(psis[_NEAR_TC] / d)))
+    t1, t2, t3 = first_derivative_three_terms(v.values, surface.t_c, params, grid)
+    three_rel = abs(t1 + t2 + t3) / abs(t1)
+    rel_v_err = float(np.max(v.extrapolation_error / v.values))
+    err_a = 2.0 * abs(form_a) * rel_v_err + 1e-12 * abs(form_a)
+    verdict = TransitionVerdict(
+        a=fd2_err <= 5e-2 * abs(fd2),
+        b=order >= 1.0 - 0.1 and three_rel <= 1e-10,
+        c=form_a < 0.0 and abs(form_a) > 3.0 * err_a,
+        second_derivative_fd=fd2,
+        second_derivative_fd_error=fd2_err,
+        first_derivative_order=order,
+        three_term_relative=three_rel,
+        psi_second_error=err_a,
+    )
     certified = isinstance(certificate, ContractionCertificate)
     rate_bound = max((tr.rate for tr in surface.traces), default=math.nan)
     alpha = certificate.alpha if certified else min(rate_bound + 0.1, 0.95)
     return ThermoReport(
-        t_nodes=surface.t_nodes,
         psi_values=psis,
         entropy_values=entropy,
         specific_heat_values=heat,
@@ -601,7 +570,6 @@ def build_thermo_report(
         psi_second_tc_form_a=form_a,
         psi_second_tc_form_b=form_b,
         verdict=verdict,
-        t_c=surface.t_c,
         alpha=alpha,
         certified=certified,
         rate_bound=rate_bound,

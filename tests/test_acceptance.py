@@ -138,12 +138,12 @@ def test_criterion_04_curvature_kernel_suite():
 
 def test_criterion_05_second_order_verdict(const_report):
     verdict = const_report.verdict
-    assert verdict.psi_at_tc == 0.0
+    assert const_report.psi_values[-1] == 0.0
     assert verdict.a
     assert verdict.first_derivative_order >= 1.0 - 0.1
     assert verdict.three_term_relative <= 1e-10
     assert verdict.b
-    assert verdict.psi_second_form_a < 0.0
+    assert const_report.psi_second_tc_form_a < 0.0
     form_gap = abs(
         const_report.psi_second_tc_form_a - const_report.psi_second_tc_form_b
     ) / abs(const_report.psi_second_tc_form_a)

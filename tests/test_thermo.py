@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcsgap import model, thermo
 from bcsgap._record import replace
@@ -11,9 +12,8 @@ from bcsgap.certificate import ContractionCertificate
 from bcsgap.model import make_params, build_grid
 from bcsgap.quadrature import gap_curvature
 from bcsgap.simple_gap import implicit_slope_v, tau_root
-from bcsgap.solver import GapSurface, solve_surface
+from bcsgap.solver import solve_surface
 from bcsgap.thermo import (
-    LimitTable,
     build_thermo_report,
     cutoff_divergence_scan,
     delta_cv,
@@ -28,7 +28,6 @@ from bcsgap.thermo import (
     psi_second_at_tc,
     psi_table,
     require_resolution,
-    second_order_verdict,
 )
 
 from oracles import constant_psi_derivatives, curvature_w_oracle, zeta3_series
@@ -106,6 +105,21 @@ def test_psi_zero_field_is_exactly_zero(params, grid):
     assert psi(0.03, np.zeros(grid.size), params, grid) == 0.0
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    epsilon=st.floats(1e-9, 0.03),
+    panels=st.integers(1, 64),
+    order=st.integers(2, 30),
+    T=st.floats(1e-300, 1e3),
+)
+def test_psi_of_the_zero_field_is_exactly_zero_on_every_grid(epsilon, panels, order, T):
+    # sqrt(xi*xi) rounds back to xi, so every term of Psi is exactly zero:
+    # the T_c row of a surface, the zero field, has Psi(T_c) = 0.0 with no check
+    p = make_params(1.0, epsilon, 1.0, 0.291, 0.309)
+    g = build_grid(p, panels=panels, order=order)
+    assert psi(T, np.zeros(g.size), p, g) == 0.0
+
+
 def test_psi_negative_and_increasing_on_surface(const_surface, params):
     surface, _ = const_surface
     psis = psi_table(surface, params)
@@ -152,35 +166,36 @@ def test_limits_match_scalar_oracles(const_report, params):
 def test_v_requires_resolution(const_op, params):
     shallow = solve_surface(const_op, params, t_resolution=8, span_decades=1.0, tol=1e-9)
     with pytest.raises(ValueError, match="resolution"):
-        limit_tables(shallow)
+        limit_tables(shallow, psi_table(shallow, params))
 
 
 def test_six_nodes_over_two_decades_are_enough():
     require_resolution(6, 2.2)  # the interpolant's depth; 5 is refused in test_cli
 
 
-def test_limit_tables_refuse_a_nonpositive_slope(const_surface):
+def test_limit_tables_refuse_a_nonpositive_slope(const_surface, params):
     surface, _ = const_surface
     values = surface.values.copy()
     values[:-1, 7] = 0.0  # one x column zero below T_c
+    zeroed = replace(surface, values=values)
     with pytest.raises(ValueError, match="positive"):
-        limit_tables(replace(surface, values=values))
+        limit_tables(zeroed, psi_table(zeroed, params))
 
 
-def test_w_constant_in_energy_and_estimators_agree(const_surface):
+def test_w_constant_in_energy_and_estimators_agree(const_surface, params):
     surface, _ = const_surface
-    _, w = limit_tables(surface)
+    _, w, *_ = limit_tables(surface, psi_table(surface, params))
     assert w.estimator_mismatch <= 1e-2
     spread = np.max(w.values) - np.min(w.values)
     assert spread <= 1e-2 * np.max(np.abs(w.values))
 
 
 @pytest.mark.parametrize("surface_name", ["const_surface", "gauss_surface"])
-def test_w_consistency_with_curvature_functional(surface_name, request):
+def test_w_consistency_with_curvature_functional(surface_name, request, params):
     surface = request.getfixturevalue(surface_name)
     if surface_name == "const_surface":
         surface, _ = surface  # the fixture carries the solve's wall time
-    v, w = limit_tables(surface)
+    v, w, *_ = limit_tables(surface, psi_table(surface, params))
     assert g_consistency(v.values, w.values, surface) <= 1e-8
 
 
@@ -212,6 +227,29 @@ def test_thermo_builds_no_second_potential_matrix(
     f_consistency(v, surface)
     g_consistency(v, w, surface)
     assert shapes == []
+
+
+def test_thermo_report_is_one_pass(const_surface, params, default_search_outcome, monkeypatch):
+    # v, w and the finite-difference Psi''(T_c) are columns of one
+    # extrapolation (a 6- and a 5-node stencil), the entropy/heat tables take
+    # one more, and the verdict reuses the report's numbers
+    surface, _ = const_surface
+    calls = dict.fromkeys(
+        ("_stencil", "_limit_at_zero", "psi_second_at_tc", "_curvature_integral"), 0
+    )
+    for name in calls:
+
+        def counting(*args, _name=name, _real=getattr(thermo, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(thermo, name, counting)
+    build_thermo_report(surface, params, default_search_outcome)
+    assert calls["_stencil"] == 3
+    assert calls["_limit_at_zero"] == 1
+    assert calls["psi_second_at_tc"] == 1
+    assert calls["_curvature_integral"] <= 2
+    assert not hasattr(thermo, "second_order_verdict")
 
 
 # ---------------------------------------------------------------------------
@@ -325,27 +363,14 @@ def test_three_term_first_derivative_cancellation(const_surface, const_report, p
 def test_verdict_all_true_on_default_config(const_report):
     verdict = const_report.verdict
     assert verdict.a and verdict.b and verdict.c
-    assert verdict.psi_at_tc == 0.0
+    assert const_report.psi_values[-1] == 0.0
     assert verdict.first_derivative_order >= 0.9
     assert verdict.three_term_relative <= 1e-10
-    assert verdict.psi_second_form_a < 0.0
+    assert const_report.psi_second_tc_form_a < 0.0
     # FD second derivative of the potential difference converges to the form
     assert verdict.second_derivative_fd == pytest.approx(
-        verdict.psi_second_form_a, rel=1e-4
+        const_report.psi_second_tc_form_a, rel=1e-4
     )
-
-
-def test_verdict_degenerate_zero_surface(const_surface, params, grid):
-    surface, _ = const_surface
-    zero = GapSurface(
-        op=surface.op,
-        t_nodes=surface.t_nodes,
-        values=np.zeros_like(surface.values),
-        t_c=surface.t_c,
-    )
-    table = LimitTable(values=np.zeros(grid.size), extrapolation_error=np.zeros(grid.size))
-    verdict = second_order_verdict(zero, table, params, psi_table(zero, params))
-    assert verdict.c is False  # no transition without a positive slope limit
 
 
 def test_report_carries_certificate_alpha(const_surface, params):
