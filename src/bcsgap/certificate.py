@@ -18,9 +18,8 @@ edge of Delta2(tau)'s: the interval idea of Moore ("Interval Analysis",
 that over the x-cell.  A best-first branch and bound (Skelboe, BIT 14,
 1974) bisects the cell of largest bound, one at a time, and solves an
 envelope root only at a new cell edge.  alpha is the largest point value
-found, and ``alpha_integrand`` gives that value at its (T, x); upper is
-a bound, rounding included.  A certificate exists
-when upper is below one; else the search reports failure with
+found, at its (T, x); upper is a bound, rounding included.  A certificate
+exists when upper is below one; else the search reports failure with
 diagnostics.
 
 The entry points take the ``GapOperator`` and read the potential and the
@@ -53,13 +52,12 @@ from .model import (
     potential_matrix,
 )
 from .quadrature import EnergyGrid, kernel_jet
-from .simple_gap import _TERM_ROUNDINGS, _solve_windows, solve_delta_many, tau_root
+from .simple_gap import _TERM_ROUNDINGS, _solve_windows, tau_root
 
 __all__ = [
     "ContractionCertificate",
     "CertificateFailure",
     "AlphaResult",
-    "alpha_integrand",
     "compute_alpha",
     "search_certificate",
     "format_certificate_report",
@@ -125,17 +123,6 @@ class AlphaResult(Record):
     delta2_at_tau: float
     delta2_at_tc: float
     delta2_at_tau_upper: float
-
-
-def alpha_integrand(
-    T: float, x: float, tau: float, op: GapOperator, params: PhysicalParams
-) -> float:
-    """Value of the contraction bound at one (T, x) pair, summed as
-    ``compute_alpha`` sums every point value."""
-    d2tau, d2 = solve_delta_many(params.u_upper, [tau, T], params).tolist()
-    prefactor = d2tau**2 / (2.0 * params.epsilon_cutoff**2)
-    urows = potential_matrix(op.potential, x, op.grid.nodes)
-    return float(_point_values(urows, *_kernel_rows(op.grid, T, d2), prefactor)[0])
 
 
 def _kernel_rows(

@@ -27,8 +27,8 @@ the operator, its Jacobian action J v = W (d * v), the zero-field kernel
 action W (k0(T) * x) and the power iterations for the Perron pair of
 M = W diag(k0(T)).  k, d and k's partials come from ``kernel_jet`` on the
 grid's ``xi2``, A u and d from one call (``linearise``).  ``apply_A``,
-``apply_values``, ``weighted_potential_matrix`` and ``kernel_matrix`` form
-the dense W from a potential and a grid, the reference for the operator.
+``apply_values`` and ``weighted_potential_matrix`` form the dense W from
+a potential and a grid, the reference for the operator.
 Every other function takes the operator alone and reads the grid from it.
 
 T_c is where the zero-field Perron root rho(T) of M = W diag(k0(T)) is
@@ -60,7 +60,7 @@ from .model import (
     potential_matrix,
 )
 from .quadrature import EnergyGrid, kernel_jet
-from .simple_gap import _enclose, _tau_window, solve_delta
+from .simple_gap import _enclose, _tau_window
 
 __all__ = [
     "GapField",
@@ -70,11 +70,9 @@ __all__ = [
     "weighted_potential_matrix",
     "apply_A",
     "apply_values",
-    "kernel_matrix",
     "spectral_radius",
     "radius_crossing_temperature",
     "spectral_tc",
-    "sample_envelope_field",
 ]
 
 # power iteration stop: successive Rayleigh quotients within _PERRON_TOL,
@@ -86,8 +84,6 @@ _PERRON_MAX_ITER = 50_000
 _ELLIPSE_OFFSETS = (1e-3, 1e3, 400)
 # roundings of one ratio r_i beyond its sums and L's entries (see _ratio_bound)
 _RATIO_ROUNDINGS = 16
-# sine modes in a sample_envelope_field profile
-_ENVELOPE_MODES = 4
 
 
 class GapField(Record):
@@ -290,13 +286,6 @@ def apply_A(u: GapField, potential: PotentialSpec, grid: EnergyGrid) -> GapField
     return GapField(temperature=u.temperature, values=out)
 
 
-def kernel_matrix(T: float, potential: PotentialSpec, grid: EnergyGrid) -> np.ndarray:
-    """Linearisation of the operator at zero field, the n x n matrix
-    M_ij = U(x_i, xi_j) gap_kernel(xi_j, 0, T) w_j; strictly positive."""
-    k0 = _zero_field_kernel(grid.xi2, T)
-    return weighted_potential_matrix(potential, grid) * k0[None, :]
-
-
 def spectral_radius(
     T: float, op: GapOperator, *, start: np.ndarray | None = None, left: bool = False
 ) -> PerronRoot:
@@ -388,31 +377,3 @@ def spectral_tc(op: GapOperator, params: PhysicalParams) -> float:
     bracket [tau_lo(U1), tau_hi(U2)] that ``simple_gap`` proves."""
     lo, hi = _tau_window(params.u_lower, params)[1], _tau_window(params.u_upper, params)[2]
     return radius_crossing_temperature(op, lo, hi)[0]
-
-
-def sample_envelope_field(
-    T: float,
-    params: PhysicalParams,
-    grid: EnergyGrid,
-    rng: np.random.Generator,
-) -> GapField:
-    """Random smooth field between the envelope curves at temperature T.
-
-    u(x) = Delta1(T) + theta(x) * (Delta2(T) - Delta1(T)) with theta a
-    smooth random profile in [0, 1], a sum of 4 sine modes.  A
-    temperature-independent theta keeps families of such fields monotone in
-    T because both envelopes decrease.
-    """
-    d1 = solve_delta(params.u_lower, T, params)
-    d2 = solve_delta(params.u_upper, T, params)
-    xhat = (grid.nodes - params.epsilon_cutoff) / (
-        params.hbar_omega_d - params.epsilon_cutoff
-    )
-    amps = rng.uniform(-1.0, 1.0, _ENVELOPE_MODES)
-    phases = rng.uniform(0.0, 2.0 * np.pi, _ENVELOPE_MODES)
-    raw = np.zeros_like(xhat)
-    for k in range(_ENVELOPE_MODES):
-        raw += amps[k] * np.sin((k + 1) * np.pi * xhat + phases[k])
-    lo, hi = raw.min(), raw.max()
-    theta = 0.5 if hi == lo else (raw - lo) / (hi - lo)
-    return GapField(temperature=T, values=d1 + theta * (d2 - d1))

@@ -50,7 +50,6 @@ __all__ = [
     "implicit_slope_v",
     "EnvelopeCurve",
     "envelope_curve",
-    "gap_equation_residual",
 ]
 
 
@@ -116,11 +115,6 @@ def _coupling_integral(s: float, T: float, params: PhysicalParams) -> float:
     """integral of the gap kernel over the energy band at squared gap s."""
     rule = _reference_rule(params)
     return float(np.dot(rule.weights, kernel_jet(rule.xi2, s, T)[0]))
-
-
-def gap_equation_residual(U: float, delta: float, T: float, params: PhysicalParams) -> float:
-    """1 - U * integral; zero at a root of the constant-coupling gap equation."""
-    return 1.0 - U * _coupling_integral(delta * delta, T, params)
 
 
 @lru_cache(maxsize=4096)

@@ -39,10 +39,8 @@ from .quadrature import (
     TANH_SATURATION,
     adaptive_integrate,
     gap_curvature,
-    kernel_jet,
     sech,
 )
-from .simple_gap import solve_delta
 from .solver import GapSurface, lattice_offsets
 
 __all__ = [
@@ -52,15 +50,11 @@ __all__ = [
     "psi",
     "psi_table",
     "limit_tables",
-    "f_consistency",
-    "g_consistency",
     "g_integral_to_infinity",
     "delta_cv",
     "psi_second_at_tc",
     "first_derivative_three_terms",
     "entropy_and_heat",
-    "psi_perturbation_bound",
-    "cutoff_divergence_scan",
     "build_thermo_report",
     "require_resolution",
 ]
@@ -170,13 +164,6 @@ class LimitTable(Record):
     values: np.ndarray
     extrapolation_error: np.ndarray
 
-    @property
-    def estimator_mismatch(self) -> float:
-        """Largest gap between the 6-node and 5-node interpolants' values,
-        relative to max |values|."""
-        scale = float(np.max(np.abs(self.values)))
-        return float(np.max(self.extrapolation_error)) / scale if scale > 0 else 0.0
-
 
 # near-T_c nodes of the one interpolant behind v, w and Psi''(T_c): the
 # surface's rows just before its T_c row
@@ -237,50 +224,6 @@ def limit_tables(
         float(limit[-1]),
         float(limit_err[-1]),
     )
-
-
-# ---------------------------------------------------------------------------
-# consistency functionals at the transition
-
-
-def f_consistency(v: np.ndarray, surface: GapSurface) -> float:
-    """Eigen-residual of sqrt(v) under the zero-field kernel at T_c.
-
-    At the transition the limit slope satisfies
-    (integral U(x, xi) sqrt(v(xi))/xi tanh(xi/2T_c) dxi)^2 = v(x),
-    i.e. sqrt(v) is a unit-eigenvalue eigenfunction of the linearised
-    kernel.  Returns sup|sqrt(v) - K sqrt(v)| / sup sqrt(v); scale-free.
-    """
-    if np.any(v <= 0):
-        raise ValueError("limit slope must be positive")
-    root = np.sqrt(v)
-    image = surface.op.kernel_action(root, surface.t_c)
-    residual = np.max(np.abs(root - image))
-    return float(residual / np.max(root))
-
-
-def g_consistency(v: np.ndarray, w: np.ndarray, surface: GapSurface) -> float:
-    """Residual of the curvature fixed-point functional at the transition.
-
-    The curvature limit of the squared gap satisfies w = G(v, w) with
-
-        G(x) = [K sqrt(v)](x) * integral U(x, eta) {
-                   (w/(eta sqrt(v)) - 2 v^{3/2}/eta^3) tanh(eta/(2T_c))
-                 + (sqrt(v)/cosh^2(eta/(2T_c))) (v/(eta^2 T_c) + 2/T_c^2)
-               } d eta
-
-    where K is the zero-field kernel.  The braces are evaluated as
-    (w k + 4 v^2 k_s - 4 v k_T) / sqrt(v), by ``kernel_jet`` at s = 0,
-    free of their terms' cancellation.  Returns sup|w - G| / sup|w|.
-    """
-    op, t_c = surface.op, surface.t_c
-    root = np.sqrt(v)
-    first = op.kernel_action(root, t_c)
-
-    k, k_s, k_t = kernel_jet(op.grid.xi2, 0.0, t_c, "sT")
-    second = op.matvec((w * k + 4.0 * v * (v * k_s - k_t)) / root)
-    g_of_x = first * second
-    return float(np.max(np.abs(w - g_of_x)) / np.max(np.abs(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +323,7 @@ def first_derivative_three_terms(
 
 
 # ---------------------------------------------------------------------------
-# verdict, entropy/heat, perturbation bound, cutoff scan
+# verdict, entropy/heat
 
 
 class TransitionVerdict(Record):
@@ -429,68 +372,6 @@ def entropy_and_heat(
     window = start[:, None] + np.arange(_DEPTH)
     first, second = np.einsum("nkj,nj->kn", _stencil(t[window], t, (1, 2)), psis[window])
     return -first, -t * second
-
-
-def psi_perturbation_bound(
-    u: np.ndarray,
-    u_ref: np.ndarray,
-    T: float,
-    surface: GapSurface,
-    params: PhysicalParams,
-    *,
-    alpha: float,
-) -> tuple[float, float]:
-    """Stability of the potential difference under field perturbations.
-
-    Returns (lhs, rhs) with lhs = |Psi(u) - Psi(u_ref)| and
-
-        rhs = 2 N0 Delta2(0) {(1 + 2 T_c/tau) ln(hbar_omega_d/eps) + alpha}
-              * sup|u - u_ref|;
-
-    lhs <= rhs for any two fields inside the envelope at the same T, with
-    tau and T_c those of the surface.
-    """
-    grid = surface.op.grid
-    lhs = abs(psi(T, u, params, grid) - psi(T, u_ref, params, grid))
-    d20 = solve_delta(params.u_upper, 0.0, params)
-    bracket = (1.0 + 2.0 * surface.t_c / surface.tau) * math.log(
-        params.hbar_omega_d / params.epsilon_cutoff
-    ) + alpha
-    rhs = 2.0 * params.n0_dos * d20 * bracket * float(np.max(np.abs(u - u_ref)))
-    return lhs, rhs
-
-
-class CutoffScan(Record):
-    epsilons: np.ndarray
-    values: np.ndarray
-    slope: float
-    slope_target: float
-
-
-def cutoff_divergence_scan(
-    v: float, epsilons, hbar_omega_d: float, n0: float
-) -> CutoffScan:
-    """Tabulate N0 * v * integral_eps (1/xi) dxi against shrinking cutoffs.
-
-    The integral equals N0 v ln(hbar_omega_d/eps), so the values grow
-    without bound as eps -> 0: the log-linear fit against ln(1/eps) has
-    slope N0 v.  This is the divergence that forces a positive cutoff.
-    """
-    eps_arr = np.asarray(epsilons, dtype=float)
-    if np.any(eps_arr <= 0) or np.any(np.diff(eps_arr) >= 0):
-        raise ValueError("cutoffs must be positive and strictly decreasing")
-    values = np.array(
-        [
-            0.0
-            if e >= hbar_omega_d
-            else n0 * v * adaptive_integrate(lambda x: 1.0 / x, e, hbar_omega_d)
-            for e in eps_arr
-        ]
-    )
-    slope = _slope(np.log(1.0 / eps_arr), values)
-    return CutoffScan(
-        epsilons=eps_arr, values=values, slope=slope, slope_target=n0 * v
-    )
 
 
 # ---------------------------------------------------------------------------

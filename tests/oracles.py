@@ -6,8 +6,9 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
-from bcsgap.gap_operator import kernel_matrix
-from bcsgap.quadrature import gap_kernel
+from bcsgap.gap_operator import _zero_field_kernel, weighted_potential_matrix
+from bcsgap.model import PotentialSpec
+from bcsgap.quadrature import EnergyGrid, gap_kernel
 from bcsgap.simple_gap import (
     _coupling_integral,
     delta0_closed_form,
@@ -140,6 +141,13 @@ def bisect_tau(U: float, params) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def kernel_matrix(T: float, potential: PotentialSpec, grid: EnergyGrid) -> np.ndarray:
+    """Linearisation of the operator at zero field, the n x n matrix
+    M_ij = U(x_i, xi_j) gap_kernel(xi_j, 0, T) w_j; strictly positive."""
+    k0 = _zero_field_kernel(grid.xi2, T)
+    return weighted_potential_matrix(potential, grid) * k0[None, :]
 
 
 def bisect_tc(potential, grid, lo: float, hi: float) -> float:

@@ -6,12 +6,11 @@ from bcsgap.certificate import (
     AlphaResult,
     CertificateFailure,
     ContractionCertificate,
-    alpha_integrand,
     compute_alpha,
     format_certificate_report,
     search_certificate,
 )
-from bcsgap.gap_operator import apply_A, as_operator, sample_envelope_field, spectral_tc
+from bcsgap.gap_operator import apply_A, as_operator, spectral_tc
 from bcsgap.model import (
     ConstantPotential,
     GaussianBumpPotential,
@@ -22,6 +21,7 @@ from bcsgap.model import (
 )
 from bcsgap.quadrature import gap_kernel
 from bcsgap.simple_gap import solve_delta, solve_delta_many, tau_root
+from paper_checks import alpha_integrand, sample_envelope_field
 
 
 def _envelope_term(T, x, potential, params, grid):

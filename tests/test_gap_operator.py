@@ -9,9 +9,7 @@ from bcsgap.gap_operator import (
     PerronRoot,
     apply_A,
     as_operator,
-    kernel_matrix,
     radius_crossing_temperature,
-    sample_envelope_field,
     spectral_radius,
     spectral_tc,
     weighted_potential_matrix,
@@ -27,7 +25,8 @@ from bcsgap.model import (
 from bcsgap.quadrature import gap_kernel, kernel_jet
 from bcsgap.simple_gap import _tau_window, solve_delta, tau_root
 from bcsgap.solver import solve_surface
-from oracles import bisect_tc
+from oracles import bisect_tc, kernel_matrix
+from paper_checks import sample_envelope_field
 from test_simple_gap import _count_widenings
 
 

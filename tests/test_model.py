@@ -55,6 +55,11 @@ def test_coupling_margin_bounds():
     assert u2 == pytest.approx(0.309, rel=1e-15)
 
 
+def test_coupling_margin_bounds_refuse_a_margin_above_one():
+    with pytest.raises(ParamsError, match=r"^need u0 > 0 and 0 < margin < 1$"):
+        coupling_margin_bounds(0.3, 1.5)
+
+
 def test_eval_potential_constant():
     pot = ConstantPotential(0.3)
     for x, xi in [(0.005, 0.005), (0.3, 0.9), (1.0, 1.0)]:

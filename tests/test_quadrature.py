@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bcsgap import quadrature
 from bcsgap.quadrature import (
+    EnergyGrid,
     adaptive_integrate,
     gap_curvature,
     gap_kernel,
@@ -238,6 +239,12 @@ def test_curvature_negative_on_log_grid():
 def test_curvature_rejects_negative_argument():
     with pytest.raises(ValueError):
         gap_curvature(-0.1)
+
+
+@pytest.mark.parametrize("edges", [[], [0.5]])
+def test_energy_grid_refuses_fewer_than_two_edges(edges):
+    with pytest.raises(ValueError, match=r"^panels must be >= 1$"):
+        EnergyGrid(np.array(edges), 4)
 
 
 def test_gauss_legendre_rule_matches_leggauss():

@@ -56,6 +56,11 @@ def test_fields_are_positional_or_keyword_and_refuse_assignment(params, grid):
     assert repr(ConstantPotential(0.3)) == "ConstantPotential(u0=0.3)"
 
 
+def test_too_many_positional_fields_are_refused():
+    with pytest.raises(TypeError, match=r"^ConstantPotential takes 1 fields, got 2$"):
+        ConstantPotential(0.3, 0.4)
+
+
 def test_defaults_hold_and_each_surface_owns_its_traces(const_op):
     assert SolveTrace(final_residual=0.0, iterations=3, rate=0.5).newton_steps == 0
     certificate = ContractionCertificate(0.02, 0.005, 0.5, (0.02, 0.1), 0.001)

@@ -12,7 +12,6 @@ from bcsgap.simple_gap import (
     NoRootError,
     delta0_closed_form,
     envelope_curve,
-    gap_equation_residual,
     implicit_slope_v,
     solve_delta,
     solve_delta_many,
@@ -24,6 +23,7 @@ import bcsgap.quadrature as quadrature
 import bcsgap.simple_gap as simple_gap
 from bcsgap.gap_operator import spectral_tc
 from oracles import bisect_delta, bisect_tau, fd_slope_oracle, zeta3_series
+from paper_checks import gap_equation_residual
 
 # frozen from 40-digit evaluation of the defining equations at
 # hbar_omega_d = 1, epsilon = 0.005
@@ -279,6 +279,18 @@ def test_solve_delta_many_equals_plain_bisection_bit_for_bit(epsilon, band, coup
             assert np.all(lo <= got) and np.all(got <= hi), (u, n)
             for t, a, b in zip(ts, lo, hi):
                 _assert_in_window(bisected[t], a, b, u, p)
+
+
+@pytest.mark.parametrize(
+    "ts, message",
+    [
+        ([[0.01, 0.02]], "temperatures must be a one-dimensional sequence"),
+        ([0.01, -1e-3], "temperature must be nonnegative"),
+    ],
+)
+def test_solve_delta_many_refuses_a_2d_or_negative_temperature_array(params, ts, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_delta_many(0.3, ts, params)
 
 
 def test_solve_delta_many_memory_is_one_block(params):
