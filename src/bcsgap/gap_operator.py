@@ -316,29 +316,31 @@ def radius_crossing_temperature(
     op: GapOperator, lo: float, hi: float
 ) -> tuple[float, float, float]:
     """(T_c, lo_w, hi_w): rho's unit crossing in [lo, hi], from hi (see the
-    module docstring).  A Newton query costs a right and a left Perron
-    solve, each warm-started; any other is answered by the side of rho - 1
-    the last right vector's ratios prove, or 0, within ``_ratio_bound``'s E.
-    An end not finite and positive, or a side proving nothing, is refused."""
+    module docstring).  Newton's point costs a right and a left Perron solve,
+    each warm-started; any other is answered by the side of rho - 1 the last
+    right vector's ratios prove, or 0, within ``_ratio_bound``'s E.  An end
+    not finite and positive, or a side proving nothing, is refused."""
     if not 0.0 < lo < hi < math.inf:
         raise ValueError(f"bracket invalid: [{lo!r}, {hi!r}] is not a finite positive bracket")
-    search = _enclose(hi, lo, hi, _ratio_bound(op))
     phi = psi = None
-    try:
-        T, wants_slope = next(search)
-        while True:
-            if wants_slope:
+
+    def evaluate(rows, temperatures, slopes):
+        nonlocal phi, psi
+        f, df = [], []
+        for j, T in enumerate(temperatures):
+            if j < slopes:
                 phi = spectral_radius(T, op, start=phi).eigenvector
                 psi = spectral_radius(T, op, start=psi, left=True).eigenvector
                 rho, slope = op.radius_and_slope(T, phi, psi)
-                answer = (rho - 1.0, slope)
+                f.append(rho - 1.0)
+                df.append(slope)
             else:
                 ratios = op.kernel_action(phi, T) / phi
                 low, high = float(ratios.min()) - 1.0, float(ratios.max()) - 1.0
-                answer = (low if low > 0.0 else high if high < 0.0 else 0.0, None)
-            T, wants_slope = search.send(answer)
-    except StopIteration as done:
-        t_c, lo_w, hi_w = done.value
+                f.append(low if low > 0.0 else high if high < 0.0 else 0.0)
+        return f, df
+
+    ((t_c, lo_w, hi_w),) = _enclose([hi], [(lo, hi)], [_ratio_bound(op)], evaluate)
     if math.isinf(hi_w - lo_w):
         raise ValueError(
             f"bracket invalid: no window about {t_c!r} is proven inside [{lo!r}, {hi!r}]; "

@@ -21,12 +21,12 @@ window.  E is a rounding bound, for a floating point sum of n positive
 terms (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 sections 3.1 and 4.2) and for the rule's float nodes and weights, plus a
 quadrature bound Q(T) for the rule itself (``EnergyGrid.bound``, by
-Bernstein ellipses; Trefethen, SIAM Rev. 50, 2008, Thm 4.5).  The roots
-of one coupling are solved a block of temperatures at a time: every root
-of the block runs both stages, and each round evaluates f for all of them
-in one kernel call.
-The vanishing temperature tau is located and enclosed by the same routine
-(``_enclose``), in T, on f(T) = U * integral(tanh(xi/2T)/xi) - 1
+Bernstein ellipses; Trefethen, SIAM Rev. 50, 2008, Thm 4.5).  One loop,
+``_enclose``, locates and encloses every root, holding each root's state
+as floats and handing each round's pending points to its caller at once:
+a block of one coupling's temperatures, a round's gaps in one kernel call
+per ``_BLOCK_ELEMENTS`` elements.  The vanishing temperature tau is
+enclosed by the same loop, in T, on f(T) = U * integral(tanh(xi/2T)/xi) - 1
 (``tau_root``), and so is ``gap_operator``'s T_c.
 """
 
@@ -152,15 +152,18 @@ def _tau_window(U: float, params: PhysicalParams) -> tuple[float, float, float]:
             f"tau_existence: U*ln(hbar_omega_d/epsilon) = {span!r}; the reference "
             f"rule's U*sum(w/xi) - 1 = {f0!r} does not exceed its error bound {bound!r}"
         )
-    search = _enclose(_BCS_TAU * params.hbar_omega_d * math.exp(-1.0 / U), 0.0, top, bound)
-    try:
-        T, wants_slope = next(search)
-        while True:
-            jet = kernel_jet(rule.xi2, 0.0, T, "T" if wants_slope else "")
+
+    def evaluate(rows, temperatures, slopes):
+        f, df = [], []
+        for j, T in enumerate(temperatures):
+            jet = kernel_jet(rule.xi2, 0.0, T, "T" if j < slopes else "")
             sums = (U * np.dot(jet, rule.weights)).tolist()
-            T, wants_slope = search.send((sums[0] - 1.0, sums[1] if wants_slope else None))
-    except StopIteration as done:
-        tau, lo_w, hi_w = done.value
+            f.append(sums[0] - 1.0)
+            df += sums[1:]
+        return f, df
+
+    start = _BCS_TAU * params.hbar_omega_d * math.exp(-1.0 / U)
+    ((tau, lo_w, hi_w),) = _enclose([start], [(0.0, top)], [bound], evaluate)
     return tau, max(lo_w, 0.0), hi_w
 
 
@@ -237,11 +240,11 @@ def solve_delta_many(U: float, Ts, params: PhysicalParams) -> np.ndarray:
     no measured root needs it.
 
     Temperatures at or above tau_U give 0.0 without an evaluation.  The
-    others are solved in blocks of ``_BLOCK_ELEMENTS`` kernel elements:
-    every root of a block runs both stages, and each round evaluates f at
-    the pending gap of every unfinished root in one ``kernel_jet`` call.  A
-    root's evaluations depend only on (U, T), so its value does not depend
-    on its block.
+    others are solved in blocks of ``_BLOCK_ELEMENTS`` kernel elements,
+    each round evaluating f at every pending gap of the block's roots, in
+    one ``kernel_jet`` call per ``_BLOCK_ELEMENTS`` elements.  A root's
+    evaluations depend only on (U, T), so its value does not depend on its
+    block.
     """
     return _solve_windows(U, Ts, params)[0]
 
@@ -273,170 +276,163 @@ def _solve_windows(
         size = max(1, _BLOCK_ELEMENTS // _reference_rule(params).nodes.size)
         for first in range(0, live.size, size):
             rows = live[first:first + size]
-            block = _solve_block(U, Ts[rows].tolist(), tau, d0, params)
-            found[:, rows] = np.array(block).T
+            found[:, rows] = _solve_block(U, Ts[rows], tau, d0, params).T
     roots, lo, hi = found
     return roots, lo, hi
 
 
 def _solve_block(
-    U: float, Ts: list[float], tau: float, d0: float, params: PhysicalParams
-) -> list[tuple[float, float, float]]:
-    """(root, lo, hi) at temperatures 0 <= T < tau, the evaluations made together.
-
-    Each root runs ``_root_search``, which yields the squared gap it needs
-    f at; a round evaluates every pending gap in one ``kernel_jet`` call,
-    one row per root, with k_s rows only when some search asks for a slope,
-    and sends each search its (f, df/ds), with f = U * sum_j w_j k_j - 1
-    summed by one pairwise reduction per row, whose result for a row does
-    not depend on the rows beside it.  Each root's E is ``_rounding_bound``
-    plus ``_quadrature_bound``, which bounds the distance of the computed f
-    from the continuum one.  A quadrature bound above 1/16 of the rounding bound
-    means the rule is too coarse for that T/epsilon, and is refused.
+    U: float, Ts: np.ndarray, tau: float, d0: float, params: PhysicalParams
+) -> np.ndarray:
+    """(root, lo, hi) rows at temperatures 0 <= T < tau, by ``_enclose`` in
+    s = delta^2 from delta0 * tanh(1.74 sqrt(tau/T - 1)) in
+    [0, (1.5 delta0)^2], which no root reaches.  A round's gaps take one
+    ``kernel_jet`` call per ``_BLOCK_ELEMENTS`` elements, a row each, k_s
+    only in calls holding Newton's points, and f = U * sum_j w_j k_j - 1 is
+    one pairwise reduction per row, which the rows beside it do not move.
+    Each root's E is ``_rounding_bound`` plus ``_quadrature_bound``, which
+    bounds the distance of the computed f from the continuum one.  A
+    quadrature bound above 1/16 of the rounding bound means the rule is too
+    coarse for that T/epsilon, and is refused.
     """
     rule = _reference_rule(params)
-    rounding = _rounding_bound(U, Ts, rule)
-    quadrature = _quadrature_bound(U, np.asarray(Ts), params)
-    for T, r, q in zip(Ts, rounding, quadrature):
-        if not q <= r / 16.0:
-            raise ParamsError(
-                f"reference_rule: quadrature bound {q:.3e} exceeds 1/16 of the "
-                f"rounding bound {r:.3e} at T/epsilon = {T / params.epsilon_cutoff:.3e}"
-            )
-    searches = [
-        _root_search(T, tau, d0, bound)
-        for T, bound in zip(Ts, (rounding + quadrature).tolist())
-    ]
-    results = [(0.0, 0.0, 0.0)] * len(Ts)
-    live = list(range(len(Ts)))
-    requests = [next(search) for search in searches]
-    while live:
-        wanted = [requests[i] for i in live]
-        slopes = any(want_slope for _, want_slope in wanted)
-        gaps = np.array([s for s, _ in wanted])[:, None]
-        temps = np.array([Ts[i] for i in live])[:, None]
-        jet = kernel_jet(rule.xi2, gaps, temps, "s" if slopes else "")
-        sums = [U * np.multiply(rows, rule.weights, out=rows).sum(axis=1) for rows in jet]
-        f = (sums[0] - 1.0).tolist()
-        df = sums[1].tolist() if slopes else [None] * len(live)
-        still = []
-        for i, fi, dfi in zip(live, f, df):
-            try:
-                requests[i] = searches[i].send((fi, dfi))
-            except StopIteration as done:
-                results[i] = done.value
-            else:
-                still.append(i)
-        live = still
-        del jet  # free this round's buffers before the next round fills its own
-    return results
+    rounding, quadrature = _rounding_bound(U, Ts, rule), _quadrature_bound(U, Ts, params)
+    bad = np.flatnonzero(~(quadrature <= rounding / 16.0))[:1]
+    for T, r, q in zip(Ts[bad], rounding[bad], quadrature[bad]):
+        raise ParamsError(
+            f"reference_rule: quadrature bound {q:.3e} exceeds 1/16 of the "
+            f"rounding bound {r:.3e} at T/epsilon = {T / params.epsilon_cutoff:.3e}"
+        )
+    size = max(1, _BLOCK_ELEMENTS // rule.nodes.size)
+
+    def evaluate(rows, gaps, slopes):
+        f, df = [], []
+        gaps, temps = np.array(gaps)[:, None], Ts.take(rows)[:, None]
+        for first in range(0, len(rows), size):
+            part = slice(first, first + size)
+            jet = kernel_jet(rule.xi2, gaps[part], temps[part], "s" if first < slopes else "")
+            sums = [U * np.add.reduce(np.multiply(k, rule.weights, out=k), axis=1) for k in jet]
+            f += (sums[0] - 1.0).tolist()
+            df += sums[1].tolist() if first < slopes else []
+        return f, df
+
+    starts = []
+    for T in Ts.tolist():
+        start = d0 if T == 0.0 else d0 * math.tanh(1.74 * math.sqrt(tau / T - 1.0))
+        starts.append(start * start)
+    bounds = (rounding + quadrature).tolist()
+    found = _enclose(starts, [(0.0, (1.5 * d0) ** 2)] * len(starts), bounds, evaluate)
+    return np.sqrt(np.maximum(found, 0.0))  # a lower edge proving nothing reads -inf
 
 
-def _root_search(T: float, tau: float, d0: float, bound: float):
-    """One root's ``_enclose`` in s = delta^2, as a generator for
-    ``_solve_block``: from delta0 * tanh(1.74 sqrt(tau/T - 1)) in the
-    bracket [0, (1.5 delta0)^2], which no root reaches.  Returns the gap
-    and the window [lo, hi] proven around it, as gaps."""
-    start = d0 if T == 0.0 else d0 * math.tanh(1.74 * math.sqrt(tau / T - 1.0))
-    s, lo_w, hi_w = yield from _enclose(start * start, 0.0, (1.5 * d0) ** 2, bound)
-    return math.sqrt(s), math.sqrt(max(lo_w, 0.0)), math.sqrt(hi_w)
-
-
-def _enclose(x: float, lo: float, hi: float, bound: float):
-    """Locate the root of a decreasing computed f in the bracket [lo, hi] by
-    ``_newton`` from x, and prove a window around it, in the root's own
+def _enclose(starts, brackets, bounds, evaluate) -> list[tuple[float, float, float]]:
+    """Locate the root of each decreasing computed f in its bracket by
+    Newton's method, and prove a window around it, in the root's own
     variable: the one locate-and-enclose path of every gap value, tau and
     (``gap_operator.radius_crossing_temperature``) T_c.
 
-    Each ``yield`` hands over (x, wants_slope) and receives the computed
-    (f, df/dx) at x, df/dx None unless asked for; ``bound`` is E, a bound on
-    the distance of the computed f from the exact f its caller computes.
-    Each edge starts 3E/|df/dx| from Newton's point and is proven by
-    ``_proven_edge``.  Returns (point, lo_w, hi_w), a side that proves
-    nothing read as -inf or +inf.  When either edge had to widen, the point
-    is suspect: a bisection on the computed sign inside the window, down to
-    twice the first width, places it instead.
+    Root i starts from starts[i] in brackets[i] = (low, high), and bounds[i]
+    is its E, a bound on the distance of its computed f from the exact f its
+    caller computes.  Each round hands every pending point to
+    ``evaluate(rows, xs, slopes)`` at once, Newton's first, which returns
+    the lists of computed f at each xs[j], of root rows[j], and of df/dx at
+    the first ``slopes``.  A root's points depend only on its own answers.
+
+    Newton's steps narrow the bracket by f's computed signs.  The first step
+    that leaves it takes the end it passed: where f keeps its sign up to
+    that end, the bracket collapses onto it in one evaluation, not by
+    halving down to adjacent doubles.  A later step leaving it, or a nan
+    step, takes its midpoint.  Newton's point is one more update, clamped to
+    the bracket and costing no evaluation, at the first |f| <= E/8, or once
+    the update is below 1e-3 of the step before it and the quadratic
+    estimate of the next one, |d_k| (|d_k|/|d_k-1|)^2, is within 1/30 of the
+    window half-width 3E/|df/dx|; it is the last point after
+    ``_NEWTON_PASSES`` evaluations, or where a step stays put.
+
+    Each edge is first checked 3E/|df/dx| from Newton's point, both sides in
+    one round.  A computed side * f < -2E proves it: the exact f, within E,
+    exceeds E in size there, and so at every point beyond as f decreases, so
+    the exact root, and every computed f of the other sign, lie inside.  A
+    failed check widens its side x4, up to ``_WINDOW_WIDENINGS`` checks; a
+    side at or past its bracket end, or out of checks, proves nothing and
+    reads -inf or +inf.  Where an edge had to widen, the point is suspect:
+    a bisection on the computed sign inside the window, down to twice the
+    first width, places it instead.  Returns each (point, lo_w, hi_w).
     """
-    x, slope = yield from _newton(x, lo, hi, bound)
-    width = 3.0 * bound / abs(slope)
-    first = (_edge(x - width, -1.0, lo), _edge(x + width, 1.0, hi))
-    lo_w = yield from _proven_edge(x, width, -1.0, lo, bound)
-    hi_w = yield from _proven_edge(x, width, 1.0, hi, bound)
-    if (lo_w, hi_w) != first:  # an edge had to widen
-        a, b = max(lo_w, lo), min(hi_w, hi)
-        while b - a > 2.0 * width:
-            mid = 0.5 * (a + b)
-            if not a < mid < b:
-                break
-            f, _ = yield mid, False
-            if f > 0.0:
-                a = mid
-            else:
-                b = mid
-        x = 0.5 * (a + b)
-    return x, lo_w, hi_w
+    n, nan, inf = len(starts), math.nan, math.inf
+    # each root's point, first width, edges (candidates until proven), first
+    # candidates, and sides in check
+    points, widths, open_sides = list(starts), [0.0] * n, [0] * n
+    edges, first = [None] * n, [None] * n
+    # Newton's points: (root, x, bracket lo, bracket hi, last step, exited,
+    # passes); the others: (root, x, side, width, checks) of an edge's check
+    # on side -1 or +1, and (root, x, 0.0, a, b) of a bisection's on [a, b]
+    locating = [(i, x, *ends, nan, False, 0) for i, (x, ends) in enumerate(zip(starts, brackets))]
+    checking = []
 
-
-def _newton(x: float, lo: float, hi: float, bound: float):
-    """Newton steps on a decreasing f in the bracket [lo, hi] that its computed
-    signs narrow.  The first step that leaves it takes the end it passed:
-    where f keeps its sign up to that end, the bracket collapses onto it in
-    one evaluation, not by halving down to adjacent doubles.  A later step
-    leaving it, or a nan step, takes its midpoint.  Each ``yield`` hands
-    over (x, True) and receives (f, df/dx) at x.  Returns one more Newton
-    update, clamped to the bracket, and df/dx, which costs no evaluation, at
-    the first |f| <= bound/8, or once the update is below 1e-3 of the
-    Newton step before it and the quadratic estimate of the next one,
-    |d_k| (|d_k|/|d_k-1|)^2, is within 1/30 of the window half-width
-    3 bound/|df/dx| that ``_enclose`` proves around the root."""
-    last = math.nan  # the Newton step that led to x; nan after a midpoint
-    exited = False
-    for _ in range(_NEWTON_PASSES):
-        fx, dfx = yield x, True
-        if fx > 0.0:
-            lo = x
+    def bisect(i, a, b):
+        # root i's next bisection point in [a, b], or its point, once [a, b]
+        # is within twice the first width or cannot be halved
+        mid = 0.5 * (a + b)
+        if b - a > 2.0 * widths[i] and a < mid < b:
+            checking.append((i, mid, 0.0, a, b))
         else:
-            hi = x
-        dx = fx / dfx if dfx else math.nan  # a nan step takes the midpoint
-        step = x - dx
-        if abs(fx) <= 0.125 * bound or (
-            abs(dx) < 1e-3 * abs(last) and abs(dx) * (dx / last) ** 2 <= 0.1 * bound / abs(dfx)
-        ):
-            return min(max(step, lo), hi), dfx
-        x_next, last = (step, dx) if lo < step < hi else (0.5 * (lo + hi), math.nan)
-        if not exited and (step <= lo or step >= hi):  # a nan step compares false
-            x_next, exited = (lo if step <= lo else hi), True
-        if x_next == x:
-            break
-        x = x_next
-    return x, dfx
+            points[i] = mid
 
-
-def _edge(x: float, side: float, limit: float) -> float:
-    """x, or side * inf where x is at or past ``limit``."""
-    return x if side * x < side * limit else side * math.inf
-
-
-def _proven_edge(root: float, width: float, side: float, limit: float, bound: float):
-    """Point past which f's computed sign is proven, left (-1) or right (+1) of root.
-
-    The check at x = root + side * width must read side * f < -2E; the
-    width grows x4 until it does.  A computed f(lo_w) > 2E means the exact
-    f, within E of it, exceeds E at lo_w, and so at every x before it, as
-    f decreases: the exact root lies above lo_w, and every computed f
-    before lo_w is positive.  The right side mirrors it.  At or past
-    ``limit``, the bracket's end, there is nothing to prove and the side
-    returns side * inf, as it does after the last widening.
-    """
-    for _ in range(_WINDOW_WIDENINGS):
-        x = _edge(root + side * width, side, limit)
-        if math.isinf(x):
-            break
-        f, _ = yield x, False
-        if side * f < -2.0 * bound:
-            return x
-        width *= 4.0
-    return side * math.inf
+    while locating or checking:
+        asked, checked, locating, checking = locating, checking, [], []
+        columns = zip(*asked, *checked)  # rows, then points
+        f_all, df_all = evaluate(next(columns), next(columns), len(asked))
+        for (i, x, lo, hi, last, exited, passes), f, df in zip(asked, f_all, df_all):
+            if f > 0.0:
+                lo = x
+            else:
+                hi = x
+            bound = bounds[i]
+            dx = f / df if df else nan  # a nan step takes the midpoint
+            step = x - dx
+            if abs(f) <= 0.125 * bound or (
+                abs(dx) < 1e-3 * abs(last) and abs(dx) * (dx / last) ** 2 <= 0.1 * bound / abs(df)
+            ):
+                x = min(max(step, lo), hi)
+            else:
+                x_next, last = (step, dx) if lo < step < hi else (0.5 * (lo + hi), nan)
+                if not exited and (step <= lo or step >= hi):  # a nan step compares false
+                    x_next, exited = (lo if step <= lo else hi), True
+                if x_next != x and passes + 1 < _NEWTON_PASSES:
+                    locating.append((i, x_next, lo, hi, last, exited, passes + 1))
+                    continue
+                if x_next != x:
+                    x = x_next
+            width = 3.0 * bound / abs(df)
+            (low, high), lo_w, hi_w = brackets[i], x - width, x + width
+            lo_w, hi_w = (lo_w if lo_w > low else -inf), (hi_w if hi_w < high else inf)
+            edge = [lo_w, hi_w] if _WINDOW_WIDENINGS else [-inf, inf]
+            points[i], widths[i], first[i], edges[i] = x, width, [lo_w, hi_w], edge
+            if edge[0] > -inf:
+                checking.append((i, lo_w, -1.0, width, 0))
+                open_sides[i] += 1
+            if edge[1] < inf:
+                checking.append((i, hi_w, 1.0, width, 0))
+                open_sides[i] += 1
+            if not open_sides[i] and edge != first[i]:  # no side may be checked
+                bisect(i, low, high)
+        for (i, x, kind, p, q), f in zip(checked, f_all[len(asked):]):
+            if not kind:
+                bisect(i, *((x, q) if f > 0.0 else (p, x)))
+                continue
+            if not kind * f < -2.0 * bounds[i]:  # the check failed: widen x4
+                k, width, checks = kind > 0, 4.0 * p, q + 1
+                x = points[i] + kind * width
+                if kind * x < kind * brackets[i][k] and checks < _WINDOW_WIDENINGS:
+                    edges[i][k] = x
+                    checking.append((i, x, kind, width, checks))
+                    continue
+                edges[i][k] = kind * inf
+            open_sides[i] -= 1
+            if not open_sides[i] and edges[i] != first[i]:  # an edge had to widen
+                bisect(i, max(edges[i][0], brackets[i][0]), min(edges[i][1], brackets[i][1]))
+    return [(x, lo_w, hi_w) for x, (lo_w, hi_w) in zip(points, edges)]
 
 
 def implicit_slope_v(U: float, params: PhysicalParams) -> float:

@@ -391,6 +391,7 @@ def solve_surface(
             "between the node before it and T_c; lower solver.span_decades"
         )
 
+    d2 = solve_delta_many(params.u_upper, t_nodes, params)  # the upper envelope
     rows: list[np.ndarray] = []
     traces: list[SolveTrace] = []
     for i, T in enumerate(t_nodes):
@@ -398,7 +399,7 @@ def solve_surface(
         # the gap shrinks like sqrt(T_c - T): scale the cooler row onto it
         start = (
             rows[-1] * math.sqrt((t_c - T) / (t_c - float(t_nodes[i - 1])))
-            if rows else None
+            if rows else np.full(op.grid.size, d2[0])
         )
         seed, steps = newton_seed(T, op, params, initial=start)
         if not (np.all(np.isfinite(seed)) and np.all(seed > 0.0)):
@@ -415,7 +416,7 @@ def solve_surface(
     values = np.vstack(rows + [np.zeros(op.grid.size)])
     t_all = np.append(t_nodes, t_c)
     surface = GapSurface(op=op, t_nodes=t_all, values=values, t_c=t_c, traces=traces)
-    _validate_surface(surface, params, tol)
+    _validate_surface(surface, d2, tol)
     return surface
 
 
@@ -430,13 +431,13 @@ def lattice_offsets(t_resolution: int, span_decades: float) -> np.ndarray:
     return ratio ** np.arange(t_resolution)
 
 
-def _validate_surface(surface: GapSurface, params: PhysicalParams, tol: float) -> None:
+def _validate_surface(surface: GapSurface, d2: np.ndarray, tol: float) -> None:
     """Abort with the offending (T, x) pair on any invariant violation.
 
-    The rows below T_c must fall with T and stay below the upper envelope
-    Delta2(T); the zero row at T_c is appended, not solved.  The lower
-    envelope Delta1 is 0 from tau1, the first node, on, and ``GapField``
-    refuses negative values.
+    The rows below T_c must fall with T and stay below the upper envelope,
+    d2 = Delta2(T) at the solved nodes; the zero row at T_c is appended,
+    not solved.  The lower envelope Delta1 is 0 from tau1, the first node,
+    on, and ``GapField`` refuses negative values.
     """
     vals = surface.values
     # monotone non-increasing in T for each x, up to twice the solve tolerance
@@ -449,7 +450,6 @@ def _validate_surface(surface: GapSurface, params: PhysicalParams, tol: float) -
         )
     envelope_tol = 1e-9 + 2.0 * tol
     t_solved = surface.t_nodes[:-1]
-    d2 = solve_delta_many(params.u_upper, t_solved, params)
     rows = vals[:-1]
     above = rows > d2[:, None] + envelope_tol
     if np.any(above):

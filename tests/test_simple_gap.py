@@ -19,6 +19,7 @@ from bcsgap.simple_gap import (
 )
 
 import bcsgap.certificate as certificate
+import bcsgap.gap_operator as gap_operator
 import bcsgap.quadrature as quadrature
 import bcsgap.simple_gap as simple_gap
 from bcsgap.gap_operator import spectral_tc
@@ -117,37 +118,98 @@ def test_tau_window_holds_the_continuum_root(epsilon):
             assert mp.mpf(lo) <= exact <= mp.mpf(hi), u
 
 
+def _record_enclose(monkeypatch, then=None) -> list[tuple]:
+    """The _enclose calls of simple_gap and gap_operator from here on, one
+    (brackets, bounds, rounds, result) each, a round (rows, xs, slopes, f,
+    df) as its evaluate saw it; ``then`` is called with each one as it ends."""
+    calls: list[tuple] = []
+    real = simple_gap._enclose
+
+    def recording(starts, brackets, bounds, evaluate):
+        rounds = []
+
+        def evaluating(rows, xs, slopes):
+            f, df = evaluate(rows, xs, slopes)
+            rounds.append((rows, xs, slopes, f, df))
+            return f, df
+
+        result = real(starts, brackets, bounds, evaluating)
+        calls.append((list(brackets), list(bounds), rounds, result))
+        if then is not None:
+            then(calls[-1])
+        return result
+
+    monkeypatch.setattr(simple_gap, "_enclose", recording)
+    monkeypatch.setattr(gap_operator, "_enclose", recording)
+    return calls
+
+
+def _scripted_enclose(start, bracket, bound, answer):
+    """_enclose on one root whose computed f the test gives: answer(x,
+    slope) is (f, df/dx) at x, df read where slope.  Returns the root's
+    (point, lo_w, hi_w) and the (x, slope) it asked, in order."""
+    asked = []
+
+    def evaluate(rows, xs, slopes):
+        points = [(x, j < slopes) for j, x in enumerate(xs)]
+        asked.extend(points)
+        got = [answer(*point) for point in points]
+        return [f for f, _ in got], [df for _, df in got[:slopes]]
+
+    (window,) = simple_gap._enclose([start], [bracket], [bound], evaluate)
+    return window, asked
+
+
+def _widened_edge(root, width, slope, side, bracket, bound, sizes):
+    """_scripted_enclose of a root that Newton lands on at once, with df/dx
+    = slope, whose side's checks read -side * size * bound for each of
+    ``sizes`` in turn; the other side proves at once, and a bisection reads
+    f's sign about the root.  Returns the window and the side's checks."""
+    sizes, seen = list(sizes), []
+
+    def answer(x, slope_wanted):
+        if slope_wanted:
+            return 0.0, slope
+        if sizes and side * (x - root) > 0.0:
+            seen.append(x)
+            return -side * sizes.pop(0) * bound, None
+        if x == root - side * width:
+            return side * 3.0 * bound, None
+        return (bound if x < root else -bound), None
+
+    window, asked = _scripted_enclose(root, bracket, bound, answer)
+    return window, asked, seen
+
+
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 def test_tau_window_edge_needs_a_margin_of_twice_its_bound(params, monkeypatch, side):
-    # tau's edges are _proven_edge checks in T against E', the rounding
+    # tau's edges are _enclose's checks in T against E', the rounding
     # bound at T = 0 plus Q at U hbar_omega_d / 2, where the right side is
     # capped: a computed f of the proven sign proves nothing until
-    # |f| > 2E'.  Below the margin the edge widens x4; above it, it is
-    # returned
+    # |f| > 2E'.  Below the margin the edge widens x4, and a bisection
+    # places the point; above it, the edge is returned
     u = 0.3
-    calls = []
-    proven_edge = simple_gap._proven_edge
-
-    def recording(*args):
-        calls.append(args)
-        return (yield from proven_edge(*args))
-
-    monkeypatch.setattr(simple_gap, "_proven_edge", recording)
+    calls = _record_enclose(monkeypatch)
     simple_gap._tau_window.__wrapped__(u, params)
     top = 0.5 * u * params.hbar_omega_d
     rule = simple_gap._reference_rule(params)
     expected = float(simple_gap._rounding_bound(u, 0.0, rule) + simple_gap._quadrature_bound(u, top, params))
-    ((t_star, width, _, limit, bound),) = [c for c in calls if c[2] == side]
-    assert limit == (0.0 if side < 0.0 else top)
-    assert bound == expected
+    ((brackets, bounds, rounds, ((t_star, _, _),)),) = calls
+    assert brackets == [(0.0, top)] and bounds == [expected]
+    # Newton's last slope sets the first width; both edges are asked in the
+    # last round, and neither widened
+    slope = [df for _, _, slopes, _, df in rounds if slopes][-1][0]
+    width = 3.0 * expected / abs(slope)
+    assert rounds[-1][1] == (t_star - width, t_star + width)
 
-    search = proven_edge(t_star, width, side, limit, bound)
-    seen = [next(search)[0]]
-    with pytest.raises(StopIteration) as done:
-        for size in (0.5, 1.9, 2.1):
-            seen.append(search.send((-side * size * bound, None))[0])
+    window, asked, seen = _widened_edge(t_star, width, slope, side, (0.0, top), expected,
+                                        (0.5, 1.9, 2.1))
     assert seen == [t_star + side * w for w in (width, 4.0 * width, 16.0 * width)]
-    assert done.value.value == seen[-1]
+    assert window[2 if side > 0.0 else 1] == seen[-1]
+    # the widened edge fired a bisection, which placed the point inside:
+    # points asked past the side's checks and the other side's one
+    bisected = [x for x, slope_wanted in asked if not slope_wanted][len(seen) + 1:]
+    assert bisected and window[1] < window[0] < window[2]
 
 
 def test_tau_root_requires_logarithmic_span():
@@ -365,6 +427,47 @@ def test_a_larger_rule_solves_fewer_rows_a_block(monkeypatch):
     assert rows[1e-6][0] > rows[0.005][0] and rows[1e-6][1] < rows[0.005][1]
 
 
+def test_roots_sharing_rounds_do_not_depend_on_each_other(params, monkeypatch):
+    # one root of a full block is moved off course: Newton locates twice its
+    # squared gap, its checks fail and widen, and a bisection places it.
+    # The other roots are evaluated in the same rounds and kernel calls, and
+    # each must still be its solo solve bit for bit; the moved root's window,
+    # proven on the same f, still holds its solo value
+    u, moved = params.u_upper, 17
+    ts = np.linspace(0.0, 0.99 * tau_root(u, params), _block_rows(params)).tolist()
+    solo = [tuple(float(a[0]) for a in simple_gap._solve_windows(u, [t], params)) for t in ts]
+    _misplace_newton(monkeypatch, 2.0, root=moved)
+    failed = _count_widenings(monkeypatch)
+    together = list(zip(*(a.tolist() for a in simple_gap._solve_windows(u, ts, params))))
+    assert len(failed) == 2 * len(ts) and sum(failed[2 * moved:2 * moved + 2]) > 0
+    assert sum(failed) == sum(failed[2 * moved:2 * moved + 2])
+    assert together[:moved] + together[moved + 1:] == solo[:moved] + solo[moved + 1:]
+    value, lo, hi = together[moved]
+    assert value != solo[moved][0] and lo <= solo[moved][0] <= hi
+
+
+def test_default_envelopes_make_at_most_26_kernel_calls_within_the_block_budget(
+    params, monkeypatch
+):
+    # each round of a block hands all its pending points to one kernel call
+    # per _BLOCK_ELEMENTS elements: the two default envelopes take 26 calls
+    # for their 256 roots, none over the budget, so a revert to a call per
+    # root, or to one call per round however many rows it holds, fails here
+    for u in (params.u_lower, params.u_upper):
+        tau_root(u, params)  # tau's own evaluations are not counted
+    calls: list[int] = []
+    kernel_jet = simple_gap.kernel_jet
+
+    def counting(xi2, s, T, *partials):
+        calls.append(np.size(s) * len(xi2))
+        return kernel_jet(xi2, s, T, *partials)
+
+    monkeypatch.setattr(simple_gap, "kernel_jet", counting)
+    for u in (params.u_lower, params.u_upper):
+        envelope_curve(u, params)
+    assert len(calls) <= 26 and max(calls) <= simple_gap._BLOCK_ELEMENTS
+
+
 def test_certificate_search_solves_few_envelope_roots(params, const_op, monkeypatch):
     # the search on the default config encloses its bound from the roots at
     # a few cell edges, and reports Delta2(T_c) from them rather than solving
@@ -561,6 +664,24 @@ def test_reference_rule_is_the_fewest_panels_its_bound_allows(epsilon, band):
         assert np.all(quadrature <= simple_gap._rounding_bound(u, ts, rule) / 64.0), u
 
 
+def _misplace_newton(monkeypatch, shift, root=None):
+    """From here on, each simple_gap _enclose call answers Newton's points
+    of root ``root`` (of every root when None) with f(x / shift) and its
+    slope, so that Newton locates shift times the root; the window's checks
+    and bisection still read f."""
+    real = simple_gap._enclose
+
+    def misplacing(starts, brackets, bounds, evaluate):
+        def moved(rows, xs, slopes):
+            hit = [j < slopes and root in (None, row) for j, row in enumerate(rows)]
+            f, df = evaluate(rows, [x / shift if h else x for x, h in zip(xs, hit)], slopes)
+            return f, [d / shift if h else d for d, h in zip(df, hit)]
+
+        return real(starts, brackets, bounds, moved)
+
+    monkeypatch.setattr(simple_gap, "_enclose", misplacing)
+
+
 @pytest.mark.parametrize("shift", [0.5, 1.0 + 1e-9, 2.0])
 def test_solve_delta_window_checks_catch_a_misplaced_root(params, monkeypatch, shift):
     # the window checks, not Newton, carry the proof: with Newton's point
@@ -568,29 +689,31 @@ def test_solve_delta_window_checks_catch_a_misplaced_root(params, monkeypatch, s
     # gives up.  The window still holds the 40-digit root and plain
     # bisection's float, and a bisection inside it places the value within
     # a few widths of the window that a well-placed point proves.  tau is
-    # enclosed the same way, in T
+    # enclosed the same way, in T.  Wherever the moved point leaves the
+    # window proven around the true one, a check must have failed
     tau, tau_lo, tau_hi = simple_gap._tau_window(0.3, params)
     ts = (0.0, 0.5 * tau, tau * (1.0 - 1e-6))
-    _, lo0, hi0 = simple_gap._solve_windows(0.3, ts, params)
-    newton = simple_gap._newton
-
-    def misplaced(*args):
-        x, slope = yield from newton(*args)
-        return x * shift, slope
-
-    monkeypatch.setattr(simple_gap, "_newton", misplaced)
-    for t, width in zip(ts, hi0 - lo0):
+    roots0, lo0, hi0 = simple_gap._solve_windows(0.3, ts, params)
+    _misplace_newton(monkeypatch, shift)
+    failed = _count_widenings(monkeypatch)
+    fired = 0
+    for t, root0, a, b in zip(ts, roots0, lo0, hi0):
+        failed.clear()
         (value,), (lo,), (hi,) = simple_gap._solve_windows(0.3, [t], params)
         bisected = bisect_delta(0.3, t, params)
         assert lo <= value <= hi and lo <= bisected <= hi, t
-        assert abs(value - bisected) <= 4.0 * width, t
+        assert abs(value - bisected) <= 4.0 * (b - a), t
+        assert sum(failed) > 0 or a <= math.sqrt(shift) * root0 <= b, t
+        fired += sum(failed) > 0
         with mp.workdps(40):
             exact = _mp_root(0.3, t, params, bisected)
             assert mp.mpf(lo) <= exact <= mp.mpf(hi)
+    failed.clear()
     value, lo, hi = simple_gap._tau_window.__wrapped__(0.3, params)
     bisected = bisect_tau(0.3, params)
     assert lo <= value <= hi and lo <= bisected <= hi
     assert abs(value - bisected) <= 4.0 * (tau_hi - tau_lo)
+    assert sum(failed) > 0 and fired >= 2
     with mp.workdps(40):
         exact = mp.findroot(lambda t: _continuum_f(0.3, 0.0, t, params),
                             (mp.mpf(tau_lo), mp.mpf(tau_hi)), solver="anderson")
@@ -609,20 +732,22 @@ def test_window_edge_needs_a_margin_of_twice_the_rounding_bound(side, root, limi
     # edge must widen x4, at or above it return the edge.  tau's edges are
     # the same checks in T, the right one capped at U hbar_omega_d / 2
     # (0.15 at U = 0.3), past which f < 0 needs no check
-    width, bound = 1e-8, 1e-13
-    search = simple_gap._proven_edge(root, width, side, limit, bound)
-    x, wants_slope = next(search)
-    assert x == root + side * width and not wants_slope
-    for size, widened in ((0.5, 4.0), (2.0, 16.0)):
-        x, _ = search.send((-side * size * bound, None))
-        assert x == root + side * widened * width
-    with pytest.raises(StopIteration) as done:
-        search.send((-side * 2.5 * bound, None))
-    assert done.value.value == x
+    bound = 1e-13
+    slope = -3.0 * bound / 1e-8
+    width = 3.0 * bound / abs(slope)  # the first width, about 1e-8
+    bracket = (limit, 1.0) if side < 0.0 else (0.0, limit)
+    window, asked, seen = _widened_edge(root, width, slope, side, bracket, bound, (0.5, 2.0, 2.5))
+    assert asked[:3] == [(root, True), (root - width, False), (root + width, False)]
+    assert seen == [root + side * w for w in (width, 4.0 * width, 16.0 * width)]
+    assert window[2 if side > 0.0 else 1] == seen[-1]
+    bisected = [x for x, slope_wanted in asked if not slope_wanted][len(seen) + 1:]
+    assert bisected and window[1] < window[0] < window[2]  # a bisection placed the point
     # an edge at or past the limit proves nothing, without an evaluation
-    with pytest.raises(StopIteration) as done:
-        next(simple_gap._proven_edge(limit - 0.5 * side * width, width, side, limit, bound))
-    assert done.value.value == side * math.inf
+    near = limit - 0.5 * side * width
+    window, asked, seen = _widened_edge(near, width, slope, side, bracket, bound, (2.5,))
+    assert asked == [(near, True), (near - side * width, False)] and seen == []
+    assert window == ((near, -math.inf, near + width) if side < 0.0
+                      else (near, near - width, math.inf))
 
 
 def test_default_envelopes_lie_in_their_windows(params):
@@ -706,22 +831,21 @@ def test_default_envelopes_evaluate_at_most_650_kernel_elements_and_5_rows_per_r
 
 
 def _count_widenings(monkeypatch) -> list[int]:
-    """Failed checks of each window edge solved from here on, one entry per edge."""
+    """Two entries for each root enclosed from here on, one per window edge:
+    the points asked without a slope on that side of the root's point, less
+    the edge's proving check.  That is the edge's failed checks, plus any
+    bisection points beside them, so 0 exactly where no check failed."""
     failed: list[int] = []
-    real_edge = simple_gap._proven_edge
 
-    def counting(*args):
-        search, checks = real_edge(*args), 0
-        try:
-            request = next(search)
-            while True:
-                checks += 1
-                request = search.send((yield request))
-        except StopIteration as done:
-            failed.append(checks - (not math.isinf(done.value)))
-            return done.value
+    def count(call):
+        _, _, rounds, result = call
+        for i, (x, lo_w, hi_w) in enumerate(result):
+            asked = [p for rows, xs, slopes, _, _ in rounds
+                     for j, (row, p) in enumerate(zip(rows, xs)) if row == i and j >= slopes]
+            failed.append(sum(p < x for p in asked) - math.isfinite(lo_w))
+            failed.append(sum(p > x for p in asked) - math.isfinite(hi_w))
 
-    monkeypatch.setattr(simple_gap, "_proven_edge", counting)
+    _record_enclose(monkeypatch, count)
     return failed
 
 

@@ -13,7 +13,14 @@ from bcsgap.gap_operator import (
     spectral_tc,
     weighted_potential_matrix,
 )
-from bcsgap.model import GaussianBumpPotential, build_grid, potential_matrix
+from bcsgap.model import (
+    ConstantPotential,
+    GaussianBumpPotential,
+    ParamsError,
+    build_grid,
+    make_params,
+    potential_matrix,
+)
 from bcsgap.quadrature import kernel_jet
 from bcsgap.simple_gap import solve_delta, solve_delta_many, tau_root
 from bcsgap.solver import ConvergenceError, picard_solve, solve_surface
@@ -590,6 +597,37 @@ def test_surface_ignores_unusable_seed(bad, monkeypatch, const_op, params, grid)
         assert surface.traces[i].iterations > 1
 
 
+def test_surface_solves_the_upper_envelope_once_before_any_node(const_op, params, monkeypatch):
+    # Delta2 at every node is one solve_delta_many call, made before the
+    # first node: it seeds the first node's Newton start and validates the
+    # rows, and no scalar solve_delta is made.  So a reference rule too
+    # coarse for the lattice is refused, by name, before any node is solved
+    many, scalar, seeded = [], [], []
+
+    def record(name, entry):
+        real = getattr(solver, name)
+
+        def logged(*args, **kwargs):
+            entry(*args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, logged)
+
+    record("solve_delta_many", lambda U, Ts, p: many.append((U, list(Ts))))
+    record("solve_delta", lambda U, T, p: scalar.append(T))
+    record("newton_seed", lambda T, *args: seeded.append(len(many)))
+    surface = solve_surface(const_op, params, t_resolution=4, span_decades=0.5)
+    assert many == [(params.u_upper, surface.t_nodes[:-1].tolist())] and scalar == []
+    assert seeded == [1, 1, 1, 1]
+
+    seeded.clear()
+    coarse = make_params(1.0, 1e-10, 1.0, 0.45, 0.5)
+    op = as_operator(ConstantPotential(0.475), build_grid(coarse, 16, 10))
+    with pytest.raises(ParamsError, match="^reference_rule: quadrature bound .* at T/epsilon = "):
+        solve_surface(op, coarse)
+    assert seeded == []
+
+
 def test_solve_surface_refuses_tc_not_above_tau(const_op, params, monkeypatch):
     # spectral_tc's bracket opens at tau1's proven lower edge, so for a
     # potential at its lower band edge it can return a T_c at or below tau1
@@ -615,8 +653,8 @@ def test_surface_validation_names_a_value_above_the_upper_envelope(
     pushed = replace(surface, values=values)
     message = f"envelope violated at T={t_i!r}, x={x_j!r}: u={u!r} outside"
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        solver._validate_surface(pushed, params, 1e-11)
-    solver._validate_surface(surface, params, 1e-11)
+        solver._validate_surface(pushed, d2, 1e-11)
+    solver._validate_surface(surface, d2, 1e-11)
 
 
 def _count_matrix_builds(monkeypatch) -> list[tuple[int, ...]]:
