@@ -39,7 +39,8 @@ does, by Newton's method with the slope
     rho'(T) = <psi, W (dk0/dT * phi)> / <psi, phi>,
 
 dk0/dT the "T" partial of ``kernel_jet`` at s = 0, from the right and
-left Perron vectors phi and psi (U need not be symmetric), and proves the
+left Perron vectors phi and psi (U need not be symmetric); one such call
+per Newton point gives both Perron solves k0 too.  It proves the
 window's edges on Collatz-Wielandt bounds: min r <= rho <= max r for
 r = (M phi)/phi and any positive phi.
 """
@@ -181,14 +182,15 @@ class GapOperator(Record, eq=False):
         return self.matvec(_zero_field_kernel(self.grid.xi2, T) * x)
 
     def radius_and_slope(
-        self, T: float, right: np.ndarray, left: np.ndarray
+        self, jet: tuple[np.ndarray, np.ndarray], right: np.ndarray, left: np.ndarray
     ) -> tuple[float, float]:
-        """rho(T) and rho'(T) from the right and left Perron vectors at T.
+        """rho(T) and rho'(T) from the right and left Perron vectors at T,
+        given jet = (k0, dk0/dT) = ``kernel_jet(grid.xi2, 0.0, T, "T")``.
 
         rho is the two-sided Rayleigh quotient <psi, M phi>/<psi, phi>,
         whose error is second order in the vectors' errors.
         """
-        k0, dk0 = kernel_jet(self.grid.xi2, 0.0, T, "T")
+        k0, dk0 = jet
         norm = float(left @ right)
         rho = float(left @ self.matvec(k0 * right)) / norm
         slope = float(left @ self.jacobian_action(dk0, right)) / norm
@@ -287,16 +289,21 @@ def apply_A(u: GapField, potential: PotentialSpec, grid: EnergyGrid) -> GapField
 
 
 def spectral_radius(
-    T: float, op: GapOperator, *, start: np.ndarray | None = None, left: bool = False
+    T: float,
+    op: GapOperator,
+    *,
+    start: np.ndarray | None = None,
+    left: bool = False,
+    k0: np.ndarray | None = None,
 ) -> PerronRoot:
     """Perron root of the zero-field kernel M = W diag(k0(T)) with its right
     vector (M phi = rho phi) or, with ``left``, its left vector
     (psi^T M = rho psi^T), by power iteration from ``start`` or the
     constant-one field: the dominant eigenvector of a positive kernel is
     positive, so no deflation is needed.  Converged when successive
-    Rayleigh quotients differ by at most 1e-13.
+    Rayleigh quotients differ by at most 1e-13.  ``k0``: k0(T), if known.
     """
-    k0 = _zero_field_kernel(op.grid.xi2, T)
+    k0 = _zero_field_kernel(op.grid.xi2, T) if k0 is None else k0
     x = np.ones(op.grid.size) if start is None else start
     lam = 0.0
     for n in range(1, _PERRON_MAX_ITER + 1):
@@ -329,9 +336,10 @@ def radius_crossing_temperature(
         f, df = [], []
         for j, T in enumerate(temperatures):
             if j < slopes:
-                phi = spectral_radius(T, op, start=phi).eigenvector
-                psi = spectral_radius(T, op, start=psi, left=True).eigenvector
-                rho, slope = op.radius_and_slope(T, phi, psi)
+                jet = kernel_jet(op.grid.xi2, 0.0, T, "T")
+                phi = spectral_radius(T, op, start=phi, k0=jet[0]).eigenvector
+                psi = spectral_radius(T, op, start=psi, left=True, k0=jet[0]).eigenvector
+                rho, slope = op.radius_and_slope(jet, phi, psi)
                 f.append(rho - 1.0)
                 df.append(slope)
             else:

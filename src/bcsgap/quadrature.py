@@ -8,8 +8,9 @@ reference rule (``simple_gap._reference_rule``) are both geometric panels
 of it, and each carries its panels and their Bernstein-ellipse bound.
 The package evaluates the gap kernel only through ``kernel_jet``.  The
 kernels below are written to stay exact in double precision over the
-full argument range met in practice (saturated tanh at low temperature,
-near-cancellation of the curvature kernel at small argument).
+full argument range met in practice (tanh, unclamped, saturates to 1
+at low temperature; the curvature kernel's cancellation at small
+argument takes a series).
 """
 
 from __future__ import annotations
@@ -31,11 +32,8 @@ __all__ = [
     "gap_curvature",
 ]
 
-# tanh(z) rounds to 1.0 in double precision well before 40, so a tanh
-# argument clamped here gives exactly 1 beyond it, and no 1-ulp noise.
-TANH_SATURATION = 40.0
 # floor of the kernel's divisor 2T: every r/_COLD_DIVISOR with r above
-# 1e-298 exceeds TANH_SATURATION, so T = 0 saturates to t = 1
+# 1e-298 exceeds 100, where np.tanh is exactly 1, so T = 0 saturates to t = 1
 _COLD_DIVISOR = 1e-300
 # adaptive_integrate: Gauss-Legendre order, starting panel count, stop
 # |I_2n - I_n| <= max(abs, rel * |I_2n|), and panel doublings before failure
@@ -227,14 +225,15 @@ def kernel_jet(xi2, s, T, partials: str = ""):
       sum (xi^2 k + s sigma/(2T))/r^2, both with ``sech`` for sigma.
 
     ``xi2`` is an array of xi * xi, a rule's ``xi2``, and ``s`` and ``T``
-    broadcast against it.  2T is floored at _COLD_DIVISOR, so T = 0
-    saturates: k = 1/r, k_s = -1/(2 r^3), k_T = 0.
+    broadcast against it.  tanh is not clamped: numpy's is exactly 1 from
+    about 19 on (a test checks it), and 2T is floored at
+    _COLD_DIVISOR, so T = 0 saturates: k = 1/r, k_s = -1/(2 r^3), k_T = 0.
     """
     twice_t = np.maximum(2.0 * T, _COLD_DIVISOR)
     r2 = xi2 + s
     r = np.sqrt(r2)
     eta = r / twice_t
-    t = np.tanh(np.minimum(eta, TANH_SATURATION))
+    t = np.tanh(eta)
     k = t / r
     jet = [k]
     for partial in partials:

@@ -11,7 +11,8 @@ each limit at T_c is one interpolant's value or slope at offset 0
 
 A function on a solved surface takes the ``GapSurface`` and reads from it
 the operator it was solved with, the grid, T_c and tau; the formula
-functions (``psi``, ``delta_cv``, ...) take arrays and their grid.
+functions (``psi``, ``delta_cv``, ...) take arrays and their grid, and
+read the gap kernel tanh(E/2T)/E and its T partial from ``kernel_jet``.
 
 The potential difference for a solved gap field u at temperature T is
 
@@ -34,13 +35,7 @@ import numpy as np
 from ._record import Record
 from .certificate import CertificateFailure, ContractionCertificate
 from .model import PhysicalParams
-from .quadrature import (
-    EnergyGrid,
-    TANH_SATURATION,
-    adaptive_integrate,
-    gap_curvature,
-    sech,
-)
+from .quadrature import EnergyGrid, adaptive_integrate, gap_curvature, kernel_jet
 from .solver import GapSurface, lattice_offsets
 
 __all__ = [
@@ -124,19 +119,17 @@ def psi(T: float, u: np.ndarray, params: PhysicalParams, grid: EnergyGrid) -> fl
     exactly zero for the zero field.  The first integrand is rewritten as
     u^2/(sqrt(xi^2+u^2)+xi) and the logarithm as a difference of log1p
     terms so small fields do not lose precision to cancellation or
-    overflow at small T.
+    overflow at small T; the second is u^2 times ``kernel_jet``'s k.
     """
     xi = grid.nodes
     w = grid.weights
     n0 = params.n0_dos
     s = u * u
-    e = np.sqrt(xi * xi + s)
+    e = np.sqrt(grid.xi2 + s)
 
     term1 = -2.0 * n0 * float(np.dot(w, s / (e + xi)))
 
-    z = e / (2.0 * T)
-    tanh_e = np.where(z > TANH_SATURATION, 1.0, np.tanh(z))
-    term2 = n0 * float(np.dot(w, np.where(s > 0.0, s / e, 0.0) * tanh_e))
+    term2 = n0 * float(np.dot(w, s * kernel_jet(grid.xi2, s, T)[0]))
 
     log_diff = np.log1p(np.exp(-e / T)) - np.log1p(np.exp(-xi / T))
     term3 = -4.0 * n0 * T * float(np.dot(w, log_diff))
@@ -282,20 +275,20 @@ def psi_second_at_tc(
     Both negative; their agreement is a cross-check of the curvature-kernel
     evaluation since formB carries the raw cancellation: they must agree to
     1e-8 relative plus form B's rounding bound, or RuntimeError is raised.
-    Form A is ``delta_cv``'s integral.
+    Form A is ``delta_cv``'s integral; form B's bracket is -T_c k_T - k0,
+    from one ``kernel_jet`` call at T_c and s = 0.
     """
     n0 = params.n0_dos
     form_a = n0 / (8.0 * t_c**2) * _curvature_integral(v, t_c, grid)
 
-    xi = grid.nodes
-    z = xi / (2.0 * t_c)
-    sech2, tanh_xi = sech(z) ** 2 / (2.0 * t_c), np.tanh(z) / xi
+    k0, k_t = kernel_jet(grid.xi2, 0.0, t_c, "T")
     form_b, size = (
-        0.5 * n0 * float(np.dot(grid.weights, v**2 / xi**2 * bracket))
-        for bracket in (sech2 - tanh_xi, sech2 + tanh_xi)
+        0.5 * n0 * float(np.dot(grid.weights, v**2 / grid.xi2 * bracket))
+        for bracket in (-t_c * k_t - k0, -t_c * k_t + k0)
     )
-    # form B's rounding bound: its bracket's terms carry about 11 and 4
-    # half-ulps, and the pairwise sum about log2(n) more, of their sizes,
+    # form B's rounding bound: its bracket's terms carry about 13 and 4
+    # half-ulps (cosh^-2 10, then 2T_c * T_c, the divide and the product
+    # by T_c), and the pairwise sum about log2(n) more, of their sizes,
     # which cancel as xi -> 0
     if abs(form_a - form_b) > 1e-8 * abs(form_a) + 16.0 * np.finfo(float).eps * size:
         raise RuntimeError(f"curvature forms disagree: {form_a!r} vs {form_b!r}")
@@ -316,7 +309,7 @@ def first_derivative_three_terms(
     n0 = params.n0_dos
     base = v / xi
     term1 = n0 * float(np.dot(w, base))
-    term2 = -n0 * float(np.dot(w, base * np.tanh(xi / (2.0 * t_c))))
+    term2 = -n0 * float(np.dot(w, v * kernel_jet(grid.xi2, 0.0, t_c)[0]))
     ez = np.exp(-xi / t_c)
     term3 = -2.0 * n0 * float(np.dot(w, base * ez / (1.0 + ez)))
     return term1, term2, term3

@@ -267,6 +267,37 @@ def test_newton_tc_matches_bisection(case, params, grid, monkeypatch, bisected_t
     assert sum(solves) <= MAX_POWER_ITERATIONS
 
 
+def test_tc_evaluates_the_kernel_once_per_newton_point(params, grid, monkeypatch):
+    # the default config's T_c: 4 Newton points, each one kernel_jet call
+    # for both Perron solves and the slope, and 2 edge checks, one each;
+    # a Perron solve that computes its own k0 gives the same triple
+    op = as_operator(ConstantPotential(0.3), grid)
+    bracket = _tc_bracket(params)
+    kernels, solves = [], []
+    real_jet, real_solve = gap_operator.kernel_jet, gap_operator.spectral_radius
+
+    def counting_jet(*args, **kwargs):
+        kernels.append(args[2])
+        return real_jet(*args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args[0])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(gap_operator, "kernel_jet", counting_jet)
+    monkeypatch.setattr(gap_operator, "spectral_radius", counting_solve)
+    shared = radius_crossing_temperature(op, *bracket)
+    assert (len(kernels), len(solves)) == (6, 8)
+    assert kernels[:4] == solves[::2] == solves[1::2]
+    assert sorted(kernels[4:]) == [shared[1], shared[2]]
+
+    def own_k0(*args, k0=None, **kwargs):
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(gap_operator, "spectral_radius", own_k0)
+    assert radius_crossing_temperature(op, *bracket) == shared
+
+
 @pytest.mark.parametrize("case", TC_CASES)
 def test_tc_window_holds_its_point_and_the_bisected_root(
     case, params, grid, monkeypatch, bisected_tc
@@ -348,12 +379,13 @@ def test_left_perron_vector_of_nonsymmetric_table(params, grid):
 
     # the slope rho'(T) from <psi, W (dk0/dT * phi)> / <psi, phi> is the
     # derivative of the Perron root
-    rho, slope = op.radius_and_slope(t, phi, psi)
+    jet = kernel_jet(grid.xi2, 0.0, t, "T")
+    rho, slope = op.radius_and_slope(jet, phi, psi)
     assert rho == pytest.approx(right.radius, rel=1e-14)
     h = 1e-6 * t
     fd = (spectral_radius(t + h, op).radius - spectral_radius(t - h, op).radius) / (2.0 * h)
     assert slope == pytest.approx(fd, rel=1e-7)
-    _, wrong = op.radius_and_slope(t, phi, phi)
+    _, wrong = op.radius_and_slope(jet, phi, phi)
     assert abs(wrong - fd) > 1e-4 * abs(fd)
 
 

@@ -42,12 +42,29 @@ def test_gap_kernel_zero_s_branch():
 
 
 def test_gap_kernel_saturates_at_low_temperature():
-    # tanh argument is 500: saturated branch returns exactly 1/xi
+    # tanh argument is 500, where numpy's tanh is exactly 1: k is 1/xi
     assert abs(gap_kernel(1.0, 0.0, 0.001) - 1.0) <= 1e-12
 
 
 def test_gap_kernel_zero_temperature_limit():
     assert gap_kernel(0.3, 0.16, 0.0) == pytest.approx(1.0 / math.sqrt(0.09 + 0.16), rel=1e-15)
+
+
+# kernel_jet takes tanh unclamped: numpy's tanh must give exactly 1 from
+# 19.1 on (where 1 - tanh < 2^-54), on short arrays and on long ones
+@pytest.mark.parametrize("size", [1, 7, 64, 7680])
+def test_numpy_tanh_is_exactly_one_from_19_on(size):
+    for z in (19.1, 40.0, 1e3, 1e300, math.inf):
+        assert np.all(np.tanh(np.full(size, z)) == 1.0)
+
+
+def test_kernel_jet_saturates_at_zero_temperature():
+    xi = np.geomspace(0.005, 1.0, 64)
+    r = np.sqrt(xi * xi + 0.04)
+    k, k_s, k_t = kernel_jet(xi * xi, 0.04, 0.0, "sT")
+    assert np.array_equal(k, 1.0 / r)
+    np.testing.assert_allclose(k_s, -0.5 / r**3, rtol=1e-15, atol=0.0)
+    assert np.all(k_t == 0.0)
 
 
 def test_gap_kernel_monotone_spot_check():
@@ -214,11 +231,10 @@ def test_curvature_at_zero_is_exactly_minus_two_thirds():
 
 
 def test_curvature_matches_high_precision():
-    mp.mp.dps = 30
-
     def ref(x):
-        x = mp.mpf(x)
-        return float(1 / (x**2 * mp.cosh(x) ** 2) - mp.tanh(x) / x**3)
+        with mp.workdps(30):
+            x = mp.mpf(x)
+            return float(1 / (x**2 * mp.cosh(x) ** 2) - mp.tanh(x) / x**3)
 
     for eta in [1e-4, 1e-3, 0.01, 0.05, 0.099, 0.1, 0.101, 0.3, 1.0, 3.0, 10.0]:
         assert gap_curvature(eta) == pytest.approx(ref(eta), rel=2e-13)
